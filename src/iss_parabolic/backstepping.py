@@ -57,9 +57,8 @@ from .norms import lp_norms
 from .solver import (
     BoundarySignal,
     SemilinearProblem,
-    _banded_matrix,
     _check_step_restriction,
-    _imex_step,
+    _march,
     pde_residual_field,
 )
 
@@ -289,8 +288,6 @@ def simulate_closed_loop(
     """
     if y0.grid != grid:
         raise InvalidParameterError("initial state lives on a different grid")
-    if d.kind == "closed-loop":
-        raise InvalidParameterError("the actuator disturbance must be an evaluable signal")
     _check_step_restriction(grid.dt, abs(k_reaction))
     if kernel is None:
         kernel = solve_kernel(a, k_reaction, grid)
@@ -315,27 +312,20 @@ def simulate_closed_loop(
         reaction=reaction,
         lipschitz_k=abs(kr),
     )
-    r = a * grid.dt / grid.h**2
-    ab = _banded_matrix(grid.n_interior, r)
-    nodes = grid.nodes
     times = grid.times()
-    row0 = _transform_matrix(kernel)[0]
-    data = np.empty((grid.n_steps + 1, grid.n_nodes))
-    control = np.empty(grid.n_steps + 1)
-    data[0] = y0.values
-    control[0] = y0.values[0]
-    y = y0.values.copy()
-    for m in range(grid.n_steps):
-        u_next = float(d(times[m + 1])) - float(row0 @ y)
-        y = _imex_step(problem, ab, nodes, y, r, grid.dt, u_next, 0.0)
-        data[m + 1] = y
-        control[m + 1] = u_next
+    d_values = d(times)
+    transform = _transform_matrix(kernel)
+    row0 = transform[0]
+    data = _march(
+        problem, y0.values, grid.n_steps, grid.dt,
+        lambda m, y: (d_values[m + 1] - float(row0 @ y), 0.0),
+    )
     y_traj = Trajectory(
         grid=grid, times=times, data=data,
         boundary_left=data[:, 0], boundary_right=data[:, -1], problem=problem,
     )
 
-    x_data = data + data @ _transform_matrix(kernel).T
+    x_data = data + data @ transform.T
     x_problem = SemilinearProblem(
         a=a,
         initial=Field(x_data[0], grid),
@@ -346,10 +336,9 @@ def simulate_closed_loop(
         grid=grid, times=times, data=x_data,
         boundary_left=x_data[:, 0], boundary_right=x_data[:, -1], problem=x_problem,
     )
-    disturbance = np.asarray(d(times), dtype=float)
-    if disturbance.ndim == 0:
-        disturbance = np.full(times.shape, float(disturbance))
-    return ClosedLoopRun(y_traj=y_traj, x_traj=x_traj, control=control, disturbance=disturbance, kernel=kernel)
+    # A copy, so the run does not keep the state history alive through a view.
+    control = data[:, 0].copy()
+    return ClosedLoopRun(y_traj=y_traj, x_traj=x_traj, control=control, disturbance=d_values, kernel=kernel)
 
 
 def transform_commutation_residual(run: ClosedLoopRun, burn_fraction: float = 0.05) -> float:

@@ -176,6 +176,7 @@ class DecayReport:
     margin_norm_rel: float
     tol: float
     passed: bool
+    traj: Trajectory
 
 
 def lyapunov_decay_certificate(problem: SemilinearProblem, grid: Grid1D, p: float, tol: float = DEFAULT_REL_TOL) -> DecayReport:
@@ -222,6 +223,7 @@ def lyapunov_decay_certificate(problem: SemilinearProblem, grid: Grid1D, p: floa
         margin_norm_rel=margin_norm,
         tol=tol,
         passed=(margin_v >= 0.0) and (margin_norm >= 0.0),
+        traj=traj,
     )
 
 
@@ -247,13 +249,15 @@ def _norm_history(traj: Trajectory, p: float) -> np.ndarray:
     return lp_norms(traj.data, traj.grid.h, p)
 
 
-def _fit_decay_rate(times: np.ndarray, norms: np.ndarray) -> float:
-    """Least-squares slope of log ||x[t]|| over the resolvable range."""
-    keep = norms > max(norms[0], norms.max()) * 1e-12
+def fit_decay_rate(times: np.ndarray, norms: np.ndarray, t_start: float = 0.0) -> float:
+    """Minus the least-squares slope of log ||x[t]|| over t >= t_start.
+
+    Samples below 1e-12 of the largest norm are unresolvable and dropped.
+    """
+    keep = (times >= t_start) & (norms > norms.max() * 1e-12)
     if keep.sum() < 3:
         raise EstimationError("trajectory too short or degenerate for a decay fit")
-    slope = np.polyfit(times[keep], np.log(norms[keep]), 1)[0]
-    return -float(slope)
+    return -float(np.polyfit(times[keep], np.log(norms[keep]), 1)[0])
 
 
 def estimate_exp_iss_constants(scenarios: Sequence[Trajectory], p: float) -> ExpIssConstants:
@@ -281,7 +285,7 @@ def estimate_exp_iss_constants(scenarios: Sequence[Trajectory], p: float) -> Exp
     if not zero_state:
         raise EstimationError("need a zero-initial scenario with nonzero disturbance")
 
-    sigma = min(_fit_decay_rate(traj.times, _norm_history(traj, p)) for traj in zero_input)
+    sigma = min(fit_decay_rate(traj.times, _norm_history(traj, p)) for traj in zero_input)
     if sigma <= 0.0:
         raise EstimationError(f"fitted decay rate is not positive: {sigma}")
     m = 1.0
@@ -318,12 +322,17 @@ def check_fitted_lp(traj: Trajectory, constants: ExpIssConstants, tol: float = 1
     )
 
 
-def write_report_csv(report: ISSReport, path) -> None:
-    """Export the per-time estimate evaluation: t,lhs,rhs,margin."""
+def write_margin_csv(path, times: np.ndarray, lhs: np.ndarray, rhs: np.ndarray) -> None:
+    """Export a per-time bound evaluation: t,lhs,rhs,margin (margin = rhs - lhs)."""
     with open(path, "w", newline="\n") as fh:
         fh.write("t,lhs,rhs,margin\n")
-        for t, lo, hi in zip(report.times, report.lhs, report.rhs):
+        for t, lo, hi in zip(times, lhs, rhs):
             fh.write(f"{t:.17g},{lo:.17g},{hi:.17g},{hi - lo:.17g}\n")
+
+
+def write_report_csv(report: ISSReport, path) -> None:
+    """Export the per-time estimate evaluation: t,lhs,rhs,margin."""
+    write_margin_csv(path, report.times, report.lhs, report.rhs)
 
 
 def write_summary_csv(report: ISSReport, path) -> None:
@@ -335,7 +344,4 @@ def write_summary_csv(report: ISSReport, path) -> None:
 
 def write_decay_csv(report: DecayReport, path) -> None:
     """Export the norm-envelope form of a decay certificate: t,lhs,rhs,margin."""
-    with open(path, "w", newline="\n") as fh:
-        fh.write("t,lhs,rhs,margin\n")
-        for t, lo, hi in zip(report.times, report.norm_lhs, report.norm_rhs):
-            fh.write(f"{t:.17g},{lo:.17g},{hi:.17g},{hi - lo:.17g}\n")
+    write_margin_csv(path, report.times, report.norm_lhs, report.norm_rhs)

@@ -119,10 +119,6 @@ class ComposeGain(GainFn):
         return "composition"
 
 
-def identity_gain() -> LinearGain:
-    return LinearGain(1.0)
-
-
 def compose(*gains: GainFn) -> GainFn:
     """Compose gains left-to-right (first applied last), flattening nests."""
     flat: list[GainFn] = []

@@ -56,20 +56,6 @@ class ScenarioResult:
         return f"{self.name},{self.kind},{str(self.passed).lower()},{margin},{self.wall_ms:.1f}"
 
 
-def _fit_rate(times: np.ndarray, norms: np.ndarray, t_start: float = 0.0) -> float:
-    keep = (times >= t_start) & (norms > norms.max() * 1e-12)
-    if keep.sum() < 3:
-        raise IssParabolicError("not enough resolvable samples for a decay-rate fit")
-    return -float(np.polyfit(times[keep], np.log(norms[keep]), 1)[0])
-
-
-def _write_norm_report(path, times, lhs, rhs) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write("t,lhs,rhs,margin\n")
-        for t, lo, hi in zip(times, lhs, rhs):
-            fh.write(f"{t:.17g},{lo:.17g},{hi:.17g},{hi - lo:.17g}\n")
-
-
 def _plot_norms(out_dir: Path, scn: Scenario, times, series: dict, ylabel: str) -> None:
     write_line_plot(out_dir / "plot.svg", times, series, title=scn.name, xlabel="t", ylabel=ylabel, logy=scn.logy)
 
@@ -82,7 +68,7 @@ def _run_simulate(scn: Scenario, out_dir: Path, tol: Optional[float], plots: boo
     norms = lp_norms(traj.data, scn.grid.h, scn.norm_p)
     if scn.decay_rate is not None:
         rate_tol = tol if tol is not None else scn.decay_rate_tol
-        fitted = _fit_rate(traj.times, norms)
+        fitted = certify.fit_decay_rate(traj.times, norms)
         rel_err = abs(fitted - scn.decay_rate) / scn.decay_rate
         passed = rel_err <= rate_tol
         margin = rate_tol - rel_err
@@ -90,7 +76,7 @@ def _run_simulate(scn: Scenario, out_dir: Path, tol: Optional[float], plots: boo
     else:
         passed, margin = True, math.inf
         rhs = norms
-    _write_norm_report(out_dir / "report.csv", traj.times, norms, rhs)
+    certify.write_margin_csv(out_dir / "report.csv", traj.times, norms, rhs)
     if plots:
         series = {"norm": norms}
         if scn.decay_rate is not None:
@@ -144,8 +130,7 @@ def _run_lyapunov(scn: Scenario, out_dir: Path, tol: Optional[float], plots: boo
         problem, scn.grid, scn.p, tol if tol is not None else scn.tol
     )
     certify.write_decay_csv(report, out_dir / "report.csv")
-    traj = simulate(problem, scn.grid)
-    write_trajectory_csv(traj, out_dir / "trajectory.csv")
+    write_trajectory_csv(report.traj, out_dir / "trajectory.csv")
     if plots:
         _plot_norms(out_dir, scn, report.times, {"lhs": report.norm_lhs, "rhs": report.norm_rhs}, f"L{scn.p:g} norm")
     return report.passed, min(report.margin_v_rel, report.margin_norm_rel)
@@ -223,7 +208,7 @@ def _run_backstepping(scn: Scenario, out_dir: Path, tol: Optional[float], plots:
         norms = lp_norms(traj.data, grid.h, scn.p)
         growth = float(norms.max() / norms[0])
         threshold = np.full_like(norms, norms[0] * scn.growth_min)
-        _write_norm_report(out_dir / "report.csv", traj.times, norms, threshold)
+        certify.write_margin_csv(out_dir / "report.csv", traj.times, norms, threshold)
         if plots:
             _plot_norms(out_dir, scn, traj.times, {"norm": norms, "growth_cut": threshold}, "open-loop norm")
         passed = growth >= scn.growth_min
@@ -241,12 +226,12 @@ def _run_backstepping(scn: Scenario, out_dir: Path, tol: Optional[float], plots:
     if d_signal.sup_norm == 0.0:
         target = scn.a * math.pi**2
         rate_tol = tol if tol is not None else scn.rate_tol
-        fitted = _fit_rate(run.y_traj.times, norms, t_start=0.2 * grid.t_final)
+        fitted = certify.fit_decay_rate(run.y_traj.times, norms, t_start=0.2 * grid.t_final)
         rel_err = abs(fitted - target) / target
         passed = rel_err <= rate_tol
         margin = rate_tol - rel_err
         rhs = norms[0] * np.exp(-target * run.y_traj.times)
-        _write_norm_report(out_dir / "report.csv", run.y_traj.times, norms, rhs)
+        certify.write_margin_csv(out_dir / "report.csv", run.y_traj.times, norms, rhs)
         if plots:
             _plot_norms(out_dir, scn, run.y_traj.times, {"closed_loop": norms, "target_rate": rhs}, "norm")
         return passed, margin

@@ -11,6 +11,10 @@ M-matrix, so each step is order preserving provided the explicit reaction
 map w -> w + dt f(z, w, .) is monotone in w; the constructor-enforced
 restriction dt * lipschitz_k < 1 guards that.  Order preservation is what
 turns the comparison principle into an executable oracle downstream.
+
+``simulate``, ``step`` and the closed loop in ``backstepping`` all run the
+one stepping loop ``_march``: one factorization per run; state feedback
+enters through the boundary callback.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .errors import (
     IncompatibleDataError,
@@ -40,9 +44,7 @@ class BoundarySignal:
     """A scalar Dirichlet boundary signal on [0, t_final].
 
     ``constant`` signals evaluate to a fixed value; ``sampled`` signals
-    interpolate a finite table linearly (and clamp outside it); the
-    ``closed-loop`` kind is a placeholder resolved by the control module
-    and cannot be evaluated directly.
+    interpolate a finite table linearly (and clamp outside it).
     """
 
     kind: str
@@ -68,8 +70,6 @@ class BoundarySignal:
             object.__setattr__(self, "sample_times", ts)
             object.__setattr__(self, "sample_values", vs)
             object.__setattr__(self, "sup_norm", float(np.max(np.abs(vs))))
-        elif self.kind == "closed-loop":
-            object.__setattr__(self, "sup_norm", float("nan"))
         else:
             raise InvalidParameterError(f"unknown boundary signal kind {self.kind!r}")
 
@@ -85,24 +85,16 @@ class BoundarySignal:
     def sampled(cls, times: np.ndarray, values: np.ndarray) -> "BoundarySignal":
         return cls(kind="sampled", sample_times=times, sample_values=values)
 
-    @classmethod
-    def closed_loop(cls) -> "BoundarySignal":
-        return cls(kind="closed-loop")
-
     def __call__(self, t) -> float:
         if self.kind == "constant":
             return self.value if np.ndim(t) == 0 else np.full(np.shape(t), self.value)
-        if self.kind == "sampled":
-            return np.interp(t, self.sample_times, self.sample_values)
-        raise InvalidParameterError("closed-loop signals are resolved by the control module")
+        return np.interp(t, self.sample_times, self.sample_values)
 
     def shifted(self, tau: float) -> "BoundarySignal":
         """The signal s -> self(tau + s), for restarting a simulation."""
         if self.kind == "constant":
             return self
-        if self.kind == "sampled":
-            return BoundarySignal.sampled(self.sample_times - tau, self.sample_values)
-        raise InvalidParameterError("closed-loop signals cannot be shifted")
+        return BoundarySignal.sampled(self.sample_times - tau, self.sample_values)
 
 
 @dataclass(frozen=True)
@@ -128,10 +120,6 @@ class SemilinearProblem:
         if self.lipschitz_k < 0.0:
             raise InvalidParameterError("lipschitz_k must be nonnegative")
         for side, sig in (("left", self.boundary_left), ("right", self.boundary_right)):
-            if sig.kind == "closed-loop":
-                raise InvalidParameterError(
-                    "closed-loop boundary signals are resolved by the control module"
-                )
             node = self.initial.values[0 if side == "left" else -1]
             if abs(node - sig(0.0)) > COMPATIBILITY_TOL:
                 raise IncompatibleDataError(
@@ -148,15 +136,6 @@ class SemilinearProblem:
         return replace(self, initial=initial, boundary_left=left, boundary_right=right)
 
 
-def _banded_matrix(n_interior: int, r: float) -> np.ndarray:
-    """LAPACK band storage of I + r * tridiag(-1, 2, -1)."""
-    ab = np.zeros((3, n_interior))
-    ab[0, 1:] = -r
-    ab[1, :] = 1.0 + 2.0 * r
-    ab[2, :-1] = -r
-    return ab
-
-
 def _check_step_restriction(dt: float, lipschitz_k: float) -> None:
     if dt * lipschitz_k >= 1.0:
         raise MonotonicityLossError(
@@ -165,40 +144,47 @@ def _check_step_restriction(dt: float, lipschitz_k: float) -> None:
         )
 
 
-def _reaction_term(problem: SemilinearProblem, nodes: np.ndarray, x: np.ndarray, h: float) -> np.ndarray:
-    """dt-free explicit reaction contribution at interior nodes.
-
-    The state gradient is the central difference; at interior nodes adjacent
-    to the boundary this uses the known Dirichlet neighbor, so no one-sided
-    stencil is needed.
-    """
-    grad = (x[2:] - x[:-2]) / (2.0 * h)
-    return problem.reaction(nodes[1:-1], x[1:-1], grad)
-
-
-def _imex_step(
+def _march(
     problem: SemilinearProblem,
-    ab: np.ndarray,
-    nodes: np.ndarray,
-    x: np.ndarray,
-    r: float,
+    x0: np.ndarray,
+    n_steps: int,
     dt: float,
-    left_value: float,
-    right_value: float,
+    boundary: Callable[[int, np.ndarray], tuple[float, float]],
 ) -> np.ndarray:
-    """One step: explicit reaction, implicit diffusion, boundary overwrite."""
-    rhs = x[1:-1].copy()
-    if problem.reaction is not None:
-        rhs += dt * _reaction_term(problem, nodes, x, problem.initial.grid.h)
-    rhs[0] += r * left_value
-    rhs[-1] += r * right_value
-    try:
-        interior = solve_banded((1, 1), ab, rhs, check_finite=False)
-    except Exception as exc:  # pragma: no cover - LAPACK breakdown is not reachable for SPD input
-        raise NumericalError(f"tridiagonal solve failed: {exc}") from exc
-    if not np.all(np.isfinite(interior)):
-        raise NumericalError("tridiagonal solve produced non-finite values")
-    return np.concatenate(([left_value], interior, [right_value]))
+    """Take n_steps IMEX steps from x0 and return every level, row m = level m.
+
+    Each step applies the explicit reaction, then solves the implicit
+    diffusion with I + r tridiag(-1, 2, -1), r = a dt / h^2, factored once
+    (LAPACK dgttrf) and reused for every step (dgttrs).  ``boundary(m, x)``
+    returns the Dirichlet values (left, right) of level m + 1 given the
+    state x at level m.  The reaction gradient is the central difference;
+    at nodes next to the boundary it uses the known Dirichlet neighbor.
+    """
+    grid = problem.initial.grid
+    h = grid.h
+    n = grid.n_interior
+    r = problem.a * dt / h**2
+    off = np.full(n - 1, -r)
+    # Strictly diagonally dominant, so the factorization cannot break down.
+    dl, d, du, du2, ipiv, _ = dgttrf(off, np.full(n, 1.0 + 2.0 * r), off)
+    nodes = grid.nodes[1:-1]
+    data = np.empty((n_steps + 1, grid.n_nodes))
+    data[0] = x0
+    for m in range(n_steps):
+        x = data[m]
+        left, right = boundary(m, x)
+        rhs = x[1:-1].copy()
+        if problem.reaction is not None:
+            rhs += dt * problem.reaction(nodes, x[1:-1], (x[2:] - x[:-2]) / (2.0 * h))
+        rhs[0] += r * left
+        rhs[-1] += r * right
+        interior, info = dgttrs(dl, d, du, du2, ipiv, rhs)
+        if info != 0 or not np.all(np.isfinite(interior)):
+            raise NumericalError(f"step {m + 1} of {n_steps} produced non-finite values")
+        data[m + 1, 0] = left
+        data[m + 1, 1:-1] = interior
+        data[m + 1, -1] = right
+    return data
 
 
 def step(problem: SemilinearProblem, state: Field, t: float, dt: float) -> Field:
@@ -216,13 +202,8 @@ def step(problem: SemilinearProblem, state: Field, t: float, dt: float) -> Field
             raise IncompatibleDataError(
                 f"state does not satisfy the {side} Dirichlet value at t={t}"
             )
-    r = problem.a * dt / grid.h**2
-    ab = _banded_matrix(grid.n_interior, r)
-    new = _imex_step(
-        problem, ab, grid.nodes, state.values, r, dt,
-        float(problem.boundary_left(t + dt)), float(problem.boundary_right(t + dt)),
-    )
-    return Field(new, grid)
+    ends = (float(problem.boundary_left(t + dt)), float(problem.boundary_right(t + dt)))
+    return Field(_march(problem, state.values, 1, dt, lambda m, x: ends)[1], grid)
 
 
 def simulate(problem: SemilinearProblem, grid: Grid1D) -> Trajectory:
@@ -230,24 +211,13 @@ def simulate(problem: SemilinearProblem, grid: Grid1D) -> Trajectory:
     if problem.initial.grid != grid:
         raise InvalidParameterError("problem initial data lives on a different grid")
     _check_step_restriction(grid.dt, problem.lipschitz_k)
-    n_steps = grid.n_steps
-    r = problem.a * grid.dt / grid.h**2
-    ab = _banded_matrix(grid.n_interior, r)
-    nodes = grid.nodes
     times = grid.times()
-    data = np.empty((n_steps + 1, grid.n_nodes))
-    data[0] = problem.initial.values
-    x = problem.initial.values.copy()
-    for m in range(n_steps):
-        t1 = times[m + 1]
-        try:
-            x = _imex_step(
-                problem, ab, nodes, x, r, grid.dt,
-                float(problem.boundary_left(t1)), float(problem.boundary_right(t1)),
-            )
-        except NumericalError as exc:
-            raise NumericalError(f"step to t={t1} failed: {exc}") from exc
-        data[m + 1] = x
+    left = problem.boundary_left(times)
+    right = problem.boundary_right(times)
+    data = _march(
+        problem, problem.initial.values, grid.n_steps, grid.dt,
+        lambda m, x: (left[m + 1], right[m + 1]),
+    )
     return Trajectory(
         grid=grid,
         times=times,

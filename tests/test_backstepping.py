@@ -31,7 +31,7 @@ from iss_parabolic.backstepping import (
     write_kernel_csv,
 )
 from iss_parabolic.norms import lp_norms
-from iss_parabolic.solver import _banded_matrix, _imex_step
+from iss_parabolic.solver import _march
 
 PI2 = math.pi**2
 
@@ -246,15 +246,10 @@ class TestFlipEquivalence:
             reaction=lambda z, w, g: kr * w,
             lipschitz_k=kr,
         )
-        r = a * grid.dt / h**2
-        ab = _banded_matrix(grid.n_interior, r)
-        y = y0.values[::-1].copy()
-        flipped = [y.copy()]
-        for _ in range(grid.n_steps):
-            u_next = -float(fb_row @ y)
-            y = _imex_step(problem, ab, grid.nodes, y, r, grid.dt, 0.0, u_next)
-            flipped.append(y.copy())
-        flipped = np.array(flipped)[:, ::-1]
+        flipped = _march(
+            problem, y0.values[::-1], grid.n_steps, grid.dt,
+            lambda m, y: (0.0, -float(fb_row @ y)),
+        )[:, ::-1]
         assert np.max(np.abs(flipped - run.y_traj.data)) < 1e-10
 
 

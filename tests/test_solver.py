@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 
 from iss_parabolic import (
     BoundarySignal,
@@ -14,10 +15,14 @@ from iss_parabolic import (
     check_ordering,
     norm_lp,
     residual,
+    compatible_initial_state,
     simulate,
+    simulate_closed_loop,
+    solve_kernel,
     step,
     write_trajectory_csv,
 )
+from iss_parabolic.backstepping import _transform_matrix
 from conftest import eigenfield, heat_problem
 
 PI2 = math.pi**2
@@ -48,9 +53,9 @@ class TestBoundarySignal:
         with pytest.raises(InvalidParameterError):
             BoundarySignal.sampled(np.array([0.0, 1.0]), np.array([1.0, np.inf]))
 
-    def test_closed_loop_not_evaluable(self):
+    def test_closed_loop_kind_rejected(self):
         with pytest.raises(InvalidParameterError):
-            BoundarySignal.closed_loop()(0.0)
+            BoundarySignal(kind="closed-loop")
 
 
 class TestProblemValidation:
@@ -154,6 +159,105 @@ class TestSimulate:
         problem = heat_problem(grid_small, lambda z: np.zeros_like(z))
         with pytest.raises(InvalidParameterError):
             simulate(problem, grid_medium)
+
+
+def _reference_march(problem, n_steps, dt, boundary):
+    """The scheme as first written: a fresh banded solve on every step."""
+    grid = problem.initial.grid
+    h, n = grid.h, grid.n_interior
+    r = problem.a * dt / h**2
+    ab = np.zeros((3, n))
+    ab[0, 1:] = -r
+    ab[1, :] = 1.0 + 2.0 * r
+    ab[2, :-1] = -r
+    x = problem.initial.values.copy()
+    levels = [x]
+    for m in range(n_steps):
+        left, right = boundary(m, x)
+        rhs = x[1:-1].copy()
+        if problem.reaction is not None:
+            grad = (x[2:] - x[:-2]) / (2.0 * h)
+            rhs += dt * problem.reaction(grid.nodes[1:-1], x[1:-1], grad)
+        rhs[0] += r * left
+        rhs[-1] += r * right
+        x = np.concatenate(([left], solve_banded((1, 1), ab, rhs), [right]))
+        levels.append(x)
+    return np.array(levels)
+
+
+def _open_loop_case(problem, grid):
+    times = grid.times()
+
+    def boundary(m, x):
+        t1 = times[m + 1]
+        return float(problem.boundary_left(t1)), float(problem.boundary_right(t1))
+
+    return simulate(problem, grid).data, _reference_march(problem, grid.n_steps, grid.dt, boundary)
+
+
+def _heat_sampled_case():
+    grid = Grid1D(n_interior=49, dt=2e-4, t_final=0.1)
+    times = grid.times()
+    d0 = BoundarySignal.sampled(times[::7], 0.6 * np.sin(9.0 * times[::7]))
+    d1 = BoundarySignal.constant(-0.25)
+    z = grid.nodes
+    x0 = d0(0.0) * (1 - z) + d1(0.0) * z + 0.8 * np.sin(np.pi * z)
+    problem = SemilinearProblem(a=1.0, initial=Field(x0, grid), boundary_left=d0, boundary_right=d1)
+    return _open_loop_case(problem, grid)
+
+
+def _cubic_case():
+    grid = Grid1D(n_interior=47, dt=1e-3, t_final=0.2)
+    problem = SemilinearProblem(
+        a=0.5,
+        initial=Field.from_function(grid, lambda z: 0.9 * np.sin(np.pi * z)),
+        boundary_left=BoundarySignal.zero(),
+        boundary_right=BoundarySignal.zero(),
+        reaction=lambda z, w, g: w - w**3,
+        lipschitz_k=1.0,
+    )
+    return _open_loop_case(problem, grid)
+
+
+def _gradient_case():
+    grid = Grid1D(n_interior=39, dt=5e-4, t_final=0.1)
+    problem = SemilinearProblem(
+        a=1.0,
+        initial=Field.from_function(grid, lambda z: np.sin(np.pi * z) * (1.0 + z)),
+        boundary_left=BoundarySignal.zero(),
+        boundary_right=BoundarySignal.zero(),
+        reaction=lambda z, w, g: 3.0 * np.sin(w) + 0.4 * g * (1.0 - z),
+        lipschitz_k=3.0,
+    )
+    return _open_loop_case(problem, grid)
+
+
+def _closed_loop_case():
+    grid = Grid1D(n_interior=15, dt=1e-3, t_final=0.2)
+    kernel = solve_kernel(1.0, 10.0, grid)
+    times = grid.times()
+    d = BoundarySignal.sampled(times, 0.3 * np.sin(6.0 * times))
+    base = Field.from_function(grid, lambda z: np.sin(np.pi * z))
+    y0 = compatible_initial_state(kernel, base, float(d(0.0)))
+    run = simulate_closed_loop(1.0, 10.0, y0, d, grid, kernel=kernel)
+    row0 = _transform_matrix(kernel)[0]
+
+    def boundary(m, y):
+        return float(d(times[m + 1])) - float(row0 @ y), 0.0
+
+    reference = _reference_march(run.y_traj.problem, grid.n_steps, grid.dt, boundary)
+    return run.y_traj.data, reference
+
+
+@pytest.mark.parametrize(
+    "case",
+    [_heat_sampled_case, _cubic_case, _gradient_case, _closed_loop_case],
+    ids=["heat_sampled", "cubic", "gradient", "closed_loop_n15"],
+)
+def test_prefactored_march_matches_reference_scheme_bitwise(case):
+    actual, reference = case()
+    assert np.all(np.isfinite(reference))
+    assert np.array_equal(actual, reference)
 
 
 class TestControlSystemAxioms:
