@@ -4,7 +4,7 @@ Subpackage map:
 
 - :mod:`~iss_parabolic.grid` -- grids, fields, trajectories
 - :mod:`~iss_parabolic.norms` -- L^p and weighted norms on grid functions
-- :mod:`~iss_parabolic.comparison` -- gain / decay-bound algebra
+- :mod:`~iss_parabolic.comparison` -- exponential decay bounds, linear gains, ``combine_bounds``
 - :mod:`~iss_parabolic.solver` -- order-preserving IMEX time stepping
 - :mod:`~iss_parabolic.monotone` -- ordering oracle, bracketing, sandwich runs
 - :mod:`~iss_parabolic.certify` -- stability estimates and Lyapunov certificates
@@ -38,21 +38,7 @@ from .certify import (
     estimate_exp_iss_constants,
     lyapunov_decay_certificate,
 )
-from .comparison import (
-    ComposeGain,
-    ComposedKL,
-    ExpLinearKL,
-    ExpShapedKL,
-    GainFn,
-    KLBound,
-    LinearGain,
-    PowerGain,
-    SumGain,
-    combine_bounds,
-    kl_eval,
-    looks_class_k_inf,
-    looks_class_kl,
-)
+from .comparison import ExpLinearKL, LinearGain, combine_bounds
 from .errors import (
     BracketingError,
     EstimationError,

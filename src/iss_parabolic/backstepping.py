@@ -257,8 +257,8 @@ def compatible_initial_state(kernel: VolterraKernel, base: Field, d0: float = 0.
 class ClosedLoopRun:
     """Closed-loop plant trajectory with its transformed (target) image.
 
-    Iterating yields (y_traj, x_traj); ``control`` records the applied
-    boundary values u(t_k) and ``disturbance`` the actuator error d(t_k).
+    ``control`` records the applied boundary values u(t_k) and
+    ``disturbance`` the actuator error d(t_k).
     """
 
     y_traj: Trajectory
@@ -266,9 +266,6 @@ class ClosedLoopRun:
     control: np.ndarray
     disturbance: np.ndarray
     kernel: VolterraKernel
-
-    def __iter__(self):
-        return iter((self.y_traj, self.x_traj))
 
 
 def simulate_closed_loop(
@@ -320,10 +317,7 @@ def simulate_closed_loop(
         problem, y0.values, grid.n_steps, grid.dt,
         lambda m, y: (d_values[m + 1] - float(row0 @ y), 0.0),
     )
-    y_traj = Trajectory(
-        grid=grid, times=times, data=data,
-        boundary_left=data[:, 0], boundary_right=data[:, -1], problem=problem,
-    )
+    y_traj = Trajectory(grid=grid, times=times, data=data, problem=problem)
 
     x_data = data + data @ transform.T
     x_problem = SemilinearProblem(
@@ -332,10 +326,7 @@ def simulate_closed_loop(
         boundary_left=BoundarySignal.sampled(times, x_data[:, 0]),
         boundary_right=BoundarySignal.zero(),
     )
-    x_traj = Trajectory(
-        grid=grid, times=times, data=x_data,
-        boundary_left=x_data[:, 0], boundary_right=x_data[:, -1], problem=x_problem,
-    )
+    x_traj = Trajectory(grid=grid, times=times, data=x_data, problem=x_problem)
     # A copy, so the run does not keep the state history alive through a view.
     control = data[:, 0].copy()
     return ClosedLoopRun(y_traj=y_traj, x_traj=x_traj, control=control, disturbance=d_values, kernel=kernel)

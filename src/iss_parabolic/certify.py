@@ -32,15 +32,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .comparison import ExpLinearKL, GainFn, KLBound, LinearGain
+from .comparison import ExpLinearKL, LinearGain
 from .errors import EstimationError, InapplicableEstimateError, InvalidParameterError
 from .grid import Grid1D, Trajectory
 from .norms import lp_norms, sup_weight, weighted_sin_norms, weighted_sup_norms
 from .solver import SemilinearProblem, simulate
 
 DEFAULT_REL_TOL = 0.02
-
-ESTIMATE_IDS = ("weighted_l1", "l2", "weighted_sup", "lp_fitted", "closed_loop_lp", "generic")
 
 
 @dataclass(frozen=True)
@@ -55,8 +53,8 @@ class ISSReport:
     margin_rel: float
     tol: float
     passed: bool
-    beta: Optional[KLBound] = None
-    gain: Optional[GainFn] = None
+    beta: Optional[ExpLinearKL] = None
+    gain: Optional[LinearGain] = None
     params: dict = field(default_factory=dict)
 
 
@@ -241,13 +239,6 @@ class ExpIssConstants:
     gamma: float
     p: float
 
-    def __iter__(self):
-        return iter((self.m, self.sigma, self.gamma))
-
-
-def _norm_history(traj: Trajectory, p: float) -> np.ndarray:
-    return lp_norms(traj.data, traj.grid.h, p)
-
 
 def fit_decay_rate(times: np.ndarray, norms: np.ndarray, t_start: float = 0.0) -> float:
     """Minus the least-squares slope of log ||x[t]|| over t >= t_start.
@@ -272,32 +263,30 @@ def estimate_exp_iss_constants(scenarios: Sequence[Trajectory], p: float) -> Exp
     """
     if not scenarios:
         raise EstimationError("no scenarios provided")
+    histories = [lp_norms(traj.data, traj.grid.h, p) for traj in scenarios]
     zero_input, zero_state = [], []
-    for traj in scenarios:
+    for traj, norms in zip(scenarios, histories):
         d_sup = max(np.abs(traj.boundary_left).max(), np.abs(traj.boundary_right).max())
-        x0 = _norm_history(traj, p)[0]
-        if d_sup < 1e-14 and x0 > 1e-14:
-            zero_input.append(traj)
-        if x0 < 1e-14 and d_sup > 1e-14:
+        if d_sup < 1e-14 and norms[0] > 1e-14:
+            zero_input.append((traj, norms))
+        if norms[0] < 1e-14 and d_sup > 1e-14:
             zero_state.append(traj)
     if not zero_input:
         raise EstimationError("need a zero-disturbance scenario with nonzero initial data")
     if not zero_state:
         raise EstimationError("need a zero-initial scenario with nonzero disturbance")
 
-    sigma = min(fit_decay_rate(traj.times, _norm_history(traj, p)) for traj in zero_input)
+    sigma = min(fit_decay_rate(traj.times, norms) for traj, norms in zero_input)
     if sigma <= 0.0:
         raise EstimationError(f"fitted decay rate is not positive: {sigma}")
     m = 1.0
-    for traj in zero_input:
-        norms = _norm_history(traj, p)
+    for traj, norms in zero_input:
         ratio = norms / (np.exp(-sigma * traj.times) * norms[0])
         m = max(m, float(ratio.max()))
     m *= 1.0 + 1e-12
 
     gamma = 0.0
-    for traj in scenarios:
-        norms = _norm_history(traj, p)
+    for traj, norms in zip(scenarios, histories):
         run0 = np.maximum.accumulate(np.abs(traj.boundary_left))
         run1 = np.maximum.accumulate(np.abs(traj.boundary_right))
         denom = run0 + run1
@@ -311,7 +300,7 @@ def estimate_exp_iss_constants(scenarios: Sequence[Trajectory], p: float) -> Exp
 
 def check_fitted_lp(traj: Trajectory, constants: ExpIssConstants, tol: float = 1e-9) -> ISSReport:
     """Evaluate the fitted exponential L^p estimate on one trajectory."""
-    lhs = _norm_history(traj, constants.p)
+    lhs = lp_norms(traj.data, traj.grid.h, constants.p)
     run0, run1 = _running_sups(traj)
     rhs = constants.m * np.exp(-constants.sigma * traj.times) * lhs[0] + constants.gamma * (run0 + run1)
     return _finish_report(

@@ -118,24 +118,20 @@ class Trajectory:
     """Time-indexed states of one simulation plus the applied boundary data.
 
     ``data[k]`` is the state at ``times[k]``; columns 0 and -1 hold the
-    Dirichlet boundary values actually applied, duplicated in
-    ``boundary_left`` / ``boundary_right`` for direct access.  ``problem``
-    optionally records the problem that produced the trajectory so stability
-    checks can recover the diffusion coefficient and reaction term.
+    Dirichlet boundary values actually applied, read back through
+    ``boundary_left`` / ``boundary_right``.  ``problem`` optionally records
+    the problem that produced the trajectory so stability checks can recover
+    the diffusion coefficient and reaction term.
     """
 
     grid: Grid1D
     times: np.ndarray
     data: np.ndarray
-    boundary_left: np.ndarray
-    boundary_right: np.ndarray
     problem: object = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         times = _as_readonly(self.times)
         data = np.array(self.data, dtype=float, copy=True)
-        bl = _as_readonly(self.boundary_left)
-        br = _as_readonly(self.boundary_right)
         if data.ndim != 2 or data.shape != (times.shape[0], self.grid.n_nodes):
             raise InvalidFieldError(
                 f"trajectory data shape {data.shape} does not match "
@@ -143,23 +139,24 @@ class Trajectory:
             )
         if times[0] != 0.0 or np.any(np.diff(times) <= 0.0):
             raise InvalidParameterError("times must increase strictly from 0")
-        if bl.shape != times.shape or br.shape != times.shape:
-            raise InvalidFieldError("boundary sample count does not match times")
         if not np.all(np.isfinite(data)):
             raise InvalidFieldError("trajectory contains non-finite entries")
-        if not (np.array_equal(data[:, 0], bl) and np.array_equal(data[:, -1], br)):
-            raise InvalidFieldError(
-                "boundary columns of the data disagree with the recorded "
-                "Dirichlet samples"
-            )
         data.setflags(write=False)
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "data", data)
-        object.__setattr__(self, "boundary_left", bl)
-        object.__setattr__(self, "boundary_right", br)
 
     def __len__(self) -> int:
         return self.times.shape[0]
+
+    @property
+    def boundary_left(self) -> np.ndarray:
+        """Dirichlet values applied at z = 0, one per recorded time."""
+        return self.data[:, 0]
+
+    @property
+    def boundary_right(self) -> np.ndarray:
+        """Dirichlet values applied at z = 1, one per recorded time."""
+        return self.data[:, -1]
 
     def state(self, k: int) -> Field:
         return Field(self.data[k], self.grid)
@@ -180,7 +177,5 @@ class Trajectory:
             grid=self.grid,
             times=self.times[:keep],
             data=self.data[:keep],
-            boundary_left=self.boundary_left[:keep],
-            boundary_right=self.boundary_right[:keep],
             problem=self.problem,
         )

@@ -218,14 +218,7 @@ def simulate(problem: SemilinearProblem, grid: Grid1D) -> Trajectory:
         problem, problem.initial.values, grid.n_steps, grid.dt,
         lambda m, x: (left[m + 1], right[m + 1]),
     )
-    return Trajectory(
-        grid=grid,
-        times=times,
-        data=data,
-        boundary_left=data[:, 0],
-        boundary_right=data[:, -1],
-        problem=problem,
-    )
+    return Trajectory(grid=grid, times=times, data=data, problem=problem)
 
 
 def pde_residual_field(

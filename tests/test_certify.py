@@ -255,10 +255,7 @@ class TestGenericEstimateInvariant:
         from iss_parabolic import Trajectory
 
         data = np.zeros((3, grid_small.n_nodes))
-        bare = Trajectory(
-            grid=grid_small, times=np.arange(3) * grid_small.dt, data=data,
-            boundary_left=data[:, 0], boundary_right=data[:, -1],
-        )
+        bare = Trajectory(grid=grid_small, times=np.arange(3) * grid_small.dt, data=data)
         with pytest.raises(InapplicableEstimateError):
             check_l2(bare)
 

@@ -6,57 +6,40 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from iss_parabolic import (
-    ComposeGain,
     ExpLinearKL,
-    ExpShapedKL,
     InvalidParameterError,
     LinearGain,
-    PowerGain,
-    SumGain,
     combine_bounds,
-    kl_eval,
-    looks_class_k_inf,
-    looks_class_kl,
 )
 
 
 class TestKlEval:
     def test_unit_bound_at_time_zero(self):
-        assert kl_eval(ExpLinearKL(m=1.0, sigma=1.0), 2.0, 0.0) == 2.0
+        assert ExpLinearKL(m=1.0, sigma=1.0)(2.0, 0.0) == 2.0
 
     @pytest.mark.parametrize("t", [0.0, 0.5, 3.0])
     def test_vanishes_at_zero_radius(self, t):
-        assert kl_eval(ExpLinearKL(m=3.0, sigma=2.0), 0.0, t) == 0.0
+        assert ExpLinearKL(m=3.0, sigma=2.0)(0.0, t) == 0.0
 
     def test_direct_evaluation(self):
         # 2 exp(-0.1 pi^2) evaluated independently
         expected = 2.0 * math.exp(-0.1 * math.pi**2)
-        assert kl_eval(ExpLinearKL(m=2.0, sigma=math.pi**2), 1.0, 0.1) == pytest.approx(expected, rel=1e-14)
+        assert ExpLinearKL(m=2.0, sigma=math.pi**2)(1.0, 0.1) == pytest.approx(expected, rel=1e-14)
         assert expected == pytest.approx(0.74542, abs=5e-5)
-
-    def test_negative_arguments_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            kl_eval(ExpLinearKL(1.0, 1.0), -1.0, 0.0)
-        with pytest.raises(InvalidParameterError):
-            kl_eval(ExpLinearKL(1.0, 1.0), 1.0, -0.1)
 
 
 class TestGainAlgebra:
-    def test_linear_and_power(self):
+    def test_linear(self):
         assert LinearGain(2.5)(2.0) == 5.0
-        assert PowerGain(2.0, 0.5)(4.0) == pytest.approx(4.0)
-
-    def test_sum_and_compose(self):
-        g = SumGain((LinearGain(1.0), PowerGain(1.0, 2.0)))
-        assert g(3.0) == pytest.approx(12.0)
-        h = ComposeGain((LinearGain(2.0), PowerGain(1.0, 2.0)))
-        assert h(3.0) == pytest.approx(18.0)
+        assert np.array_equal(LinearGain(2.5)(np.array([0.0, 2.0])), np.array([0.0, 5.0]))
 
     def test_positivity_enforced(self):
         with pytest.raises(InvalidParameterError):
             LinearGain(0.0)
         with pytest.raises(InvalidParameterError):
-            PowerGain(1.0, -1.0)
+            ExpLinearKL(0.0, 1.0)
+        with pytest.raises(InvalidParameterError):
+            ExpLinearKL(1.0, 0.0)
 
 
 class TestCombineBounds:
@@ -67,17 +50,17 @@ class TestCombineBounds:
         beta = ExpLinearKL(m=1.0, sigma=1.0)
         ident = LinearGain(1.0)
         beta_hat, gamma_hat = combine_bounds(beta, ident, ident, ident, ident)
-        assert kl_eval(beta_hat, 1.0, 0.0) == pytest.approx(16.0)
-        assert kl_eval(beta_hat, 1.0, 1.0) == pytest.approx(16.0 * math.exp(-1.0))
+        assert beta_hat(1.0, 0.0) == pytest.approx(16.0)
+        assert beta_hat(1.0, 1.0) == pytest.approx(16.0 * math.exp(-1.0))
         assert gamma_hat(1.0) == pytest.approx(20.0)
 
     def test_zero_radius_stays_zero(self):
         beta = ExpLinearKL(m=2.0, sigma=0.7)
         beta_hat, gamma_hat = combine_bounds(
-            beta, PowerGain(1.0, 2.0), PowerGain(2.0, 0.5), LinearGain(3.0), PowerGain(1.0, 1.5)
+            beta, LinearGain(1.0), LinearGain(2.0), LinearGain(3.0), LinearGain(1.5)
         )
         for t in (0.0, 1.0, 10.0):
-            assert kl_eval(beta_hat, 0.0, t) == 0.0
+            assert beta_hat(0.0, t) == 0.0
         assert gamma_hat(0.0) == 0.0
 
     def test_all_linear_inputs_tagged_linear(self):
@@ -86,7 +69,6 @@ class TestCombineBounds:
             beta, LinearGain(0.5), LinearGain(2.0), LinearGain(1.5), LinearGain(0.25)
         )
         assert isinstance(beta_hat, ExpLinearKL)
-        assert beta_hat.shape == "exponential-linear"
         assert beta_hat.sigma == beta.sigma
         assert beta_hat.m == pytest.approx(16.0 * 2.0 * 0.25 * 1.5)
         assert isinstance(gamma_hat, LinearGain)
@@ -94,45 +76,26 @@ class TestCombineBounds:
         expected = 2.0 * (16.0 * 0.25 * 1.5 + 4.0 * 0.5 * 1.5)
         assert gamma_hat.c == pytest.approx(expected)
 
-    def test_nonlinear_result_satisfies_axioms(self):
-        beta = ExpShapedKL(m=1.0, sigma=1.0, kappa=PowerGain(1.0, 2.0))
-        beta_hat, gamma_hat = combine_bounds(
-            beta, PowerGain(0.5, 1.5), PowerGain(1.0, 0.5), LinearGain(2.0), PowerGain(1.0, 2.0)
-        )
-        assert beta_hat.shape == "composed"
-        assert looks_class_kl(beta_hat)
-        assert looks_class_k_inf(gamma_hat)
+
+positive = st.floats(0.05, 20.0)
 
 
-class TestSamplingChecks:
-    def test_exponential_bound_is_kl(self):
-        assert looks_class_kl(ExpLinearKL(m=2.0, sigma=0.5))
-
-    def test_non_decaying_bound_rejected(self):
-        class Constant:
-            def __call__(self, r, t):
-                return np.asarray(r, dtype=float) * np.ones_like(np.asarray(t, dtype=float))
-
-        assert not looks_class_kl(Constant())
-
-    def test_bounded_gain_rejected(self):
-        class Saturating:
-            def __call__(self, r):
-                return np.tanh(np.asarray(r, dtype=float))
-
-        assert not looks_class_k_inf(Saturating())
-
-
-@settings(max_examples=30, deadline=None)
-@given(
-    st.floats(0.1, 5.0),
-    st.floats(0.1, 3.0),
-    st.floats(0.2, 3.0),
-    st.floats(0.2, 2.0),
-)
-def test_combine_preserves_axioms_on_parametric_inputs(m, sigma, c, q):
-    beta = ExpLinearKL(m=m, sigma=sigma)
-    gamma = PowerGain(c, q)
-    beta_hat, gamma_hat = combine_bounds(beta, gamma, LinearGain(c), PowerGain(1.0, q), LinearGain(2.0))
-    assert looks_class_k_inf(gamma_hat)
-    assert looks_class_kl(beta_hat)
+@settings(max_examples=50, deadline=None)
+@given(positive, positive, positive, positive, positive, positive)
+def test_combine_matches_pointwise_formula(m, sigma, c_gamma, c_rho, c_eta, c_xi):
+    # The general formula evaluated through plain closures, independent of
+    # the closed form combine_bounds takes for this family.
+    beta = lambda r, t: m * math.exp(-sigma * t) * r  # noqa: E731
+    gamma = lambda r: c_gamma * r  # noqa: E731
+    rho = lambda r: c_rho * r  # noqa: E731
+    eta = lambda r: c_eta * r  # noqa: E731
+    xi = lambda r: c_xi * r  # noqa: E731
+    beta_hat, gamma_hat = combine_bounds(
+        ExpLinearKL(m, sigma), LinearGain(c_gamma), LinearGain(c_rho), LinearGain(c_eta), LinearGain(c_xi)
+    )
+    for r in (1e-3, 0.5, 1.0, 7.0):
+        expected_gain = rho(4.0 * beta(2.0 * xi(2.0 * r), 0.0) + 4.0 * gamma(eta(r)))
+        assert gamma_hat(r) == pytest.approx(expected_gain, rel=1e-12, abs=0.0)
+        for t in (0.0, 0.3, 2.0):
+            expected = rho(4.0 * beta(2.0 * xi(2.0 * r), t))
+            assert float(beta_hat(r, t)) == pytest.approx(expected, rel=1e-12, abs=0.0)

@@ -68,25 +68,7 @@ class TestField:
 class TestTrajectory:
     def _make(self, grid, data, times=None):
         times = np.arange(data.shape[0]) * grid.dt if times is None else times
-        return Trajectory(
-            grid=grid,
-            times=times,
-            data=data,
-            boundary_left=data[:, 0],
-            boundary_right=data[:, -1],
-        )
-
-    def test_dirichlet_consistency_enforced(self):
-        grid = Grid1D(n_interior=9, dt=1e-3, t_final=0.1)
-        data = np.zeros((4, grid.n_nodes))
-        with pytest.raises(InvalidFieldError):
-            Trajectory(
-                grid=grid,
-                times=np.arange(4) * grid.dt,
-                data=data,
-                boundary_left=np.ones(4),
-                boundary_right=data[:, -1],
-            )
+        return Trajectory(grid=grid, times=times, data=data)
 
     def test_times_must_increase_from_zero(self):
         grid = Grid1D(n_interior=9, dt=1e-3, t_final=0.1)
@@ -111,3 +93,7 @@ class TestTrajectory:
         traj = self._make(grid, data)
         assert np.array_equal(traj.state(1).values, data[1])
         assert np.array_equal(traj.final_state.values, data[-1])
+        assert np.array_equal(traj.boundary_left, data[:, 0])
+        assert np.array_equal(traj.boundary_right, data[:, -1])
+        with pytest.raises(ValueError):
+            traj.boundary_left[0] = 1.0

@@ -23,13 +23,7 @@ from conftest import heat_problem
 
 
 def _traj_from(grid, data):
-    return Trajectory(
-        grid=grid,
-        times=np.arange(data.shape[0]) * grid.dt,
-        data=data,
-        boundary_left=data[:, 0],
-        boundary_right=data[:, -1],
-    )
+    return Trajectory(grid=grid, times=np.arange(data.shape[0]) * grid.dt, data=data)
 
 
 class TestCheckOrdering:

@@ -343,10 +343,7 @@ class TestResidual:
         data = np.exp(-PI2 * times)[:, None] * np.sin(np.pi * grid.nodes)[None, :]
         from iss_parabolic import Trajectory
 
-        traj = Trajectory(
-            grid=grid, times=times, data=data,
-            boundary_left=data[:, 0], boundary_right=data[:, -1],
-        )
+        traj = Trajectory(grid=grid, times=times, data=data)
         problem = heat_problem(grid, lambda z: np.sin(np.pi * z))
         # truncation error of central differences on the smooth solution
         assert residual(problem, traj) < PI2**2 * (grid.h**2 + grid.dt)
