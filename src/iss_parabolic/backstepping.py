@@ -320,6 +320,7 @@ def simulate_closed_loop(
     y_traj = Trajectory(grid=grid, times=times, data=data, problem=problem)
 
     x_data = data + data @ transform.T
+    x_data.setflags(write=False)
     x_problem = SemilinearProblem(
         a=a,
         initial=Field(x_data[0], grid),

@@ -78,6 +78,19 @@ def _as_readonly(values: np.ndarray) -> np.ndarray:
     return out
 
 
+def _frozen(values) -> np.ndarray:
+    """``values`` as a read-only float array, copied only if it could still change.
+
+    A float array is kept as is when neither it nor any array it views is
+    writeable, which is how the solver hands over a freshly marched history.
+    """
+    arr = np.asarray(values, dtype=float)
+    owner = arr
+    while isinstance(owner, np.ndarray) and not owner.flags.writeable:
+        owner = owner.base
+    return arr if owner is None else _as_readonly(arr)
+
+
 @dataclass(frozen=True)
 class Field:
     """A grid function: one sample per node, boundary nodes included."""
@@ -131,7 +144,7 @@ class Trajectory:
 
     def __post_init__(self) -> None:
         times = _as_readonly(self.times)
-        data = np.array(self.data, dtype=float, copy=True)
+        data = _frozen(self.data)
         if data.ndim != 2 or data.shape != (times.shape[0], self.grid.n_nodes):
             raise InvalidFieldError(
                 f"trajectory data shape {data.shape} does not match "
@@ -141,7 +154,6 @@ class Trajectory:
             raise InvalidParameterError("times must increase strictly from 0")
         if not np.all(np.isfinite(data)):
             raise InvalidFieldError("trajectory contains non-finite entries")
-        data.setflags(write=False)
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "data", data)
 

@@ -15,6 +15,10 @@ from .errors import InvalidParameterError
 from .grid import Field
 
 
+# Norms of a history work in one buffer of its size, updated in place: a
+# second one is trimmed off the heap after each call and faulted back next.
+
+
 def _trapz(values: np.ndarray, h: float) -> np.ndarray:
     """Composite trapezoid along the last axis of ``values``."""
     return h * (values.sum(axis=-1) - 0.5 * (values[..., 0] + values[..., -1]))
@@ -24,14 +28,16 @@ def lp_norms(data: np.ndarray, h: float, p: float) -> np.ndarray:
     """L^p norm of each row of a (time x node) array; p may be math.inf."""
     if p == math.inf:
         return np.abs(data).max(axis=-1)
-    return _trapz(np.abs(data) ** p, h) ** (1.0 / p)
+    powers = np.abs(data, dtype=float)
+    powers **= p
+    return _trapz(powers, h) ** (1.0 / p)
 
 
 def weighted_sin_norms(data: np.ndarray, h: float) -> np.ndarray:
     """Row-wise integral of sin(pi z) |x(z)| over [0, 1]."""
-    n = data.shape[-1]
-    w = np.sin(np.pi * np.linspace(0.0, 1.0, n))
-    return _trapz(w * np.abs(data), h)
+    weighted = np.abs(data, dtype=float)
+    weighted *= np.sin(np.pi * np.linspace(0.0, 1.0, data.shape[-1]))
+    return _trapz(weighted, h)
 
 
 def sup_weight(nodes: np.ndarray, theta: float, phi: float) -> np.ndarray:
@@ -45,8 +51,9 @@ def sup_weight(nodes: np.ndarray, theta: float, phi: float) -> np.ndarray:
 
 def weighted_sup_norms(data: np.ndarray, nodes: np.ndarray, theta: float, phi: float) -> np.ndarray:
     """Row-wise max of the weighted absolute value with :func:`sup_weight`."""
-    w = sup_weight(nodes, theta, phi)
-    return (w * np.abs(data)).max(axis=-1)
+    weighted = np.abs(data, dtype=float)
+    weighted *= sup_weight(nodes, theta, phi)
+    return weighted.max(axis=-1)
 
 
 def norm_lp(x: Field, p: float) -> float:

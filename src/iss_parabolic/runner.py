@@ -23,7 +23,7 @@ from . import backstepping as bs
 from . import certify
 from .errors import IssParabolicError, ScenarioError
 from .grid import Field
-from .monotone import constant_reduction_experiment, write_sandwich_csv
+from .monotone import DEFAULT_ORDERING_TOL, constant_reduction_experiment, write_sandwich_csv
 from .norms import lp_norms
 from .scenarios import (
     Scenario,
@@ -40,6 +40,11 @@ EXIT_PASS = 0
 EXIT_CHECK_FAILED = 1
 EXIT_CONFIG_ERROR = 2
 
+# Fixed parameters of the kernel and open-loop checks.
+GROWTH_MIN = 10.0
+ROUNDTRIP_TOL = 1e-8
+N_TEST_FIELDS = 20
+
 
 @dataclass
 class ScenarioResult:
@@ -48,7 +53,6 @@ class ScenarioResult:
     passed: bool
     min_margin: float
     wall_ms: float
-    out_dir: Optional[Path]
     message: str = ""
 
     def summary_row(self) -> str:
@@ -60,37 +64,40 @@ def _plot_norms(out_dir: Path, scn: Scenario, times, series: dict, ylabel: str) 
     write_line_plot(out_dir / "plot.svg", times, series, title=scn.name, xlabel="t", ylabel=ylabel, logy=scn.logy)
 
 
-def _run_simulate(scn: Scenario, out_dir: Path, tol: Optional[float], plots: bool) -> tuple[bool, float]:
+def _tol(scn: Scenario, default: float) -> float:
+    return default if scn.tol is None else scn.tol
+
+
+def _rate_check(scn: Scenario, times, norms, target: float, default_tol: float, t_start: float = 0.0):
+    """Fitted decay rate against ``target``: (passed, margin, target envelope)."""
+    rate_tol = _tol(scn, default_tol)
+    rel_err = abs(certify.fit_decay_rate(times, norms, t_start) - target) / target
+    return rel_err <= rate_tol, rate_tol - rel_err, norms[0] * np.exp(-target * times)
+
+
+def _run_simulate(scn: Scenario, out_dir: Path, plots: bool) -> tuple[bool, float]:
     rng = np.random.default_rng(scn.seed)
     problem = build_problem(scn, rng)
     traj = simulate(problem, scn.grid)
     write_trajectory_csv(traj, out_dir / "trajectory.csv")
-    norms = lp_norms(traj.data, scn.grid.h, scn.norm_p)
+    norms = lp_norms(traj.data, scn.grid.h, scn.p)
     if scn.decay_rate is not None:
-        rate_tol = tol if tol is not None else scn.decay_rate_tol
-        fitted = certify.fit_decay_rate(traj.times, norms)
-        rel_err = abs(fitted - scn.decay_rate) / scn.decay_rate
-        passed = rel_err <= rate_tol
-        margin = rate_tol - rel_err
-        rhs = norms[0] * np.exp(-scn.decay_rate * traj.times)
+        passed, margin, rhs = _rate_check(scn, traj.times, norms, scn.decay_rate, certify.DEFAULT_REL_TOL)
     else:
-        passed, margin = True, math.inf
-        rhs = norms
+        passed, margin, rhs = True, math.inf, norms
     certify.write_margin_csv(out_dir / "report.csv", traj.times, norms, rhs)
     if plots:
         series = {"norm": norms}
         if scn.decay_rate is not None:
             series["target"] = rhs
-        _plot_norms(out_dir, scn, traj.times, series, f"L{scn.norm_p:g} norm")
+        _plot_norms(out_dir, scn, traj.times, series, f"L{scn.p:g} norm")
     return passed, margin
 
 
-def _run_sandwich(scn: Scenario, out_dir: Path, tol: Optional[float], plots: bool) -> tuple[bool, float]:
+def _run_sandwich(scn: Scenario, out_dir: Path, plots: bool) -> tuple[bool, float]:
     rng = np.random.default_rng(scn.seed)
     problem = build_problem(scn, rng)
-    report = constant_reduction_experiment(
-        problem, scn.grid, scn.epsilon, tol if tol is not None else scn.ordering_tol
-    )
+    report = constant_reduction_experiment(problem, scn.grid, scn.epsilon, _tol(scn, DEFAULT_ORDERING_TOL))
     write_trajectory_csv(report.traj, out_dir / "trajectory.csv")
     write_sandwich_csv(report, out_dir / "report.csv")
     if plots:
@@ -103,12 +110,12 @@ def _run_sandwich(scn: Scenario, out_dir: Path, tol: Optional[float], plots: boo
     return report.passed, margin
 
 
-def _run_iss_check(scn: Scenario, out_dir: Path, tol: Optional[float], plots: bool) -> tuple[bool, float]:
+def _run_iss_check(scn: Scenario, out_dir: Path, plots: bool) -> tuple[bool, float]:
     rng = np.random.default_rng(scn.seed)
     problem = build_problem(scn, rng)
     traj = simulate(problem, scn.grid)
     write_trajectory_csv(traj, out_dir / "trajectory.csv")
-    rel_tol = tol if tol is not None else scn.tol
+    rel_tol = _tol(scn, certify.DEFAULT_REL_TOL)
     if scn.estimate == "weighted_l1":
         report = certify.check_weighted_l1(traj, rel_tol, gain_override=scn.gain_override)
     elif scn.estimate == "l2":
@@ -123,12 +130,10 @@ def _run_iss_check(scn: Scenario, out_dir: Path, tol: Optional[float], plots: bo
     return report.passed, report.margin_rel
 
 
-def _run_lyapunov(scn: Scenario, out_dir: Path, tol: Optional[float], plots: bool) -> tuple[bool, float]:
+def _run_lyapunov(scn: Scenario, out_dir: Path, plots: bool) -> tuple[bool, float]:
     rng = np.random.default_rng(scn.seed)
     problem = build_problem(scn, rng)
-    report = certify.lyapunov_decay_certificate(
-        problem, scn.grid, scn.p, tol if tol is not None else scn.tol
-    )
+    report = certify.lyapunov_decay_certificate(problem, scn.grid, scn.p, _tol(scn, certify.DEFAULT_REL_TOL))
     certify.write_decay_csv(report, out_dir / "report.csv")
     write_trajectory_csv(report.traj, out_dir / "trajectory.csv")
     if plots:
@@ -136,7 +141,7 @@ def _run_lyapunov(scn: Scenario, out_dir: Path, tol: Optional[float], plots: boo
     return report.passed, min(report.margin_v_rel, report.margin_norm_rel)
 
 
-def _run_kernel_synthesis(scn: Scenario, out_dir: Path, tol: Optional[float], plots: bool) -> tuple[bool, float]:
+def _run_kernel_synthesis(scn: Scenario, out_dir: Path, plots: bool) -> tuple[bool, float]:
     rng = np.random.default_rng(scn.seed)
     kernel = bs.solve_kernel(scn.a, scn.k_reaction, scn.grid)
     inverse = bs.solve_inverse_kernel(kernel)
@@ -145,17 +150,16 @@ def _run_kernel_synthesis(scn: Scenario, out_dir: Path, tol: Optional[float], pl
     oracle = bs.kernel_series_reference(scn.a, scn.k_reaction, scn.grid)
     oracle_err = float(np.max(np.abs(kernel.samples - oracle)))
 
-    fields = bs._random_smooth_fields(scn.grid, scn.n_fields, rng)
+    fields = bs._random_smooth_fields(scn.grid, N_TEST_FIELDS, rng)
     B = bs._transform_matrix(kernel)
     L = bs._transform_matrix(inverse)
     transformed = fields + fields @ B.T
     back = transformed + transformed @ L.T
     roundtrip_err = float(np.max(np.abs(back - fields)))
 
-    oracle_tol = scn.oracle_tol if tol is None else max(scn.oracle_tol, tol)
     checks = [
-        ("oracle_sup_diff", oracle_err, oracle_tol),
-        ("roundtrip_sup_err", roundtrip_err, scn.roundtrip_tol),
+        ("oracle_sup_diff", oracle_err, _tol(scn, 1e-6)),
+        ("roundtrip_sup_err", roundtrip_err, ROUNDTRIP_TOL),
     ]
     with open(out_dir / "report.csv", "w", newline="\n") as fh:
         fh.write("check,value,threshold,pass\n")
@@ -191,7 +195,7 @@ def _fit_loop_constants(scn: Scenario, d_signal: BoundarySignal) -> certify.ExpI
     return certify.estimate_exp_iss_constants(runs, scn.p)
 
 
-def _run_backstepping(scn: Scenario, out_dir: Path, tol: Optional[float], plots: bool) -> tuple[bool, float]:
+def _run_backstepping(scn: Scenario, out_dir: Path, plots: bool) -> tuple[bool, float]:
     rng = np.random.default_rng(scn.seed)
     grid = scn.grid
     if scn.mode == "open":
@@ -207,12 +211,12 @@ def _run_backstepping(scn: Scenario, out_dir: Path, tol: Optional[float], plots:
         write_trajectory_csv(traj, out_dir / "trajectory.csv")
         norms = lp_norms(traj.data, grid.h, scn.p)
         growth = float(norms.max() / norms[0])
-        threshold = np.full_like(norms, norms[0] * scn.growth_min)
+        threshold = np.full_like(norms, norms[0] * GROWTH_MIN)
         certify.write_margin_csv(out_dir / "report.csv", traj.times, norms, threshold)
         if plots:
             _plot_norms(out_dir, scn, traj.times, {"norm": norms, "growth_cut": threshold}, "open-loop norm")
-        passed = growth >= scn.growth_min
-        return passed, growth / scn.growth_min - 1.0
+        passed = growth >= GROWTH_MIN
+        return passed, growth / GROWTH_MIN - 1.0
 
     kernel = bs.solve_kernel(scn.a, scn.k_reaction, grid)
     d_signal = make_signal(scn.d0, grid, scn.base_dir)
@@ -224,23 +228,18 @@ def _run_backstepping(scn: Scenario, out_dir: Path, tol: Optional[float], plots:
     norms = lp_norms(run.y_traj.data, grid.h, scn.p)
 
     if d_signal.sup_norm == 0.0:
-        target = scn.a * math.pi**2
-        rate_tol = tol if tol is not None else scn.rate_tol
-        fitted = certify.fit_decay_rate(run.y_traj.times, norms, t_start=0.2 * grid.t_final)
-        rel_err = abs(fitted - target) / target
-        passed = rel_err <= rate_tol
-        margin = rate_tol - rel_err
-        rhs = norms[0] * np.exp(-target * run.y_traj.times)
-        certify.write_margin_csv(out_dir / "report.csv", run.y_traj.times, norms, rhs)
+        times = run.y_traj.times
+        passed, margin, rhs = _rate_check(scn, times, norms, scn.a * math.pi**2, 0.05, 0.2 * grid.t_final)
+        certify.write_margin_csv(out_dir / "report.csv", times, norms, rhs)
         if plots:
-            _plot_norms(out_dir, scn, run.y_traj.times, {"closed_loop": norms, "target_rate": rhs}, "norm")
+            _plot_norms(out_dir, scn, times, {"closed_loop": norms, "target_rate": rhs}, "norm")
         return passed, margin
 
     inverse = bs.solve_inverse_kernel(kernel)
     k1, k2 = bs.estimate_equivalence_constants(kernel, inverse, scn.p)
     iss = _fit_loop_constants(scn, d_signal)
     constants = bs.ClosedLoopConstants(k1=k1, k2=k2, iss=iss)
-    report = bs.certify_closed_loop(run.y_traj, constants, run.disturbance, tol=1e-6 if tol is None else tol)
+    report = bs.certify_closed_loop(run.y_traj, constants, run.disturbance, tol=_tol(scn, 1e-6))
     certify.write_report_csv(report, out_dir / "report.csv")
     certify.write_summary_csv(report, out_dir / "summary.csv")
     if plots:
@@ -265,31 +264,24 @@ def run_scenario(
     no_plots: bool = False,
     seed_override: Optional[int] = None,
 ) -> ScenarioResult:
-    """Execute one scenario; artifacts land in out_root/<name>/."""
+    """Execute one scenario; artifacts land in out_root/<name>/.
+
+    ``tol`` and ``seed_override`` replace the scenario's own values.
+    """
     start = time.perf_counter()
+    if tol is not None:
+        scenario = replace(scenario, tol=tol)
     if seed_override is not None:
         scenario = replace(scenario, seed=seed_override)
     out_dir = Path(out_root) / scenario.name
     out_dir.mkdir(parents=True, exist_ok=True)
     try:
-        passed, margin = _DISPATCH[scenario.kind](scenario, out_dir, tol, not no_plots)
+        passed, margin = _DISPATCH[scenario.kind](scenario, out_dir, not no_plots)
         message = ""
     except IssParabolicError as exc:
         passed, margin, message = False, -math.inf, str(exc)
     wall_ms = (time.perf_counter() - start) * 1e3
-    return ScenarioResult(
-        name=scenario.name,
-        kind=scenario.kind,
-        passed=passed,
-        min_margin=margin,
-        wall_ms=wall_ms,
-        out_dir=out_dir,
-        message=message,
-    )
-
-
-def run_scenario_file(path, out_root, **kwargs) -> ScenarioResult:
-    return run_scenario(parse_scenario(path), out_root, **kwargs)
+    return ScenarioResult(scenario.name, scenario.kind, passed, margin, wall_ms, message)
 
 
 def run_suite(directory, out_root, tol=None, no_plots=False, seed_override=None) -> tuple[list[ScenarioResult], int]:
@@ -309,12 +301,7 @@ def run_suite(directory, out_root, tol=None, no_plots=False, seed_override=None)
         try:
             scn = parse_scenario(f)
         except ScenarioError as exc:
-            results.append(
-                ScenarioResult(
-                    name=f.stem, kind="?", passed=False, min_margin=-math.inf,
-                    wall_ms=0.0, out_dir=None, message=str(exc),
-                )
-            )
+            results.append(ScenarioResult(f.stem, "?", False, -math.inf, 0.0, str(exc)))
             continue
         results.append(run_scenario(scn, out_root, tol=tol, no_plots=no_plots, seed_override=seed_override))
     code = EXIT_PASS if all(r.passed for r in results) else EXIT_CHECK_FAILED

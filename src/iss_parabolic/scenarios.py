@@ -4,7 +4,7 @@ A scenario file has up to five sections; unknown keys are rejected so typos
 fail loudly::
 
     [scenario]
-    name = eigen_decay          # output directory name
+    name = eigen_decay          # output directory name [file stem]
     kind = simulate             # simulate | sandwich | iss_check | lyapunov
                                 # | kernel_synthesis | backstepping_loop
     seed = 42                   # drives every randomized input
@@ -30,6 +30,26 @@ fail loudly::
     [loop]                      # backstepping_loop only
     mode = closed               # open | closed
 
+Check-key catalog.  ``tol`` is each kind's one check tolerance; when the
+scenario omits it and ``--tol`` does not set it, the default in brackets
+applies.  ``logy`` [true] picks the plot's y axis for every kind.
+
+- simulate: ``p`` [2] picks the L^p norm; with ``decay_rate`` the fitted
+  rate must match it to relative error ``tol`` [0.02], without it nothing
+  is checked.
+- sandwich: ``epsilon`` [0.05] widens the constant bracket; ``tol`` is the
+  ordering slack [monotone.DEFAULT_ORDERING_TOL = 1e-10].
+- iss_check: ``estimate`` [l2] | weighted_l1 | weighted_sup, ``tol`` its
+  relative slack [0.02]; weighted_l1 reads ``gain_override``, weighted_sup
+  reads ``sigma`` and ``theta`` [default_weighted_sup_params].
+- lyapunov: ``p`` [2]; ``tol`` is the certificate's relative slack [0.02].
+- kernel_synthesis: ``tol`` bounds the sup distance to the series oracle
+  [1e-6]; the inverse-kernel round trip on 20 random fields is held to 1e-8.
+- backstepping_loop: ``p`` [2] picks the norm.  ``mode = open`` requires
+  tenfold norm growth (no tolerance); closed with ``d0 = zero`` the fitted
+  rate must match a*pi^2 to relative error ``tol`` [0.05]; closed with a
+  disturbance ``tol`` is the ISS certificate's relative slack [1e-6].
+
 Selectors parse as ``name`` or ``name(arg, ...)``.  The reaction catalog
 pairs each entry with the slope bound the solver's step restriction uses:
 linear(c) has bound |c| (conservative: order preservation constrains the
@@ -47,7 +67,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ScenarioError
+from .errors import InvalidParameterError, ScenarioError
 from .grid import Field, Grid1D
 from .solver import BoundarySignal, SemilinearProblem
 
@@ -76,12 +96,15 @@ def _floats(args: list[str], count: int, what: str) -> list[float]:
 
 @dataclass(frozen=True)
 class Scenario:
-    """Everything needed to run one scenario deterministically."""
+    """Everything needed to run one scenario deterministically.
+
+    Every default lives here; ``tol = None`` means the kind's own default.
+    """
 
     name: str
     kind: str
-    seed: int
     grid: Grid1D
+    seed: int = 0
     a: float = 1.0
     k_reaction: float = 0.0
     reaction: str = "zero"
@@ -90,40 +113,51 @@ class Scenario:
     d1: str = "zero"
     estimate: str = "l2"
     p: float = 2.0
-    norm_p: float = 2.0
     sigma: Optional[float] = None
     theta: Optional[float] = None
-    tol: float = 0.02
+    tol: Optional[float] = None
     epsilon: float = 0.05
-    ordering_tol: float = 1e-10
     decay_rate: Optional[float] = None
-    decay_rate_tol: float = 0.02
     gain_override: Optional[float] = None
-    mode: str = "closed"
-    growth_min: float = 10.0
-    rate_tol: float = 0.05
-    oracle_tol: float = 1e-6
-    roundtrip_tol: float = 1e-8
-    n_fields: int = 20
     logy: bool = True
+    mode: str = "closed"
     base_dir: Path = field(default_factory=Path)
 
 
+def _choice(*allowed: str):
+    def parse(raw: str) -> str:
+        value = raw.strip().lower()
+        if value not in allowed:
+            raise ValueError(f"expected one of {allowed}")
+        return value
+    return parse
+
+
+def _boolean(raw: str) -> bool:
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[raw.strip().lower()]
+    except KeyError:
+        raise ValueError("expected a boolean") from None
+
+
+# The only key table: section -> key -> parser.  The grid keys build the
+# Grid1D; every other key is a Scenario field of the same name.
 _SECTION_KEYS = {
-    "scenario": {"name", "kind", "seed"},
-    "grid": {"n_interior", "dt", "t_final"},
-    "problem": {"a", "k_reaction", "reaction", "initial", "d0", "d1"},
+    "scenario": {"name": str.strip, "kind": _choice(*KINDS), "seed": int},
+    "grid": {"n_interior": int, "dt": float, "t_final": float},
+    "problem": {"a": float, "k_reaction": float, "reaction": str, "initial": str, "d0": str, "d1": str},
     "check": {
-        "estimate", "p", "norm_p", "sigma", "theta", "tol", "epsilon", "ordering_tol",
-        "decay_rate", "decay_rate_tol", "gain_override", "growth_min", "rate_tol",
-        "oracle_tol", "roundtrip_tol", "n_fields", "logy",
+        "estimate": _choice("weighted_l1", "l2", "weighted_sup"), "p": float, "sigma": float,
+        "theta": float, "tol": float, "epsilon": float, "decay_rate": float,
+        "gain_override": float, "logy": _boolean,
     },
-    "loop": {"mode"},
+    "loop": {"mode": _choice("open", "closed")},
 }
+_REQUIRED = {("scenario", "kind"), ("grid", "n_interior"), ("grid", "dt"), ("grid", "t_final")}
 
 
 def parse_scenario(path) -> Scenario:
-    """Parse one scenario file, rejecting unknown sections, keys, and kinds."""
+    """Parse one scenario file, rejecting unknown sections, keys, and values."""
     path = Path(path)
     cp = configparser.ConfigParser(inline_comment_prefixes=("#",))
     try:
@@ -137,84 +171,30 @@ def parse_scenario(path) -> Scenario:
     for section in cp.sections():
         if section not in _SECTION_KEYS:
             raise ScenarioError(f"{path}: unknown section [{section}]")
-        unknown = set(cp[section]) - _SECTION_KEYS[section]
+        unknown = set(cp[section]) - set(_SECTION_KEYS[section])
         if unknown:
             raise ScenarioError(f"{path}: unknown key(s) {sorted(unknown)} in [{section}]")
-    for required in ("scenario", "grid"):
-        if required not in cp:
-            raise ScenarioError(f"{path}: missing section [{required}]")
 
-    def get(section, key, conv, default=None, required=False):
-        if cp.has_option(section, key):
+    values = {"name": path.stem, "base_dir": path.parent}
+    grid = {}
+    for section, parsers in _SECTION_KEYS.items():
+        for key, parse in parsers.items():
+            if not cp.has_option(section, key):
+                if (section, key) in _REQUIRED:
+                    raise ScenarioError(f"{path}: missing required key {section}.{key}")
+                continue
             raw = cp.get(section, key)
             try:
-                return conv(raw)
-            except ScenarioError:
-                raise
+                (grid if section == "grid" else values)[key] = parse(raw)
             except ValueError as exc:
-                raise ScenarioError(f"{path}: bad value for {section}.{key}: {raw!r}") from exc
-        if required:
-            raise ScenarioError(f"{path}: missing required key {section}.{key}")
-        return default
-
-    def boolean(raw: str) -> bool:
-        lowered = raw.strip().lower()
-        if lowered in ("true", "yes", "1", "on"):
-            return True
-        if lowered in ("false", "no", "0", "off"):
-            return False
-        raise ScenarioError(f"{path}: expected a boolean, got {raw!r}")
-
-    kind = get("scenario", "kind", str, required=True).strip().lower()
-    if kind not in KINDS:
-        raise ScenarioError(f"{path}: unknown kind {kind!r}; expected one of {KINDS}")
-    name = get("scenario", "name", str, default=path.stem).strip()
-    if not re.fullmatch(r"[A-Za-z0-9._-]+", name):
-        raise ScenarioError(f"{path}: scenario name {name!r} must be filesystem-safe")
-
-    grid = Grid1D(
-        n_interior=get("grid", "n_interior", int, required=True),
-        dt=get("grid", "dt", float, required=True),
-        t_final=get("grid", "t_final", float, required=True),
-    )
-    estimate = get("check", "estimate", str, default="l2").strip().lower()
-    if estimate not in ("weighted_l1", "l2", "weighted_sup"):
-        raise ScenarioError(f"{path}: unknown estimate {estimate!r}")
-    mode = get("loop", "mode", str, default="closed").strip().lower()
-    if mode not in ("open", "closed"):
-        raise ScenarioError(f"{path}: loop mode must be open or closed, got {mode!r}")
-
-    return Scenario(
-        name=name,
-        kind=kind,
-        seed=get("scenario", "seed", int, default=0),
-        grid=grid,
-        a=get("problem", "a", float, default=1.0),
-        k_reaction=get("problem", "k_reaction", float, default=0.0),
-        reaction=get("problem", "reaction", str, default="zero"),
-        initial=get("problem", "initial", str, default="zero"),
-        d0=get("problem", "d0", str, default="zero"),
-        d1=get("problem", "d1", str, default="zero"),
-        estimate=estimate,
-        p=get("check", "p", float, default=2.0),
-        norm_p=get("check", "norm_p", float, default=2.0),
-        sigma=get("check", "sigma", float),
-        theta=get("check", "theta", float),
-        tol=get("check", "tol", float, default=0.02),
-        epsilon=get("check", "epsilon", float, default=0.05),
-        ordering_tol=get("check", "ordering_tol", float, default=1e-10),
-        decay_rate=get("check", "decay_rate", float),
-        decay_rate_tol=get("check", "decay_rate_tol", float, default=0.02),
-        gain_override=get("check", "gain_override", float),
-        mode=mode,
-        growth_min=get("check", "growth_min", float, default=10.0),
-        rate_tol=get("check", "rate_tol", float, default=0.05),
-        oracle_tol=get("check", "oracle_tol", float, default=1e-6),
-        roundtrip_tol=get("check", "roundtrip_tol", float, default=1e-8),
-        n_fields=get("check", "n_fields", int, default=20),
-        logy=get("check", "logy", boolean, default=True),
-        base_dir=path.parent,
-    )
+                raise ScenarioError(f"{path}: bad value for {section}.{key}: {raw!r} ({exc})") from exc
+    if not re.fullmatch(r"[A-Za-z0-9._-]+", values["name"]):
+        raise ScenarioError(f"{path}: scenario name {values['name']!r} must be filesystem-safe")
+    try:
+        values["grid"] = Grid1D(**grid)
+    except InvalidParameterError as exc:
+        raise ScenarioError(f"{path}: bad [grid]: {exc}") from exc
+    return Scenario(**values)
 
 
 def make_reaction(selector: str):

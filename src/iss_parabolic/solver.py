@@ -37,6 +37,9 @@ from .grid import Field, Grid1D, Trajectory
 Reaction = Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 
 COMPATIBILITY_TOL = 1e-9
+# Rounding slack, as a fraction of the table's span, that a sampled signal
+# allows beyond either end of its table.
+TABLE_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -44,7 +47,7 @@ class BoundarySignal:
     """A scalar Dirichlet boundary signal on [0, t_final].
 
     ``constant`` signals evaluate to a fixed value; ``sampled`` signals
-    interpolate a finite table linearly (and clamp outside it).
+    interpolate a finite table linearly and refuse times outside it.
     """
 
     kind: str
@@ -88,7 +91,13 @@ class BoundarySignal:
     def __call__(self, t) -> float:
         if self.kind == "constant":
             return self.value if np.ndim(t) == 0 else np.full(np.shape(t), self.value)
-        return np.interp(t, self.sample_times, self.sample_values)
+        ts = self.sample_times
+        slack = TABLE_SLACK * (ts[-1] - ts[0])
+        if np.min(t) < ts[0] - slack or np.max(t) > ts[-1] + slack:
+            raise InvalidParameterError(
+                f"signal evaluated at t in [{np.min(t)}, {np.max(t)}], outside its table [{ts[0]}, {ts[-1]}]"
+            )
+        return np.interp(t, ts, self.sample_values)
 
     def shifted(self, tau: float) -> "BoundarySignal":
         """The signal s -> self(tau + s), for restarting a simulation."""
@@ -184,6 +193,7 @@ def _march(
         data[m + 1, 0] = left
         data[m + 1, 1:-1] = interior
         data[m + 1, -1] = right
+    data.setflags(write=False)
     return data
 
 

@@ -31,7 +31,21 @@ initial = sin_pi
 
 [check]
 decay_rate = 9.869604401089358
-decay_rate_tol = 0.02
+"""
+
+KERNEL_SCENARIO = """
+[scenario]
+name = kern
+kind = kernel_synthesis
+
+[grid]
+n_interior = 63
+dt = 2e-4
+t_final = 0.1
+
+[problem]
+a = 1.0
+k_reaction = 10.0
 """
 
 
@@ -48,6 +62,13 @@ class TestScenarioParsing:
         assert scn.grid.n_interior == 199
         assert scn.decay_rate == pytest.approx(9.869604401089358)
 
+    @pytest.mark.parametrize(
+        "path", sorted(SUITES.glob("**/*.scn")), ids=lambda p: f"{p.parent.name}/{p.name}"
+    )
+    def test_every_shipped_scenario_parses(self, path):
+        scn = parse_scenario(path)
+        assert scn.name == path.stem
+
     def test_unknown_key_rejected(self, tmp_path):
         bad = _write(tmp_path / "bad.scn", FAST_SCENARIO.format(name="x") + "\ntypo_key = 1\n")
         with pytest.raises(ScenarioError):
@@ -62,6 +83,11 @@ class TestScenarioParsing:
         bad = _write(tmp_path / "bad.scn", "[scenario]\nname = x\nkind = simulate\n")
         with pytest.raises(ScenarioError):
             parse_scenario(bad)
+
+    def test_bad_grid_rejected(self, tmp_path):
+        text = FAST_SCENARIO.format(name="x").replace("n_interior = 63", "n_interior = 2")
+        with pytest.raises(ScenarioError):
+            parse_scenario(_write(tmp_path / "bad.scn", text))
 
     def test_file_signal_roundtrip(self, tmp_path):
         table = tmp_path / "sig.csv"
@@ -121,13 +147,19 @@ class TestRunCommand:
     def test_seed_override_changes_random_data(self, tmp_path):
         text = FAST_SCENARIO.format(name="rnd").replace(
             "initial = sin_pi", "initial = random_smooth(4, 0.8)"
-        ).replace("decay_rate = 9.869604401089358", "").replace("decay_rate_tol = 0.02", "")
+        ).replace("decay_rate = 9.869604401089358", "")
         scn = _write(tmp_path / "rnd.scn", text)
         assert main(["run", str(scn), "--out", str(tmp_path / "o1"), "--no-plots"]) == 0
         assert main(["run", str(scn), "--out", str(tmp_path / "o2"), "--no-plots", "--seed", "77"]) == 0
         a = (tmp_path / "o1" / "rnd" / "trajectory.csv").read_bytes()
         b = (tmp_path / "o2" / "rnd" / "trajectory.csv").read_bytes()
         assert a != b
+
+
+    def test_tol_can_tighten_a_check(self, tmp_path):
+        scn = _write(tmp_path / "kern.scn", KERNEL_SCENARIO)
+        assert main(["run", str(scn), "--out", str(tmp_path / "o1"), "--no-plots"]) == 0
+        assert main(["run", str(scn), "--out", str(tmp_path / "o2"), "--no-plots", "--tol", "1e-12"]) == 1
 
 
 class TestSuiteCommand:

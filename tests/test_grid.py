@@ -87,6 +87,18 @@ class TestTrajectory:
         assert np.array_equal(short.data, traj.data[:3])
         assert short.times[0] == 0.0
 
+    def test_data_copied_only_while_writeable(self):
+        grid = Grid1D(n_interior=9, dt=1e-3, t_final=0.1)
+        data = np.ones((3, grid.n_nodes))
+        view = data[:]
+        view.setflags(write=False)
+        for source in (data, view):
+            traj = self._make(grid, source)
+            assert not np.shares_memory(traj.data, data)
+            assert not traj.data.flags.writeable
+        data.setflags(write=False)
+        assert self._make(grid, data).data is data
+
     def test_state_roundtrip(self):
         grid = Grid1D(n_interior=9, dt=1e-3, t_final=0.1)
         data = np.random.default_rng(0).standard_normal((3, grid.n_nodes))

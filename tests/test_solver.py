@@ -37,7 +37,8 @@ class TestBoundarySignal:
     def test_sampled_interp_and_sup(self):
         sig = BoundarySignal.sampled(np.array([0.0, 1.0, 2.0]), np.array([0.0, 2.0, -4.0]))
         assert sig(0.5) == pytest.approx(1.0)
-        assert sig(5.0) == -4.0  # clamped beyond the table
+        with pytest.raises(InvalidParameterError):
+            sig(5.0)  # beyond the table: refused, not clamped
         assert sig.sup_norm == 4.0
 
     def test_shift_matches_evaluation(self):
@@ -160,6 +161,27 @@ class TestSimulate:
         with pytest.raises(InvalidParameterError):
             simulate(problem, grid_medium)
 
+    def test_table_shorter_than_horizon_rejected(self, grid_small):
+        times = grid_small.times()
+        short = times[times <= 0.5 * grid_small.t_final]
+        d0 = BoundarySignal.sampled(short, np.full_like(short, 0.3))
+        problem = heat_problem(grid_small, lambda z: 0.3 * (1.0 - z), d0=d0)
+        with pytest.raises(InvalidParameterError):
+            simulate(problem, grid_small)
+
+    def test_history_is_not_copied(self):
+        import tracemalloc
+
+        grid = Grid1D(n_interior=199, dt=1e-4, t_final=0.3)
+        problem = heat_problem(grid, lambda z: np.sin(np.pi * z))
+        tracemalloc.start()
+        try:
+            traj = simulate(problem, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * traj.data.nbytes
+
 
 def _reference_march(problem, n_steps, dt, boundary):
     """The scheme as first written: a fresh banded solve on every step."""
@@ -198,7 +220,7 @@ def _open_loop_case(problem, grid):
 def _heat_sampled_case():
     grid = Grid1D(n_interior=49, dt=2e-4, t_final=0.1)
     times = grid.times()
-    d0 = BoundarySignal.sampled(times[::7], 0.6 * np.sin(9.0 * times[::7]))
+    d0 = BoundarySignal.sampled(times[::5], 0.6 * np.sin(9.0 * times[::5]))
     d1 = BoundarySignal.constant(-0.25)
     z = grid.nodes
     x0 = d0(0.0) * (1 - z) + d1(0.0) * z + 0.8 * np.sin(np.pi * z)
