@@ -28,21 +28,25 @@ and the truncated series above -- so each validates the other, and a third
 check (the transformed closed-loop trajectory must satisfy the heat
 residual at the scheme's order) validates both against the dynamics.
 
-The inverse transform y = x + int_z^1 l(z, s) x(t, s) ds is synthesized as
-the exact inverse of the quadrature-discretized direct operator, so a
-transform round trip reproduces fields to solver precision; its samples
-agree with the continuous inverse kernel (the series with lam -> -lam) up
-to quadrature order.
+Each kernel carries its quadrature operator (``VolterraKernel.matrix``, the
+row-wise trapezoid weights times the samples), built once.  The inverse
+transform y = x + int_z^1 l(z, s) x(t, s) ds is synthesized as the exact
+inverse of the direct operator by one triangular solve, so a transform
+round trip reproduces fields to rounding; its samples agree with the
+continuous inverse kernel (the series with lam -> -lam) up to quadrature
+order.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
 from scipy.integrate import cumulative_simpson
+from scipy.linalg import solve_triangular
 
 from .certify import ExpIssConstants, ISSReport, _finish_report
 from .comparison import ExpLinearKL, LinearGain
@@ -72,6 +76,8 @@ class VolterraKernel:
 
     ``samples[i, j]`` holds k(z_i, s_j) for s_j >= z_i and zero elsewhere.
     ``lam`` is the reaction-to-diffusion ratio the kernel was built for.
+    ``matrix`` is the transform's quadrature operator: (I + matrix) y is
+    the transformed field.
     """
 
     samples: np.ndarray
@@ -92,6 +98,13 @@ class VolterraKernel:
         samples.setflags(write=False)
         object.__setattr__(self, "samples", samples)
 
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """M[i, j]: trapezoid weight times k(z_i, s_j), upper triangular."""
+        m = _row_trapezoid_weights(self.grid.n_nodes, self.grid.h) * self.samples
+        m.setflags(write=False)
+        return m
+
 
 def _row_trapezoid_weights(n_nodes: int, h: float) -> np.ndarray:
     """W[i, j]: trapezoid weight of node j for the integral over [z_i, 1]."""
@@ -102,10 +115,6 @@ def _row_trapezoid_weights(n_nodes: int, h: float) -> np.ndarray:
     w[:, -1] = h / 2.0
     w[-1, -1] = 0.0  # degenerate interval [1, 1]
     return w
-
-
-def _transform_matrix(kernel: VolterraKernel) -> np.ndarray:
-    return _row_trapezoid_weights(kernel.grid.n_nodes, kernel.grid.h) * kernel.samples
 
 
 def _series_shape(q: np.ndarray) -> np.ndarray:
@@ -136,20 +145,16 @@ def kernel_series_reference(a: float, k_reaction: float, grid: Grid1D) -> np.nda
     return np.triu(vals)
 
 
-def solve_kernel(
-    a: float,
-    k_reaction: float,
-    grid: Grid1D,
-    tol: float = KERNEL_ITERATION_TOL,
-    max_iter: int = KERNEL_ITERATION_CAP,
-) -> VolterraKernel:
+def solve_kernel(a: float, k_reaction: float, grid: Grid1D) -> VolterraKernel:
     """Synthesize the direct kernel by successive approximation.
 
     Iterates the characteristic-variable integral equation on the rectangle
     xi in [0, 2], eta in [0, 1] (the equation extends smoothly beyond the
     physical triangle, which keeps the quadrature stencils away from kinks),
     with cumulative Simpson quadrature for the double integral, until the
-    sup-difference of successive iterates drops below ``tol``.
+    sup-difference of successive iterates drops below
+    ``KERNEL_ITERATION_TOL``, or raises ``SynthesisError`` after
+    ``KERNEL_ITERATION_CAP`` iterations.
     """
     if not a > 0.0:
         raise InvalidParameterError("diffusion coefficient must be positive")
@@ -163,19 +168,19 @@ def solve_kernel(
     F = base.copy()
     diag = np.arange(n_eta)
     converged = False
-    for _ in range(max_iter):
+    for _ in range(KERNEL_ITERATION_CAP):
         inner = cumulative_simpson(F, dx=h, axis=1, initial=0.0)
         outer = cumulative_simpson(inner, dx=h, axis=0, initial=0.0)
         # int_eta^xi int_0^eta F = D(xi, eta) - D(eta, eta)
         new = base + (lam / 4.0) * (outer - outer[diag, diag][None, :])
         change = float(np.max(np.abs(new - F)))
         F = new
-        if change < tol:
+        if change < KERNEL_ITERATION_TOL:
             converged = True
             break
     if not converged:
         raise SynthesisError(
-            f"kernel iteration did not converge within {max_iter} iterations "
+            f"kernel iteration did not converge within {KERNEL_ITERATION_CAP} iterations "
             f"(last change {change:.3e})"
         )
     samples = np.zeros((n_eta, n_eta))
@@ -185,36 +190,25 @@ def solve_kernel(
     return VolterraKernel(samples=samples, lam=lam, direction="direct", grid=grid)
 
 
-def solve_inverse_kernel(direct: VolterraKernel, tol: float = KERNEL_ITERATION_TOL, max_iter: int = KERNEL_ITERATION_CAP) -> VolterraKernel:
-    """Invert the discretized direct transform by successive approximation.
+def solve_inverse_kernel(direct: VolterraKernel) -> VolterraKernel:
+    """Invert the discretized direct transform by one triangular solve.
 
-    With U the quadrature matrix of the direct transform, the inverse
-    transform matrix L solves L = -U - U L (the reciprocal Volterra
-    relation of the two kernels, in discrete-operator form); iterating that
-    fixed point converges geometrically because U is triangular with an
-    O(h) diagonal.  The composition (I + L)(I + U) = I is enforced
-    post-solve, which is what makes transform round trips exact to solver
-    precision rather than to quadrature order.
+    With U the quadrature operator of the direct transform, I + U is upper
+    triangular with a unit-plus-O(h) diagonal, so the inverse transform
+    operator L = (I + U)^-1 - I comes from one back substitution against
+    the identity.  Transform round trips are therefore exact to rounding
+    rather than to quadrature order; the composition (I + L)(I + U) = I is
+    checked after the solve.
     """
     if direct.direction != "direct":
         raise InvalidParameterError("inverse synthesis expects the direct kernel")
-    weights = _row_trapezoid_weights(direct.grid.n_nodes, direct.grid.h)
-    U = weights * direct.samples
-    L = -U.copy()
-    converged = False
-    for _ in range(max_iter):
-        new = -U - U @ L
-        change = float(np.max(np.abs(new - L)))
-        L = new
-        if change < tol:
-            converged = True
-            break
-    if not converged:
-        raise SynthesisError(f"inverse-kernel iteration did not converge within {max_iter} iterations")
     eye = np.eye(direct.grid.n_nodes)
+    U = direct.matrix
+    L = solve_triangular(eye + U, eye) - eye
     defect = float(np.max(np.abs((eye + L) @ (eye + U) - eye)))
     if defect > 1e-8:
         raise SynthesisError(f"inverse kernel failed the composition check: defect {defect:.3e}")
+    weights = _row_trapezoid_weights(direct.grid.n_nodes, direct.grid.h)
     with np.errstate(divide="ignore", invalid="ignore"):
         samples = np.where(weights > 0.0, L / np.where(weights > 0.0, weights, 1.0), 0.0)
     return VolterraKernel(samples=samples, lam=-direct.lam, direction="inverse", grid=direct.grid)
@@ -224,14 +218,14 @@ def apply_transform(kernel: VolterraKernel, y: Field) -> Field:
     """x(z_i) = y(z_i) + trapezoid of k(z_i, .) y over [z_i, 1], row-wise."""
     if y.grid != kernel.grid:
         raise InvalidParameterError("field and kernel live on different grids")
-    return Field(y.values + _transform_matrix(kernel) @ y.values, y.grid)
+    return Field(y.values + kernel.matrix @ y.values, y.grid)
 
 
 def feedback(kernel: VolterraKernel, y: Field, d: float = 0.0) -> float:
     """Boundary control u = d - trapezoid of k(0, .) y over [0, 1]."""
     if y.grid != kernel.grid:
         raise InvalidParameterError("field and kernel live on different grids")
-    return float(d - _transform_matrix(kernel)[0] @ y.values)
+    return float(d - kernel.matrix[0] @ y.values)
 
 
 def compatible_initial_state(kernel: VolterraKernel, base: Field, d0: float = 0.0) -> Field:
@@ -244,7 +238,7 @@ def compatible_initial_state(kernel: VolterraKernel, base: Field, d0: float = 0.
     """
     if abs(base.values[-1]) > 1e-12:
         raise IncompatibleDataError("closed-loop initial data must vanish at z = 1")
-    row0 = _transform_matrix(kernel)[0]
+    row0 = kernel.matrix[0]
     bump = 0.5 * (1.0 + np.cos(np.pi * base.grid.nodes))
     denom = bump[0] + row0 @ bump
     if abs(denom) < 1e-12:
@@ -311,15 +305,14 @@ def simulate_closed_loop(
     )
     times = grid.times()
     d_values = d(times)
-    transform = _transform_matrix(kernel)
-    row0 = transform[0]
+    row0 = kernel.matrix[0]
     data = _march(
         problem, y0.values, grid.n_steps, grid.dt,
         lambda m, y: (d_values[m + 1] - float(row0 @ y), 0.0),
     )
     y_traj = Trajectory(grid=grid, times=times, data=data, problem=problem)
 
-    x_data = data + data @ transform.T
+    x_data = data + data @ kernel.matrix.T
     x_data.setflags(write=False)
     x_problem = SemilinearProblem(
         a=a,
@@ -362,7 +355,7 @@ def _schur_bound(kernel: VolterraKernel, p: float) -> float:
     """
     n = kernel.grid.n_nodes
     h = kernel.grid.h
-    M = np.abs(_transform_matrix(kernel))
+    M = np.abs(kernel.matrix)
     omega = np.full(n, h)
     omega[0] = omega[-1] = h / 2.0
     row = float(M.sum(axis=1).max())
@@ -395,8 +388,7 @@ def estimate_equivalence_constants(kernel: VolterraKernel, inverse: VolterraKern
     k1 = 1.0 / (1.0 + _schur_bound(kernel, p))
     k2 = 1.0 + _schur_bound(inverse, p)
     fields = _random_smooth_fields(kernel.grid, 100, np.random.default_rng(0))
-    B = _transform_matrix(kernel)
-    x = fields + fields @ B.T
+    x = fields + fields @ kernel.matrix.T
     ny = lp_norms(fields, kernel.grid.h, p)
     nx = lp_norms(x, kernel.grid.h, p)
     keep = nx > 1e-14

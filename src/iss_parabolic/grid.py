@@ -28,7 +28,7 @@ class Grid1D:
     dt : float
         Time step, strictly positive.
     t_final : float
-        Simulation horizon; at least one step long.
+        Simulation horizon; a whole number of steps, at least one.
     """
 
     n_interior: int
@@ -44,6 +44,11 @@ class Grid1D:
             raise InvalidParameterError(
                 f"t_final must be >= dt, got t_final={self.t_final}, dt={self.dt}"
             )
+        steps = self.t_final / self.dt
+        if abs(steps - round(steps)) > 1e-9 * steps:
+            raise InvalidParameterError(
+                f"t_final must be a whole number of steps, got t_final/dt={steps!r}"
+            )
 
     @property
     def h(self) -> float:
@@ -57,8 +62,8 @@ class Grid1D:
 
     @property
     def n_steps(self) -> int:
-        """Number of time steps needed to reach (or just pass) t_final."""
-        return max(1, math.ceil(self.t_final / self.dt - 1e-9))
+        """Number of time steps from 0 to t_final."""
+        return round(self.t_final / self.dt)
 
     @cached_property
     def nodes(self) -> np.ndarray:

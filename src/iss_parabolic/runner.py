@@ -151,10 +151,8 @@ def _run_kernel_synthesis(scn: Scenario, out_dir: Path, plots: bool) -> tuple[bo
     oracle_err = float(np.max(np.abs(kernel.samples - oracle)))
 
     fields = bs._random_smooth_fields(scn.grid, N_TEST_FIELDS, rng)
-    B = bs._transform_matrix(kernel)
-    L = bs._transform_matrix(inverse)
-    transformed = fields + fields @ B.T
-    back = transformed + transformed @ L.T
+    transformed = fields + fields @ kernel.matrix.T
+    back = transformed + transformed @ inverse.matrix.T
     roundtrip_err = float(np.max(np.abs(back - fields)))
 
     checks = [

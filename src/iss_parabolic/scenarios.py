@@ -12,7 +12,7 @@ fail loudly::
     [grid]
     n_interior = 199
     dt = 1e-4
-    t_final = 0.3
+    t_final = 0.3               # a whole number of steps dt
 
     [problem]
     a = 1.0

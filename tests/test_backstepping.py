@@ -27,7 +27,6 @@ from iss_parabolic import (
 )
 from iss_parabolic.backstepping import (
     _random_smooth_fields,
-    _transform_matrix,
     write_kernel_csv,
 )
 from iss_parabolic.norms import lp_norms
@@ -79,6 +78,11 @@ class TestKernelSynthesis:
         oracle = kernel_series_reference(1.0, -8.0, kernel_grid)
         assert np.max(np.abs(kernel.samples - oracle)) < 1e-6
 
+    def test_operator_is_built_once_and_read_only(self, kernel_grid, kernel10):
+        assert kernel10.matrix is kernel10.matrix
+        assert not kernel10.matrix.flags.writeable
+        assert np.all(np.tril(kernel10.matrix, -1) == 0.0)
+
     def test_csv_export_covers_triangle(self, tmp_path, kernel_grid, kernel10):
         path = tmp_path / "kernel.csv"
         write_kernel_csv(kernel10, path)
@@ -112,14 +116,20 @@ class TestInverseKernel:
         with pytest.raises(InvalidParameterError):
             solve_inverse_kernel(inverse10)
 
-    def test_iteration_cap_raises(self, kernel_grid):
-        from iss_parabolic import SynthesisError
+    def test_iteration_cap_raises(self, kernel_grid, monkeypatch):
+        from iss_parabolic import SynthesisError, backstepping
 
+        monkeypatch.setattr(backstepping, "KERNEL_ITERATION_CAP", 2)
         with pytest.raises(SynthesisError):
-            solve_kernel(1.0, 10.0, kernel_grid, max_iter=2)
-        direct = solve_kernel(1.0, 25.0, kernel_grid)
-        with pytest.raises(SynthesisError):
-            solve_inverse_kernel(direct, max_iter=1)
+            solve_kernel(1.0, 10.0, kernel_grid)
+
+    @pytest.mark.parametrize("k_reaction", [10.0, 25.0, -8.0])
+    def test_composition_is_exact(self, kernel_grid, k_reaction):
+        kernel = solve_kernel(1.0, k_reaction, kernel_grid)
+        inverse = solve_inverse_kernel(kernel)
+        eye = np.eye(kernel_grid.n_nodes)
+        defect = (eye + inverse.matrix) @ (eye + kernel.matrix) - eye
+        assert np.max(np.abs(defect)) <= 1e-13
 
 
 class TestTransform:
@@ -265,7 +275,7 @@ class TestEquivalenceConstants:
         k1, k2 = estimate_equivalence_constants(kernel10, inverse10, p)
         assert k1 <= 1.0 <= k2
         rng = np.random.default_rng(17)
-        B = _transform_matrix(kernel10)
+        B = kernel10.matrix
         fields = _random_smooth_fields(kernel_grid, 50, rng)
         x = fields + fields @ B.T
         ny = lp_norms(fields, kernel_grid.h, p)

@@ -85,9 +85,13 @@ class TestScenarioParsing:
             parse_scenario(bad)
 
     def test_bad_grid_rejected(self, tmp_path):
-        text = FAST_SCENARIO.format(name="x").replace("n_interior = 63", "n_interior = 2")
-        with pytest.raises(ScenarioError):
-            parse_scenario(_write(tmp_path / "bad.scn", text))
+        base = FAST_SCENARIO.format(name="x")
+        for bad in (
+            base.replace("n_interior = 63", "n_interior = 2"),
+            base.replace("dt = 2e-4", "dt = 3e-4").replace("t_final = 0.2", "t_final = 0.1"),
+        ):
+            with pytest.raises(ScenarioError):
+                parse_scenario(_write(tmp_path / "bad.scn", bad))
 
     def test_file_signal_roundtrip(self, tmp_path):
         table = tmp_path / "sig.csv"

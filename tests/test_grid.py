@@ -24,6 +24,7 @@ class TestGrid1D:
             dict(n_interior=10, dt=0.0, t_final=0.1),
             dict(n_interior=10, dt=-1e-3, t_final=0.1),
             dict(n_interior=10, dt=1e-2, t_final=1e-3),
+            dict(n_interior=9, dt=0.03, t_final=0.1),
         ],
     )
     def test_invariants_rejected(self, kwargs):
@@ -31,10 +32,10 @@ class TestGrid1D:
             Grid1D(**kwargs)
 
     def test_times_cover_horizon(self):
-        grid = Grid1D(n_interior=9, dt=0.03, t_final=0.1)
+        grid = Grid1D(n_interior=9, dt=0.025, t_final=0.1)
         times = grid.times()
         assert times[0] == 0.0
-        assert times[-1] >= grid.t_final - 1e-12
+        assert times[-1] == grid.t_final
         assert np.allclose(np.diff(times), grid.dt)
 
     def test_step_count_exact_multiple(self):

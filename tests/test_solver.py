@@ -22,7 +22,6 @@ from iss_parabolic import (
     step,
     write_trajectory_csv,
 )
-from iss_parabolic.backstepping import _transform_matrix
 from conftest import eigenfield, heat_problem
 
 PI2 = math.pi**2
@@ -262,7 +261,7 @@ def _closed_loop_case():
     base = Field.from_function(grid, lambda z: np.sin(np.pi * z))
     y0 = compatible_initial_state(kernel, base, float(d(0.0)))
     run = simulate_closed_loop(1.0, 10.0, y0, d, grid, kernel=kernel)
-    row0 = _transform_matrix(kernel)[0]
+    row0 = kernel.matrix[0]
 
     def boundary(m, y):
         return float(d(times[m + 1])) - float(row0 @ y), 0.0
