@@ -56,7 +56,7 @@ from .errors import (
     NumericalError,
     SynthesisError,
 )
-from .grid import Field, Grid1D, Trajectory
+from .grid import Field, Grid1D, Trajectory, _frozen, format_floats, write_csv
 from .norms import lp_norms
 from .solver import (
     BoundarySignal,
@@ -88,14 +88,13 @@ class VolterraKernel:
     def __post_init__(self) -> None:
         if self.direction not in ("direct", "inverse"):
             raise InvalidParameterError(f"unknown kernel direction {self.direction!r}")
-        samples = np.array(self.samples, dtype=float, copy=True)
+        samples = _frozen(self.samples)
         if samples.shape != (self.grid.n_nodes, self.grid.n_nodes):
             raise InvalidParameterError("kernel samples do not match the grid")
         if not np.all(np.isfinite(samples)):
             raise NumericalError("kernel samples contain non-finite values")
-        if np.any(np.tril(samples, -1) != 0.0):
+        if any(samples[i, :i].any() for i in range(samples.shape[0])):
             raise InvalidParameterError("kernel samples must vanish below the diagonal")
-        samples.setflags(write=False)
         object.__setattr__(self, "samples", samples)
 
     @cached_property
@@ -108,8 +107,7 @@ class VolterraKernel:
 
 def _row_trapezoid_weights(n_nodes: int, h: float) -> np.ndarray:
     """W[i, j]: trapezoid weight of node j for the integral over [z_i, 1]."""
-    w = np.full((n_nodes, n_nodes), h)
-    w = np.triu(w)
+    w = np.triu(np.full((n_nodes, n_nodes), h))
     idx = np.arange(n_nodes)
     w[idx, idx] = h / 2.0
     w[:, -1] = h / 2.0
@@ -187,6 +185,7 @@ def solve_kernel(a: float, k_reaction: float, grid: Grid1D) -> VolterraKernel:
     ii, jj = np.meshgrid(diag, diag, indexing="ij")
     mask = jj >= ii
     samples[mask] = F[2 * (grid.n_interior + 1) - ii[mask] - jj[mask], jj[mask] - ii[mask]]
+    samples.setflags(write=False)
     return VolterraKernel(samples=samples, lam=lam, direction="direct", grid=grid)
 
 
@@ -209,8 +208,8 @@ def solve_inverse_kernel(direct: VolterraKernel) -> VolterraKernel:
     if defect > 1e-8:
         raise SynthesisError(f"inverse kernel failed the composition check: defect {defect:.3e}")
     weights = _row_trapezoid_weights(direct.grid.n_nodes, direct.grid.h)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        samples = np.where(weights > 0.0, L / np.where(weights > 0.0, weights, 1.0), 0.0)
+    samples = np.where(weights > 0.0, L / np.where(weights > 0.0, weights, 1.0), 0.0)
+    samples.setflags(write=False)
     return VolterraKernel(samples=samples, lam=-direct.lam, direction="inverse", grid=direct.grid)
 
 
@@ -340,9 +339,7 @@ def transform_commutation_residual(run: ClosedLoopRun, burn_fraction: float = 0.
         raise InvalidParameterError("burn_fraction must lie in [0, 0.9)")
     x = run.x_traj
     start = min(max(int(burn_fraction * (len(x) - 1)), 0), len(x) - 3)
-    res = pde_residual_field(
-        x.data[start:], x.times[start:], x.grid.nodes, run.x_traj.problem.a, None
-    )
+    res = pde_residual_field(x.data[start:], x.times[start:], x.grid.nodes, x.problem.a, None)
     return float(res.max())
 
 
@@ -444,9 +441,6 @@ def certify_closed_loop(
 
 def write_kernel_csv(kernel: VolterraKernel, path) -> None:
     """Export kernel samples over the triangle: z,s,k_value."""
-    nodes = kernel.grid.nodes
-    with open(path, "w", newline="\n") as fh:
-        fh.write("z,s,k_value\n")
-        for i, z in enumerate(nodes):
-            for j in range(i, len(nodes)):
-                fh.write(f"{z:.17g},{nodes[j]:.17g},{kernel.samples[i, j]:.17g}\n")
+    nodes = format_floats(kernel.grid.nodes)
+    rows = ((z, nodes[i:], format_floats(kernel.samples[i, i:])) for i, z in enumerate(nodes))
+    write_csv(path, "z,s,k_value", rows)

@@ -34,7 +34,7 @@ import numpy as np
 
 from .comparison import ExpLinearKL, LinearGain
 from .errors import EstimationError, InapplicableEstimateError, InvalidParameterError
-from .grid import Grid1D, Trajectory
+from .grid import Grid1D, Trajectory, format_floats, write_csv
 from .norms import lp_norms, sup_weight, weighted_sin_norms, weighted_sup_norms
 from .solver import SemilinearProblem, simulate
 
@@ -287,9 +287,7 @@ def estimate_exp_iss_constants(scenarios: Sequence[Trajectory], p: float) -> Exp
 
     gamma = 0.0
     for traj, norms in zip(scenarios, histories):
-        run0 = np.maximum.accumulate(np.abs(traj.boundary_left))
-        run1 = np.maximum.accumulate(np.abs(traj.boundary_right))
-        denom = run0 + run1
+        denom = sum(_running_sups(traj))
         excess = norms - m * np.exp(-sigma * traj.times) * norms[0]
         active = denom > 1e-14
         if np.any(active):
@@ -313,10 +311,7 @@ def check_fitted_lp(traj: Trajectory, constants: ExpIssConstants, tol: float = 1
 
 def write_margin_csv(path, times: np.ndarray, lhs: np.ndarray, rhs: np.ndarray) -> None:
     """Export a per-time bound evaluation: t,lhs,rhs,margin (margin = rhs - lhs)."""
-    with open(path, "w", newline="\n") as fh:
-        fh.write("t,lhs,rhs,margin\n")
-        for t, lo, hi in zip(times, lhs, rhs):
-            fh.write(f"{t:.17g},{lo:.17g},{hi:.17g},{hi - lo:.17g}\n")
+    write_csv(path, "t,lhs,rhs,margin", [tuple(map(format_floats, (times, lhs, rhs, rhs - lhs)))])
 
 
 def write_report_csv(report: ISSReport, path) -> None:
@@ -326,9 +321,8 @@ def write_report_csv(report: ISSReport, path) -> None:
 
 def write_summary_csv(report: ISSReport, path) -> None:
     """One-line summary: estimate_id,pass,min_margin."""
-    with open(path, "w", newline="\n") as fh:
-        fh.write("estimate_id,pass,min_margin\n")
-        fh.write(f"{report.estimate_id},{str(report.passed).lower()},{report.margin:.17g}\n")
+    row = ([report.estimate_id], [str(report.passed).lower()], format_floats([report.margin]))
+    write_csv(path, "estimate_id,pass,min_margin", [row])
 
 
 def write_decay_csv(report: DecayReport, path) -> None:

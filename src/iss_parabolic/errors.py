@@ -47,7 +47,7 @@ class EstimationError(IssParabolicError):
 
 
 class SynthesisError(IssParabolicError):
-    """Kernel synthesis failed to converge within the iteration cap."""
+    """Kernel synthesis hit its iteration cap, or the inverse failed its composition check."""
 
 
 class ScenarioError(IssParabolicError):

@@ -1,4 +1,4 @@
-"""Uniform 1-D spatial grids, grid functions, and time-indexed trajectories.
+"""Uniform 1-D grids, grid functions, trajectories, and the one CSV writer.
 
 The spatial domain is always [0, 1], discretized with ``n_interior`` interior
 nodes plus both boundary nodes, so fields have ``n_interior + 2`` samples and
@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import repeat
 
 import numpy as np
 
@@ -77,23 +78,18 @@ class Grid1D:
         return np.arange(self.n_steps + 1) * self.dt
 
 
-def _as_readonly(values: np.ndarray) -> np.ndarray:
-    out = np.array(values, dtype=float, copy=True)
-    out.setflags(write=False)
-    return out
-
-
 def _frozen(values) -> np.ndarray:
-    """``values`` as a read-only float array, copied only if it could still change.
-
-    A float array is kept as is when neither it nor any array it views is
-    writeable, which is how the solver hands over a freshly marched history.
+    """``values`` as a read-only float array, copied only if it could still change:
+    kept as is when neither it nor any array it views is writeable.
     """
     arr = np.asarray(values, dtype=float)
     owner = arr
     while isinstance(owner, np.ndarray) and not owner.flags.writeable:
         owner = owner.base
-    return arr if owner is None else _as_readonly(arr)
+    if owner is not None:
+        arr = arr.copy()
+        arr.setflags(write=False)
+    return arr
 
 
 @dataclass(frozen=True)
@@ -104,7 +100,7 @@ class Field:
     grid: Grid1D
 
     def __post_init__(self) -> None:
-        vals = np.asarray(self.values, dtype=float)
+        vals = np.array(self.values, dtype=float)  # always a copy: never a view of a history
         if vals.ndim != 1 or vals.shape[0] != self.grid.n_nodes:
             raise InvalidFieldError(
                 f"field length {vals.shape} does not match grid with "
@@ -112,7 +108,8 @@ class Field:
             )
         if not np.all(np.isfinite(vals)):
             raise InvalidFieldError("field contains non-finite entries")
-        object.__setattr__(self, "values", _as_readonly(vals))
+        vals.setflags(write=False)
+        object.__setattr__(self, "values", vals)
 
     @classmethod
     def from_function(cls, grid: Grid1D, fn) -> "Field":
@@ -148,7 +145,7 @@ class Trajectory:
     problem: object = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
-        times = _as_readonly(self.times)
+        times = _frozen(self.times)
         data = _frozen(self.data)
         if data.ndim != 2 or data.shape != (times.shape[0], self.grid.n_nodes):
             raise InvalidFieldError(
@@ -196,3 +193,21 @@ class Trajectory:
             data=self.data[:keep],
             problem=self.problem,
         )
+
+
+def format_floats(values) -> list[str]:
+    """Each value as ``%.17g``, which round-trips every double exactly."""
+    return list(map("{:.17g}".format, np.asarray(values, dtype=float).tolist()))
+
+
+def write_csv(path, header: str, blocks) -> None:
+    """Write ``header``, then the rows of each block: a tuple of equal-length
+    columns, each a list of formatted cells or one string repeated down the
+    block.  Only one block is held at a time, so a generator streams.
+    """
+    with open(path, "w", newline="\n") as fh:
+        fh.write(header + "\n")
+        for block in blocks:
+            n = next(len(col) for col in block if not isinstance(col, str))
+            cols = [repeat(col, n) if isinstance(col, str) else col for col in block]
+            fh.write("".join(",".join(row) + "\n" for row in zip(*cols, strict=True)))

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BracketingError, IncompatibleTrajectoryError, InvalidParameterError
-from .grid import Field, Grid1D, Trajectory
+from .grid import Field, Grid1D, Trajectory, format_floats, write_csv
 from .solver import BoundarySignal, SemilinearProblem, simulate
 
 DEFAULT_ORDERING_TOL = 1e-10
@@ -194,7 +194,5 @@ def constant_reduction_experiment(
 
 def write_sandwich_csv(report: SandwichReport, path) -> None:
     """Export per-time envelope gaps: t,min_gap_low,min_gap_high."""
-    with open(path, "w", newline="\n") as fh:
-        fh.write("t,min_gap_low,min_gap_high\n")
-        for t, lo, hi in zip(report.times, report.min_gap_low, report.min_gap_high):
-            fh.write(f"{t:.17g},{lo:.17g},{hi:.17g}\n")
+    columns = (report.times, report.min_gap_low, report.min_gap_high)
+    write_csv(path, "t,min_gap_low,min_gap_high", [tuple(map(format_floats, columns))])

@@ -31,7 +31,7 @@ from .errors import (
     MonotonicityLossError,
     NumericalError,
 )
-from .grid import Field, Grid1D, Trajectory
+from .grid import Field, Grid1D, Trajectory, format_floats, write_csv
 
 # Vectorized reaction term f(z, w, w_z) evaluated at interior nodes.
 Reaction = Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
@@ -269,11 +269,6 @@ def residual(problem: SemilinearProblem, traj: Trajectory) -> float:
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:
     """Export as CSV with header t,z,value, row-major by time."""
-    nodes = traj.grid.nodes
-    with open(path, "w", newline="\n") as fh:
-        fh.write("t,z,value\n")
-        for k in range(len(traj)):
-            t = traj.times[k]
-            row = traj.data[k]
-            for z, v in zip(nodes, row):
-                fh.write(f"{t:.17g},{z:.17g},{v:.17g}\n")
+    z = format_floats(traj.grid.nodes)
+    levels = zip(format_floats(traj.times), traj.data)
+    write_csv(path, "t,z,value", ((t, z, format_floats(row)) for t, row in levels))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from iss_parabolic import (
     transform_commutation_residual,
 )
 from iss_parabolic.backstepping import (
+    VolterraKernel,
     _random_smooth_fields,
     write_kernel_csv,
 )
@@ -82,6 +84,28 @@ class TestKernelSynthesis:
         assert kernel10.matrix is kernel10.matrix
         assert not kernel10.matrix.flags.writeable
         assert np.all(np.tril(kernel10.matrix, -1) == 0.0)
+
+    def test_construction_copies_only_a_writeable_caller_array(self):
+        grid = Grid1D(n_interior=499, dt=2e-4, t_final=0.5)
+        samples = np.triu(np.random.default_rng(0).standard_normal((grid.n_nodes, grid.n_nodes)))
+        tracemalloc.start()
+        try:
+            kernel = VolterraKernel(samples, 1.0, "direct", grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * samples.nbytes
+        before = kernel.samples[0, 0]
+        samples[0, 0] += 1.0
+        assert kernel.samples[0, 0] == before
+        samples.setflags(write=False)
+        assert VolterraKernel(samples, 1.0, "direct", grid).samples is samples
+
+    def test_nonzero_below_diagonal_rejected(self, kernel_grid):
+        samples = np.zeros((kernel_grid.n_nodes, kernel_grid.n_nodes))
+        samples[5, 4] = 1e-300
+        with pytest.raises(InvalidParameterError):
+            VolterraKernel(samples, 1.0, "direct", kernel_grid)
 
     def test_csv_export_covers_triangle(self, tmp_path, kernel_grid, kernel10):
         path = tmp_path / "kernel.csv"

@@ -4,6 +4,7 @@ reference values; keep both the names and the values it relies on."""
 import importlib
 import importlib.util
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -13,11 +14,15 @@ PERFBENCH = ROOT / "perfbench"
 TRACING = PERFBENCH / "tracing.py"
 
 
-def _spans():
+def _tracing():
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.SPANS
+    return module
+
+
+def _spans():
+    return _tracing().SPANS
 
 
 @pytest.mark.parametrize("span, target", sorted(_spans().items()))
@@ -41,3 +46,62 @@ def test_closed_loop_plant_matches_reference(k_reaction, tmp_path, monkeypatch):
     bench.plant(item, k_reaction, workloads._disturbance(label, bench.grid.times()))
     bench.compare(item)
     assert not item.problems, item.problems
+
+
+SMALL_SCENARIO = """
+[scenario]
+name = {kind}
+kind = {kind}
+seed = 3
+
+[grid]
+n_interior = 15
+dt = 1e-3
+t_final = 0.05
+
+[problem]
+a = 1.0
+{problem}
+"""
+
+SMALL_PROBLEMS = {
+    "simulate": "initial = sin_pi",
+    "sandwich": "initial = sin_pi\nd0 = sinusoid(0.3, 5.0)",
+    "iss_check": "initial = sin_pi\nd0 = step(0.3, 0.01)\n\n[check]\nestimate = l2",
+    "kernel_synthesis": "k_reaction = 10.0",
+}
+
+# Traced writer span -> the (scenario kind, artifact) files it must write.
+TRACED_ARTIFACTS = {
+    "solver.write_csv": [("simulate", "trajectory.csv"), ("sandwich", "trajectory.csv"), ("iss_check", "trajectory.csv")],
+    "monotone.write_csv": [("sandwich", "report.csv")],
+    "certify.write_csv": [("iss_check", "report.csv"), ("iss_check", "summary.csv")],
+    "backstepping.write_csv": [("kernel_synthesis", "kernel.csv")],
+}
+
+
+def test_traced_writers_record_every_artifact_byte(tmp_path):
+    # The per-layer writer metrics read the bytes the traced writers report;
+    # an artifact written around them would read as zero.
+    tracing = _tracing()
+    modules = {name: importlib.import_module(name) for name in tracing.NAMESPACES}
+    kinds = list(SMALL_PROBLEMS)
+    scenarios = []
+    for kind in kinds:
+        path = tmp_path / f"{kind}.scn"
+        path.write_text(SMALL_SCENARIO.format(kind=kind, problem=SMALL_PROBLEMS[kind]))
+        scenarios.append(modules["iss_parabolic.scenarios"].parse_scenario(path))
+    tracer = tracing.Tracer()
+    with tracer.installed(modules):
+        for scn in scenarios:
+            modules["iss_parabolic.runner"].run_scenario(scn, tmp_path / "out", no_plots=True)
+
+    recorded = Counter()
+    for name, _start, _end, _parent, item, extra in tracer.spans:
+        if name in TRACED_ARTIFACTS:
+            recorded[name, kinds[item]] += extra["bytes"]
+    expected = Counter()
+    for name, files in TRACED_ARTIFACTS.items():
+        for kind, artifact in files:
+            expected[name, kind] += (tmp_path / "out" / kind / artifact).stat().st_size
+    assert recorded == expected

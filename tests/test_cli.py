@@ -48,6 +48,30 @@ a = 1.0
 k_reaction = 10.0
 """
 
+CONSTANT_DISTURBANCE_LOOP = """
+[scenario]
+name = const_d
+kind = backstepping_loop
+seed = 8
+
+[grid]
+n_interior = 31
+dt = 4e-4
+t_final = 0.2
+
+[problem]
+a = 1.0
+k_reaction = 15.0
+initial = sin_pi
+d0 = constant(0.3)
+
+[loop]
+mode = closed
+
+[check]
+p = 2
+"""
+
 
 class TestScenarioParsing:
     def test_selector_forms(self):
@@ -164,6 +188,12 @@ class TestRunCommand:
         scn = _write(tmp_path / "kern.scn", KERNEL_SCENARIO)
         assert main(["run", str(scn), "--out", str(tmp_path / "o1"), "--no-plots"]) == 0
         assert main(["run", str(scn), "--out", str(tmp_path / "o2"), "--no-plots", "--tol", "1e-12"]) == 1
+
+    def test_constant_actuator_disturbance_certifies(self, tmp_path, capsys):
+        # d(0) != 0: the loop constants must still come from admissible runs.
+        scn = _write(tmp_path / "const_d.scn", CONSTANT_DISTURBANCE_LOOP)
+        assert main(["run", str(scn), "--out", str(tmp_path / "out"), "--no-plots"]) == 0
+        assert capsys.readouterr().out.splitlines()[1].startswith("const_d,backstepping_loop,true,")
 
 
 class TestSuiteCommand:
