@@ -70,7 +70,6 @@ from .solver import (
     SemilinearProblem,
     residual,
     simulate,
-    step,
     write_trajectory_csv,
 )
 

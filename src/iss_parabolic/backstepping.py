@@ -42,7 +42,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
 
 import numpy as np
 from scipy.integrate import cumulative_simpson
@@ -59,6 +58,7 @@ from .errors import (
 from .grid import Field, Grid1D, Trajectory, _frozen, format_floats, write_csv
 from .norms import lp_norms
 from .solver import (
+    COMPATIBILITY_TOL,
     BoundarySignal,
     SemilinearProblem,
     _check_step_restriction,
@@ -68,6 +68,8 @@ from .solver import (
 
 KERNEL_ITERATION_TOL = 1e-10
 KERNEL_ITERATION_CAP = 200
+# Share of the horizon skipped before the commutation residual is measured.
+BURN_FRACTION = 0.05
 
 
 @dataclass(frozen=True)
@@ -250,15 +252,13 @@ def compatible_initial_state(kernel: VolterraKernel, base: Field, d0: float = 0.
 class ClosedLoopRun:
     """Closed-loop plant trajectory with its transformed (target) image.
 
-    ``control`` records the applied boundary values u(t_k) and
-    ``disturbance`` the actuator error d(t_k).
+    ``disturbance`` records the actuator error d(t_k); the applied control
+    u(t_k) is ``y_traj.boundary_left``.
     """
 
     y_traj: Trajectory
     x_traj: Trajectory
-    control: np.ndarray
     disturbance: np.ndarray
-    kernel: VolterraKernel
 
 
 def simulate_closed_loop(
@@ -267,7 +267,7 @@ def simulate_closed_loop(
     y0: Field,
     d: BoundarySignal,
     grid: Grid1D,
-    kernel: Optional[VolterraKernel] = None,
+    kernel: VolterraKernel,
 ) -> ClosedLoopRun:
     """Step the plant under the synthesized feedback with actuator error d.
 
@@ -275,18 +275,17 @@ def simulate_closed_loop(
     current state (feedback explicit, diffusion implicit, matching the IMEX
     split), so the transformed trajectory satisfies x(t, 0) = d(t) up to an
     O(dt) lag.  The transformed image is recorded alongside the plant state.
+    ``kernel`` is the plant's kernel from ``solve_kernel``.
     """
     if y0.grid != grid:
         raise InvalidParameterError("initial state lives on a different grid")
     _check_step_restriction(grid.dt, abs(k_reaction))
-    if kernel is None:
-        kernel = solve_kernel(a, k_reaction, grid)
-    elif kernel.grid != grid or abs(kernel.lam - k_reaction / a) > 1e-12:
+    if kernel.grid != grid or abs(kernel.lam - k_reaction / a) > 1e-12:
         raise InvalidParameterError("kernel does not match the requested plant")
-    if abs(y0.values[-1]) > 1e-9:
+    if abs(y0.values[-1]) > COMPATIBILITY_TOL:
         raise IncompatibleDataError("closed-loop initial data must vanish at z = 1")
     u0 = feedback(kernel, y0, float(d(0.0)))
-    if abs(y0.values[0] - u0) > 1e-9:
+    if abs(y0.values[0] - u0) > COMPATIBILITY_TOL:
         raise IncompatibleDataError(
             "initial state is incompatible with the feedback at z = 0; "
             "see compatible_initial_state"
@@ -320,25 +319,21 @@ def simulate_closed_loop(
         boundary_right=BoundarySignal.zero(),
     )
     x_traj = Trajectory(grid=grid, times=times, data=x_data, problem=x_problem)
-    # A copy, so the run does not keep the state history alive through a view.
-    control = data[:, 0].copy()
-    return ClosedLoopRun(y_traj=y_traj, x_traj=x_traj, control=control, disturbance=d_values, kernel=kernel)
+    return ClosedLoopRun(y_traj=y_traj, x_traj=x_traj, disturbance=d_values)
 
 
-def transform_commutation_residual(run: ClosedLoopRun, burn_fraction: float = 0.05) -> float:
+def transform_commutation_residual(run: ClosedLoopRun) -> float:
     """Heat-equation residual of the transformed trajectory, past burn-in.
 
     The initial state is value-compatible but not derivative-compatible
     with the feedback, so the first few steps carry a boundary layer that
     the L-stable stepper damps; the residual is therefore measured after
-    ``burn_fraction`` of the horizon.  It decreases at the scheme's order
+    ``BURN_FRACTION`` of the horizon.  It decreases at the scheme's order
     (dt + h^2) under refinement, validating the kernel against the dynamics
     with no reference to any kernel formula.
     """
-    if not (0.0 <= burn_fraction < 0.9):
-        raise InvalidParameterError("burn_fraction must lie in [0, 0.9)")
     x = run.x_traj
-    start = min(max(int(burn_fraction * (len(x) - 1)), 0), len(x) - 3)
+    start = min(int(BURN_FRACTION * (len(x) - 1)), len(x) - 3)
     res = pde_residual_field(x.data[start:], x.times[start:], x.grid.nodes, x.problem.a, None)
     return float(res.max())
 

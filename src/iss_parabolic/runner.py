@@ -1,12 +1,14 @@
 """Batch scenario runner: dispatch, artifact writing, exit-code contract.
 
-Every scenario writes its artifacts into ``<out_root>/<name>/``:
-``trajectory.csv`` (when a trajectory exists), ``report.csv`` with the
-per-time check data, ``summary.csv`` for estimate checks, ``plot.svg``
-unless plots are disabled, plus kind-specific extras (``kernel.csv``,
-``x_trajectory.csv``).  A scenario passes iff every check it declares
-passes; no check is ever skipped silently -- inapplicable configurations
-raise and the scenario fails.
+Each kind computes its checks and writes only its kind-specific report
+(``report.csv``, ``summary.csv`` for estimate checks, ``kernel.csv``) into
+``<out_root>/<name>/``.  It returns an ``_Outcome``; ``run_scenario`` then
+writes the outcome's trajectories (``trajectory.csv``, ``x_trajectory.csv``
+for the closed loop) and, unless plots are disabled, one ``plot.svg`` whose
+y axis follows the scenario's ``logy``.  A kind that raises writes no
+trajectory.  A scenario passes iff every check it declares passes; no check
+is ever skipped silently -- inapplicable configurations raise and the
+scenario fails.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import numpy as np
 from . import backstepping as bs
 from . import certify
 from .errors import IssParabolicError, ScenarioError
-from .grid import Field, format_floats, write_csv
+from .grid import Field, Trajectory, format_floats, write_csv
 from .monotone import DEFAULT_ORDERING_TOL, constant_reduction_experiment, write_sandwich_csv
 from .norms import lp_norms
 from .scenarios import (
@@ -56,12 +58,20 @@ class ScenarioResult:
     message: str = ""
 
     def summary_row(self) -> str:
-        margin = f"{self.min_margin:.6g}" if math.isfinite(self.min_margin) else "nan"
-        return f"{self.name},{self.kind},{str(self.passed).lower()},{margin},{self.wall_ms:.1f}"
+        return f"{self.name},{self.kind},{str(self.passed).lower()},{self.min_margin:.6g},{self.wall_ms:.1f}"
 
 
-def _plot_norms(out_dir: Path, scn: Scenario, times, series: dict, ylabel: str) -> None:
-    write_line_plot(out_dir / "plot.svg", times, series, title=scn.name, xlabel="t", ylabel=ylabel, logy=scn.logy)
+@dataclass(frozen=True)
+class _Outcome:
+    """A kind's verdict and margin, the trajectories to write and its plot."""
+
+    passed: bool
+    margin: float
+    trajectories: dict[str, Trajectory]
+    x: np.ndarray
+    curves: dict[str, np.ndarray]
+    ylabel: str
+    xlabel: str = "t"
 
 
 def _tol(scn: Scenario, default: float) -> float:
@@ -75,46 +85,38 @@ def _rate_check(scn: Scenario, times, norms, target: float, default_tol: float, 
     return rel_err <= rate_tol, rate_tol - rel_err, norms[0] * np.exp(-target * times)
 
 
-def _run_simulate(scn: Scenario, out_dir: Path, plots: bool) -> tuple[bool, float]:
-    rng = np.random.default_rng(scn.seed)
-    problem = build_problem(scn, rng)
-    traj = simulate(problem, scn.grid)
-    write_trajectory_csv(traj, out_dir / "trajectory.csv")
+def _estimate_outcome(report: certify.ISSReport, out_dir: Path, trajectories: dict, ylabel: str) -> _Outcome:
+    """Write an estimate check's report and summary; plot lhs against rhs."""
+    certify.write_report_csv(report, out_dir / "report.csv")
+    certify.write_summary_csv(report, out_dir / "summary.csv")
+    curves = {"lhs": report.lhs, "rhs": report.rhs}
+    return _Outcome(report.passed, report.margin_rel, trajectories, report.times, curves, ylabel)
+
+
+def _run_simulate(scn: Scenario, out_dir: Path, rng: np.random.Generator) -> _Outcome:
+    traj = simulate(build_problem(scn, rng), scn.grid)
     norms = lp_norms(traj.data, scn.grid.h, scn.p)
     if scn.decay_rate is not None:
         passed, margin, rhs = _rate_check(scn, traj.times, norms, scn.decay_rate, certify.DEFAULT_REL_TOL)
+        curves = {"norm": norms, "target": rhs}
     else:
         passed, margin, rhs = True, math.inf, norms
+        curves = {"norm": norms}
     certify.write_margin_csv(out_dir / "report.csv", traj.times, norms, rhs)
-    if plots:
-        series = {"norm": norms}
-        if scn.decay_rate is not None:
-            series["target"] = rhs
-        _plot_norms(out_dir, scn, traj.times, series, f"L{scn.p:g} norm")
-    return passed, margin
+    return _Outcome(passed, margin, {"trajectory.csv": traj}, traj.times, curves, f"L{scn.p:g} norm")
 
 
-def _run_sandwich(scn: Scenario, out_dir: Path, plots: bool) -> tuple[bool, float]:
-    rng = np.random.default_rng(scn.seed)
+def _run_sandwich(scn: Scenario, out_dir: Path, rng: np.random.Generator) -> _Outcome:
     problem = build_problem(scn, rng)
     report = constant_reduction_experiment(problem, scn.grid, scn.epsilon, _tol(scn, DEFAULT_ORDERING_TOL))
-    write_trajectory_csv(report.traj, out_dir / "trajectory.csv")
     write_sandwich_csv(report, out_dir / "report.csv")
-    if plots:
-        _plot_norms(
-            out_dir, scn, report.times,
-            {"gap_low": report.min_gap_low, "gap_high": report.min_gap_high},
-            "envelope gap",
-        )
     margin = float(min(report.min_gap_low.min(), report.min_gap_high.min()))
-    return report.passed, margin
+    curves = {"gap_low": report.min_gap_low, "gap_high": report.min_gap_high}
+    return _Outcome(report.passed, margin, {"trajectory.csv": report.traj}, report.times, curves, "envelope gap")
 
 
-def _run_iss_check(scn: Scenario, out_dir: Path, plots: bool) -> tuple[bool, float]:
-    rng = np.random.default_rng(scn.seed)
-    problem = build_problem(scn, rng)
-    traj = simulate(problem, scn.grid)
-    write_trajectory_csv(traj, out_dir / "trajectory.csv")
+def _run_iss_check(scn: Scenario, out_dir: Path, rng: np.random.Generator) -> _Outcome:
+    traj = simulate(build_problem(scn, rng), scn.grid)
     rel_tol = _tol(scn, certify.DEFAULT_REL_TOL)
     if scn.estimate == "weighted_l1":
         report = certify.check_weighted_l1(traj, rel_tol, gain_override=scn.gain_override)
@@ -123,26 +125,20 @@ def _run_iss_check(scn: Scenario, out_dir: Path, plots: bool) -> tuple[bool, flo
     else:
         sigma, theta = default_weighted_sup_params(scn.a, scn.sigma, scn.theta)
         report = certify.check_weighted_sup(traj, sigma, theta, rel_tol)
-    certify.write_report_csv(report, out_dir / "report.csv")
-    certify.write_summary_csv(report, out_dir / "summary.csv")
-    if plots:
-        _plot_norms(out_dir, scn, report.times, {"lhs": report.lhs, "rhs": report.rhs}, scn.estimate)
-    return report.passed, report.margin_rel
+    return _estimate_outcome(report, out_dir, {"trajectory.csv": traj}, scn.estimate)
 
 
-def _run_lyapunov(scn: Scenario, out_dir: Path, plots: bool) -> tuple[bool, float]:
-    rng = np.random.default_rng(scn.seed)
+def _run_lyapunov(scn: Scenario, out_dir: Path, rng: np.random.Generator) -> _Outcome:
     problem = build_problem(scn, rng)
     report = certify.lyapunov_decay_certificate(problem, scn.grid, scn.p, _tol(scn, certify.DEFAULT_REL_TOL))
     certify.write_decay_csv(report, out_dir / "report.csv")
-    write_trajectory_csv(report.traj, out_dir / "trajectory.csv")
-    if plots:
-        _plot_norms(out_dir, scn, report.times, {"lhs": report.norm_lhs, "rhs": report.norm_rhs}, f"L{scn.p:g} norm")
-    return report.passed, min(report.margin_v_rel, report.margin_norm_rel)
+    return _Outcome(
+        report.passed, min(report.margin_v_rel, report.margin_norm_rel), {"trajectory.csv": report.traj},
+        report.times, {"lhs": report.norm_lhs, "rhs": report.norm_rhs}, f"L{scn.p:g} norm",
+    )
 
 
-def _run_kernel_synthesis(scn: Scenario, out_dir: Path, plots: bool) -> tuple[bool, float]:
-    rng = np.random.default_rng(scn.seed)
+def _run_kernel_synthesis(scn: Scenario, out_dir: Path, rng: np.random.Generator) -> _Outcome:
     kernel = bs.solve_kernel(scn.a, scn.k_reaction, scn.grid)
     inverse = bs.solve_inverse_kernel(kernel)
     bs.write_kernel_csv(kernel, out_dir / "kernel.csv")
@@ -160,14 +156,9 @@ def _run_kernel_synthesis(scn: Scenario, out_dir: Path, plots: bool) -> tuple[bo
         ("roundtrip_sup_err", roundtrip_err, ROUNDTRIP_TOL),
     ]
     _write_check_csv(out_dir / "report.csv", checks)
-    if plots:
-        write_line_plot(
-            out_dir / "plot.svg", scn.grid.nodes, {"k(0,s)": kernel.samples[0]},
-            title=scn.name, xlabel="s", ylabel="feedback kernel", logy=False,
-        )
     passed = all(value <= threshold for _, value, threshold in checks)
     margin = min((threshold - value) / threshold for _, value, threshold in checks)
-    return passed, margin
+    return _Outcome(passed, margin, {}, scn.grid.nodes, {"k(0,s)": kernel.samples[0]}, "feedback kernel", "s")
 
 
 def _write_check_csv(path, checks) -> None:
@@ -198,8 +189,7 @@ def _fit_loop_constants(scn: Scenario, d_signal: BoundarySignal) -> certify.ExpI
     return certify.estimate_exp_iss_constants(runs, scn.p)
 
 
-def _run_backstepping(scn: Scenario, out_dir: Path, plots: bool) -> tuple[bool, float]:
-    rng = np.random.default_rng(scn.seed)
+def _run_backstepping(scn: Scenario, out_dir: Path, rng: np.random.Generator) -> _Outcome:
     grid = scn.grid
     if scn.mode == "open":
         problem = SemilinearProblem(
@@ -211,42 +201,33 @@ def _run_backstepping(scn: Scenario, out_dir: Path, plots: bool) -> tuple[bool, 
             lipschitz_k=abs(scn.k_reaction),
         )
         traj = simulate(problem, grid)
-        write_trajectory_csv(traj, out_dir / "trajectory.csv")
         norms = lp_norms(traj.data, grid.h, scn.p)
         growth = float(norms.max() / norms[0])
         threshold = np.full_like(norms, norms[0] * GROWTH_MIN)
         certify.write_margin_csv(out_dir / "report.csv", traj.times, norms, threshold)
-        if plots:
-            _plot_norms(out_dir, scn, traj.times, {"norm": norms, "growth_cut": threshold}, "open-loop norm")
-        passed = growth >= GROWTH_MIN
-        return passed, growth / GROWTH_MIN - 1.0
+        curves = {"norm": norms, "growth_cut": threshold}
+        margin = growth / GROWTH_MIN - 1.0
+        return _Outcome(growth >= GROWTH_MIN, margin, {"trajectory.csv": traj}, traj.times, curves, "open-loop norm")
 
     kernel = bs.solve_kernel(scn.a, scn.k_reaction, grid)
     d_signal = make_signal(scn.d0, grid, scn.base_dir)
     base = make_initial(scn.initial, grid, rng, 0.0, 0.0)
     y0 = bs.compatible_initial_state(kernel, base, float(d_signal(0.0)))
     run = bs.simulate_closed_loop(scn.a, scn.k_reaction, y0, d_signal, grid, kernel=kernel)
-    write_trajectory_csv(run.y_traj, out_dir / "trajectory.csv")
-    write_trajectory_csv(run.x_traj, out_dir / "x_trajectory.csv")
+    trajectories = {"trajectory.csv": run.y_traj, "x_trajectory.csv": run.x_traj}
+    times = run.y_traj.times
     norms = lp_norms(run.y_traj.data, grid.h, scn.p)
 
     if d_signal.sup_norm == 0.0:
-        times = run.y_traj.times
         passed, margin, rhs = _rate_check(scn, times, norms, scn.a * math.pi**2, 0.05, 0.2 * grid.t_final)
         certify.write_margin_csv(out_dir / "report.csv", times, norms, rhs)
-        if plots:
-            _plot_norms(out_dir, scn, times, {"closed_loop": norms, "target_rate": rhs}, "norm")
-        return passed, margin
+        return _Outcome(passed, margin, trajectories, times, {"closed_loop": norms, "target_rate": rhs}, "norm")
 
     inverse = bs.solve_inverse_kernel(kernel)
     k1, k2 = bs.estimate_equivalence_constants(kernel, inverse, scn.p)
     constants = bs.ClosedLoopConstants(k1=k1, k2=k2, iss=_fit_loop_constants(scn, d_signal))
     report = bs.certify_closed_loop(run.y_traj, constants, run.disturbance, tol=_tol(scn, 1e-6))
-    certify.write_report_csv(report, out_dir / "report.csv")
-    certify.write_summary_csv(report, out_dir / "summary.csv")
-    if plots:
-        _plot_norms(out_dir, scn, report.times, {"lhs": report.lhs, "rhs": report.rhs}, "closed-loop norm")
-    return report.passed, report.margin_rel
+    return _estimate_outcome(report, out_dir, trajectories, "closed-loop norm")
 
 
 _DISPATCH = {
@@ -278,10 +259,18 @@ def run_scenario(
     out_dir = Path(out_root) / scenario.name
     out_dir.mkdir(parents=True, exist_ok=True)
     try:
-        passed, margin = _DISPATCH[scenario.kind](scenario, out_dir, not no_plots)
-        message = ""
+        outcome = _DISPATCH[scenario.kind](scenario, out_dir, np.random.default_rng(scenario.seed))
     except IssParabolicError as exc:
         passed, margin, message = False, -math.inf, str(exc)
+    else:
+        for file_name, traj in outcome.trajectories.items():
+            write_trajectory_csv(traj, out_dir / file_name)
+        if not no_plots:
+            write_line_plot(
+                out_dir / "plot.svg", outcome.x, outcome.curves, title=scenario.name,
+                xlabel=outcome.xlabel, ylabel=outcome.ylabel, logy=scenario.logy,
+            )
+        passed, margin, message = outcome.passed, outcome.margin, ""
     wall_ms = (time.perf_counter() - start) * 1e3
     return ScenarioResult(scenario.name, scenario.kind, passed, margin, wall_ms, message)
 

@@ -12,9 +12,9 @@ map w -> w + dt f(z, w, .) is monotone in w; the constructor-enforced
 restriction dt * lipschitz_k < 1 guards that.  Order preservation is what
 turns the comparison principle into an executable oracle downstream.
 
-``simulate``, ``step`` and the closed loop in ``backstepping`` all run the
-one stepping loop ``_march``: one factorization per run; state feedback
-enters through the boundary callback.
+``simulate`` and the closed loop in ``backstepping`` both run the one
+stepping loop ``_march``: one factorization per run; state feedback enters
+through the boundary callback.
 """
 
 from __future__ import annotations
@@ -195,25 +195,6 @@ def _march(
         data[m + 1, -1] = right
     data.setflags(write=False)
     return data
-
-
-def step(problem: SemilinearProblem, state: Field, t: float, dt: float) -> Field:
-    """Advance one state from t to t + dt.
-
-    The state must already carry the Dirichlet values at time t; the
-    returned field carries the values at t + dt.
-    """
-    _check_step_restriction(dt, problem.lipschitz_k)
-    grid = state.grid
-    if grid != problem.initial.grid:
-        raise InvalidParameterError("state lives on a different grid than the problem")
-    for side, sig, idx in (("left", problem.boundary_left, 0), ("right", problem.boundary_right, -1)):
-        if abs(state.values[idx] - sig(t)) > 1e-6:
-            raise IncompatibleDataError(
-                f"state does not satisfy the {side} Dirichlet value at t={t}"
-            )
-    ends = (float(problem.boundary_left(t + dt)), float(problem.boundary_right(t + dt)))
-    return Field(_march(problem, state.values, 1, dt, lambda m, x: ends)[1], grid)
 
 
 def simulate(problem: SemilinearProblem, grid: Grid1D) -> Trajectory:

@@ -69,13 +69,22 @@ SMALL_PROBLEMS = {
     "sandwich": "initial = sin_pi\nd0 = sinusoid(0.3, 5.0)",
     "iss_check": "initial = sin_pi\nd0 = step(0.3, 0.01)\n\n[check]\nestimate = l2",
     "kernel_synthesis": "k_reaction = 10.0",
+    "lyapunov": "initial = sin_pi\n\n[check]\np = 3",
+    "backstepping_loop": "k_reaction = 10.0\ninitial = sin_pi\nd0 = step(0.3, 0.01)",
 }
 
 # Traced writer span -> the (scenario kind, artifact) files it must write.
 TRACED_ARTIFACTS = {
-    "solver.write_csv": [("simulate", "trajectory.csv"), ("sandwich", "trajectory.csv"), ("iss_check", "trajectory.csv")],
+    "solver.write_csv": [
+        ("simulate", "trajectory.csv"), ("sandwich", "trajectory.csv"), ("iss_check", "trajectory.csv"),
+        ("lyapunov", "trajectory.csv"),
+        ("backstepping_loop", "trajectory.csv"), ("backstepping_loop", "x_trajectory.csv"),
+    ],
     "monotone.write_csv": [("sandwich", "report.csv")],
-    "certify.write_csv": [("iss_check", "report.csv"), ("iss_check", "summary.csv")],
+    "certify.write_csv": [
+        ("iss_check", "report.csv"), ("iss_check", "summary.csv"), ("lyapunov", "report.csv"),
+        ("backstepping_loop", "report.csv"), ("backstepping_loop", "summary.csv"),
+    ],
     "backstepping.write_csv": [("kernel_synthesis", "kernel.csv")],
 }
 

@@ -72,6 +72,26 @@ mode = closed
 p = 2
 """
 
+# sigma lies outside (0, a pi^2), so the weighted sup check raises.
+RAISING_CHECK = """
+[scenario]
+name = bad_sigma
+kind = iss_check
+
+[grid]
+n_interior = 15
+dt = 1e-3
+t_final = 0.05
+
+[problem]
+a = 1.0
+initial = sin_pi
+
+[check]
+estimate = weighted_sup
+sigma = 100
+"""
+
 
 class TestScenarioParsing:
     def test_selector_forms(self):
@@ -194,6 +214,18 @@ class TestRunCommand:
         scn = _write(tmp_path / "const_d.scn", CONSTANT_DISTURBANCE_LOOP)
         assert main(["run", str(scn), "--out", str(tmp_path / "out"), "--no-plots"]) == 0
         assert capsys.readouterr().out.splitlines()[1].startswith("const_d,backstepping_loop,true,")
+
+    def test_raising_kind_prints_minus_inf_and_writes_no_trajectory(self, tmp_path, capsys):
+        scn = _write(tmp_path / "bad_sigma.scn", RAISING_CHECK)
+        assert main(["run", str(scn), "--out", str(tmp_path / "out")]) == 1
+        assert ",false,-inf," in capsys.readouterr().out.splitlines()[1]
+        assert not (tmp_path / "out" / "bad_sigma" / "trajectory.csv").exists()
+
+    def test_kernel_plot_follows_logy(self, tmp_path):
+        # KERNEL_SCENARIO sets no logy, so the default log scale applies.
+        scn = _write(tmp_path / "kern.scn", KERNEL_SCENARIO)
+        assert main(["run", str(scn), "--out", str(tmp_path / "out")]) == 0
+        assert "log10(feedback kernel)" in (tmp_path / "out" / "kern" / "plot.svg").read_text()
 
 
 class TestSuiteCommand:

@@ -19,7 +19,6 @@ from iss_parabolic import (
     simulate,
     simulate_closed_loop,
     solve_kernel,
-    step,
     write_trajectory_csv,
 )
 from conftest import eigenfield, heat_problem
@@ -72,39 +71,41 @@ class TestProblemValidation:
                 boundary_right=BoundarySignal.zero(),
             )
 
-    def test_step_restriction_refused(self, grid_small):
+    def test_step_restriction_refused(self):
+        grid = Grid1D(n_interior=49, dt=0.25, t_final=0.25)  # one step
         problem = SemilinearProblem(
             a=1.0,
-            initial=Field.zeros(grid_small),
+            initial=Field.zeros(grid),
             boundary_left=BoundarySignal.zero(),
             boundary_right=BoundarySignal.zero(),
             reaction=lambda z, w, g: 5.0 * w,
             lipschitz_k=5.0,
         )
         with pytest.raises(MonotonicityLossError):
-            step(problem, problem.initial, 0.0, 0.25)
+            simulate(problem, grid)
 
 
 class TestStep:
-    def test_zero_state_stays_zero(self, grid_small):
-        problem = heat_problem(grid_small, lambda z: np.zeros_like(z))
-        out = step(problem, problem.initial, 0.0, grid_small.dt)
+    """One step: ``simulate`` over a one-step grid."""
+
+    def test_zero_state_stays_zero(self):
+        grid = Grid1D(n_interior=49, dt=2e-4, t_final=2e-4)
+        out = simulate(heat_problem(grid, lambda z: np.zeros_like(z)), grid).final_state
         assert np.all(out.values == 0.0)
 
     def test_constant_steady_state_fixed_point(self):
-        grid = Grid1D(n_interior=49, dt=1e-3, t_final=0.1)
+        grid = Grid1D(n_interior=49, dt=1e-3, t_final=1e-3)
         c = 0.75
         problem = heat_problem(
             grid, lambda z: np.full_like(z, c),
             d0=BoundarySignal.constant(c), d1=BoundarySignal.constant(c),
         )
-        out = step(problem, problem.initial, 0.0, grid.dt)
+        out = simulate(problem, grid).final_state
         assert np.allclose(out.values, c, atol=1e-12)
 
     def test_single_step_matches_eigen_decay(self):
-        grid = Grid1D(n_interior=199, dt=1e-3, t_final=0.1)
-        problem = heat_problem(grid, lambda z: np.sin(np.pi * z))
-        out = step(problem, problem.initial, 0.0, grid.dt)
+        grid = Grid1D(n_interior=199, dt=1e-3, t_final=1e-3)
+        out = simulate(heat_problem(grid, lambda z: np.sin(np.pi * z)), grid).final_state
         expected = math.exp(-PI2 * grid.dt) * np.sin(np.pi * grid.nodes)
         assert np.max(np.abs(out.values - expected)) < 2e-4
 
