@@ -27,6 +27,9 @@ characteristic variables xi = 2 - z - s, eta = s - z,
 and the truncated series above -- so each validates the other, and a third
 check (the transformed closed-loop trajectory must satisfy the heat
 residual at the scheme's order) validates both against the dynamics.
+The double integral is cumulative Simpson quadrature, computed in place in
+buffers allocated once per synthesis and equal bit for bit to scipy's
+``cumulative_simpson``.
 
 Each kernel carries its quadrature operator (``VolterraKernel.matrix``, the
 row-wise trapezoid weights times the samples), built once.  The inverse
@@ -44,7 +47,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
 from scipy.linalg import solve_triangular
 
 from .certify import ExpIssConstants, ISSReport, _finish_report
@@ -145,6 +147,40 @@ def kernel_series_reference(a: float, k_reaction: float, grid: Grid1D) -> np.nda
     return np.triu(vals)
 
 
+def _cumulative_simpson(
+    y: np.ndarray, h: float, axis: int, out: np.ndarray, work: np.ndarray
+) -> np.ndarray:
+    """Cumulative Simpson integral of ``y`` along ``axis`` from 0, into ``out``.
+
+    Equal bit for bit to ``scipy.integrate.cumulative_simpson(y, dx=h,
+    axis=axis, initial=0.0)`` for at least 3 points: sub-interval i gets
+    h/3 (5 f1/4 + 2 f2 - f3/4) with (f1, f2, f3) = (y_i, y_i+1, y_i+2) when i
+    is even and not the last interval, and (y_i+1, y_i, y_i-1) otherwise,
+    in scipy's order of operations; the sub-integrals are summed from a
+    leading 0.0.  ``work`` is workspace of ``y``'s shape; ``out`` and ``work``
+    must not overlap ``y`` or each other.
+    """
+    y, o, work = (np.moveaxis(a, axis, -1) for a in (y, out, work))
+    n = y.shape[-1]
+    f_lo, f_mid, f_hi = y[..., 0 : n - 2 : 2], y[..., 1 : n - 1 : 2], y[..., 2:n:2]
+    # o[..., i + 1] holds the integral over [y_i, y_i+1] until the sum below
+    panels = [(f_lo, f_mid, f_hi, o[..., 1 : n - 1 : 2]), (f_hi, f_mid, f_lo, o[..., 2:n:2])]
+    if n % 2 == 0:
+        panels.append((y[..., -1:], y[..., -2:-1], y[..., -3:-2], o[..., -1:]))
+    for f1, f2, f3, sub in panels:
+        w = work[..., : sub.shape[-1]]
+        np.multiply(f1, 5.0, out=sub)
+        sub /= 4.0
+        np.multiply(f2, 2.0, out=w)
+        sub += w
+        np.divide(f3, 4.0, out=w)
+        sub -= w
+        sub *= h / 3.0
+    o[..., 0] = 0.0
+    np.cumsum(o, axis=-1, out=o)
+    return out
+
+
 def solve_kernel(a: float, k_reaction: float, grid: Grid1D) -> VolterraKernel:
     """Synthesize the direct kernel by successive approximation.
 
@@ -154,27 +190,33 @@ def solve_kernel(a: float, k_reaction: float, grid: Grid1D) -> VolterraKernel:
     with cumulative Simpson quadrature for the double integral, until the
     sup-difference of successive iterates drops below
     ``KERNEL_ITERATION_TOL``, or raises ``SynthesisError`` after
-    ``KERNEL_ITERATION_CAP`` iterations.
+    ``KERNEL_ITERATION_CAP`` iterations.  The quadrature runs in place in
+    buffers allocated once and equals scipy's ``cumulative_simpson`` bit for
+    bit.
     """
     if not a > 0.0:
         raise InvalidParameterError("diffusion coefficient must be positive")
     lam = k_reaction / a
     h = grid.h
     n_eta = grid.n_nodes
-    n_xi = 2 * (grid.n_interior + 1) + 1
-    xi = np.arange(n_xi) * h
+    corner = 2 * (grid.n_interior + 1)
+    xi = np.arange(corner + 1) * h
     eta = np.arange(n_eta) * h
     base = (lam / 4.0) * (xi[:, None] - eta[None, :])
     F = base.copy()
+    inner, outer, new = (np.empty_like(F) for _ in range(3))
     diag = np.arange(n_eta)
     converged = False
     for _ in range(KERNEL_ITERATION_CAP):
-        inner = cumulative_simpson(F, dx=h, axis=1, initial=0.0)
-        outer = cumulative_simpson(inner, dx=h, axis=0, initial=0.0)
+        _cumulative_simpson(F, h, 1, inner, new)
+        _cumulative_simpson(inner, h, 0, outer, new)
         # int_eta^xi int_0^eta F = D(xi, eta) - D(eta, eta)
-        new = base + (lam / 4.0) * (outer - outer[diag, diag][None, :])
-        change = float(np.max(np.abs(new - F)))
-        F = new
+        outer -= outer[diag, diag]
+        outer *= lam / 4.0
+        np.add(base, outer, out=new)
+        np.subtract(new, F, out=outer)
+        change = float(np.max(np.abs(outer, out=outer)))
+        F, new = new, F
         if change < KERNEL_ITERATION_TOL:
             converged = True
             break
@@ -183,10 +225,10 @@ def solve_kernel(a: float, k_reaction: float, grid: Grid1D) -> VolterraKernel:
             f"kernel iteration did not converge within {KERNEL_ITERATION_CAP} iterations "
             f"(last change {change:.3e})"
         )
+    # k(z_i, s_j) = F(2 - z_i - s_j, s_j - z_i): row i runs up an anti-diagonal of F
     samples = np.zeros((n_eta, n_eta))
-    ii, jj = np.meshgrid(diag, diag, indexing="ij")
-    mask = jj >= ii
-    samples[mask] = F[2 * (grid.n_interior + 1) - ii[mask] - jj[mask], jj[mask] - ii[mask]]
+    for i in range(n_eta):
+        samples[i, i:] = F[corner - 2 * i :: -1].diagonal()[: n_eta - i]
     samples.setflags(write=False)
     return VolterraKernel(samples=samples, lam=lam, direction="direct", grid=grid)
 

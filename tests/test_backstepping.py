@@ -1,9 +1,15 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.integrate import cumulative_simpson
 
+import iss_parabolic
 from iss_parabolic import (
     BoundarySignal,
     ClosedLoopConstants,
@@ -27,7 +33,10 @@ from iss_parabolic import (
     transform_commutation_residual,
 )
 from iss_parabolic.backstepping import (
+    KERNEL_ITERATION_CAP,
+    KERNEL_ITERATION_TOL,
     VolterraKernel,
+    _cumulative_simpson,
     _random_smooth_fields,
     write_kernel_csv,
 )
@@ -114,6 +123,70 @@ class TestKernelSynthesis:
         n = kernel_grid.n_nodes
         assert lines[0] == "z,s,k_value"
         assert len(lines) == 1 + n * (n + 1) // 2
+
+
+@pytest.mark.parametrize("n", list(range(3, 13)) + [1001, 2001])
+@pytest.mark.parametrize("axis", [0, 1])
+def test_cumulative_simpson_matches_scipy_bitwise(n, axis):
+    rng = np.random.default_rng(n)
+    y = rng.standard_normal((n, 5))
+    y.flat[rng.choice(y.size, 4, replace=False)] = [0.0, -0.0, 1e300, -1e300]
+    if axis == 1:
+        y = np.ascontiguousarray(y.T)
+    h = 1.0 / (n - 1)
+    expected = cumulative_simpson(y, dx=h, axis=axis, initial=0.0)
+    actual = _cumulative_simpson(y, h, axis, np.empty_like(y), np.empty_like(y))
+    assert np.all(np.isfinite(expected))
+    assert np.array_equal(actual, expected)
+    assert np.array_equal(np.signbit(actual), np.signbit(expected))
+
+
+def _reference_solve_kernel(a, k_reaction, grid):
+    """Picard iteration on the characteristic rectangle with scipy's quadrature."""
+    lam = k_reaction / a
+    h = grid.h
+    n_eta = grid.n_nodes
+    n_xi = 2 * (grid.n_interior + 1) + 1
+    xi = np.arange(n_xi) * h
+    eta = np.arange(n_eta) * h
+    base = (lam / 4.0) * (xi[:, None] - eta[None, :])
+    F = base.copy()
+    diag = np.arange(n_eta)
+    for _ in range(KERNEL_ITERATION_CAP):
+        inner = cumulative_simpson(F, dx=h, axis=1, initial=0.0)
+        outer = cumulative_simpson(inner, dx=h, axis=0, initial=0.0)
+        new = base + (lam / 4.0) * (outer - outer[diag, diag][None, :])
+        change = float(np.max(np.abs(new - F)))
+        F = new
+        if change < KERNEL_ITERATION_TOL:
+            break
+    else:
+        raise AssertionError("reference kernel iteration did not converge")
+    samples = np.zeros((n_eta, n_eta))
+    ii, jj = np.meshgrid(diag, diag, indexing="ij")
+    mask = jj >= ii
+    samples[mask] = F[2 * (grid.n_interior + 1) - ii[mask] - jj[mask], jj[mask] - ii[mask]]
+    return samples
+
+
+@pytest.mark.parametrize("n_interior", [39, 40], ids=["odd_nodes", "even_nodes"])
+@pytest.mark.parametrize("k_reaction", [10.0, 25.0, -8.0, 0.0])
+def test_solve_kernel_matches_reference_iteration_bitwise(n_interior, k_reaction):
+    grid = Grid1D(n_interior=n_interior, dt=2e-4, t_final=0.1)
+    actual = solve_kernel(1.0, k_reaction, grid).samples
+    reference = _reference_solve_kernel(1.0, k_reaction, grid)
+    assert np.array_equal(actual, reference)
+    assert np.array_equal(np.signbit(actual), np.signbit(reference))
+
+
+def test_package_import_leaves_scipy_integrate_unloaded():
+    src = str(Path(iss_parabolic.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = "import iss_parabolic, sys; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True, timeout=120
+    )
+    assert out.stdout.strip() == "False"
 
 
 class TestInverseKernel:
