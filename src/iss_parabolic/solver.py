@@ -14,11 +14,13 @@ turns the comparison principle into an executable oracle downstream.
 
 ``simulate`` and the closed loop in ``backstepping`` both run the one
 stepping loop ``_march``: one factorization per run; state feedback enters
-through the boundary callback.
+through the boundary callback.  Each level is built and solved in place in
+its row of the history, and one scalar finiteness test per step is exact.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
@@ -168,6 +170,10 @@ def _march(
     returns the Dirichlet values (left, right) of level m + 1 given the
     state x at level m.  The reaction gradient is the central difference;
     at nodes next to the boundary it uses the known Dirichlet neighbor.
+    Level m + 1 is built and solved in place in its history row; testing
+    only its first interior value is exact, because back substitution
+    multiplies each unknown into the one above it by du = -r != 0, so a NaN
+    or inf anywhere in the solve or the boundary values reaches that value.
     """
     grid = problem.initial.grid
     h = grid.h
@@ -182,16 +188,18 @@ def _march(
     for m in range(n_steps):
         x = data[m]
         left, right = boundary(m, x)
-        rhs = x[1:-1].copy()
+        rhs = data[m + 1, 1:-1]
+        rhs[:] = x[1:-1]
         if problem.reaction is not None:
             rhs += dt * problem.reaction(nodes, x[1:-1], (x[2:] - x[:-2]) / (2.0 * h))
         rhs[0] += r * left
         rhs[-1] += r * right
-        interior, info = dgttrs(dl, d, du, du2, ipiv, rhs)
-        if info != 0 or not np.all(np.isfinite(interior)):
+        out, info = dgttrs(dl, d, du, du2, ipiv, rhs, overwrite_b=1)
+        if out is not rhs:
+            rhs[:] = out
+        if info != 0 or not math.isfinite(rhs[0]):
             raise NumericalError(f"step {m + 1} of {n_steps} produced non-finite values")
         data[m + 1, 0] = left
-        data[m + 1, 1:-1] = interior
         data[m + 1, -1] = right
     data.setflags(write=False)
     return data

@@ -11,6 +11,7 @@ from iss_parabolic import (
     IncompatibleDataError,
     InvalidParameterError,
     MonotonicityLossError,
+    NumericalError,
     SemilinearProblem,
     check_ordering,
     norm_lp,
@@ -21,6 +22,7 @@ from iss_parabolic import (
     solve_kernel,
     write_trajectory_csv,
 )
+from iss_parabolic import solver
 from conftest import eigenfield, heat_problem
 
 PI2 = math.pi**2
@@ -228,6 +230,17 @@ def _heat_sampled_case():
     return _open_loop_case(problem, grid)
 
 
+def _heat_sampled_n199_case():
+    grid = Grid1D(n_interior=199, dt=1e-4, t_final=0.05)
+    times = grid.times()
+    d0 = BoundarySignal.sampled(times[::4], 0.5 * np.sin(11.0 * times[::4]))
+    d1 = BoundarySignal.sampled(times[::5], -0.3 + 0.4 * np.cos(5.0 * times[::5]))
+    z = grid.nodes
+    x0 = d0(0.0) * (1 - z) + d1(0.0) * z + 0.7 * np.sin(2.0 * np.pi * z)
+    problem = SemilinearProblem(a=1.0, initial=Field(x0, grid), boundary_left=d0, boundary_right=d1)
+    return _open_loop_case(problem, grid)
+
+
 def _cubic_case():
     grid = Grid1D(n_interior=47, dt=1e-3, t_final=0.2)
     problem = SemilinearProblem(
@@ -273,13 +286,56 @@ def _closed_loop_case():
 
 @pytest.mark.parametrize(
     "case",
-    [_heat_sampled_case, _cubic_case, _gradient_case, _closed_loop_case],
-    ids=["heat_sampled", "cubic", "gradient", "closed_loop_n15"],
+    [_heat_sampled_case, _cubic_case, _gradient_case, _closed_loop_case, _heat_sampled_n199_case],
+    ids=["heat_sampled", "cubic", "gradient", "closed_loop_n15", "heat_both_sampled_n199"],
 )
 def test_prefactored_march_matches_reference_scheme_bitwise(case):
     actual, reference = case()
     assert np.all(np.isfinite(reference))
     assert np.array_equal(actual, reference)
+
+
+@pytest.mark.parametrize("case", [_heat_sampled_case, _cubic_case], ids=["heat_sampled", "cubic"])
+def test_march_keeps_a_solution_lapack_returns_in_a_new_array(case, monkeypatch):
+    # f2py may copy the right-hand side instead of solving in place; the
+    # march must then take the returned array, not its own unsolved row.
+    lapack_dgttrs = solver.dgttrs
+    calls = []
+
+    def copying_dgttrs(dl, d, du, du2, ipiv, b, **kwargs):
+        calls.append(1)
+        return lapack_dgttrs(dl, d, du, du2, ipiv, b.copy(), **kwargs)
+
+    monkeypatch.setattr(solver, "dgttrs", copying_dgttrs)
+    actual, reference = case()
+    assert calls
+    assert np.array_equal(actual, reference)
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan], ids=["inf", "nan"])
+def test_non_finite_reaction_stops_at_its_step(bad):
+    grid = Grid1D(n_interior=31, dt=1e-3, t_final=0.05)
+    k = 7
+    calls = []
+
+    def reaction(z, w, g):
+        calls.append(1)
+        out = -w
+        if len(calls) >= k:
+            out[-1] = bad
+        return out
+
+    problem = SemilinearProblem(
+        a=1.0,
+        initial=Field.from_function(grid, lambda z: np.sin(np.pi * z)),
+        boundary_left=BoundarySignal.zero(),
+        boundary_right=BoundarySignal.zero(),
+        reaction=reaction,
+        lipschitz_k=1.0,
+    )
+    with pytest.raises(NumericalError, match=rf"^step {k} of {grid.n_steps} produced non-finite values$"):
+        simulate(problem, grid)
+    assert len(calls) == k
 
 
 class TestControlSystemAxioms:
