@@ -68,7 +68,6 @@ from .norms import norm_lp, norm_weighted_sin, norm_weighted_sup
 from .solver import (
     BoundarySignal,
     SemilinearProblem,
-    residual,
     simulate,
     write_trajectory_csv,
 )

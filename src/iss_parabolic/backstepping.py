@@ -59,14 +59,7 @@ from .errors import (
 )
 from .grid import Field, Grid1D, Trajectory, _frozen, format_floats, write_csv
 from .norms import lp_norms
-from .solver import (
-    COMPATIBILITY_TOL,
-    BoundarySignal,
-    SemilinearProblem,
-    _check_step_restriction,
-    _march,
-    pde_residual_field,
-)
+from .solver import COMPATIBILITY_TOL, BoundarySignal, SemilinearProblem, _march, pde_residual_field
 
 KERNEL_ITERATION_TOL = 1e-10
 KERNEL_ITERATION_CAP = 200
@@ -295,7 +288,7 @@ class ClosedLoopRun:
     """Closed-loop plant trajectory with its transformed (target) image.
 
     ``disturbance`` records the actuator error d(t_k); the applied control
-    u(t_k) is ``y_traj.boundary_left``.
+    u(t_k) is ``y_traj.boundary_left`` (``y_traj.problem`` is None).
     """
 
     y_traj: Trajectory
@@ -317,11 +310,13 @@ def simulate_closed_loop(
     current state (feedback explicit, diffusion implicit, matching the IMEX
     split), so the transformed trajectory satisfies x(t, 0) = d(t) up to an
     O(dt) lag.  The transformed image is recorded alongside the plant state.
-    ``kernel`` is the plant's kernel from ``solve_kernel``.
+    ``kernel`` is the plant's kernel from ``solve_kernel``.  The stepper
+    refuses dt |k_reaction| >= 1 with ``MonotonicityLossError``.
     """
+    if not a > 0.0:
+        raise InvalidParameterError(f"diffusion coefficient must be positive, got {a}")
     if y0.grid != grid:
         raise InvalidParameterError("initial state lives on a different grid")
-    _check_step_restriction(grid.dt, abs(k_reaction))
     if kernel.grid != grid or abs(kernel.lam - k_reaction / a) > 1e-12:
         raise InvalidParameterError("kernel does not match the requested plant")
     if abs(y0.values[-1]) > COMPATIBILITY_TOL:
@@ -334,23 +329,14 @@ def simulate_closed_loop(
         )
 
     kr = float(k_reaction)
-    reaction = lambda z, w, grad: kr * w  # noqa: E731 - local closure, not exported
-    problem = SemilinearProblem(
-        a=a,
-        initial=y0,
-        boundary_left=BoundarySignal.constant(y0.values[0]),
-        boundary_right=BoundarySignal.zero(),
-        reaction=reaction,
-        lipschitz_k=abs(kr),
-    )
     times = grid.times()
     d_values = d(times)
     row0 = kernel.matrix[0]
     data = _march(
-        problem, y0.values, grid.n_steps, grid.dt,
+        grid, a, lambda z, w, grad: kr * w, abs(kr), y0.values,
         lambda m, y: (d_values[m + 1] - float(row0 @ y), 0.0),
     )
-    y_traj = Trajectory(grid=grid, times=times, data=data, problem=problem)
+    y_traj = Trajectory(grid=grid, times=times, data=data)
 
     x_data = data + data @ kernel.matrix.T
     x_data.setflags(write=False)
@@ -376,7 +362,7 @@ def transform_commutation_residual(run: ClosedLoopRun) -> float:
     """
     x = run.x_traj
     start = min(int(BURN_FRACTION * (len(x) - 1)), len(x) - 3)
-    res = pde_residual_field(x.data[start:], x.times[start:], x.grid.nodes, x.problem.a, None)
+    res = pde_residual_field(x.data[start:], x.times[start:], x.grid.nodes, x.problem.a)
     return float(res.max())
 
 

@@ -163,11 +163,8 @@ class DecayReport:
     """L^p Lyapunov decay certificate for the zero-input heat equation."""
 
     p: float
-    v_rate: float
     norm_rate: float
     times: np.ndarray
-    v: np.ndarray
-    dv_dt: np.ndarray
     norm_lhs: np.ndarray
     norm_rhs: np.ndarray
     margin_v_rel: float
@@ -210,11 +207,8 @@ def lyapunov_decay_certificate(problem: SemilinearProblem, grid: Grid1D, p: floa
 
     return DecayReport(
         p=p,
-        v_rate=v_rate,
         norm_rate=norm_rate,
         times=traj.times,
-        v=v,
-        dv_dt=dv,
         norm_lhs=norms,
         norm_rhs=norm_rhs,
         margin_v_rel=margin_v,

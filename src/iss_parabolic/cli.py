@@ -21,7 +21,7 @@ from .runner import (
     run_scenario,
     run_suite,
 )
-from .scenarios import parse_scenario
+from .scenarios import nonnegative_int, parse_scenario
 
 SUMMARY_HEADER = "name,kind,pass,min_margin,wall_ms"
 
@@ -40,7 +40,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument(target)
         p.add_argument("--out", default=None, help="output root (default $ISS_PARABOLIC_OUT or ./out)")
         p.add_argument("--tol", type=float, default=None, help="override the check tolerance")
-        p.add_argument("--seed", type=int, default=None, help="override the scenario seed")
+        p.add_argument("--seed", type=nonnegative_int, default=None, help="override the scenario seed")
         p.add_argument("--no-plots", action="store_true", help="skip SVG plot emission")
     return parser
 

@@ -176,23 +176,8 @@ class Trajectory:
         return Field(self.data[k], self.grid)
 
     @property
-    def initial_state(self) -> Field:
-        return self.state(0)
-
-    @property
     def final_state(self) -> Field:
         return self.state(len(self) - 1)
-
-    def truncated(self, t_max: float) -> "Trajectory":
-        """Restrict to recorded times <= t_max (t_max >= first step)."""
-        keep = int(np.searchsorted(self.times, t_max + 1e-12, side="right"))
-        keep = max(keep, 2)
-        return Trajectory(
-            grid=self.grid,
-            times=self.times[:keep],
-            data=self.data[:keep],
-            problem=self.problem,
-        )
 
 
 def format_floats(values) -> list[str]:

@@ -7,7 +7,7 @@ fail loudly::
     name = eigen_decay          # output directory name [file stem]
     kind = simulate             # simulate | sandwich | iss_check | lyapunov
                                 # | kernel_synthesis | backstepping_loop
-    seed = 42                   # drives every randomized input
+    seed = 42                   # drives every randomized input; >= 0
 
     [grid]
     n_interior = 199
@@ -32,20 +32,22 @@ fail loudly::
 
 Check-key catalog.  ``tol`` is each kind's one check tolerance; when the
 scenario omits it and ``--tol`` does not set it, the default in brackets
-applies.  ``logy`` [true] picks the plot's y axis for every kind.
+applies.  ``logy`` [true] picks the plot's y axis for every kind, and ``p``
+[2], wherever a kind reads it, the L^p norm: p >= 1, ``inf`` allowed.
 
-- simulate: ``p`` [2] picks the L^p norm; with ``decay_rate`` the fitted
-  rate must match it to relative error ``tol`` [0.02], without it nothing
-  is checked.
+- simulate: ``p`` picks the norm; with ``decay_rate`` (> 0, finite) the
+  fitted rate must match it to relative error ``tol`` [0.02], without it
+  nothing is checked.
 - sandwich: ``epsilon`` [0.05] widens the constant bracket; ``tol`` is the
   ordering slack [monotone.DEFAULT_ORDERING_TOL = 1e-10].
 - iss_check: ``estimate`` [l2] | weighted_l1 | weighted_sup, ``tol`` its
   relative slack [0.02]; weighted_l1 reads ``gain_override``, weighted_sup
   reads ``sigma`` and ``theta`` [default_weighted_sup_params].
-- lyapunov: ``p`` [2]; ``tol`` is the certificate's relative slack [0.02].
+- lyapunov: ``p`` in (2, inf); ``tol`` is the certificate's relative slack
+  [0.02].
 - kernel_synthesis: ``tol`` bounds the sup distance to the series oracle
   [1e-6]; the inverse-kernel round trip on 20 random fields is held to 1e-8.
-- backstepping_loop: ``p`` [2] picks the norm.  ``mode = open`` requires
+- backstepping_loop: ``p`` picks the norm.  ``mode = open`` requires
   tenfold norm growth (no tolerance); closed with ``d0 = zero`` the fitted
   rate must match a*pi^2 to relative error ``tol`` [0.05]; closed with a
   disturbance ``tol`` is the ISS certificate's relative slack [1e-6].
@@ -133,6 +135,27 @@ def _choice(*allowed: str):
     return parse
 
 
+def nonnegative_int(raw: str) -> int:
+    value = int(raw)
+    if value < 0:
+        raise ValueError(f"expected an integer >= 0, got {value}")
+    return value
+
+
+def _positive(raw: str) -> float:
+    value = float(raw)
+    if not (value > 0.0 and math.isfinite(value)):
+        raise ValueError(f"expected a finite number > 0, got {value}")
+    return value
+
+
+def _norm_exponent(raw: str) -> float:
+    value = float(raw)
+    if not value >= 1.0:
+        raise ValueError(f"expected p >= 1 or inf, got {value}")
+    return value
+
+
 def _boolean(raw: str) -> bool:
     try:
         return configparser.ConfigParser.BOOLEAN_STATES[raw.strip().lower()]
@@ -143,12 +166,12 @@ def _boolean(raw: str) -> bool:
 # The only key table: section -> key -> parser.  The grid keys build the
 # Grid1D; every other key is a Scenario field of the same name.
 _SECTION_KEYS = {
-    "scenario": {"name": str.strip, "kind": _choice(*KINDS), "seed": int},
+    "scenario": {"name": str.strip, "kind": _choice(*KINDS), "seed": nonnegative_int},
     "grid": {"n_interior": int, "dt": float, "t_final": float},
     "problem": {"a": float, "k_reaction": float, "reaction": str, "initial": str, "d0": str, "d1": str},
     "check": {
-        "estimate": _choice("weighted_l1", "l2", "weighted_sup"), "p": float, "sigma": float,
-        "theta": float, "tol": float, "epsilon": float, "decay_rate": float,
+        "estimate": _choice("weighted_l1", "l2", "weighted_sup"), "p": _norm_exponent, "sigma": float,
+        "theta": float, "tol": float, "epsilon": float, "decay_rate": _positive,
         "gain_override": float, "logy": _boolean,
     },
     "loop": {"mode": _choice("open", "closed")},

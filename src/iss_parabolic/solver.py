@@ -8,20 +8,21 @@ The problem class is
 stepped with backward-Euler diffusion (tridiagonal elimination) and an
 explicit reaction term.  The implicit matrix I + (a dt / h^2) T is an
 M-matrix, so each step is order preserving provided the explicit reaction
-map w -> w + dt f(z, w, .) is monotone in w; the constructor-enforced
-restriction dt * lipschitz_k < 1 guards that.  Order preservation is what
-turns the comparison principle into an executable oracle downstream.
+map w -> w + dt f(z, w, .) is monotone in w; the stepper's restriction
+dt * lipschitz_k < 1 guards that.  Order preservation is what turns the
+comparison principle into an executable oracle downstream.
 
 ``simulate`` and the closed loop in ``backstepping`` both run the one
-stepping loop ``_march``: one factorization per run; state feedback enters
-through the boundary callback.  Each level is built and solved in place in
-its row of the history, and one scalar finiteness test per step is exact.
+stepping loop ``_march`` on a grid and an operator: one factorization per
+run; state feedback enters through the boundary callback.  Each level is
+built and solved in place in its history row, and one scalar finiteness
+test per step is exact.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -56,7 +57,7 @@ class BoundarySignal:
     value: float = 0.0
     sample_times: Optional[np.ndarray] = None
     sample_values: Optional[np.ndarray] = None
-    sup_norm: float = 0.0
+    sup_norm: float = field(init=False)
 
     def __post_init__(self) -> None:
         if self.kind == "constant":
@@ -147,38 +148,40 @@ class SemilinearProblem:
         return replace(self, initial=initial, boundary_left=left, boundary_right=right)
 
 
-def _check_step_restriction(dt: float, lipschitz_k: float) -> None:
+def _march(
+    grid: Grid1D,
+    a: float,
+    reaction: Optional[Reaction],
+    lipschitz_k: float,
+    x0: np.ndarray,
+    boundary: Callable[[int, np.ndarray], tuple[float, float]],
+) -> np.ndarray:
+    """Take grid.n_steps IMEX steps of x_t = a x_zz + reaction from x0 and
+    return every level, row m = level m.
+
+    Refuses to step (``MonotonicityLossError``) unless dt * lipschitz_k < 1:
+    otherwise the explicit reaction update would no longer preserve nodewise
+    order.  Each step applies the explicit reaction, then solves the
+    implicit diffusion with I + r tridiag(-1, 2, -1), r = a dt / h^2,
+    factored once (LAPACK dgttrf) and reused for every step (dgttrs).
+    ``boundary(m, x)`` returns the Dirichlet values (left, right) of level
+    m + 1 given the state x at level m.  The reaction gradient is the
+    central difference; at nodes next to the boundary it uses the known
+    Dirichlet neighbor.  Level m + 1 is built and solved in place in its
+    history row; testing only its first interior value is exact, because
+    back substitution multiplies each unknown into the one above it by
+    du = -r != 0, so a NaN or inf anywhere in the solve or the boundary
+    values reaches that value.
+    """
+    dt, n_steps = grid.dt, grid.n_steps
     if dt * lipschitz_k >= 1.0:
         raise MonotonicityLossError(
             f"time step dt={dt} violates dt * lipschitz_k < 1 (k={lipschitz_k}); "
             "refusing to step because order preservation would be lost"
         )
-
-
-def _march(
-    problem: SemilinearProblem,
-    x0: np.ndarray,
-    n_steps: int,
-    dt: float,
-    boundary: Callable[[int, np.ndarray], tuple[float, float]],
-) -> np.ndarray:
-    """Take n_steps IMEX steps from x0 and return every level, row m = level m.
-
-    Each step applies the explicit reaction, then solves the implicit
-    diffusion with I + r tridiag(-1, 2, -1), r = a dt / h^2, factored once
-    (LAPACK dgttrf) and reused for every step (dgttrs).  ``boundary(m, x)``
-    returns the Dirichlet values (left, right) of level m + 1 given the
-    state x at level m.  The reaction gradient is the central difference;
-    at nodes next to the boundary it uses the known Dirichlet neighbor.
-    Level m + 1 is built and solved in place in its history row; testing
-    only its first interior value is exact, because back substitution
-    multiplies each unknown into the one above it by du = -r != 0, so a NaN
-    or inf anywhere in the solve or the boundary values reaches that value.
-    """
-    grid = problem.initial.grid
     h = grid.h
     n = grid.n_interior
-    r = problem.a * dt / h**2
+    r = a * dt / h**2
     off = np.full(n - 1, -r)
     # Strictly diagonally dominant, so the factorization cannot break down.
     dl, d, du, du2, ipiv, _ = dgttrf(off, np.full(n, 1.0 + 2.0 * r), off)
@@ -190,8 +193,8 @@ def _march(
         left, right = boundary(m, x)
         rhs = data[m + 1, 1:-1]
         rhs[:] = x[1:-1]
-        if problem.reaction is not None:
-            rhs += dt * problem.reaction(nodes, x[1:-1], (x[2:] - x[:-2]) / (2.0 * h))
+        if reaction is not None:
+            rhs += dt * reaction(nodes, x[1:-1], (x[2:] - x[:-2]) / (2.0 * h))
         rhs[0] += r * left
         rhs[-1] += r * right
         out, info = dgttrs(dl, d, du, du2, ipiv, rhs, overwrite_b=1)
@@ -209,25 +212,18 @@ def simulate(problem: SemilinearProblem, grid: Grid1D) -> Trajectory:
     """Run the IMEX scheme over the grid horizon and record every state."""
     if problem.initial.grid != grid:
         raise InvalidParameterError("problem initial data lives on a different grid")
-    _check_step_restriction(grid.dt, problem.lipschitz_k)
     times = grid.times()
     left = problem.boundary_left(times)
     right = problem.boundary_right(times)
     data = _march(
-        problem, problem.initial.values, grid.n_steps, grid.dt,
+        grid, problem.a, problem.reaction, problem.lipschitz_k, problem.initial.values,
         lambda m, x: (left[m + 1], right[m + 1]),
     )
     return Trajectory(grid=grid, times=times, data=data, problem=problem)
 
 
-def pde_residual_field(
-    data: np.ndarray,
-    times: np.ndarray,
-    nodes: np.ndarray,
-    a: float,
-    reaction: Optional[Reaction],
-) -> np.ndarray:
-    """|x_t - a x_zz - f| at interior nodes and interior times.
+def pde_residual_field(data: np.ndarray, times: np.ndarray, nodes: np.ndarray, a: float) -> np.ndarray:
+    """|x_t - a x_zz| at interior nodes and interior times.
 
     Central differences in both variables; rows index the interior time
     levels times[1:-1].
@@ -236,24 +232,7 @@ def pde_residual_field(
     h = nodes[1] - nodes[0]
     x_t = (data[2:] - data[:-2]) / (2.0 * dt)
     x_zz = (data[1:-1, :-2] - 2.0 * data[1:-1, 1:-1] + data[1:-1, 2:]) / h**2
-    res = x_t[:, 1:-1] - a * x_zz
-    if reaction is not None:
-        mid = data[1:-1]
-        grad = (mid[:, 2:] - mid[:, :-2]) / (2.0 * h)
-        res = res - reaction(nodes[np.newaxis, 1:-1], mid[:, 1:-1], grad)
-    return np.abs(res)
-
-
-def residual(problem: SemilinearProblem, traj: Trajectory) -> float:
-    """A posteriori operator residual of a trajectory.
-
-    Converges to zero at order min(dt, h^2) for smooth compatible data, so
-    it doubles as a convergence-order probe under grid refinement.
-    """
-    if len(traj) < 3:
-        raise InvalidParameterError("residual needs at least three recorded times")
-    res = pde_residual_field(traj.data, traj.times, traj.grid.nodes, problem.a, problem.reaction)
-    return float(res.max())
+    return np.abs(x_t[:, 1:-1] - a * x_zz)
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:

@@ -261,6 +261,13 @@ class TestClosedLoop:
         with pytest.raises(IncompatibleDataError):
             simulate_closed_loop(1.0, 10.0, bad, BoundarySignal.zero(), kernel_grid, kernel=kernel10)
 
+    @pytest.mark.parametrize("a, k_reaction", [(0.0, 10.0), (-1.0, -10.0)])
+    def test_nonpositive_diffusion_rejected(self, kernel_grid, kernel10, a, k_reaction):
+        # (-1, -10) has kernel10's ratio k_reaction / a, so only the sign of a is wrong
+        zero = Field.zeros(kernel_grid)
+        with pytest.raises(InvalidParameterError):
+            simulate_closed_loop(a, k_reaction, zero, BoundarySignal.zero(), kernel_grid, kernel=kernel10)
+
     def test_open_loop_unstable_closed_loop_stabilized(self):
         grid = Grid1D(n_interior=99, dt=2e-4, t_final=0.5)
         k_reaction = 15.0
@@ -344,16 +351,8 @@ class TestFlipEquivalence:
         omega = np.full(grid.n_nodes, h)
         omega[0] = omega[-1] = h / 2.0
         fb_row = omega * flipped_kernel[-1]
-        problem = SemilinearProblem(
-            a=a,
-            initial=Field(y0.values[::-1], grid),
-            boundary_left=BoundarySignal.zero(),
-            boundary_right=BoundarySignal.constant(y0.values[0]),
-            reaction=lambda z, w, g: kr * w,
-            lipschitz_k=kr,
-        )
         flipped = _march(
-            problem, y0.values[::-1], grid.n_steps, grid.dt,
+            grid, a, lambda z, w, g: kr * w, kr, y0.values[::-1],
             lambda m, y: (0.0, -float(fb_row @ y)),
         )[:, ::-1]
         assert np.max(np.abs(flipped - run.y_traj.data)) < 1e-10

@@ -11,6 +11,7 @@ from iss_parabolic import (
     InapplicableEstimateError,
     InvalidParameterError,
     SemilinearProblem,
+    Trajectory,
     check_fitted_lp,
     check_l2,
     check_weighted_l1,
@@ -219,7 +220,8 @@ class TestFittedConstants:
     def test_truncation_keeps_constants_valid(self, grid_medium):
         runs = self._scenarios(grid_medium)
         constants = estimate_exp_iss_constants(runs, p=2.0)
-        short = runs[0].truncated(0.1)
+        keep = runs[0].times <= 0.1
+        short = Trajectory(grid=grid_medium, times=runs[0].times[keep], data=runs[0].data[keep])
         assert check_fitted_lp(short, constants).margin >= 0.0
 
     def test_insufficient_coverage_rejected(self, grid_small):

@@ -137,6 +137,21 @@ class TestScenarioParsing:
             with pytest.raises(ScenarioError):
                 parse_scenario(_write(tmp_path / "bad.scn", bad))
 
+    @pytest.mark.parametrize(
+        "line",
+        ["decay_rate = 0", "decay_rate = -1", "decay_rate = inf", "decay_rate = nan", "p = 0.5", "p = nan", "seed = -1"],
+    )
+    def test_out_of_domain_value_rejected(self, tmp_path, line):
+        key = line.split(" = ")[0]
+        old = "seed = 9" if key == "seed" else "decay_rate = 9.869604401089358"
+        text = FAST_SCENARIO.format(name="x").replace(old, line)
+        with pytest.raises(ScenarioError, match=rf"\.{key}: "):
+            parse_scenario(_write(tmp_path / "bad.scn", text))
+
+    def test_infinite_p_accepted(self, tmp_path):
+        text = FAST_SCENARIO.format(name="x").replace("decay_rate = 9.869604401089358", "p = inf")
+        assert parse_scenario(_write(tmp_path / "s.scn", text)).p == float("inf")
+
     def test_file_signal_roundtrip(self, tmp_path):
         table = tmp_path / "sig.csv"
         table.write_text("t,value\n0.0,0.0\n0.1,0.5\n0.2,0.25\n")
@@ -170,6 +185,17 @@ class TestRunCommand:
     def test_parse_error_exit_two(self, tmp_path):
         bad = _write(tmp_path / "bad.scn", "[scenario]\nname = b\nkind = nope\n")
         assert main(["run", str(bad), "--out", str(tmp_path / "out")]) == 2
+
+    def test_nonpositive_decay_rate_exit_two(self, tmp_path):
+        text = FAST_SCENARIO.format(name="z").replace("decay_rate = 9.869604401089358", "decay_rate = 0")
+        scn = _write(tmp_path / "z.scn", text)
+        assert main(["run", str(scn), "--out", str(tmp_path / "out")]) == 2
+
+    def test_negative_seed_flag_exit_two(self, tmp_path):
+        scn = _write(tmp_path / "ok.scn", FAST_SCENARIO.format(name="ok"))
+        with pytest.raises(SystemExit) as exc:
+            main(["run", str(scn), "--out", str(tmp_path / "out"), "--seed", "-3"])
+        assert exc.value.code == 2
 
     def test_no_plots_flag(self, tmp_path):
         scn = _write(tmp_path / "ok.scn", FAST_SCENARIO.format(name="ok"))
@@ -246,6 +272,17 @@ class TestSuiteCommand:
         assert len(out) == 3  # header + both scenarios
         assert out[1].startswith("a_ok,simulate,true,")
         assert out[2].startswith("b_fail,simulate,false,")
+
+    def test_zero_decay_rate_fails_only_its_file(self, tmp_path, capsys):
+        _write(tmp_path / "a_zero.scn", FAST_SCENARIO.format(name="a_zero").replace(
+            "decay_rate = 9.869604401089358", "decay_rate = 0"
+        ))
+        _write(tmp_path / "b_ok.scn", FAST_SCENARIO.format(name="b_ok"))
+        code = main(["suite", str(tmp_path), "--out", str(tmp_path / "out"), "--no-plots"])
+        assert code == 1
+        out = capsys.readouterr().out.splitlines()
+        assert out[1].startswith("a_zero,?,false,-inf,")
+        assert out[2].startswith("b_ok,simulate,true,")
 
     def test_parse_error_in_suite_marks_failure(self, tmp_path):
         _write(tmp_path / "a_ok.scn", FAST_SCENARIO.format(name="a_ok"))

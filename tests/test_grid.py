@@ -86,15 +86,6 @@ class TestTrajectory:
         with pytest.raises(InvalidParameterError):
             self._make(grid, data, times=np.array([1e-3, 2e-3, 3e-3]))
 
-    def test_truncation_keeps_prefix(self):
-        grid = Grid1D(n_interior=9, dt=1e-3, t_final=0.1)
-        data = np.arange(5 * grid.n_nodes, dtype=float).reshape(5, grid.n_nodes)
-        traj = self._make(grid, data)
-        short = traj.truncated(2.5e-3)
-        assert len(short) == 3
-        assert np.array_equal(short.data, traj.data[:3])
-        assert short.times[0] == 0.0
-
     def test_data_copied_only_while_writeable(self):
         grid = Grid1D(n_interior=9, dt=1e-3, t_final=0.1)
         data = np.ones((3, grid.n_nodes))

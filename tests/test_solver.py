@@ -15,7 +15,6 @@ from iss_parabolic import (
     SemilinearProblem,
     check_ordering,
     norm_lp,
-    residual,
     compatible_initial_state,
     simulate,
     simulate_closed_loop,
@@ -23,6 +22,7 @@ from iss_parabolic import (
     write_trajectory_csv,
 )
 from iss_parabolic import solver
+from iss_parabolic.solver import pde_residual_field
 from conftest import eigenfield, heat_problem
 
 PI2 = math.pi**2
@@ -86,6 +86,14 @@ class TestProblemValidation:
         with pytest.raises(MonotonicityLossError):
             simulate(problem, grid)
 
+    @pytest.mark.parametrize("k_reaction", [10.0, -10.0])
+    def test_closed_loop_step_restriction_refused(self, k_reaction):
+        grid = Grid1D(n_interior=15, dt=0.1, t_final=0.2)  # dt |k_reaction| = 1
+        kernel = solve_kernel(1.0, k_reaction, grid)
+        y0 = compatible_initial_state(kernel, Field.from_function(grid, lambda z: np.sin(np.pi * z)))
+        with pytest.raises(MonotonicityLossError):
+            simulate_closed_loop(1.0, k_reaction, y0, BoundarySignal.zero(), grid, kernel=kernel)
+
 
 class TestStep:
     """One step: ``simulate`` over a one-step grid."""
@@ -129,7 +137,7 @@ class TestSimulate:
     def test_eigenfunction_decay_ratio(self):
         grid = Grid1D(n_interior=99, dt=1e-4, t_final=0.2)
         traj = simulate(heat_problem(grid, lambda z: np.sin(np.pi * z)), grid)
-        ratio = norm_lp(traj.final_state, 2.0) / norm_lp(traj.initial_state, 2.0)
+        ratio = norm_lp(traj.final_state, 2.0) / norm_lp(traj.state(0), 2.0)
         assert ratio == pytest.approx(math.exp(-PI2 * traj.times[-1]), rel=0.02)
 
     def test_subcritical_reaction_decays(self, grid_medium):
@@ -185,23 +193,22 @@ class TestSimulate:
         assert peak < 1.5 * traj.data.nbytes
 
 
-def _reference_march(problem, n_steps, dt, boundary):
+def _reference_march(grid, a, reaction, x0, boundary):
     """The scheme as first written: a fresh banded solve on every step."""
-    grid = problem.initial.grid
-    h, n = grid.h, grid.n_interior
-    r = problem.a * dt / h**2
+    h, n, dt = grid.h, grid.n_interior, grid.dt
+    r = a * dt / h**2
     ab = np.zeros((3, n))
     ab[0, 1:] = -r
     ab[1, :] = 1.0 + 2.0 * r
     ab[2, :-1] = -r
-    x = problem.initial.values.copy()
+    x = x0.copy()
     levels = [x]
-    for m in range(n_steps):
+    for m in range(grid.n_steps):
         left, right = boundary(m, x)
         rhs = x[1:-1].copy()
-        if problem.reaction is not None:
+        if reaction is not None:
             grad = (x[2:] - x[:-2]) / (2.0 * h)
-            rhs += dt * problem.reaction(grid.nodes[1:-1], x[1:-1], grad)
+            rhs += dt * reaction(grid.nodes[1:-1], x[1:-1], grad)
         rhs[0] += r * left
         rhs[-1] += r * right
         x = np.concatenate(([left], solve_banded((1, 1), ab, rhs), [right]))
@@ -216,7 +223,8 @@ def _open_loop_case(problem, grid):
         t1 = times[m + 1]
         return float(problem.boundary_left(t1)), float(problem.boundary_right(t1))
 
-    return simulate(problem, grid).data, _reference_march(problem, grid.n_steps, grid.dt, boundary)
+    reference = _reference_march(grid, problem.a, problem.reaction, problem.initial.values, boundary)
+    return simulate(problem, grid).data, reference
 
 
 def _heat_sampled_case():
@@ -280,7 +288,7 @@ def _closed_loop_case():
     def boundary(m, y):
         return float(d(times[m + 1])) - float(row0 @ y), 0.0
 
-    reference = _reference_march(run.y_traj.problem, grid.n_steps, grid.dt, boundary)
+    reference = _reference_march(grid, 1.0, lambda z, w, g: 10.0 * w, y0.values, boundary)
     return run.y_traj.data, reference
 
 
@@ -411,27 +419,23 @@ class TestComparisonPrinciple:
 
 class TestResidual:
     def test_zero_trajectory(self, grid_small):
-        problem = heat_problem(grid_small, lambda z: np.zeros_like(z))
-        assert residual(problem, simulate(problem, grid_small)) == 0.0
+        traj = simulate(heat_problem(grid_small, lambda z: np.zeros_like(z)), grid_small)
+        assert pde_residual_field(traj.data, traj.times, grid_small.nodes, 1.0).max() == 0.0
 
     def test_exact_solution_residual_small(self):
         # residual of the injected analytic eigen-solution is quadrature-level
         grid = Grid1D(n_interior=99, dt=1e-4, t_final=0.05)
         times = grid.times()
         data = np.exp(-PI2 * times)[:, None] * np.sin(np.pi * grid.nodes)[None, :]
-        from iss_parabolic import Trajectory
-
-        traj = Trajectory(grid=grid, times=times, data=data)
-        problem = heat_problem(grid, lambda z: np.sin(np.pi * z))
         # truncation error of central differences on the smooth solution
-        assert residual(problem, traj) < PI2**2 * (grid.h**2 + grid.dt)
+        assert pde_residual_field(data, times, grid.nodes, 1.0).max() < PI2**2 * (grid.h**2 + grid.dt)
 
     def test_refinement_drops_residual(self):
         values = []
         for n, dt in ((49, 4e-4), (99, 1e-4)):
             grid = Grid1D(n_interior=n, dt=dt, t_final=0.05)
-            problem = heat_problem(grid, lambda z: np.sin(np.pi * z))
-            values.append(residual(problem, simulate(problem, grid)))
+            traj = simulate(heat_problem(grid, lambda z: np.sin(np.pi * z)), grid)
+            values.append(pde_residual_field(traj.data, traj.times, grid.nodes, 1.0).max())
         assert values[0] / values[1] >= 1.8
 
 
