@@ -49,7 +49,7 @@ from functools import cached_property
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from .certify import ExpIssConstants, ISSReport, _finish_report
+from .certify import ExpIssConstants, ISSReport, evaluate_bound
 from .comparison import ExpLinearKL, LinearGain
 from .errors import (
     IncompatibleDataError,
@@ -447,18 +447,10 @@ def certify_closed_loop(
     disturbance = np.asarray(disturbance, dtype=float)
     if disturbance.shape != y_traj.times.shape:
         raise InvalidParameterError("disturbance samples must align with the trajectory times")
-    lhs = lp_norms(y_traj.data, y_traj.grid.h, iss.p)
-    run_d = np.maximum.accumulate(np.abs(disturbance))
-    amp = constants.k2 / constants.k1 * iss.m
-    rhs = amp * np.exp(-iss.sigma * y_traj.times) * lhs[0] + constants.k2 * iss.gamma * run_d
-    return _finish_report(
-        "closed_loop_lp", y_traj.times, lhs, rhs, tol,
-        beta=ExpLinearKL(amp, iss.sigma),
-        gain=LinearGain(constants.k2 * iss.gamma),
-        params={
-            "p": iss.p, "k1": constants.k1, "k2": constants.k2,
-            "m": iss.m, "sigma": iss.sigma, "gamma": iss.gamma,
-        },
+    return evaluate_bound(
+        "closed_loop_lp", y_traj.times, lp_norms(y_traj.data, y_traj.grid.h, iss.p),
+        ExpLinearKL(constants.k2 / constants.k1 * iss.m, iss.sigma), LinearGain(constants.k2 * iss.gamma),
+        np.maximum.accumulate(np.abs(disturbance)), tol,
     )
 
 

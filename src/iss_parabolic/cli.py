@@ -21,7 +21,7 @@ from .runner import (
     run_scenario,
     run_suite,
 )
-from .scenarios import nonnegative_int, parse_scenario
+from .scenarios import nonnegative_int, parse_scenario, positive_float
 
 SUMMARY_HEADER = "name,kind,pass,min_margin,wall_ms"
 
@@ -39,7 +39,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument(target)
         p.add_argument("--out", default=None, help="output root (default $ISS_PARABOLIC_OUT or ./out)")
-        p.add_argument("--tol", type=float, default=None, help="override the check tolerance")
+        p.add_argument("--tol", type=positive_float, default=None, help="override the check tolerance (> 0)")
         p.add_argument("--seed", type=nonnegative_int, default=None, help="override the scenario seed")
         p.add_argument("--no-plots", action="store_true", help="skip SVG plot emission")
     return parser

@@ -33,7 +33,9 @@ from .scenarios import (
     default_weighted_sup_params,
     make_initial,
     make_signal,
+    nonnegative_int,
     parse_scenario,
+    positive_float,
 )
 from .solver import BoundarySignal, SemilinearProblem, simulate, write_trajectory_csv
 from .svgplot import write_line_plot
@@ -240,6 +242,15 @@ _DISPATCH = {
 }
 
 
+def _overrides(tol, seed_override) -> dict:
+    """The given overrides as Scenario fields, parsed as the keys ``tol`` and ``seed`` are."""
+    given = (("tol", positive_float, tol), ("seed", nonnegative_int, seed_override))
+    try:
+        return {key: parse(str(value)) for key, parse, value in given if value is not None}
+    except ValueError as exc:
+        raise ScenarioError(f"bad override: {exc}") from exc
+
+
 def run_scenario(
     scenario: Scenario,
     out_root,
@@ -249,13 +260,11 @@ def run_scenario(
 ) -> ScenarioResult:
     """Execute one scenario; artifacts land in out_root/<name>/.
 
-    ``tol`` and ``seed_override`` replace the scenario's own values.
+    ``tol`` and ``seed_override`` replace the scenario's own values; an
+    out-of-domain override raises ``ScenarioError``.
     """
     start = time.perf_counter()
-    if tol is not None:
-        scenario = replace(scenario, tol=tol)
-    if seed_override is not None:
-        scenario = replace(scenario, seed=seed_override)
+    scenario = replace(scenario, **_overrides(tol, seed_override))
     out_dir = Path(out_root) / scenario.name
     out_dir.mkdir(parents=True, exist_ok=True)
     try:
@@ -279,8 +288,10 @@ def run_suite(directory, out_root, tol=None, no_plots=False, seed_override=None)
     """Run every scenario file in a directory; no fail-fast.
 
     Returns the per-scenario results and the suite exit code (0 all pass,
-    1 any failure, 2 empty or unreadable directory).
+    1 any failure, 2 empty or unreadable directory).  Out-of-domain
+    overrides raise ``ScenarioError`` before any scenario runs.
     """
+    _overrides(tol, seed_override)
     directory = Path(directory)
     if not directory.is_dir():
         return [], EXIT_CONFIG_ERROR

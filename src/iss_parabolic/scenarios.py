@@ -30,10 +30,11 @@ fail loudly::
     [loop]                      # backstepping_loop only
     mode = closed               # open | closed
 
-Check-key catalog.  ``tol`` is each kind's one check tolerance; when the
-scenario omits it and ``--tol`` does not set it, the default in brackets
-applies.  ``logy`` [true] picks the plot's y axis for every kind, and ``p``
-[2], wherever a kind reads it, the L^p norm: p >= 1, ``inf`` allowed.
+Check-key catalog.  ``tol`` (finite, > 0) is each kind's one check
+tolerance; when the scenario omits it and ``--tol`` does not set it, the
+default in brackets applies.  ``logy`` [true] picks the plot's y axis for
+every kind, and ``p`` [2], wherever a kind reads it, the L^p norm: p >= 1,
+``inf`` allowed.
 
 - simulate: ``p`` picks the norm; with ``decay_rate`` (> 0, finite) the
   fitted rate must match it to relative error ``tol`` [0.02], without it
@@ -41,8 +42,9 @@ applies.  ``logy`` [true] picks the plot's y axis for every kind, and ``p``
 - sandwich: ``epsilon`` [0.05] widens the constant bracket; ``tol`` is the
   ordering slack [monotone.DEFAULT_ORDERING_TOL = 1e-10].
 - iss_check: ``estimate`` [l2] | weighted_l1 | weighted_sup, ``tol`` its
-  relative slack [0.02]; weighted_l1 reads ``gain_override``, weighted_sup
-  reads ``sigma`` and ``theta`` [default_weighted_sup_params].
+  relative slack [0.02]; weighted_l1 reads ``gain_override`` (> 0,
+  finite), weighted_sup reads ``sigma`` and ``theta``
+  [default_weighted_sup_params].
 - lyapunov: ``p`` in (2, inf); ``tol`` is the certificate's relative slack
   [0.02].
 - kernel_synthesis: ``tol`` bounds the sup distance to the series oracle
@@ -142,7 +144,7 @@ def nonnegative_int(raw: str) -> int:
     return value
 
 
-def _positive(raw: str) -> float:
+def positive_float(raw: str) -> float:
     value = float(raw)
     if not (value > 0.0 and math.isfinite(value)):
         raise ValueError(f"expected a finite number > 0, got {value}")
@@ -171,8 +173,8 @@ _SECTION_KEYS = {
     "problem": {"a": float, "k_reaction": float, "reaction": str, "initial": str, "d0": str, "d1": str},
     "check": {
         "estimate": _choice("weighted_l1", "l2", "weighted_sup"), "p": _norm_exponent, "sigma": float,
-        "theta": float, "tol": float, "epsilon": float, "decay_rate": _positive,
-        "gain_override": float, "logy": _boolean,
+        "theta": float, "tol": positive_float, "epsilon": float, "decay_rate": positive_float,
+        "gain_override": positive_float, "logy": _boolean,
     },
     "loop": {"mode": _choice("open", "closed")},
 }

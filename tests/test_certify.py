@@ -5,6 +5,7 @@ import pytest
 
 from iss_parabolic import (
     BoundarySignal,
+    ClosedLoopConstants,
     EstimationError,
     Field,
     Grid1D,
@@ -16,10 +17,16 @@ from iss_parabolic import (
     check_l2,
     check_weighted_l1,
     check_weighted_sup,
+    certify_closed_loop,
+    compatible_initial_state,
+    estimate_equivalence_constants,
     estimate_exp_iss_constants,
     lyapunov_decay_certificate,
     norm_weighted_sin,
     simulate,
+    simulate_closed_loop,
+    solve_inverse_kernel,
+    solve_kernel,
 )
 from iss_parabolic.certify import write_report_csv, write_summary_csv
 from conftest import heat_problem
@@ -63,7 +70,7 @@ class TestWeightedL1:
         traj = simulate(_steady_unit_problem(grid), grid)
         report = check_weighted_l1(traj, gain_override=0.1)
         assert not report.passed
-        assert report.params["tampered"]
+        assert report.gain.c == 0.1  # the report carries the gain it was checked against
 
     def test_non_heat_rejected(self, grid_small):
         problem = SemilinearProblem(
@@ -95,7 +102,7 @@ class TestL2:
     def test_gain_is_inverse_sqrt_three(self, grid_small):
         traj = simulate(heat_problem(grid_small, lambda z: np.zeros_like(z)), grid_small)
         report = check_l2(traj)
-        assert report.params["gain"] == pytest.approx(1.0 / math.sqrt(3.0))
+        assert report.gain.c == pytest.approx(1.0 / math.sqrt(3.0))
 
     def test_constant_disturbance_gain_is_sharp(self):
         # steady state of d0 = 1, d1 = 0 is the ramp 1 - z with L2 norm 1/sqrt(3)
@@ -115,12 +122,17 @@ class TestWeightedSup:
         report = check_weighted_sup(traj, sigma=0.5 * PI2, theta=0.4)
         assert report.passed
 
-    def test_boundary_gain_formula(self, grid_small):
-        traj = simulate(heat_problem(grid_small, lambda z: np.zeros_like(z)), grid_small)
+    def test_boundary_gain_formula(self):
+        # constant d0 from its own steady ramp: once the decay term has died
+        # out the bound is the left boundary gain times |d0|
+        grid = Grid1D(n_interior=49, dt=2e-4, t_final=0.5)
+        d0 = -0.7
+        problem = heat_problem(grid, lambda z: d0 * (1.0 - z), d0=BoundarySignal.constant(d0))
         sigma, theta = 0.3 * PI2, 0.5
-        report = check_weighted_sup(traj, sigma=sigma, theta=theta)
+        report = check_weighted_sup(simulate(problem, grid), sigma=sigma, theta=theta)
         phi = math.sqrt(sigma)
-        assert report.params["left_gain"] == pytest.approx(math.sin(theta + phi) / math.sin(theta))
+        assert report.beta(report.lhs[0], report.times[-1]) < report.rhs[-1]
+        assert report.rhs[-1] == pytest.approx(math.sin(theta + phi) / math.sin(theta) * abs(d0), rel=1e-12)
 
     def test_disturbed_run_passes(self, grid_small):
         times = grid_small.times()
@@ -232,17 +244,74 @@ class TestFittedConstants:
             estimate_exp_iss_constants([], p=2.0)
 
 
+def _wobble(grid):
+    times = grid.times()
+    return BoundarySignal.sampled(times, 0.6 * np.sin(7.0 * times))
+
+
+def _disturbed_run(grid):
+    return simulate(heat_problem(grid, lambda z: np.sin(np.pi * z), d0=_wobble(grid)), grid)
+
+
+def _input_sups(traj):
+    return np.abs(traj.boundary_left).max(), np.abs(traj.boundary_right).max()
+
+
+def _fitted_constants(grid, *extra):
+    """L2 constants fitted on a decay run, a unit step response and ``extra``."""
+    times = grid.times()
+    step = BoundarySignal.sampled(times, np.where(times >= 0.02, 1.0, 0.0))
+    decay = simulate(heat_problem(grid, lambda z: np.sin(np.pi * z)), grid)
+    forced = simulate(heat_problem(grid, lambda z: np.zeros_like(z), d0=step), grid)
+    return estimate_exp_iss_constants([decay, forced, *extra], p=2.0)
+
+
+def _sum_case(checker):
+    def case(grid):
+        traj = _disturbed_run(grid)
+        return checker(traj), sum(_input_sups(traj))
+    return case
+
+
+def _weighted_sup_case(grid):
+    sigma, theta = 0.5 * PI2, 0.4
+    left_gain = math.sin(theta + math.sqrt(sigma)) / math.sin(theta)
+    traj = _disturbed_run(grid)
+    sup0, sup1 = _input_sups(traj)
+    return check_weighted_sup(traj, sigma=sigma, theta=theta), max(left_gain * sup0, sup1)
+
+
+def _fitted_case(grid):
+    traj = _disturbed_run(grid)
+    return check_fitted_lp(traj, _fitted_constants(grid, traj)), sum(_input_sups(traj))
+
+
+def _closed_loop_case(grid):
+    kernel = solve_kernel(1.0, 10.0, grid)
+    k1, k2 = estimate_equivalence_constants(kernel, solve_inverse_kernel(kernel), 2.0)
+    constants = ClosedLoopConstants(k1=k1, k2=k2, iss=_fitted_constants(grid))
+    y0 = compatible_initial_state(kernel, Field.from_function(grid, lambda z: np.sin(np.pi * z)))
+    run = simulate_closed_loop(1.0, 10.0, y0, _wobble(grid), grid, kernel=kernel)
+    return certify_closed_loop(run.y_traj, constants, run.disturbance), np.abs(run.disturbance).max()
+
+
 class TestGenericEstimateInvariant:
     """A passing specific check implies the generic bound with its (beta, gain)."""
 
-    @pytest.mark.parametrize("checker", [check_weighted_l1, check_l2])
-    def test_specific_pass_implies_generic_bound(self, grid_small, checker):
-        times = grid_small.times()
-        d0 = BoundarySignal.sampled(times, 0.6 * np.sin(7.0 * times))
-        traj = simulate(heat_problem(grid_small, lambda z: np.sin(np.pi * z), d0=d0), grid_small)
-        report = checker(traj)
+    @pytest.mark.parametrize(
+        "case",
+        [
+            _sum_case(check_weighted_l1),
+            _sum_case(check_l2),
+            _weighted_sup_case,
+            _fitted_case,
+            _closed_loop_case,
+        ],
+        ids=["check_weighted_l1", "check_l2", "check_weighted_sup", "check_fitted_lp", "certify_closed_loop"],
+    )
+    def test_specific_pass_implies_generic_bound(self, grid_small, case):
+        report, input_sup = case(grid_small)
         assert report.passed
-        input_sup = max(np.abs(traj.boundary_left).max(), np.abs(traj.boundary_right).max())
         generic = report.beta(report.lhs[0], report.times) + report.gain(input_sup)
         assert np.all(report.lhs <= generic * (1.0 + report.tol))
 

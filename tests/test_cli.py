@@ -1,9 +1,11 @@
+import hashlib
 from pathlib import Path
 
 import pytest
 
 from iss_parabolic import ScenarioError
 from iss_parabolic.cli import main
+from iss_parabolic.runner import run_scenario, run_suite
 from iss_parabolic.scenarios import make_signal, parse_scenario, parse_selector
 
 SUITES = Path(__file__).resolve().parent.parent / "suites"
@@ -92,6 +94,25 @@ estimate = weighted_sup
 sigma = 100
 """
 
+CORE_SEED7_DIGESTS = {
+    "weighted_l1_steady": {
+        "report.csv": "17b2053c8d11032dbe9242c401a8d23fe8fb25276e0dde76bb49376259d9432b",
+        "summary.csv": "3f43b05ac39536cc97e520640882d433f48e9669257c34755a3e1f9b035c3404",
+    },
+    "l2_random_a": {
+        "report.csv": "936720d2d55756cde3012a2f64dbada28a78889447fffc633d1e3a880818e26e",
+        "summary.csv": "b61769f79d447673584cad13f3d74576aaee9cae8c4104cf184acb008eb4177c",
+    },
+    "weighted_sup_decay": {
+        "report.csv": "702cd2674b52d4a8e0a0ad6ed284c5674ae511afc391586e01a8a4dece47ca24",
+        "summary.csv": "57f8c422b0333968c803c0e011c2555212bce2bda22096ce5db193cb86b2d222",
+    },
+    "backstep_disturbed": {
+        "report.csv": "398fb2cbe495dc200b69161be11ca22ac5eb789b3b073f59741e51ff244a3d89",
+        "summary.csv": "7943caff5c6a11a5249650d3c4904265848c5f90bd17979dbcd00d2f202fc669",
+    },
+}
+
 
 class TestScenarioParsing:
     def test_selector_forms(self):
@@ -139,7 +160,10 @@ class TestScenarioParsing:
 
     @pytest.mark.parametrize(
         "line",
-        ["decay_rate = 0", "decay_rate = -1", "decay_rate = inf", "decay_rate = nan", "p = 0.5", "p = nan", "seed = -1"],
+        [
+            "decay_rate = 0", "decay_rate = -1", "decay_rate = inf", "decay_rate = nan", "p = 0.5", "p = nan",
+            "seed = -1", "tol = 0", "tol = -1", "tol = nan", "gain_override = 0", "gain_override = nan",
+        ],
     )
     def test_out_of_domain_value_rejected(self, tmp_path, line):
         key = line.split(" = ")[0]
@@ -196,6 +220,23 @@ class TestRunCommand:
         with pytest.raises(SystemExit) as exc:
             main(["run", str(scn), "--out", str(tmp_path / "out"), "--seed", "-3"])
         assert exc.value.code == 2
+
+    def test_zero_tol_flag_exit_two(self, tmp_path):
+        scn = _write(tmp_path / "kern.scn", KERNEL_SCENARIO)
+        with pytest.raises(SystemExit) as exc:
+            main(["run", str(scn), "--out", str(tmp_path / "out"), "--tol", "0"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "override",
+        [{"tol": 0.0}, {"tol": float("nan")}, {"seed_override": -3}],
+        ids=["tol=0", "tol=nan", "seed=-3"],
+    )
+    def test_run_scenario_refuses_bad_override(self, tmp_path, override):
+        scn = parse_scenario(_write(tmp_path / "ok.scn", FAST_SCENARIO.format(name="ok")))
+        with pytest.raises(ScenarioError):
+            run_scenario(scn, tmp_path / "out", **override)
+        assert not (tmp_path / "out").exists()
 
     def test_no_plots_flag(self, tmp_path):
         scn = _write(tmp_path / "ok.scn", FAST_SCENARIO.format(name="ok"))
@@ -283,6 +324,23 @@ class TestSuiteCommand:
         out = capsys.readouterr().out.splitlines()
         assert out[1].startswith("a_zero,?,false,-inf,")
         assert out[2].startswith("b_ok,simulate,true,")
+
+    @pytest.mark.parametrize("override", [{"tol": -1.0}, {"seed_override": -3}], ids=["tol=-1", "seed=-3"])
+    def test_run_suite_refuses_bad_override(self, tmp_path, override):
+        _write(tmp_path / "a_ok.scn", FAST_SCENARIO.format(name="a_ok"))
+        with pytest.raises(ScenarioError):
+            run_suite(tmp_path, tmp_path / "out", **override)
+        assert not (tmp_path / "out").exists()
+
+    def test_core_artifacts_match_recorded_digests(self, tmp_path):
+        # Digests of suites/core at --seed 7 --no-plots (numpy 2.4, x86-64).
+        # A change that moves any of them must say so and re-record them.
+        for name, digests in CORE_SEED7_DIGESTS.items():
+            assert main(["run", str(SUITES / "core" / f"{name}.scn"), "--out", str(tmp_path),
+                         "--seed", "7", "--no-plots"]) == 0
+            for artifact, digest in digests.items():
+                data = (tmp_path / name / artifact).read_bytes()
+                assert hashlib.sha256(data).hexdigest() == digest, f"{name}/{artifact}"
 
     def test_parse_error_in_suite_marks_failure(self, tmp_path):
         _write(tmp_path / "a_ok.scn", FAST_SCENARIO.format(name="a_ok"))
