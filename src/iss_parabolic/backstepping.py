@@ -59,7 +59,7 @@ from .errors import (
 )
 from .grid import Field, Grid1D, Trajectory, _frozen, format_floats, write_csv
 from .norms import lp_norms
-from .solver import COMPATIBILITY_TOL, BoundarySignal, SemilinearProblem, _march, pde_residual_field
+from .solver import COMPATIBILITY_TOL, BoundarySignal, _march, pde_residual_field
 
 KERNEL_ITERATION_TOL = 1e-10
 KERNEL_ITERATION_CAP = 200
@@ -287,10 +287,12 @@ def compatible_initial_state(kernel: VolterraKernel, base: Field, d0: float = 0.
 class ClosedLoopRun:
     """Closed-loop plant trajectory with its transformed (target) image.
 
-    ``disturbance`` records the actuator error d(t_k); the applied control
-    u(t_k) is ``y_traj.boundary_left`` (``y_traj.problem`` is None).
+    ``a`` is the diffusion coefficient of plant and target; ``disturbance``
+    records the actuator error d(t_k); the applied control u(t_k) is
+    ``y_traj.boundary_left``.  Neither trajectory carries a problem.
     """
 
+    a: float
     y_traj: Trajectory
     x_traj: Trajectory
     disturbance: np.ndarray
@@ -340,14 +342,8 @@ def simulate_closed_loop(
 
     x_data = data + data @ kernel.matrix.T
     x_data.setflags(write=False)
-    x_problem = SemilinearProblem(
-        a=a,
-        initial=Field(x_data[0], grid),
-        boundary_left=BoundarySignal.sampled(times, x_data[:, 0]),
-        boundary_right=BoundarySignal.zero(),
-    )
-    x_traj = Trajectory(grid=grid, times=times, data=x_data, problem=x_problem)
-    return ClosedLoopRun(y_traj=y_traj, x_traj=x_traj, disturbance=d_values)
+    x_traj = Trajectory(grid=grid, times=times, data=x_data)
+    return ClosedLoopRun(a=a, y_traj=y_traj, x_traj=x_traj, disturbance=d_values)
 
 
 def transform_commutation_residual(run: ClosedLoopRun) -> float:
@@ -362,7 +358,7 @@ def transform_commutation_residual(run: ClosedLoopRun) -> float:
     """
     x = run.x_traj
     start = min(int(BURN_FRACTION * (len(x) - 1)), len(x) - 3)
-    res = pde_residual_field(x.data[start:], x.times[start:], x.grid.nodes, x.problem.a)
+    res = pde_residual_field(x.data[start:], x.times[start:], x.grid.nodes, run.a)
     return float(res.max())
 
 

@@ -130,20 +130,26 @@ def check_l2(traj: Trajectory, tol: float = DEFAULT_REL_TOL) -> ISSReport:
     )
 
 
-def check_weighted_sup(traj: Trajectory, sigma: float, theta: float, tol: float = DEFAULT_REL_TOL) -> ISSReport:
+def check_weighted_sup(
+    traj: Trajectory, sigma: Optional[float] = None, theta: Optional[float] = None, tol: float = DEFAULT_REL_TOL
+) -> ISSReport:
     """Check the weighted sup estimate for a decay rate sigma in (0, a pi^2).
 
     The spatial weight is sin(theta + phi)/sin(theta + z phi) with
-    phi = sqrt(sigma / a); the boundary gains are the weight values at the
-    two ends (sin(theta + phi)/sin(theta) at z = 0, and 1 at z = 1), so the
-    unit gain acts on the weighted running sup of the two inputs.
+    phi = sqrt(sigma / a), defined for 0 < theta < pi - phi; the boundary
+    gains are the weight values at the two ends (sin(theta + phi)/sin(theta)
+    at z = 0, and 1 at z = 1), so the unit gain acts on the weighted running
+    sup of the two inputs.  An omitted sigma is a pi^2 / 2, an omitted theta
+    (pi - phi) / 2.
     """
     a = _heat_coefficient(traj, "weighted_sup")
+    if sigma is None:
+        sigma = 0.5 * a * math.pi**2
     if not (0.0 < sigma < a * math.pi**2):
         raise InvalidParameterError(f"need 0 < sigma < a pi^2, got sigma={sigma}")
     phi = math.sqrt(sigma / a)
-    if not (0.0 < theta and theta + phi < math.pi):
-        raise InvalidParameterError(f"need 0 < theta < pi - phi, got theta={theta}, phi={phi}")
+    if theta is None:
+        theta = 0.5 * (math.pi - phi)
     run0, run1 = _running_sups(traj)
     left_gain = float(sup_weight(np.array([0.0]), theta, phi)[0])
     return evaluate_bound(
@@ -157,14 +163,12 @@ def check_weighted_sup(traj: Trajectory, sigma: float, theta: float, tol: float 
 class DecayReport:
     """L^p Lyapunov decay certificate for the zero-input heat equation."""
 
-    p: float
     norm_rate: float
     times: np.ndarray
     norm_lhs: np.ndarray
     norm_rhs: np.ndarray
     margin_v_rel: float
     margin_norm_rel: float
-    tol: float
     passed: bool
     traj: Trajectory
 
@@ -201,14 +205,12 @@ def lyapunov_decay_certificate(problem: SemilinearProblem, grid: Grid1D, p: floa
     margin_norm = float((norm_gap / norm_scale).min())
 
     return DecayReport(
-        p=p,
         norm_rate=norm_rate,
         times=traj.times,
         norm_lhs=norms,
         norm_rhs=norm_rhs,
         margin_v_rel=margin_v,
         margin_norm_rel=margin_norm,
-        tol=tol,
         passed=(margin_v >= 0.0) and (margin_norm >= 0.0),
         traj=traj,
     )

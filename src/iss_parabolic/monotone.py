@@ -8,11 +8,14 @@ boundary signal by the constant signals +-(sup + eps) and deform the initial
 state near the boundary with a cutoff hat so the new data are admissible --
 and the sandwich experiment checking that the bracketed constant-input runs
 envelop the original trajectory.  That sandwich is the executable content of
-"constant disturbances are the worst case".
+"constant disturbances are the worst case".  ``check_ordering`` is the one
+ordering oracle: it computes each envelope gap once, and the sandwich both
+decides and reports from the per-time gaps it returns.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,13 +29,16 @@ DEFAULT_ORDERING_TOL = 1e-10
 
 @dataclass(frozen=True)
 class OrderingReport:
-    """Outcome of a nodewise trajectory-ordering check."""
+    """Outcome of a nodewise trajectory-ordering check.
+
+    ``min_gap[k]`` is the smallest nodewise gap high - low at time k.
+    """
 
     passed: bool
     worst_violation: float
     worst_time: float
     worst_node: float
-    tol: float
+    min_gap: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -49,22 +55,16 @@ class Bracket:
     x_plus: Field
     u_minus: float
     u_plus: float
-    epsilon: float
-    cutoff_delta: float
-    u_sup: float
 
 
 @dataclass(frozen=True)
 class SandwichReport:
-    """Three-run envelope experiment: lower/original/upper trajectories."""
+    """Three-run envelope experiment: the original trajectory and its
+    per-time gaps to the lower and upper constant-input runs.
+    """
 
     passed: bool
-    ordering_low: OrderingReport
-    ordering_high: OrderingReport
-    bracket: Bracket
-    traj_low: Trajectory
     traj: Trajectory
-    traj_high: Trajectory
     times: np.ndarray
     min_gap_low: np.ndarray
     min_gap_high: np.ndarray
@@ -74,17 +74,17 @@ def check_ordering(traj_low: Trajectory, traj_high: Trajectory, tol: float = DEF
     """Report whether traj_high - traj_low >= -tol nodewise at all times."""
     if traj_low.grid != traj_high.grid or not np.array_equal(traj_low.times, traj_high.times):
         raise IncompatibleTrajectoryError("trajectories do not share grid and time points")
-    if tol < 0.0:
-        raise InvalidParameterError("ordering tolerance must be nonnegative")
-    gap = traj_low.data - traj_high.data  # positive entries are violations
-    worst = float(gap.max())
-    k, i = np.unravel_index(int(gap.argmax()), gap.shape)
+    if not tol >= 0.0:
+        raise InvalidParameterError(f"ordering tolerance must be nonnegative, got {tol}")
+    gap = traj_high.data - traj_low.data  # negative entries are violations
+    k, i = np.unravel_index(int(gap.argmin()), gap.shape)
+    worst = -float(gap[k, i])
     return OrderingReport(
         passed=worst <= tol,
-        worst_violation=max(worst, 0.0),
+        worst_violation=max(0.0, worst),
         worst_time=float(traj_low.times[k]),
         worst_node=float(traj_low.grid.nodes[i]),
-        tol=tol,
+        min_gap=gap.min(axis=1),
     )
 
 
@@ -95,10 +95,16 @@ def cutoff_hat(nodes: np.ndarray, delta: float) -> np.ndarray:
     return np.maximum(0.0, 1.0 - nodes / delta) + np.maximum(0.0, 1.0 - (1.0 - nodes) / delta)
 
 
-def _layer_feasible(x: Field, u_sup: float, epsilon: float, delta: float) -> bool:
-    k = cutoff_hat(x.grid.nodes, delta)
-    active = k > 0.0
-    return bool(np.all(np.abs(x.values[active]) <= u_sup + epsilon))
+def _bracket_level(u_sup: float, epsilon: float) -> float:
+    """The envelope's input level u_sup + epsilon, for finite u_sup >= 0 and epsilon > 0."""
+    if not (0.0 <= u_sup < math.inf and 0.0 < epsilon < math.inf):
+        raise InvalidParameterError(f"need finite u_sup >= 0 and epsilon > 0, got u_sup={u_sup}, epsilon={epsilon}")
+    return u_sup + epsilon
+
+
+def _layer_feasible(x: Field, level: float, delta: float) -> bool:
+    active = cutoff_hat(x.grid.nodes, delta) > 0.0
+    return bool(np.all(np.abs(x.values[active]) <= level))
 
 
 def find_cutoff_delta(x: Field, u_sup: float, epsilon: float) -> float:
@@ -109,9 +115,10 @@ def find_cutoff_delta(x: Field, u_sup: float, epsilon: float) -> float:
     even the thinnest layer is infeasible, which means the state exceeds the
     claimed input bound at the boundary itself.
     """
+    level = _bracket_level(u_sup, epsilon)
     delta = 0.25
     while delta >= 0.5 * x.grid.h:
-        if _layer_feasible(x, u_sup, epsilon, delta):
+        if _layer_feasible(x, level, delta):
             return delta
         delta *= 0.5
     raise BracketingError(
@@ -127,23 +134,18 @@ def build_bracket(x: Field, u_sup: float, epsilon: float, delta: float) -> Brack
         x_plus  = (1 - k) x + (u_sup + epsilon) k,
     with k the piecewise-linear cutoff hat of width ``delta``.
     """
-    if u_sup < 0.0 or epsilon <= 0.0:
-        raise InvalidParameterError("need u_sup >= 0 and epsilon > 0")
-    if not _layer_feasible(x, u_sup, epsilon, delta):
+    level = _bracket_level(u_sup, epsilon)
+    if not _layer_feasible(x, level, delta):
         raise BracketingError(
             f"cutoff width {delta} is infeasible: |x| exceeds u_sup + epsilon inside the layer"
         )
     k = cutoff_hat(x.grid.nodes, delta)
-    level = u_sup + epsilon
     base = (1.0 - k) * x.values
     return Bracket(
         x_minus=Field(base - level * k, x.grid),
         x_plus=Field(base + level * k, x.grid),
         u_minus=-level,
         u_plus=level,
-        epsilon=epsilon,
-        cutoff_delta=delta,
-        u_sup=u_sup,
     )
 
 
@@ -161,10 +163,7 @@ def constant_reduction_experiment(
     recorded time.
     """
     u_sup = max(problem.boundary_left.sup_norm, problem.boundary_right.sup_norm)
-    if not np.isfinite(u_sup):
-        raise InvalidParameterError("constant reduction needs bounded, evaluable boundary signals")
-    delta = find_cutoff_delta(problem.initial, u_sup, epsilon)
-    bracket = build_bracket(problem.initial, u_sup, epsilon, delta)
+    bracket = build_bracket(problem.initial, u_sup, epsilon, find_cutoff_delta(problem.initial, u_sup, epsilon))
 
     low = problem.with_data(
         bracket.x_minus, BoundarySignal.constant(bracket.u_minus), BoundarySignal.constant(bracket.u_minus)
@@ -180,15 +179,10 @@ def constant_reduction_experiment(
     ordering_high = check_ordering(traj, traj_high, tol)
     return SandwichReport(
         passed=ordering_low.passed and ordering_high.passed,
-        ordering_low=ordering_low,
-        ordering_high=ordering_high,
-        bracket=bracket,
-        traj_low=traj_low,
         traj=traj,
-        traj_high=traj_high,
         times=traj.times,
-        min_gap_low=(traj.data - traj_low.data).min(axis=1),
-        min_gap_high=(traj_high.data - traj.data).min(axis=1),
+        min_gap_low=ordering_low.min_gap,
+        min_gap_high=ordering_high.min_gap,
     )
 
 

@@ -30,7 +30,6 @@ from .norms import lp_norms
 from .scenarios import (
     Scenario,
     build_problem,
-    default_weighted_sup_params,
     make_initial,
     make_signal,
     nonnegative_int,
@@ -125,8 +124,7 @@ def _run_iss_check(scn: Scenario, out_dir: Path, rng: np.random.Generator) -> _O
     elif scn.estimate == "l2":
         report = certify.check_l2(traj, rel_tol)
     else:
-        sigma, theta = default_weighted_sup_params(scn.a, scn.sigma, scn.theta)
-        report = certify.check_weighted_sup(traj, sigma, theta, rel_tol)
+        report = certify.check_weighted_sup(traj, scn.sigma, scn.theta, rel_tol)
     return _estimate_outcome(report, out_dir, {"trajectory.csv": traj}, scn.estimate)
 
 

@@ -15,8 +15,8 @@ fail loudly::
     t_final = 0.3               # a whole number of steps dt
 
     [problem]
-    a = 1.0
-    k_reaction = 15.0           # backstepping_loop / kernel_synthesis only
+    a = 1.0                     # finite, > 0
+    k_reaction = 15.0           # finite; backstepping_loop / kernel_synthesis only
     reaction = zero             # zero | linear(c) | cubic
     initial = sin_pi            # zero | constant(c) | sin_pi | mode(j)
                                 # | ramp | random_smooth(modes, amp)
@@ -39,12 +39,12 @@ every kind, and ``p`` [2], wherever a kind reads it, the L^p norm: p >= 1,
 - simulate: ``p`` picks the norm; with ``decay_rate`` (> 0, finite) the
   fitted rate must match it to relative error ``tol`` [0.02], without it
   nothing is checked.
-- sandwich: ``epsilon`` [0.05] widens the constant bracket; ``tol`` is the
-  ordering slack [monotone.DEFAULT_ORDERING_TOL = 1e-10].
+- sandwich: ``epsilon`` (> 0, finite) [0.05] widens the constant bracket;
+  ``tol`` is the ordering slack [monotone.DEFAULT_ORDERING_TOL = 1e-10].
 - iss_check: ``estimate`` [l2] | weighted_l1 | weighted_sup, ``tol`` its
   relative slack [0.02]; weighted_l1 reads ``gain_override`` (> 0,
-  finite), weighted_sup reads ``sigma`` and ``theta``
-  [default_weighted_sup_params].
+  finite), weighted_sup reads ``sigma`` in (0, a pi^2) [a pi^2 / 2] and
+  ``theta`` in (0, pi - sqrt(sigma / a)) [its midpoint].
 - lyapunov: ``p`` in (2, inf); ``tol`` is the certificate's relative slack
   [0.02].
 - kernel_synthesis: ``tol`` bounds the sup distance to the series oracle
@@ -144,9 +144,16 @@ def nonnegative_int(raw: str) -> int:
     return value
 
 
-def positive_float(raw: str) -> float:
+def finite_float(raw: str) -> float:
     value = float(raw)
-    if not (value > 0.0 and math.isfinite(value)):
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {value}")
+    return value
+
+
+def positive_float(raw: str) -> float:
+    value = finite_float(raw)
+    if not value > 0.0:
         raise ValueError(f"expected a finite number > 0, got {value}")
     return value
 
@@ -170,10 +177,10 @@ def _boolean(raw: str) -> bool:
 _SECTION_KEYS = {
     "scenario": {"name": str.strip, "kind": _choice(*KINDS), "seed": nonnegative_int},
     "grid": {"n_interior": int, "dt": float, "t_final": float},
-    "problem": {"a": float, "k_reaction": float, "reaction": str, "initial": str, "d0": str, "d1": str},
+    "problem": {"a": positive_float, "k_reaction": finite_float, "reaction": str, "initial": str, "d0": str, "d1": str},
     "check": {
-        "estimate": _choice("weighted_l1", "l2", "weighted_sup"), "p": _norm_exponent, "sigma": float,
-        "theta": float, "tol": positive_float, "epsilon": float, "decay_rate": positive_float,
+        "estimate": _choice("weighted_l1", "l2", "weighted_sup"), "p": _norm_exponent, "sigma": positive_float,
+        "theta": positive_float, "tol": positive_float, "epsilon": positive_float, "decay_rate": positive_float,
         "gain_override": positive_float, "logy": _boolean,
     },
     "loop": {"mode": _choice("open", "closed")},
@@ -319,13 +326,3 @@ def build_problem(scenario: Scenario, rng: np.random.Generator) -> SemilinearPro
         reaction=reaction,
         lipschitz_k=slope,
     )
-
-
-def default_weighted_sup_params(a: float, sigma: Optional[float], theta: Optional[float]) -> tuple[float, float]:
-    """Fill in (sigma, theta) for the weighted-sup estimate when omitted."""
-    if sigma is None:
-        sigma = 0.5 * a * math.pi**2
-    phi = math.sqrt(sigma / a)
-    if theta is None:
-        theta = 0.5 * (math.pi - phi)
-    return sigma, theta

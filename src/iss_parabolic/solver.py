@@ -49,8 +49,8 @@ TABLE_SLACK = 1e-9
 class BoundarySignal:
     """A scalar Dirichlet boundary signal on [0, t_final].
 
-    ``constant`` signals evaluate to a fixed value; ``sampled`` signals
-    interpolate a finite table linearly and refuse times outside it.
+    ``constant`` signals evaluate to a fixed finite value; ``sampled``
+    signals interpolate a finite table linearly and refuse times outside it.
     """
 
     kind: str
@@ -61,6 +61,8 @@ class BoundarySignal:
 
     def __post_init__(self) -> None:
         if self.kind == "constant":
+            if not math.isfinite(self.value):
+                raise InvalidParameterError(f"constant signal must be finite, got {self.value}")
             object.__setattr__(self, "sup_norm", abs(float(self.value)))
         elif self.kind == "sampled":
             ts = np.array(self.sample_times, dtype=float, copy=True)

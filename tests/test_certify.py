@@ -141,6 +141,17 @@ class TestWeightedSup:
         report = check_weighted_sup(traj, sigma=0.5 * PI2, theta=0.4)
         assert report.passed
 
+    def test_omitted_sigma_and_theta_default_from_a(self, grid_small):
+        a = 0.5
+        times = grid_small.times()
+        d0 = BoundarySignal.sampled(times, 0.5 * np.sin(8.0 * times))
+        traj = simulate(heat_problem(grid_small, lambda z: np.sin(np.pi * z), d0=d0, a=a), grid_small)
+        sigma = 0.5 * a * PI2
+        theta = 0.5 * (math.pi - math.sqrt(sigma / a))
+        explicit = check_weighted_sup(traj, sigma=sigma, theta=theta)
+        assert np.array_equal(check_weighted_sup(traj).rhs, explicit.rhs)
+        assert np.array_equal(check_weighted_sup(traj, theta=theta).rhs, explicit.rhs)
+
     def test_sigma_domain_enforced(self, grid_small):
         traj = simulate(heat_problem(grid_small, lambda z: np.zeros_like(z)), grid_small)
         with pytest.raises(InvalidParameterError):

@@ -110,6 +110,13 @@ CORE_SEED7_DIGESTS = {
     "backstep_disturbed": {
         "report.csv": "398fb2cbe495dc200b69161be11ca22ac5eb789b3b073f59741e51ff244a3d89",
         "summary.csv": "7943caff5c6a11a5249650d3c4904265848c5f90bd17979dbcd00d2f202fc669",
+        "x_trajectory.csv": "5376dabdac4f6c50cc5e360397ff5f68e2b5fc466038ff10e851e8673e6f646e",
+    },
+    "sandwich_cubic": {
+        "report.csv": "cecc378a61608f0da00c2b9e02edc8df55b0316009a4d6e0fe1cd4fc6206fa8f",
+    },
+    "lyapunov_p3": {
+        "report.csv": "90463bc7a0d94711c0a30a2005ecce0a7a8963ddddb0d93f8d3fdedc65b6c17d",
     },
 }
 
@@ -163,11 +170,14 @@ class TestScenarioParsing:
         [
             "decay_rate = 0", "decay_rate = -1", "decay_rate = inf", "decay_rate = nan", "p = 0.5", "p = nan",
             "seed = -1", "tol = 0", "tol = -1", "tol = nan", "gain_override = 0", "gain_override = nan",
+            "epsilon = 0", "epsilon = -1", "epsilon = nan", "a = 0", "a = nan", "k_reaction = nan",
+            "k_reaction = inf", "sigma = nan", "theta = -1",
         ],
     )
     def test_out_of_domain_value_rejected(self, tmp_path, line):
         key = line.split(" = ")[0]
-        old = "seed = 9" if key == "seed" else "decay_rate = 9.869604401089358"
+        # each bad line replaces a line of the section its key belongs to
+        old = {"seed": "seed = 9", "a": "a = 1.0", "k_reaction": "a = 1.0"}.get(key, "decay_rate = 9.869604401089358")
         text = FAST_SCENARIO.format(name="x").replace(old, line)
         with pytest.raises(ScenarioError, match=rf"\.{key}: "):
             parse_scenario(_write(tmp_path / "bad.scn", text))

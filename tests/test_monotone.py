@@ -9,6 +9,7 @@ from iss_parabolic import (
     Field,
     Grid1D,
     IncompatibleTrajectoryError,
+    InvalidParameterError,
     SemilinearProblem,
     Trajectory,
     build_bracket,
@@ -42,6 +43,13 @@ class TestCheckOrdering:
         assert report.worst_violation == pytest.approx(0.1)
         assert report.worst_time == pytest.approx(2 * grid_small.dt)
         assert report.worst_node == pytest.approx(grid_small.nodes[7])
+        assert report.min_gap.tolist() == [0.0, 0.0, -0.1, 0.0]  # row minima of high - low
+
+    def test_nan_tolerance_rejected(self, grid_small):
+        # NaN would fail identical trajectories with zero violation
+        a = _traj_from(grid_small, np.zeros((3, grid_small.n_nodes)))
+        with pytest.raises(InvalidParameterError, match="ordering tolerance"):
+            check_ordering(a, a, math.nan)
 
     def test_grid_mismatch_rejected(self, grid_small, grid_medium):
         a = _traj_from(grid_small, np.zeros((3, grid_small.n_nodes)))
@@ -103,6 +111,18 @@ class TestBracket:
             find_cutoff_delta(x, u_sup=0.5, epsilon=0.1)
         with pytest.raises(BracketingError):
             build_bracket(x, u_sup=0.5, epsilon=0.1, delta=0.25)
+
+    @pytest.mark.parametrize(
+        "u_sup, epsilon",
+        [(0.5, math.nan), (0.5, math.inf), (0.5, 0.0), (0.5, -1.0), (math.nan, 0.1), (math.inf, 0.1), (-0.5, 0.1)],
+    )
+    def test_out_of_domain_levels_rejected(self, u_sup, epsilon):
+        # refused before any scan, not reported as an infeasible layer
+        x = Field.zeros(Grid1D(n_interior=49, dt=1e-4, t_final=0.1))
+        with pytest.raises(InvalidParameterError, match="need finite u_sup >= 0 and epsilon > 0"):
+            find_cutoff_delta(x, u_sup, epsilon)
+        with pytest.raises(InvalidParameterError, match="need finite u_sup >= 0 and epsilon > 0"):
+            build_bracket(x, u_sup, epsilon, delta=0.25)
 
     def test_delta_is_dyadic_and_maximal(self):
         grid = Grid1D(n_interior=99, dt=1e-4, t_final=0.1)

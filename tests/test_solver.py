@@ -54,6 +54,12 @@ class TestBoundarySignal:
         with pytest.raises(InvalidParameterError):
             BoundarySignal.sampled(np.array([0.0, 1.0]), np.array([1.0, np.inf]))
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_constant_rejected(self, value):
+        # a NaN level would pass the t = 0 compatibility check vacuously
+        with pytest.raises(InvalidParameterError, match="must be finite"):
+            BoundarySignal.constant(value)
+
     def test_closed_loop_kind_rejected(self):
         with pytest.raises(InvalidParameterError):
             BoundarySignal(kind="closed-loop")
