@@ -17,8 +17,8 @@ where the running maxima are taken over the recorded boundary samples up to
 time t.  Every check goes through ``evaluate_bound``, which evaluates
 rhs = join(beta(||x0||, t), gain(drive)) (join a sum, or a max for the
 weighted sup) and stores that very ``beta`` and ``gain`` on the report.
-Checks use a relative tolerance (default 2%) that absorbs the O(h^2 + dt)
-discretization error of the solver and quadrature.
+Checks use a relative tolerance in [0, 1) (default 2%) that absorbs the
+O(h^2 + dt) discretization error of the solver and quadrature.
 
 The module also certifies the L^p Lyapunov decay of the zero-input problem
 (rate a (p-1) 4 pi^2 / p^2 on the norm, driven by the Wirtinger inequality
@@ -65,6 +65,8 @@ def evaluate_bound(estimate_id, times, lhs, beta, gain, drive, tol, join=np.add)
 
     ``drive`` is the running input sup the gain acts on.
     """
+    if not 0.0 <= tol < 1.0:
+        raise InvalidParameterError(f"need a relative tolerance 0 <= tol < 1, got {tol}")
     rhs = join(beta(lhs[0], times), gain(drive))
     diff = rhs - lhs
     scale = np.maximum(np.maximum(np.abs(rhs), np.abs(lhs)), 1e-30)
@@ -182,6 +184,8 @@ def lyapunov_decay_certificate(problem: SemilinearProblem, grid: Grid1D, p: floa
     """
     if not (p > 2.0 and math.isfinite(p)):
         raise InvalidParameterError(f"the certificate needs p in (2, inf), got {p}")
+    if not 0.0 <= tol < 1.0:
+        raise InvalidParameterError(f"need a relative tolerance 0 <= tol < 1, got {tol}")
     if not problem.is_heat:
         raise InapplicableEstimateError("the Lyapunov certificate applies to the heat equation")
     if problem.boundary_left.sup_norm != 0.0 or problem.boundary_right.sup_norm != 0.0:

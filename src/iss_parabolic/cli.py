@@ -1,7 +1,7 @@
 """Command-line interface: run one scenario or a whole suite directory.
 
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 the
-configuration could not be used (parse error, empty suite directory).
+configuration could not be used (parse error, empty suite, unusable --out).
 The output root defaults to ``./out`` and can be overridden by ``--out``
 or the ``ISS_PARABOLIC_OUT`` environment variable.
 """
@@ -54,6 +54,11 @@ def _out_root(arg_value) -> Path:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     out_root = _out_root(args.out)
+    try:
+        out_root.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"error: cannot use output root {out_root}: {exc}", file=sys.stderr)
+        return EXIT_CONFIG_ERROR
 
     if args.command == "run":
         try:

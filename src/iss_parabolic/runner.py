@@ -28,6 +28,7 @@ from .grid import Field, Trajectory, format_floats, write_csv
 from .monotone import DEFAULT_ORDERING_TOL, constant_reduction_experiment, write_sandwich_csv
 from .norms import lp_norms
 from .scenarios import (
+    ZERO,
     Scenario,
     build_problem,
     make_initial,
@@ -168,16 +169,11 @@ def _write_check_csv(path, checks) -> None:
     write_csv(path, "check,value,threshold,pass", [(names, format_floats(values), format_floats(thresholds), passes)])
 
 
-def _fit_loop_constants(scn: Scenario, d_signal: BoundarySignal) -> certify.ExpIssConstants:
+def _fit_loop_constants(scn: Scenario, d_signal: BoundarySignal, rng: np.random.Generator) -> certify.ExpIssConstants:
     """Fit target-system constants from two auxiliary heat runs."""
     grid = scn.grid
     times = grid.times()
-    decay_problem = SemilinearProblem(
-        a=scn.a,
-        initial=Field(np.sin(np.pi * grid.nodes), grid),
-        boundary_left=BoundarySignal.zero(),
-        boundary_right=BoundarySignal.zero(),
-    )
+    decay_problem = build_problem(replace(scn, reaction=ZERO, initial=("sin_pi", ()), d0=ZERO, d1=ZERO), rng)
     forced_problem = SemilinearProblem(
         a=scn.a,
         initial=Field.zeros(grid),
@@ -192,15 +188,8 @@ def _fit_loop_constants(scn: Scenario, d_signal: BoundarySignal) -> certify.ExpI
 def _run_backstepping(scn: Scenario, out_dir: Path, rng: np.random.Generator) -> _Outcome:
     grid = scn.grid
     if scn.mode == "open":
-        problem = SemilinearProblem(
-            a=scn.a,
-            initial=Field(np.sin(np.pi * grid.nodes), grid),
-            boundary_left=BoundarySignal.zero(),
-            boundary_right=BoundarySignal.zero(),
-            reaction=lambda z, w, grad: scn.k_reaction * w,
-            lipschitz_k=abs(scn.k_reaction),
-        )
-        traj = simulate(problem, grid)
+        plant = replace(scn, reaction=("linear", (scn.k_reaction,)), initial=("sin_pi", ()), d0=ZERO, d1=ZERO)
+        traj = simulate(build_problem(plant, rng), grid)
         norms = lp_norms(traj.data, grid.h, scn.p)
         growth = float(norms.max() / norms[0])
         threshold = np.full_like(norms, norms[0] * GROWTH_MIN)
@@ -225,7 +214,7 @@ def _run_backstepping(scn: Scenario, out_dir: Path, rng: np.random.Generator) ->
 
     inverse = bs.solve_inverse_kernel(kernel)
     k1, k2 = bs.estimate_equivalence_constants(kernel, inverse, scn.p)
-    constants = bs.ClosedLoopConstants(k1=k1, k2=k2, iss=_fit_loop_constants(scn, d_signal))
+    constants = bs.ClosedLoopConstants(k1=k1, k2=k2, iss=_fit_loop_constants(scn, d_signal, rng))
     report = bs.certify_closed_loop(run.y_traj, constants, run.disturbance, tol=_tol(scn, 1e-6))
     return _estimate_outcome(report, out_dir, trajectories, "closed-loop norm")
 
@@ -286,8 +275,9 @@ def run_suite(directory, out_root, tol=None, no_plots=False, seed_override=None)
     """Run every scenario file in a directory; no fail-fast.
 
     Returns the per-scenario results and the suite exit code (0 all pass,
-    1 any failure, 2 empty or unreadable directory).  Out-of-domain
-    overrides raise ``ScenarioError`` before any scenario runs.
+    1 any failure, 2 empty or unreadable directory).  A file that does not
+    parse or reuses an earlier file's name fails without running.
+    Out-of-domain overrides raise ``ScenarioError`` before any scenario runs.
     """
     _overrides(tol, seed_override)
     directory = Path(directory)
@@ -296,13 +286,16 @@ def run_suite(directory, out_root, tol=None, no_plots=False, seed_override=None)
     files = sorted(directory.glob("*.scn"))
     if not files:
         return [], EXIT_CONFIG_ERROR
-    results = []
+    results, first_file = [], {}
     for f in files:
         try:
             scn = parse_scenario(f)
+            if scn.name in first_file:
+                raise ScenarioError(f"{f}: scenario name {scn.name!r} is already used by {first_file[scn.name]}")
         except ScenarioError as exc:
             results.append(ScenarioResult(f.stem, "?", False, -math.inf, 0.0, str(exc)))
             continue
+        first_file[scn.name] = f
         results.append(run_scenario(scn, out_root, tol=tol, no_plots=no_plots, seed_override=seed_override))
     code = EXIT_PASS if all(r.passed for r in results) else EXIT_CHECK_FAILED
     return results, code

@@ -17,11 +17,10 @@ fail loudly::
     [problem]
     a = 1.0                     # finite, > 0
     k_reaction = 15.0           # finite; backstepping_loop / kernel_synthesis only
-    reaction = zero             # zero | linear(c) | cubic
-    initial = sin_pi            # zero | constant(c) | sin_pi | mode(j)
-                                # | ramp | random_smooth(modes, amp)
-    d0 = zero                   # zero | constant(c) | step(c, t_on)
-    d1 = zero                   # | sinusoid(amp, omega) | file(path)
+    reaction = zero             # selectors from the catalog below
+    initial = sin_pi
+    d0 = zero
+    d1 = zero
 
     [check]                     # keys depend on kind, see the catalog below
     estimate = l2
@@ -42,11 +41,11 @@ every kind, and ``p`` [2], wherever a kind reads it, the L^p norm: p >= 1,
 - sandwich: ``epsilon`` (> 0, finite) [0.05] widens the constant bracket;
   ``tol`` is the ordering slack [monotone.DEFAULT_ORDERING_TOL = 1e-10].
 - iss_check: ``estimate`` [l2] | weighted_l1 | weighted_sup, ``tol`` its
-  relative slack [0.02]; weighted_l1 reads ``gain_override`` (> 0,
+  relative slack, below 1 [0.02]; weighted_l1 reads ``gain_override`` (> 0,
   finite), weighted_sup reads ``sigma`` in (0, a pi^2) [a pi^2 / 2] and
   ``theta`` in (0, pi - sqrt(sigma / a)) [its midpoint].
-- lyapunov: ``p`` in (2, inf); ``tol`` is the certificate's relative slack
-  [0.02].
+- lyapunov: ``p`` in (2, inf); ``tol`` is the certificate's relative slack,
+  below 1 [0.02].
 - kernel_synthesis: ``tol`` bounds the sup distance to the series oracle
   [1e-6]; the inverse-kernel round trip on 20 random fields is held to 1e-8.
 - backstepping_loop: ``p`` picks the norm.  ``mode = open`` requires
@@ -54,10 +53,16 @@ every kind, and ``p`` [2], wherever a kind reads it, the L^p norm: p >= 1,
   rate must match a*pi^2 to relative error ``tol`` [0.05]; closed with a
   disturbance ``tol`` is the ISS certificate's relative slack [1e-6].
 
-Selectors parse as ``name`` or ``name(arg, ...)``.  The reaction catalog
-pairs each entry with the slope bound the solver's step restriction uses:
-linear(c) has bound |c| (conservative: order preservation constrains the
-negative slope), cubic is w - w^3 with unit bound on the working range.
+Selector catalog.  Selectors, ``name`` or ``name(arg, ...)``, are checked
+when the file is read: c, amp, omega, t_on finite; j, modes whole numbers
+>= 1 (``3`` or ``3.0``); path a ``t,value`` CSV with a header row, relative
+to the scenario file.  Each reaction's slope bound feeds the solver's step
+restriction: |c| for linear(c) (conservative: order preservation constrains
+the negative slope), 1 for cubic, w - w^3, on the working range.
+
+- reaction: zero | linear(c) | cubic
+- initial: zero | constant(c) | sin_pi | mode(j) | ramp | random_smooth(modes, amp)
+- signal (d0, d1): zero | constant(c) | step(c, t_on) | sinusoid(amp, omega) | file(path)
 """
 
 from __future__ import annotations
@@ -66,6 +71,7 @@ import configparser
 import math
 import re
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Optional
 
@@ -77,25 +83,7 @@ from .solver import BoundarySignal, SemilinearProblem
 
 KINDS = ("simulate", "sandwich", "iss_check", "lyapunov", "kernel_synthesis", "backstepping_loop")
 
-_SELECTOR_RE = re.compile(r"^\s*([a-z_][a-z0-9_]*)\s*(?:\((.*)\))?\s*$", re.IGNORECASE)
-
-
-def parse_selector(text: str) -> tuple[str, list[str]]:
-    m = _SELECTOR_RE.match(text)
-    if not m:
-        raise ScenarioError(f"malformed selector {text!r}")
-    name = m.group(1).lower()
-    args = [a.strip() for a in m.group(2).split(",")] if m.group(2) else []
-    return name, args
-
-
-def _floats(args: list[str], count: int, what: str) -> list[float]:
-    if len(args) != count:
-        raise ScenarioError(f"{what} expects {count} argument(s), got {len(args)}")
-    try:
-        return [float(a) for a in args]
-    except ValueError as exc:
-        raise ScenarioError(f"{what}: non-numeric argument in {args}") from exc
+ZERO = ("zero", ())
 
 
 @dataclass(frozen=True)
@@ -103,6 +91,7 @@ class Scenario:
     """Everything needed to run one scenario deterministically.
 
     Every default lives here; ``tol = None`` means the kind's own default.
+    Selectors are held parsed, as ``(name, args)``.
     """
 
     name: str
@@ -111,10 +100,10 @@ class Scenario:
     seed: int = 0
     a: float = 1.0
     k_reaction: float = 0.0
-    reaction: str = "zero"
-    initial: str = "zero"
-    d0: str = "zero"
-    d1: str = "zero"
+    reaction: tuple = ZERO
+    initial: tuple = ZERO
+    d0: tuple = ZERO
+    d1: tuple = ZERO
     estimate: str = "l2"
     p: float = 2.0
     sigma: Optional[float] = None
@@ -172,12 +161,47 @@ def _boolean(raw: str) -> bool:
         raise ValueError("expected a boolean") from None
 
 
+def _whole(raw: str) -> int:
+    value = float(raw)
+    if not (value.is_integer() and value >= 1.0):
+        raise ValueError(f"expected a whole number >= 1, got {raw}")
+    return int(value)
+
+
+# The selector catalog: catalog -> name -> one parser per argument.
+SELECTORS = {
+    "reaction": {"zero": (), "linear": (finite_float,), "cubic": ()},
+    "initial": {"zero": (), "constant": (finite_float,), "sin_pi": (), "mode": (_whole,), "ramp": (),
+                "random_smooth": (_whole, finite_float)},
+    "signal": {"zero": (), "constant": (finite_float,), "step": (finite_float, finite_float),
+               "sinusoid": (finite_float, finite_float), "file": (Path,)},
+}
+_SELECTOR_RE = re.compile(r"^\s*([a-z_][a-z0-9_]*)\s*(?:\((.*)\))?\s*$", re.IGNORECASE)
+
+
+def parse_selector(text: str, catalog: str) -> tuple[str, tuple]:
+    """Parse ``name`` or ``name(arg, ...)`` against one catalog into (name, parsed args)."""
+    m = _SELECTOR_RE.match(text)
+    name = m.group(1).lower() if m else None
+    if name not in SELECTORS[catalog]:
+        raise ValueError(f"expected name or name(arg, ...) with name in {sorted(SELECTORS[catalog])}")
+    parsers, raw_args = SELECTORS[catalog][name], m.group(2) or ""
+    args = [arg.strip() for arg in raw_args.split(",")] if raw_args.strip() else []
+    if len(args) != len(parsers):
+        raise ValueError(f"{name} takes {len(parsers)} argument(s), got {len(args)}")
+    return name, tuple(parse(arg) for parse, arg in zip(parsers, args))
+
+
 # The only key table: section -> key -> parser.  The grid keys build the
 # Grid1D; every other key is a Scenario field of the same name.
 _SECTION_KEYS = {
     "scenario": {"name": str.strip, "kind": _choice(*KINDS), "seed": nonnegative_int},
     "grid": {"n_interior": int, "dt": float, "t_final": float},
-    "problem": {"a": positive_float, "k_reaction": finite_float, "reaction": str, "initial": str, "d0": str, "d1": str},
+    "problem": {
+        "a": positive_float, "k_reaction": finite_float, "reaction": partial(parse_selector, catalog="reaction"),
+        "initial": partial(parse_selector, catalog="initial"), "d0": partial(parse_selector, catalog="signal"),
+        "d1": partial(parse_selector, catalog="signal"),
+    },
     "check": {
         "estimate": _choice("weighted_l1", "l2", "weighted_sup"), "p": _norm_exponent, "sigma": positive_float,
         "theta": positive_float, "tol": positive_float, "epsilon": positive_float, "decay_rate": positive_float,
@@ -229,87 +253,65 @@ def parse_scenario(path) -> Scenario:
     return Scenario(**values)
 
 
-def make_reaction(selector: str):
-    """Catalog lookup: returns (vectorized callable or None, slope bound)."""
-    name, args = parse_selector(selector)
-    if name == "zero":
-        return None, 0.0
-    if name == "linear":
-        (c,) = _floats(args, 1, "linear reaction")
-        return (lambda z, w, grad: c * w), abs(c)
-    if name == "cubic":
-        if args:
-            raise ScenarioError("cubic reaction takes no arguments")
-        return (lambda z, w, grad: w - w**3), 1.0
-    raise ScenarioError(f"unknown reaction selector {selector!r}")
+def make_reaction(selector: tuple):
+    """Build a parsed reaction selector: (vectorized callable or None, slope bound)."""
+    name, args = selector
+    return {
+        "zero": lambda: (None, 0.0),
+        "linear": lambda c: ((lambda z, w, grad: c * w), abs(c)),
+        "cubic": lambda: ((lambda z, w, grad: w - w**3), 1.0),
+    }[name](*args)
 
 
-def make_signal(selector: str, grid: Grid1D, base_dir: Path) -> BoundarySignal:
-    """Catalog lookup for boundary/actuator signals, sampled on grid times."""
-    name, args = parse_selector(selector)
+def _read_signal_file(path: Path) -> BoundarySignal:
+    try:
+        table = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    except OSError as exc:
+        raise ScenarioError(f"cannot read signal file {path}: {exc}") from exc
+    except ValueError as exc:
+        raise ScenarioError(f"cannot parse signal file {path}: {exc}") from exc
+    if table.shape[1] != 2:
+        raise ScenarioError(f"signal file {path} must have two columns t,value")
+    return BoundarySignal.sampled(table[:, 0], table[:, 1])
+
+
+def make_signal(selector: tuple, grid: Grid1D, base_dir: Path) -> BoundarySignal:
+    """Build a parsed signal selector on grid times; a relative ``file`` path joins ``base_dir``."""
+    name, args = selector
     times = grid.times()
-    if name == "zero":
-        return BoundarySignal.zero()
-    if name == "constant":
-        (c,) = _floats(args, 1, "constant signal")
-        return BoundarySignal.constant(c)
-    if name == "step":
-        c, t_on = _floats(args, 2, "step signal")
-        return BoundarySignal.sampled(times, np.where(times >= t_on, c, 0.0))
-    if name == "sinusoid":
-        amp, omega = _floats(args, 2, "sinusoid signal")
-        return BoundarySignal.sampled(times, amp * np.sin(omega * times))
-    if name == "file":
-        # two-column CSV t,value with a header row; relative to the scenario file
-        if len(args) != 1:
-            raise ScenarioError("file signal expects one path argument")
-        fpath = Path(args[0])
-        if not fpath.is_absolute():
-            fpath = base_dir / fpath
-        try:
-            table = np.loadtxt(fpath, delimiter=",", skiprows=1, ndmin=2)
-        except OSError as exc:
-            raise ScenarioError(f"cannot read signal file {fpath}: {exc}") from exc
-        except ValueError as exc:
-            raise ScenarioError(f"cannot parse signal file {fpath}: {exc}") from exc
-        if table.shape[1] != 2:
-            raise ScenarioError(f"signal file {fpath} must have two columns t,value")
-        return BoundarySignal.sampled(table[:, 0], table[:, 1])
-    raise ScenarioError(f"unknown signal selector {selector!r}")
+    return {
+        "zero": BoundarySignal.zero,
+        "constant": BoundarySignal.constant,
+        "step": lambda c, t_on: BoundarySignal.sampled(times, np.where(times >= t_on, c, 0.0)),
+        "sinusoid": lambda amp, omega: BoundarySignal.sampled(times, amp * np.sin(omega * times)),
+        "file": lambda path: _read_signal_file(base_dir / path),
+    }[name](*args)
 
 
-def make_initial(selector: str, grid: Grid1D, rng: np.random.Generator, left0: float, right0: float) -> Field:
-    """Catalog lookup for initial profiles.
+def make_initial(selector: tuple, grid: Grid1D, rng: np.random.Generator, left0: float, right0: float) -> Field:
+    """Build a parsed initial-profile selector.
 
     ``random_smooth`` anchors a linear ramp at the t = 0 boundary values so
     the pair (initial, signals) is always admissible; the deterministic
     profiles are used with matching boundary data.
     """
-    name, args = parse_selector(selector)
+    name, args = selector
     z = grid.nodes
-    if name == "zero":
-        return Field.zeros(grid)
-    if name == "constant":
-        (c,) = _floats(args, 1, "constant initial data")
-        return Field.constant(grid, c)
-    if name == "sin_pi":
-        return Field(np.sin(np.pi * z), grid)
-    if name == "mode":
-        (j,) = _floats(args, 1, "mode initial data")
-        if j < 1 or j != int(j):
-            raise ScenarioError("mode index must be a positive integer")
-        return Field(np.sin(int(j) * np.pi * z), grid)
-    if name == "ramp":
-        return Field(left0 * (1.0 - z) + right0 * z, grid)
-    if name == "random_smooth":
-        n_modes, amp = _floats(args, 2, "random_smooth initial data")
-        if n_modes < 1 or n_modes != int(n_modes):
-            raise ScenarioError("random_smooth mode count must be a positive integer")
-        profile = left0 * (1.0 - z) + right0 * z
-        for j in range(1, int(n_modes) + 1):
-            profile = profile + amp * rng.uniform(-1.0, 1.0) / j**2 * np.sin(j * np.pi * z)
-        return Field(profile, grid)
-    raise ScenarioError(f"unknown initial-data selector {selector!r}")
+    ramp = left0 * (1.0 - z) + right0 * z
+
+    def random_smooth(n_modes, amp):
+        modes = (amp * rng.uniform(-1.0, 1.0) / j**2 * np.sin(j * np.pi * z) for j in range(1, n_modes + 1))
+        return sum(modes, ramp)
+
+    profile = {
+        "zero": lambda: np.zeros(grid.n_nodes),
+        "constant": lambda c: np.full(grid.n_nodes, c),
+        "sin_pi": lambda: np.sin(np.pi * z),
+        "mode": lambda j: np.sin(j * np.pi * z),
+        "ramp": lambda: ramp,
+        "random_smooth": random_smooth,
+    }[name](*args)
+    return Field(profile, grid)
 
 
 def build_problem(scenario: Scenario, rng: np.random.Generator) -> SemilinearProblem:

@@ -197,6 +197,23 @@ class TestLyapunovCertificate:
             lyapunov_decay_certificate(disturbed, grid_small, p=4.0)
 
 
+@pytest.mark.parametrize("tol", [math.nan, -0.5, 1.0])
+def test_relative_tolerance_outside_unit_interval_rejected(tol):
+    # NaN failed every check and tol >= 1 passed every check; both are refused.
+    grid = Grid1D(n_interior=31, dt=1e-3, t_final=0.05)
+    problem = heat_problem(grid, lambda z: np.sin(np.pi * z))
+    with pytest.raises(InvalidParameterError):
+        check_l2(simulate(problem, grid), tol=tol)
+    with pytest.raises(InvalidParameterError):
+        lyapunov_decay_certificate(problem, grid, 3.0, tol=tol)
+
+
+def test_zero_relative_tolerance_accepted():
+    grid = Grid1D(n_interior=31, dt=1e-3, t_final=0.05)
+    problem = heat_problem(grid, lambda z: np.sin(np.pi * z))
+    assert check_l2(simulate(problem, grid), tol=0.0).tol == 0.0
+
+
 class TestFittedConstants:
     def _scenarios(self, grid, with_holdout=False):
         decay = simulate(heat_problem(grid, lambda z: np.sin(np.pi * z)), grid)

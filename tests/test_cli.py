@@ -1,12 +1,21 @@
 import hashlib
+import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from iss_parabolic import ScenarioError
+from iss_parabolic import Grid1D, ScenarioError, scenarios
 from iss_parabolic.cli import main
 from iss_parabolic.runner import run_scenario, run_suite
-from iss_parabolic.scenarios import make_signal, parse_scenario, parse_selector
+from iss_parabolic.scenarios import (
+    SELECTORS,
+    make_initial,
+    make_reaction,
+    make_signal,
+    parse_scenario,
+    parse_selector,
+)
 
 SUITES = Path(__file__).resolve().parent.parent / "suites"
 
@@ -118,15 +127,96 @@ CORE_SEED7_DIGESTS = {
     "lyapunov_p3": {
         "report.csv": "90463bc7a0d94711c0a30a2005ecce0a7a8963ddddb0d93f8d3fdedc65b6c17d",
     },
+    "backstep_open": {
+        "report.csv": "cf7503ab5af4cdceb360a5ffc725aa9d25da7f54b2508e3d3f6257f6a2a5b3a1",
+    },
+    "backstep_closed": {
+        "report.csv": "5455bb8e0673a19084e26983b9e79251d1a4e43bac2d5580f358ec6f699b6bd9",
+    },
 }
+
+_DRAWS = np.random.default_rng(0).uniform(-1.0, 1.0, 3)
+
+# One case per catalog entry: the selector and what it must build on
+# CATALOG_GRID (a reaction at w, an initial profile at z with boundary
+# values 0.2 and -0.4, a signal at the grid times).
+CATALOG_CASES = [
+    ("reaction", "zero", lambda w: 0.0 * w),
+    ("reaction", "linear(-2.5)", lambda w: -2.5 * w),
+    ("reaction", "cubic", lambda w: w - w**3),
+    ("initial", "zero", lambda z: 0.0 * z),
+    ("initial", "constant(0.5)", lambda z: 0.5 + 0.0 * z),
+    ("initial", "sin_pi", lambda z: np.sin(np.pi * z)),
+    ("initial", "mode(2.0)", lambda z: np.sin(2.0 * np.pi * z)),
+    ("initial", "ramp", lambda z: 0.2 * (1.0 - z) - 0.4 * z),
+    ("initial", "random_smooth(3, 0.7)", lambda z: 0.2 * (1.0 - z) - 0.4 * z + sum(
+        0.7 * _DRAWS[j - 1] / j**2 * np.sin(j * np.pi * z) for j in (1, 2, 3))),
+    ("signal", "zero", lambda t: 0.0 * t),
+    ("signal", "constant(0.3)", lambda t: 0.3 + 0.0 * t),
+    ("signal", "step(0.4, 0.05)", lambda t: np.where(t >= 0.05, 0.4, 0.0)),
+    ("signal", "sinusoid(0.3, 5.0)", lambda t: 0.3 * np.sin(5.0 * t)),
+    ("signal", "file(sig.csv)", lambda t: 5.0 * t),
+]
+CATALOG_GRID = Grid1D(n_interior=15, dt=0.01, t_final=0.1)
 
 
 class TestScenarioParsing:
     def test_selector_forms(self):
-        assert parse_selector("zero") == ("zero", [])
-        assert parse_selector("step(0.5, 0.05)") == ("step", ["0.5", "0.05"])
-        with pytest.raises(ScenarioError):
-            parse_selector("1bad(")
+        assert parse_selector("zero", "signal") == ("zero", ())
+        assert parse_selector("step(0.5, 0.05)", "signal") == ("step", (0.5, 0.05))
+        assert parse_selector(" Mode( 3.0 ) ", "initial") == ("mode", (3,))
+        with pytest.raises(ValueError):
+            parse_selector("1bad(", "signal")
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "d0 = sinusiod(0.3, 5.0)", "d0 = zero(5)", "initial = sin_pi(3)", "reaction = cubic(1)",
+            "d0 = step(0.3, nan)", "d1 = constant(inf)", "initial = mode(2.5)", "initial = random_smooth(0, 1)",
+            "reaction = linear()", "initial = mode(inf)", "d1 = file()", "d0 = step(0.3 0.05)", "reaction = (1)",
+        ],
+    )
+    def test_bad_selector_rejected_before_anything_runs(self, tmp_path, line, capsys):
+        key = line.split(" = ")[0]
+        old = "initial = sin_pi" if key == "initial" else "a = 1.0"
+        new = line if key == "initial" else f"a = 1.0\n{line}"
+        scn = _write(tmp_path / "bad.scn", FAST_SCENARIO.format(name="x").replace(old, new))
+        with pytest.raises(ScenarioError, match=rf"problem\.{key}: "):
+            parse_scenario(scn)
+        assert main(["run", str(scn), "--out", str(tmp_path / "out")]) == 2
+        assert f"problem.{key}" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "x").exists()
+
+    @pytest.mark.parametrize("catalog,text,expected", CATALOG_CASES, ids=[f"{c}-{t}" for c, t, _ in CATALOG_CASES])
+    def test_every_catalog_entry_builds(self, tmp_path, catalog, text, expected):
+        grid = CATALOG_GRID
+        (tmp_path / "sig.csv").write_text("t,value\n0.0,0.0\n0.1,0.5\n")
+        selector = parse_selector(text, catalog)
+        if catalog == "reaction":
+            w = np.linspace(-1.5, 1.5, grid.n_nodes)
+            reaction, slope = make_reaction(selector)
+            built = 0.0 * w if reaction is None else reaction(grid.nodes, w, w)
+            assert slope == {"zero": 0.0, "linear": 2.5, "cubic": 1.0}[selector[0]]
+            assert built == pytest.approx(expected(w), abs=1e-15)
+        elif catalog == "initial":
+            built = make_initial(selector, grid, np.random.default_rng(0), 0.2, -0.4)
+            assert built.values == pytest.approx(expected(grid.nodes), abs=1e-15)
+        else:
+            built = make_signal(selector, grid, tmp_path)
+            assert built(grid.times()) == pytest.approx(expected(grid.times()), abs=1e-15)
+
+    def test_catalog_cases_cover_the_table(self):
+        covered = {(catalog, parse_selector(text, catalog)[0]) for catalog, text, _ in CATALOG_CASES}
+        assert covered == {(catalog, name) for catalog, entries in SELECTORS.items() for name in entries}
+
+    def test_docstring_catalog_matches_table(self):
+        listed = {
+            catalog: {re.match(r"\w+", entry.strip()).group(): entry.count(",") + ("(" in entry)
+                      for entry in entries.split("|")}
+            for catalog, entries in re.findall(r"^- (reaction|initial|signal)\b[^:]*: (.+)$", scenarios.__doc__, re.M)
+        }
+        assert listed == {catalog: {name: len(args) for name, args in entries.items()}
+                          for catalog, entries in SELECTORS.items()}
 
     def test_parse_shipped_scenario(self):
         scn = parse_scenario(SUITES / "core" / "eigen_decay.scn")
@@ -215,6 +305,20 @@ class TestRunCommand:
     def test_tampered_gain_fixture_exit_one(self, tmp_path):
         code = main(["run", str(SUITES / "negative" / "tampered_gain.scn"), "--out", str(tmp_path)])
         assert code == 1
+
+    def test_unit_tol_does_not_pass_tampered_gain(self, tmp_path, capsys):
+        # A relative slack of 1 would pass any margin; the check refuses it.
+        args = ["run", str(SUITES / "negative" / "tampered_gain.scn"), "--out", str(tmp_path), "--no-plots"]
+        assert main(args + ["--tol", "1"]) == 1
+        assert "0 <= tol < 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "suite"])
+    def test_unusable_out_root_exit_two(self, tmp_path, capsys, command):
+        scn = _write(tmp_path / "ok.scn", FAST_SCENARIO.format(name="ok"))
+        blocker = _write(tmp_path / "blocker", "not a directory")
+        target = scn if command == "run" else tmp_path
+        assert main([command, str(target), "--out", str(blocker)]) == 2
+        assert capsys.readouterr().err.startswith("error: cannot use output root")
 
     def test_parse_error_exit_two(self, tmp_path):
         bad = _write(tmp_path / "bad.scn", "[scenario]\nname = b\nkind = nope\n")
@@ -351,6 +455,17 @@ class TestSuiteCommand:
             for artifact, digest in digests.items():
                 data = (tmp_path / name / artifact).read_bytes()
                 assert hashlib.sha256(data).hexdigest() == digest, f"{name}/{artifact}"
+
+    def test_duplicate_name_fails_later_file_without_running(self, tmp_path, capsys):
+        _write(tmp_path / "a_sim.scn", FAST_SCENARIO.format(name="same"))
+        _write(tmp_path / "b_kern.scn", KERNEL_SCENARIO.replace("name = kern", "name = same"))
+        assert main(["suite", str(tmp_path), "--out", str(tmp_path / "out"), "--no-plots"]) == 1
+        captured = capsys.readouterr()
+        rows = captured.out.splitlines()
+        assert rows[1].startswith("same,simulate,true,")
+        assert rows[2].startswith("b_kern,?,false,-inf,")
+        assert "a_sim.scn" in captured.err
+        assert not (tmp_path / "out" / "same" / "kernel.csv").exists()
 
     def test_parse_error_in_suite_marks_failure(self, tmp_path):
         _write(tmp_path / "a_ok.scn", FAST_SCENARIO.format(name="a_ok"))
