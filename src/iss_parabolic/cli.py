@@ -1,7 +1,9 @@
 """Command-line interface: run one scenario or a whole suite directory.
 
-Exit codes: 0 all checks passed, 1 at least one check failed, 2 the
-configuration could not be used (parse error, empty suite, unusable --out).
+Both commands print the summary table, then one ``FAIL`` line on stderr per
+failed scenario.  Exit codes: 0 all checks passed, 1 at least one check
+failed, 2 the configuration could not be used (parse error, empty suite,
+unusable --out, or for ``run`` an unusable scenario output directory).
 The output root defaults to ``./out`` and can be overridden by ``--out``
 or the ``ISS_PARABOLIC_OUT`` environment variable.
 """
@@ -60,34 +62,25 @@ def main(argv=None) -> int:
         print(f"error: cannot use output root {out_root}: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
 
+    options = {"tol": args.tol, "no_plots": args.no_plots, "seed_override": args.seed}
     if args.command == "run":
         try:
-            scenario = parse_scenario(args.scenario)
+            results = [run_scenario(parse_scenario(args.scenario), out_root, **options)]
         except ScenarioError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_CONFIG_ERROR
-        result = run_scenario(
-            scenario, out_root, tol=args.tol, no_plots=args.no_plots, seed_override=args.seed
-        )
-        print(SUMMARY_HEADER)
-        print(result.summary_row())
-        if not result.passed:
-            detail = result.message or f"check failed with margin {result.min_margin:.6g}"
-            print(f"FAIL {result.name} [{scenario.kind}]: {detail}", file=sys.stderr)
-            return EXIT_CHECK_FAILED
-        return EXIT_PASS
-
-    results, code = run_suite(
-        args.directory, out_root, tol=args.tol, no_plots=args.no_plots, seed_override=args.seed
-    )
-    if code == EXIT_CONFIG_ERROR:
-        print(f"error: no scenario files (*.scn) found in {args.directory}", file=sys.stderr)
-        return code
+        code = EXIT_PASS if results[0].passed else EXIT_CHECK_FAILED
+    else:
+        results, code = run_suite(args.directory, out_root, **options)
+        if code == EXIT_CONFIG_ERROR:
+            print(f"error: no scenario files (*.scn) found in {args.directory}", file=sys.stderr)
+            return code
     print(SUMMARY_HEADER)
     for result in results:
         print(result.summary_row())
-        if not result.passed and result.message:
-            print(f"FAIL {result.name}: {result.message}", file=sys.stderr)
+        if not result.passed:
+            detail = result.message or f"check failed with margin {result.min_margin:.6g}"
+            print(f"FAIL {result.name} [{result.kind}]: {detail}", file=sys.stderr)
     return code
 
 

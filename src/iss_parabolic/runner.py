@@ -248,12 +248,16 @@ def run_scenario(
     """Execute one scenario; artifacts land in out_root/<name>/.
 
     ``tol`` and ``seed_override`` replace the scenario's own values; an
-    out-of-domain override raises ``ScenarioError``.
+    out-of-domain override, or an output directory that cannot be created,
+    raises ``ScenarioError``.
     """
     start = time.perf_counter()
     scenario = replace(scenario, **_overrides(tol, seed_override))
     out_dir = Path(out_root) / scenario.name
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ScenarioError(f"cannot use output directory {out_dir}: {exc}") from exc
     try:
         outcome = _DISPATCH[scenario.kind](scenario, out_dir, np.random.default_rng(scenario.seed))
     except IssParabolicError as exc:
@@ -276,7 +280,8 @@ def run_suite(directory, out_root, tol=None, no_plots=False, seed_override=None)
 
     Returns the per-scenario results and the suite exit code (0 all pass,
     1 any failure, 2 empty or unreadable directory).  A file that does not
-    parse or reuses an earlier file's name fails without running.
+    parse, reuses an earlier file's name or whose output directory cannot
+    be created fails without running.
     Out-of-domain overrides raise ``ScenarioError`` before any scenario runs.
     """
     _overrides(tol, seed_override)
@@ -292,10 +297,9 @@ def run_suite(directory, out_root, tol=None, no_plots=False, seed_override=None)
             scn = parse_scenario(f)
             if scn.name in first_file:
                 raise ScenarioError(f"{f}: scenario name {scn.name!r} is already used by {first_file[scn.name]}")
+            first_file[scn.name] = f
+            results.append(run_scenario(scn, out_root, tol=tol, no_plots=no_plots, seed_override=seed_override))
         except ScenarioError as exc:
             results.append(ScenarioResult(f.stem, "?", False, -math.inf, 0.0, str(exc)))
-            continue
-        first_file[scn.name] = f
-        results.append(run_scenario(scn, out_root, tol=tol, no_plots=no_plots, seed_override=seed_override))
     code = EXIT_PASS if all(r.passed for r in results) else EXIT_CHECK_FAILED
     return results, code

@@ -1,7 +1,7 @@
 """Scenario files: flat key=value sections describing one run each.
 
-A scenario file has up to five sections; unknown keys are rejected so typos
-fail loudly::
+A scenario file has up to five sections; unknown keys, and keys the kind
+does not read, are rejected so typos fail loudly::
 
     [scenario]
     name = eigen_decay          # output directory name [file stem]
@@ -29,29 +29,34 @@ fail loudly::
     [loop]                      # backstepping_loop only
     mode = closed               # open | closed
 
-Check-key catalog.  ``tol`` (finite, > 0) is each kind's one check
-tolerance; when the scenario omits it and ``--tol`` does not set it, the
-default in brackets applies.  ``logy`` [true] picks the plot's y axis for
-every kind, and ``p`` [2], wherever a kind reads it, the L^p norm: p >= 1,
-``inf`` allowed.
+Kind-key catalog (``KIND_KEYS``).  Besides the [scenario] and [grid] keys,
+``a`` and ``logy`` [true], a kind, or the variant a setting picks, reads
+only these keys; any other is a configuration error.  ``tol`` (finite, > 0)
+is its one check tolerance, [default] unless the file or ``--tol`` sets it.
 
-- simulate: ``p`` picks the norm; with ``decay_rate`` (> 0, finite) the
-  fitted rate must match it to relative error ``tol`` [0.02], without it
-  nothing is checked.
-- sandwich: ``epsilon`` (> 0, finite) [0.05] widens the constant bracket;
-  ``tol`` is the ordering slack [monotone.DEFAULT_ORDERING_TOL = 1e-10].
-- iss_check: ``estimate`` [l2] | weighted_l1 | weighted_sup, ``tol`` its
-  relative slack, below 1 [0.02]; weighted_l1 reads ``gain_override`` (> 0,
-  finite), weighted_sup reads ``sigma`` in (0, a pi^2) [a pi^2 / 2] and
-  ``theta`` in (0, pi - sqrt(sigma / a)) [its midpoint].
-- lyapunov: ``p`` in (2, inf); ``tol`` is the certificate's relative slack,
-  below 1 [0.02].
-- kernel_synthesis: ``tol`` bounds the sup distance to the series oracle
-  [1e-6]; the inverse-kernel round trip on 20 random fields is held to 1e-8.
-- backstepping_loop: ``p`` picks the norm.  ``mode = open`` requires
-  tenfold norm growth (no tolerance); closed with ``d0 = zero`` the fitted
-  rate must match a*pi^2 to relative error ``tol`` [0.05]; closed with a
-  disturbance ``tol`` is the ISS certificate's relative slack [1e-6].
+- simulate: reaction initial d0 d1 p
+- simulate (decay_rate given): reaction initial d0 d1 p decay_rate tol
+- sandwich: reaction initial d0 d1 epsilon tol
+- iss_check (estimate = l2): reaction initial d0 d1 estimate tol
+- iss_check (estimate = weighted_l1): reaction initial d0 d1 estimate tol gain_override
+- iss_check (estimate = weighted_sup): reaction initial d0 d1 estimate tol sigma theta
+- lyapunov: reaction initial d0 d1 p tol
+- kernel_synthesis: k_reaction tol
+- backstepping_loop (mode = open): k_reaction mode p
+- backstepping_loop (mode = closed): k_reaction mode p initial d0 tol
+
+``p`` [2]: L^p exponent >= 1, ``inf`` allowed (lyapunov: in (2, inf)).
+simulate: the fitted decay rate must match ``decay_rate`` (> 0, finite) to
+relative error tol [0.02].  sandwich: ``epsilon`` (> 0, finite) [0.05]
+widens the constant bracket; tol is the ordering slack [1e-10].  iss_check
+and lyapunov: tol is the relative slack, below 1 [0.02]; ``estimate`` [l2];
+``gain_override`` (> 0, finite) replaces weighted_l1's gain; weighted_sup's
+``sigma`` is in (0, a pi^2) [a pi^2 / 2], ``theta`` in (0, pi - sqrt(sigma
+/ a)) [its midpoint].  kernel_synthesis: tol bounds the sup distance to the
+series oracle [1e-6]; the inverse-kernel round trip is held to 1e-8.
+backstepping_loop: ``mode`` [closed]; open must grow its norm tenfold;
+closed with ``d0 = zero`` fits the rate a pi^2 to relative error tol
+[0.05], with a disturbance tol is the ISS certificate's slack [1e-6].
 
 Selector catalog.  Selectors, ``name`` or ``name(arg, ...)``, are checked
 when the file is read: c, amp, omega, t_on finite; j, modes whole numbers
@@ -211,9 +216,23 @@ _SECTION_KEYS = {
 }
 _REQUIRED = {("scenario", "kind"), ("grid", "n_interior"), ("grid", "dt"), ("grid", "t_final")}
 
+# The kind table: the [problem], [check] and [loop] keys each kind or variant reads besides a and logy.
+KIND_KEYS = {
+    "simulate": "reaction initial d0 d1 p",
+    "simulate (decay_rate given)": "reaction initial d0 d1 p decay_rate tol",
+    "sandwich": "reaction initial d0 d1 epsilon tol",
+    "iss_check (estimate = l2)": "reaction initial d0 d1 estimate tol",
+    "iss_check (estimate = weighted_l1)": "reaction initial d0 d1 estimate tol gain_override",
+    "iss_check (estimate = weighted_sup)": "reaction initial d0 d1 estimate tol sigma theta",
+    "lyapunov": "reaction initial d0 d1 p tol",
+    "kernel_synthesis": "k_reaction tol",
+    "backstepping_loop (mode = open)": "k_reaction mode p",
+    "backstepping_loop (mode = closed)": "k_reaction mode p initial d0 tol",
+}
+
 
 def parse_scenario(path) -> Scenario:
-    """Parse one scenario file, rejecting unknown sections, keys, and values."""
+    """Parse one scenario file, rejecting unknown sections, keys and values, then keys its kind does not read."""
     path = Path(path)
     cp = configparser.ConfigParser(inline_comment_prefixes=("#",))
     try:
@@ -250,7 +269,15 @@ def parse_scenario(path) -> Scenario:
         values["grid"] = Grid1D(**grid)
     except InvalidParameterError as exc:
         raise ScenarioError(f"{path}: bad [grid]: {exc}") from exc
-    return Scenario(**values)
+    scn = Scenario(**values)
+    variant = {"simulate": "decay_rate given" if scn.decay_rate is not None else None,
+               "iss_check": f"estimate = {scn.estimate}", "backstepping_loop": f"mode = {scn.mode}"}.get(scn.kind)
+    entry = scn.kind if variant is None else f"{scn.kind} ({variant})"
+    unread = [f"{section}.{key}" for section in ("problem", "check", "loop") if cp.has_section(section)
+              for key in cp[section] if key not in ("a", "logy", *KIND_KEYS[entry].split())]
+    if unread:
+        raise ScenarioError(f"{path}: kind {entry} does not read {', '.join(unread)}")
+    return scn
 
 
 def make_reaction(selector: tuple):

@@ -9,6 +9,7 @@ from iss_parabolic import Grid1D, ScenarioError, scenarios
 from iss_parabolic.cli import main
 from iss_parabolic.runner import run_scenario, run_suite
 from iss_parabolic.scenarios import (
+    KIND_KEYS,
     SELECTORS,
     make_initial,
     make_reaction,
@@ -159,6 +160,46 @@ CATALOG_CASES = [
 ]
 CATALOG_GRID = Grid1D(n_interior=15, dt=0.01, t_final=0.1)
 
+KIND_FILE = """
+[scenario]
+name = x
+kind = {kind}
+
+[grid]
+n_interior = 15
+dt = 1e-3
+t_final = 0.05
+"""
+
+# A valid value for each of the 14 keys some kinds read and others do not.
+VALID = {
+    "k_reaction": "5.0", "reaction": "cubic", "initial": "sin_pi", "d0": "zero", "d1": "zero", "estimate": "l2",
+    "p": "3", "sigma": "1.0", "theta": "0.5", "tol": "0.01", "epsilon": "0.05", "decay_rate": "1.0",
+    "gain_override": "0.5", "mode": "closed",
+}
+KEY_SECTION = {key: section for section, parsers in scenarios._SECTION_KEYS.items() for key in parsers}
+
+# A key whose setting picks another variant of the same kind selects that
+# entry, so it is not outside the kind's keys.
+_SWITCHES = {(entry.split()[0], key) for entry in KIND_KEYS for key in re.findall(r"\((\w+)", entry)}
+UNREAD_CASES = [(entry, key) for entry, keys in KIND_KEYS.items() for key in VALID
+                if key not in keys.split() and (entry.split()[0], key) not in _SWITCHES]
+
+
+def _entry_id(entry: str) -> str:
+    return entry.replace(" (", ":").replace(")", "").replace(" = ", "=").replace(" ", "_")
+
+
+def _kind_file(path: Path, entry: str, keys) -> Path:
+    """A scenario of the entry's kind and variant that sets each of ``keys``."""
+    kind, _, variant = entry.partition(" (")
+    settings = dict(re.findall(r"(\w+) = (\w+)", variant))
+    sections = {"problem": ["a = 1.0"], "check": ["logy = false"], "loop": []}
+    for key in keys:
+        sections[KEY_SECTION[key]].append(f"{key} = {settings.get(key, VALID[key])}")
+    body = "".join(f"\n[{name}]\n" + "\n".join(lines) + "\n" for name, lines in sections.items() if lines)
+    return _write(path, KIND_FILE.format(kind=kind) + body)
+
 
 class TestScenarioParsing:
     def test_selector_forms(self):
@@ -217,6 +258,46 @@ class TestScenarioParsing:
         }
         assert listed == {catalog: {name: len(args) for name, args in entries.items()}
                           for catalog, entries in SELECTORS.items()}
+
+    @pytest.mark.parametrize("entry", KIND_KEYS, ids=_entry_id)
+    def test_every_key_of_an_entry_parses(self, tmp_path, entry):
+        scn = parse_scenario(_kind_file(tmp_path / "x.scn", entry, KIND_KEYS[entry].split()))
+        assert scn.kind == entry.split()[0]
+        for key, value in re.findall(r"(\w+) = (\w+)", entry):
+            assert getattr(scn, key) == value
+
+    @pytest.mark.parametrize("entry,key", UNREAD_CASES, ids=[f"{_entry_id(e)}-{k}" for e, k in UNREAD_CASES])
+    def test_key_outside_its_kind_rejected(self, tmp_path, capsys, entry, key):
+        scn = _kind_file(tmp_path / "x.scn", entry, [*KIND_KEYS[entry].split(), key])
+        message = f"kind {entry} does not read {KEY_SECTION[key]}.{key}"
+        with pytest.raises(ScenarioError, match=re.escape(message)):
+            parse_scenario(scn)
+        assert main(["run", str(scn), "--out", str(tmp_path / "out")]) == 2
+        assert f".{key}" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "x").exists()
+
+    def test_unread_cases_cover_every_kind(self):
+        # 14 keys per entry, less its own keys and a key picking another variant
+        assert set(VALID) == {key for key, section in KEY_SECTION.items()
+                              if section in ("problem", "check", "loop") and key not in ("a", "logy")}
+        assert {entry for entry, _ in UNREAD_CASES} == set(KIND_KEYS)
+        assert len(UNREAD_CASES) == sum(14 - len(keys.split()) for keys in KIND_KEYS.values()) - 1
+
+    def test_docstring_kind_catalog_matches_table(self):
+        listed = {
+            entry: keys.split()
+            for entry, keys in re.findall(r"^- (\w+(?: \([^)]*\))?): (.+)$", scenarios.__doc__, re.M)
+            if entry.split()[0] in scenarios.KINDS
+        }
+        assert listed == {entry: keys.split() for entry, keys in KIND_KEYS.items()}
+
+    def test_tampered_gain_under_l2_rejected(self, tmp_path, capsys):
+        # l2 reads no gain_override, so the tampered gain would go unchecked.
+        text = (SUITES / "negative" / "tampered_gain.scn").read_text()
+        scn = _write(tmp_path / "tampered_gain.scn", text.replace("estimate = weighted_l1", "estimate = l2"))
+        assert main(["run", str(scn), "--out", str(tmp_path / "out"), "--no-plots"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "check.gain_override" in err
 
     def test_parse_shipped_scenario(self):
         scn = parse_scenario(SUITES / "core" / "eigen_decay.scn")
@@ -319,6 +400,14 @@ class TestRunCommand:
         target = scn if command == "run" else tmp_path
         assert main([command, str(target), "--out", str(blocker)]) == 2
         assert capsys.readouterr().err.startswith("error: cannot use output root")
+
+    def test_file_in_place_of_scenario_directory_exit_two(self, tmp_path, capsys):
+        scn = _write(tmp_path / "kern.scn", KERNEL_SCENARIO)
+        (tmp_path / "out").mkdir()
+        blocker = _write(tmp_path / "out" / "kern", "not a directory")
+        assert main(["run", str(scn), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot use output directory") and str(blocker) in err
 
     def test_parse_error_exit_two(self, tmp_path):
         bad = _write(tmp_path / "bad.scn", "[scenario]\nname = b\nkind = nope\n")
@@ -466,6 +555,44 @@ class TestSuiteCommand:
         assert rows[2].startswith("b_kern,?,false,-inf,")
         assert "a_sim.scn" in captured.err
         assert not (tmp_path / "out" / "same" / "kernel.csv").exists()
+
+    def test_file_in_place_of_scenario_directory_fails_only_its_scenario(self, tmp_path, capsys):
+        suite = tmp_path / "suite"
+        suite.mkdir()
+        _write(suite / "kern.scn", KERNEL_SCENARIO)
+        _write(suite / "ok.scn", FAST_SCENARIO.format(name="ok"))
+        (tmp_path / "out").mkdir()
+        blocker = _write(tmp_path / "out" / "kern", "not a directory")
+        assert main(["suite", str(suite), "--out", str(tmp_path / "out"), "--no-plots"]) == 1
+        captured = capsys.readouterr()
+        rows = captured.out.splitlines()
+        assert rows[1].startswith("kern,?,false,-inf,")
+        assert rows[2].startswith("ok,simulate,true,")
+        assert captured.err.startswith("FAIL kern [?]: cannot use output directory") and str(blocker) in captured.err
+        assert (tmp_path / "out" / "ok" / "report.csv").exists()
+
+    def test_failed_check_named_on_stderr(self, tmp_path, capsys):
+        assert main(["suite", str(SUITES / "negative"), "--out", str(tmp_path), "--no-plots"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out.splitlines()[1].startswith("tampered_gain,iss_check,false,-0.685815,")
+        assert captured.err == "FAIL tampered_gain [iss_check]: check failed with margin -0.685815\n"
+
+    def test_tol_and_seed_flags_reach_every_scenario(self, tmp_path, capsys):
+        # backstep_open and a simulate without decay_rate read no tol; they ignore --tol.
+        suite = tmp_path / "suite"
+        suite.mkdir()
+        _write(suite / "kern.scn", KERNEL_SCENARIO)
+        _write(suite / "rnd.scn", FAST_SCENARIO.format(name="rnd").replace(
+            "initial = sin_pi", "initial = random_smooth(4, 0.8)").replace("decay_rate = 9.869604401089358", ""))
+        _write(suite / "backstep_open.scn", (SUITES / "core" / "backstep_open.scn").read_text())
+        flags = ["--no-plots", "--tol", "0.5", "--seed", "77"]
+        assert main(["suite", str(suite), "--out", str(tmp_path / "suite_out"), *flags]) == 0
+        assert [row.split(",")[2] for row in capsys.readouterr().out.splitlines()[1:]] == ["true"] * 3
+        kernel_rows = (tmp_path / "suite_out" / "kern" / "report.csv").read_text().splitlines()
+        assert kernel_rows[1].split(",")[::2] == ["oracle_sup_diff", "0.5"]
+        assert main(["run", str(suite / "rnd.scn"), "--out", str(tmp_path / "run_out"), *flags]) == 0
+        suite_traj, run_traj = (tmp_path / out / "rnd" / "trajectory.csv" for out in ("suite_out", "run_out"))
+        assert suite_traj.read_bytes() == run_traj.read_bytes()
 
     def test_parse_error_in_suite_marks_failure(self, tmp_path):
         _write(tmp_path / "a_ok.scn", FAST_SCENARIO.format(name="a_ok"))
