@@ -453,5 +453,6 @@ def certify_closed_loop(
 def write_kernel_csv(kernel: VolterraKernel, path) -> None:
     """Export kernel samples over the triangle: z,s,k_value."""
     nodes = format_floats(kernel.grid.nodes)
-    rows = ((z, nodes[i:], format_floats(kernel.samples[i, i:])) for i, z in enumerate(nodes))
+    cells = [f",{s},%.17g\n" for s in nodes]
+    rows = ((z + z.join(cells[i:]), kernel.samples[i, i:]) for i, z in enumerate(nodes))
     write_csv(path, "z,s,k_value", rows)

@@ -37,7 +37,7 @@ import numpy as np
 
 from .comparison import ExpLinearKL, LinearGain
 from .errors import EstimationError, InapplicableEstimateError, InvalidParameterError
-from .grid import Grid1D, Trajectory, format_floats, write_csv
+from .grid import Grid1D, Trajectory, float_block, literal, write_csv
 from .norms import lp_norms, sup_weight, weighted_sin_norms, weighted_sup_norms
 from .solver import SemilinearProblem, simulate
 
@@ -301,7 +301,7 @@ def check_fitted_lp(traj: Trajectory, constants: ExpIssConstants, tol: float = 1
 
 def write_margin_csv(path, times: np.ndarray, lhs: np.ndarray, rhs: np.ndarray) -> None:
     """Export a per-time bound evaluation: t,lhs,rhs,margin (margin = rhs - lhs)."""
-    write_csv(path, "t,lhs,rhs,margin", [tuple(map(format_floats, (times, lhs, rhs, rhs - lhs)))])
+    write_csv(path, "t,lhs,rhs,margin", [float_block(times, lhs, rhs, rhs - lhs)])
 
 
 def write_report_csv(report: ISSReport, path) -> None:
@@ -311,8 +311,8 @@ def write_report_csv(report: ISSReport, path) -> None:
 
 def write_summary_csv(report: ISSReport, path) -> None:
     """One-line summary: estimate_id,pass,min_margin."""
-    row = ([report.estimate_id], [str(report.passed).lower()], format_floats([report.margin]))
-    write_csv(path, "estimate_id,pass,min_margin", [row])
+    row = f"{literal(report.estimate_id)},{str(report.passed).lower()},%.17g\n"
+    write_csv(path, "estimate_id,pass,min_margin", [(row, [report.margin])])
 
 
 def write_decay_csv(report: DecayReport, path) -> None:

@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import repeat
 
 import numpy as np
 
@@ -185,14 +184,30 @@ def format_floats(values) -> list[str]:
     return list(map("{:.17g}".format, np.asarray(values, dtype=float).tolist()))
 
 
+def literal(text: str) -> str:
+    """``text`` as template text that ``%`` leaves unchanged: each ``%`` doubled."""
+    return text.replace("%", "%%")
+
+
+def float_block(*columns) -> tuple[str, np.ndarray]:
+    """A block of equal-length float columns: one ``%.17g`` slot per cell."""
+    rows = np.column_stack(columns)
+    return (",".join(["%.17g"] * rows.shape[1]) + "\n") * rows.shape[0], rows
+
+
 def write_csv(path, header: str, blocks) -> None:
-    """Write ``header``, then the rows of each block: a tuple of equal-length
-    columns, each a list of formatted cells or one string repeated down the
-    block.  Only one block is held at a time, so a generator streams.
+    """Write ``header``, then each block ``(template, values)`` as
+    ``template % tuple(values)``.
+
+    A template is the block's rows as text: every float cell is a ``%.17g``
+    slot, and every other cell is a literal (already formatted floats such as
+    a trajectory's ``t`` and ``z``, or text passed through :func:`literal`).
+    ``values`` fills the slots in row-major order; it is converted to doubles
+    once, so each cell is formatted by the same C routine as
+    ``"{:.17g}".format`` and the bytes match :func:`format_floats`.  Only one
+    block is held at a time, so a generator of blocks streams.
     """
     with open(path, "w", newline="\n") as fh:
         fh.write(header + "\n")
-        for block in blocks:
-            n = next(len(col) for col in block if not isinstance(col, str))
-            cols = [repeat(col, n) if isinstance(col, str) else col for col in block]
-            fh.write("".join(",".join(row) + "\n" for row in zip(*cols, strict=True)))
+        for template, values in blocks:
+            fh.write(template % tuple(np.asarray(values, dtype=float).ravel().tolist()))

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BracketingError, IncompatibleTrajectoryError, InvalidParameterError
-from .grid import Field, Grid1D, Trajectory, format_floats, write_csv
+from .grid import Field, Grid1D, Trajectory, float_block, write_csv
 from .solver import BoundarySignal, SemilinearProblem, simulate
 
 DEFAULT_ORDERING_TOL = 1e-10
@@ -188,5 +188,5 @@ def constant_reduction_experiment(
 
 def write_sandwich_csv(report: SandwichReport, path) -> None:
     """Export per-time envelope gaps: t,min_gap_low,min_gap_high."""
-    columns = (report.times, report.min_gap_low, report.min_gap_high)
-    write_csv(path, "t,min_gap_low,min_gap_high", [tuple(map(format_floats, columns))])
+    block = float_block(report.times, report.min_gap_low, report.min_gap_high)
+    write_csv(path, "t,min_gap_low,min_gap_high", [block])

@@ -24,7 +24,7 @@ import numpy as np
 from . import backstepping as bs
 from . import certify
 from .errors import IssParabolicError, ScenarioError
-from .grid import Field, Trajectory, format_floats, write_csv
+from .grid import Field, Trajectory, literal, write_csv
 from .monotone import DEFAULT_ORDERING_TOL, constant_reduction_experiment, write_sandwich_csv
 from .norms import lp_norms
 from .scenarios import (
@@ -164,9 +164,11 @@ def _run_kernel_synthesis(scn: Scenario, out_dir: Path, rng: np.random.Generator
 
 def _write_check_csv(path, checks) -> None:
     """Export named threshold checks: check,value,threshold,pass."""
-    names, values, thresholds = zip(*checks)
-    passes = [str(value <= threshold).lower() for value, threshold in zip(values, thresholds)]
-    write_csv(path, "check,value,threshold,pass", [(names, format_floats(values), format_floats(thresholds), passes)])
+    rows = "".join(
+        f"{literal(name)},%.17g,%.17g,{str(value <= threshold).lower()}\n" for name, value, threshold in checks
+    )
+    values = [(value, threshold) for _, value, threshold in checks]
+    write_csv(path, "check,value,threshold,pass", [(rows, values)])
 
 
 def _fit_loop_constants(scn: Scenario, d_signal: BoundarySignal, rng: np.random.Generator) -> certify.ExpIssConstants:

@@ -1,7 +1,8 @@
 """Scenario files: flat key=value sections describing one run each.
 
-A scenario file has up to five sections; unknown keys, and keys the kind
-does not read, are rejected so typos fail loudly::
+A scenario file has up to five sections; unknown keys, keys the kind does
+not read and values outside the domains below are rejected, so typos fail
+loudly::
 
     [scenario]
     name = eigen_decay          # output directory name [file stem]
@@ -232,7 +233,8 @@ KIND_KEYS = {
 
 
 def parse_scenario(path) -> Scenario:
-    """Parse one scenario file, rejecting unknown sections, keys and values, then keys its kind does not read."""
+    """Parse one scenario file, rejecting unknown sections, keys and values, then keys its kind does not
+    read and values outside the domain its kind needs."""
     path = Path(path)
     cp = configparser.ConfigParser(inline_comment_prefixes=("#",))
     try:
@@ -277,7 +279,26 @@ def parse_scenario(path) -> Scenario:
               for key in cp[section] if key not in ("a", "logy", *KIND_KEYS[entry].split())]
     if unread:
         raise ScenarioError(f"{path}: kind {entry} does not read {', '.join(unread)}")
+    bad = _kind_domain_error(scn)
+    if bad:
+        raise ScenarioError(f"{path}: bad value for {bad}")
     return scn
+
+
+def _kind_domain_error(scn: Scenario) -> Optional[str]:
+    """The first value outside the domain its kind needs, described, or None."""
+    if scn.kind == "lyapunov" and not 2.0 < scn.p < math.inf:
+        return f"check.p: kind lyapunov needs p in (2, inf), got {scn.p:g}"
+    if scn.kind == "iss_check" and scn.estimate == "weighted_sup":
+        sigma_max = scn.a * math.pi**2
+        if scn.sigma is not None and not scn.sigma < sigma_max:
+            return f"check.sigma: weighted_sup needs sigma in (0, a pi^2) = (0, {sigma_max:g}), got {scn.sigma:g}"
+        sigma = 0.5 * sigma_max if scn.sigma is None else scn.sigma
+        theta_max = math.pi - math.sqrt(sigma / scn.a)
+        if scn.theta is not None and not scn.theta < theta_max:
+            return (f"check.theta: weighted_sup needs theta in (0, pi - sqrt(sigma / a)) = (0, {theta_max:g}), "
+                    f"got {scn.theta:g}")
+    return None
 
 
 def make_reaction(selector: tuple):

@@ -97,9 +97,9 @@ def write_line_plot(
         color = _COLORS[idx % len(_COLORS)]
         keep = (v > 0.0) if logy else np.isfinite(v)
         tv = transform(v[keep])
-        pts = " ".join(
-            f"{px(float(xx)):.2f},{py(float(vv)):.2f}" for xx, vv in zip(x[keep], tv)
-        )
+        # px and py act elementwise on arrays with the scalar order of operations.
+        xy = np.column_stack((px(x[keep]), py(tv)))
+        pts = " ".join(["%.2f,%.2f"] * len(xy)) % tuple(xy.ravel().tolist())
         parts.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{pts}"/>')
         parts.append(
             f'<text x="{_ML + pw - 4}" y="{_MT + 14 + 14 * idx}" text-anchor="end" '

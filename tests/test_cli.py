@@ -85,9 +85,10 @@ p = 2
 """
 
 # sigma lies outside (0, a pi^2), so the weighted sup check raises.
+# Parses, then raises at run time: weighted_sup applies to the heat equation only.
 RAISING_CHECK = """
 [scenario]
-name = bad_sigma
+name = not_heat
 kind = iss_check
 
 [grid]
@@ -97,11 +98,11 @@ t_final = 0.05
 
 [problem]
 a = 1.0
+reaction = cubic
 initial = sin_pi
 
 [check]
 estimate = weighted_sup
-sigma = 100
 """
 
 CORE_SEED7_DIGESTS = {
@@ -353,6 +354,30 @@ class TestScenarioParsing:
         with pytest.raises(ScenarioError, match=rf"\.{key}: "):
             parse_scenario(_write(tmp_path / "bad.scn", text))
 
+    @pytest.mark.parametrize(
+        "shipped,old,new",
+        [
+            ("lyapunov_p3", "p = 3", "p = 1.5"),
+            ("lyapunov_p3", "p = 3", "p = 2"),
+            ("lyapunov_p3", "p = 3", "p = inf"),
+            ("lyapunov_p3", "p = 3", ""),  # the default p = 2
+            ("weighted_sup_decay", "sigma = 4.9348", "sigma = 20.0"),
+            ("weighted_sup_decay", "sigma = 4.9348", "sigma = 9.8697"),  # just above a pi^2
+            ("weighted_sup_decay", "theta = 0.45", "theta = 1.0"),  # pi - sqrt(sigma / a) = 0.9202
+            ("weighted_sup_decay", "sigma = 4.9348\ntheta = 0.45", "theta = 0.93"),  # the default sigma
+        ],
+    )
+    def test_kind_domain_rejected_before_anything_runs(self, tmp_path, capsys, shipped, old, new):
+        text = (SUITES / "core" / f"{shipped}.scn").read_text()
+        assert old in text
+        scn = _write(tmp_path / f"{shipped}.scn", text.replace(old, new))
+        key = (new or old).split(" = ")[0]
+        with pytest.raises(ScenarioError, match=rf"check\.{key}: "):
+            parse_scenario(scn)
+        assert main(["run", str(scn), "--out", str(tmp_path / "out"), "--no-plots"]) == 2
+        assert f"check.{key}" in capsys.readouterr().err
+        assert not (tmp_path / "out" / shipped).exists()
+
     def test_infinite_p_accepted(self, tmp_path):
         text = FAST_SCENARIO.format(name="x").replace("decay_rate = 9.869604401089358", "p = inf")
         assert parse_scenario(_write(tmp_path / "s.scn", text)).p == float("inf")
@@ -486,10 +511,10 @@ class TestRunCommand:
         assert capsys.readouterr().out.splitlines()[1].startswith("const_d,backstepping_loop,true,")
 
     def test_raising_kind_prints_minus_inf_and_writes_no_trajectory(self, tmp_path, capsys):
-        scn = _write(tmp_path / "bad_sigma.scn", RAISING_CHECK)
+        scn = _write(tmp_path / "not_heat.scn", RAISING_CHECK)
         assert main(["run", str(scn), "--out", str(tmp_path / "out")]) == 1
         assert ",false,-inf," in capsys.readouterr().out.splitlines()[1]
-        assert not (tmp_path / "out" / "bad_sigma" / "trajectory.csv").exists()
+        assert not (tmp_path / "out" / "not_heat" / "trajectory.csv").exists()
 
     def test_kernel_plot_follows_logy(self, tmp_path):
         # KERNEL_SCENARIO sets no logy, so the default log scale applies.

@@ -1,3 +1,5 @@
+import sys
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -166,28 +168,57 @@ def _writer_cases():
     times = np.array([-0.0, 5e-324, 0.1, 1.0 / 3.0, 1e300])
     data = rng.standard_normal((times.size, grid.n_nodes)) * 10.0
     data[1] = special
-    lhs, rhs = special[:5], special[::-1][:5]
-    report = SimpleNamespace(times=times, lhs=lhs, rhs=rhs, estimate_id="l2", passed=False, margin=-1.0 / 3.0)
-    decay = SimpleNamespace(times=times, norm_lhs=lhs, norm_rhs=rhs)
-    sandwich = SimpleNamespace(times=times, min_gap_low=lhs, min_gap_high=-rhs)
+    inf, nan = np.inf, np.nan
+    # Non-finite cells: margins rhs - lhs of -inf, inf and nan (inf - inf among them).
+    lhs = np.concatenate([special[:5], [inf, -inf, nan, 1.0, inf]])
+    rhs = np.concatenate([special[::-1][:5], [1.0, 1.0, 2.0, nan, inf]])
+    rows_times = np.concatenate([times, -times])
+    report = SimpleNamespace(times=rows_times, lhs=lhs, rhs=rhs, estimate_id="l2", passed=False, margin=-1.0 / 3.0)
+    decay = SimpleNamespace(times=rows_times, norm_lhs=lhs, norm_rhs=rhs)
+    sandwich = SimpleNamespace(times=rows_times, min_gap_low=lhs, min_gap_high=-rhs)
     samples = np.triu(rng.standard_normal((grid.n_nodes, grid.n_nodes)))
     samples[0] = special
     kernel = VolterraKernel(samples, 1.0, "direct", grid)
-    checks = [("a", -0.0, 5e-324), ("b", 1e300, -2.5), ("c", 0.1, 0.1)]
+    # Text cells holding "%" must pass through a %-template unchanged.
+    checks = [("a", -0.0, 5e-324), ("b", 1e300, -2.5), ("c", 0.1, 0.1),
+              ("100%", inf, 1.0), ("%s", -inf, nan), ("%(x)s %%d", nan, inf)]
+    summaries = {
+        f"summary_{margin}": SimpleNamespace(estimate_id=estimate_id, passed=passed, margin=margin)
+        for estimate_id, passed, margin in (("100%", True, inf), ("%s", False, -inf), ("%(x)s %%d", False, nan))
+    }
     return {
         "trajectory": (write_trajectory_csv, _rows_trajectory, Trajectory(grid, times, data)),
         "sandwich": (write_sandwich_csv, _rows_sandwich, sandwich),
         "report": (write_report_csv, lambda r, p: _rows_margin(p, r.times, r.lhs, r.rhs), report),
         "decay": (write_decay_csv, lambda r, p: _rows_margin(p, r.times, r.norm_lhs, r.norm_rhs), decay),
         "summary": (write_summary_csv, _rows_summary, report),
+        **{case: (write_summary_csv, _rows_summary, summary) for case, summary in summaries.items()},
         "kernel": (write_kernel_csv, _rows_kernel, kernel),
         "check_table": (lambda c, p: _write_check_csv(p, c), _rows_checks, checks),
     }
 
 
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")  # inf - inf margins
 @pytest.mark.parametrize("case", sorted(_writer_cases()))
 def test_writer_matches_row_loop(case, tmp_path):
     writer, rows, obj = _writer_cases()[case]
     writer(obj, tmp_path / "new.csv")
     rows(obj, tmp_path / "old.csv")
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+def test_trajectory_writer_streams_one_level_at_a_time(tmp_path):
+    # A writer that converts the whole history at once holds every value as a
+    # Python float; one level at a time needs a small fraction of that.
+    grid = Grid1D(n_interior=199, dt=1e-4, t_final=0.3)
+    data = np.random.default_rng(2).standard_normal((grid.n_steps + 1, grid.n_nodes))
+    traj = Trajectory(grid, grid.times(), data)
+    assert data.shape == (3001, 201)
+    whole = data.size * (sys.getsizeof(0.0) + 8)  # data.tolist(): a float object and a pointer per value
+    tracemalloc.start()
+    try:
+        write_trajectory_csv(traj, tmp_path / "trajectory.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < whole / 10, (peak, whole)
