@@ -24,9 +24,10 @@ characteristic variables xi = 2 - z - s, eta = s - z,
     F(xi, eta) = (lam/4)(xi - eta)
                  + (lam/4) int_eta^xi int_0^eta F(xi', eta') d eta' d xi',
 
-and the truncated series above -- so each validates the other, and a third
-check (the transformed closed-loop trajectory must satisfy the heat
-residual at the scheme's order) validates both against the dynamics.
+and the truncated series above -- so each validates the other.  A third,
+dynamic check, ``transform_commutation_residual`` (the transformed loop must
+satisfy the heat residual at the scheme's order), is run by the acceptance
+tests and the ``closed_loop_fine`` benchmark; no scenario kind runs it.
 The double integral is cumulative Simpson quadrature, computed in place in
 buffers allocated once per synthesis and equal bit for bit to scipy's
 ``cumulative_simpson``.

@@ -132,19 +132,12 @@ def check_l2(traj: Trajectory, tol: float = DEFAULT_REL_TOL) -> ISSReport:
     )
 
 
-def check_weighted_sup(
-    traj: Trajectory, sigma: Optional[float] = None, theta: Optional[float] = None, tol: float = DEFAULT_REL_TOL
-) -> ISSReport:
-    """Check the weighted sup estimate for a decay rate sigma in (0, a pi^2).
+def weighted_sup_parameters(a: float, sigma: Optional[float] = None, theta: Optional[float] = None):
+    """(sigma, theta, phi, weight at z = 0) of the weighted sup estimate, defaults applied, or raise.
 
-    The spatial weight is sin(theta + phi)/sin(theta + z phi) with
-    phi = sqrt(sigma / a), defined for 0 < theta < pi - phi; the boundary
-    gains are the weight values at the two ends (sin(theta + phi)/sin(theta)
-    at z = 0, and 1 at z = 1), so the unit gain acts on the weighted running
-    sup of the two inputs.  An omitted sigma is a pi^2 / 2, an omitted theta
-    (pi - phi) / 2.
+    phi = sqrt(sigma / a); an omitted sigma is a pi^2 / 2, an omitted theta
+    (pi - phi) / 2, and the weight must be defined (``norms.sup_weight``).
     """
-    a = _heat_coefficient(traj, "weighted_sup")
     if sigma is None:
         sigma = 0.5 * a * math.pi**2
     if not (0.0 < sigma < a * math.pi**2):
@@ -152,8 +145,19 @@ def check_weighted_sup(
     phi = math.sqrt(sigma / a)
     if theta is None:
         theta = 0.5 * (math.pi - phi)
+    return sigma, theta, phi, float(sup_weight(np.array([0.0]), theta, phi)[0])
+
+
+def check_weighted_sup(
+    traj: Trajectory, sigma: Optional[float] = None, theta: Optional[float] = None, tol: float = DEFAULT_REL_TOL
+) -> ISSReport:
+    """Check the weighted sup estimate for a decay rate sigma in (0, a pi^2).
+
+    The boundary gains are the weight sin(theta + phi)/sin(theta + z phi) at
+    the two ends, so the unit gain acts on the weighted running sup of the inputs.
+    """
+    sigma, theta, phi, left_gain = weighted_sup_parameters(_heat_coefficient(traj, "weighted_sup"), sigma, theta)
     run0, run1 = _running_sups(traj)
-    left_gain = float(sup_weight(np.array([0.0]), theta, phi)[0])
     return evaluate_bound(
         "weighted_sup", traj.times, weighted_sup_norms(traj.data, traj.grid.nodes, theta, phi),
         ExpLinearKL(1.0, sigma), LinearGain(1.0), np.maximum(left_gain * run0, run1), tol,
@@ -175,6 +179,13 @@ class DecayReport:
     traj: Trajectory
 
 
+def lyapunov_rates(a: float, p: float) -> tuple[float, float]:
+    """The certified decay rates of V_p and of the L^p norm, for p in (2, inf) only."""
+    if not (p > 2.0 and math.isfinite(p)):
+        raise InvalidParameterError(f"the Lyapunov certificate needs p in (2, inf), got {p}")
+    return a * (p - 1.0) * 4.0 * math.pi**2 / p, a * (p - 1.0) * 4.0 * math.pi**2 / p**2
+
+
 def lyapunov_decay_certificate(problem: SemilinearProblem, grid: Grid1D, p: float, tol: float = DEFAULT_REL_TOL) -> DecayReport:
     """Certify d/dt V_p <= -a (p-1) (4 pi^2 / p) V_p and the norm envelope.
 
@@ -182,8 +193,7 @@ def lyapunov_decay_certificate(problem: SemilinearProblem, grid: Grid1D, p: floa
     a (p-1) 4 pi^2 / p^2 (equal to pi^2 in the limit p -> 2).  Applies to
     the zero-boundary heat problem with p in (2, inf) only.
     """
-    if not (p > 2.0 and math.isfinite(p)):
-        raise InvalidParameterError(f"the certificate needs p in (2, inf), got {p}")
+    v_rate, norm_rate = lyapunov_rates(problem.a, p)
     if not 0.0 <= tol < 1.0:
         raise InvalidParameterError(f"need a relative tolerance 0 <= tol < 1, got {tol}")
     if not problem.is_heat:
@@ -194,8 +204,6 @@ def lyapunov_decay_certificate(problem: SemilinearProblem, grid: Grid1D, p: floa
     norms = lp_norms(traj.data, grid.h, p)
     v = norms**p
     dv = np.gradient(v, grid.dt)
-    v_rate = problem.a * (p - 1.0) * 4.0 * math.pi**2 / p
-    norm_rate = problem.a * (p - 1.0) * 4.0 * math.pi**2 / p**2
 
     dv_rhs = -v_rate * (1.0 - tol) * v
     interior = slice(1, -1)

@@ -111,17 +111,8 @@ class Field:
         object.__setattr__(self, "values", vals)
 
     @classmethod
-    def from_function(cls, grid: Grid1D, fn) -> "Field":
-        """Sample ``fn(z)`` (vectorized) on the grid nodes."""
-        return cls(np.asarray(fn(grid.nodes), dtype=float), grid)
-
-    @classmethod
     def zeros(cls, grid: Grid1D) -> "Field":
         return cls(np.zeros(grid.n_nodes), grid)
-
-    @classmethod
-    def constant(cls, grid: Grid1D, c: float) -> "Field":
-        return cls(np.full(grid.n_nodes, float(c)), grid)
 
     def __len__(self) -> int:
         return self.values.shape[0]

@@ -38,10 +38,10 @@ is its one check tolerance, [default] unless the file or ``--tol`` sets it.
 - simulate: reaction initial d0 d1 p
 - simulate (decay_rate given): reaction initial d0 d1 p decay_rate tol
 - sandwich: reaction initial d0 d1 epsilon tol
-- iss_check (estimate = l2): reaction initial d0 d1 estimate tol
-- iss_check (estimate = weighted_l1): reaction initial d0 d1 estimate tol gain_override
-- iss_check (estimate = weighted_sup): reaction initial d0 d1 estimate tol sigma theta
-- lyapunov: reaction initial d0 d1 p tol
+- iss_check (estimate = l2): initial d0 d1 estimate tol
+- iss_check (estimate = weighted_l1): initial d0 d1 estimate tol gain_override
+- iss_check (estimate = weighted_sup): initial d0 d1 estimate tol sigma theta
+- lyapunov: initial d0 d1 p tol
 - kernel_synthesis: k_reaction tol
 - backstepping_loop (mode = open): k_reaction mode p
 - backstepping_loop (mode = closed): k_reaction mode p initial d0 tol
@@ -83,21 +83,20 @@ from typing import Optional
 
 import numpy as np
 
+from . import certify
 from .errors import InvalidParameterError, ScenarioError
 from .grid import Field, Grid1D
 from .solver import BoundarySignal, SemilinearProblem
-
-KINDS = ("simulate", "sandwich", "iss_check", "lyapunov", "kernel_synthesis", "backstepping_loop")
 
 ZERO = ("zero", ())
 
 
 @dataclass(frozen=True)
 class Scenario:
-    """Everything needed to run one scenario deterministically.
+    """Everything needed to run one scenario deterministically; selectors are held parsed, as ``(name, args)``.
 
-    Every default lives here; ``tol = None`` means the kind's own default.
-    Selectors are held parsed, as ``(name, args)``.
+    ``None`` defers a default to its one owner: ``sigma`` and ``theta`` to
+    ``certify.weighted_sup_parameters``, ``tol`` to the kind's runner.
     """
 
     name: str
@@ -198,6 +197,21 @@ def parse_selector(text: str, catalog: str) -> tuple[str, tuple]:
     return name, tuple(parse(arg) for parse, arg in zip(parsers, args))
 
 
+# The kind table: the [problem], [check] and [loop] keys each kind or variant reads besides a and logy.
+KIND_KEYS = {
+    "simulate": "reaction initial d0 d1 p",
+    "simulate (decay_rate given)": "reaction initial d0 d1 p decay_rate tol",
+    "sandwich": "reaction initial d0 d1 epsilon tol",
+    "iss_check (estimate = l2)": "initial d0 d1 estimate tol",
+    "iss_check (estimate = weighted_l1)": "initial d0 d1 estimate tol gain_override",
+    "iss_check (estimate = weighted_sup)": "initial d0 d1 estimate tol sigma theta",
+    "lyapunov": "initial d0 d1 p tol",
+    "kernel_synthesis": "k_reaction tol",
+    "backstepping_loop (mode = open)": "k_reaction mode p",
+    "backstepping_loop (mode = closed)": "k_reaction mode p initial d0 tol",
+}
+KINDS = tuple(dict.fromkeys(entry.split()[0] for entry in KIND_KEYS))
+
 # The only key table: section -> key -> parser.  The grid keys build the
 # Grid1D; every other key is a Scenario field of the same name.
 _SECTION_KEYS = {
@@ -216,20 +230,6 @@ _SECTION_KEYS = {
     "loop": {"mode": _choice("open", "closed")},
 }
 _REQUIRED = {("scenario", "kind"), ("grid", "n_interior"), ("grid", "dt"), ("grid", "t_final")}
-
-# The kind table: the [problem], [check] and [loop] keys each kind or variant reads besides a and logy.
-KIND_KEYS = {
-    "simulate": "reaction initial d0 d1 p",
-    "simulate (decay_rate given)": "reaction initial d0 d1 p decay_rate tol",
-    "sandwich": "reaction initial d0 d1 epsilon tol",
-    "iss_check (estimate = l2)": "reaction initial d0 d1 estimate tol",
-    "iss_check (estimate = weighted_l1)": "reaction initial d0 d1 estimate tol gain_override",
-    "iss_check (estimate = weighted_sup)": "reaction initial d0 d1 estimate tol sigma theta",
-    "lyapunov": "reaction initial d0 d1 p tol",
-    "kernel_synthesis": "k_reaction tol",
-    "backstepping_loop (mode = open)": "k_reaction mode p",
-    "backstepping_loop (mode = closed)": "k_reaction mode p initial d0 tol",
-}
 
 
 def parse_scenario(path) -> Scenario:
@@ -286,18 +286,17 @@ def parse_scenario(path) -> Scenario:
 
 
 def _kind_domain_error(scn: Scenario) -> Optional[str]:
-    """The first value outside the domain its kind needs, described, or None."""
-    if scn.kind == "lyapunov" and not 2.0 < scn.p < math.inf:
-        return f"check.p: kind lyapunov needs p in (2, inf), got {scn.p:g}"
+    """The first [check] key whose value ``certify`` refuses for the kind, with the refusal, or None;
+    sigma is asked with theta's default first, so a theta the file sets is blamed only for itself."""
+    asks = [("p", partial(certify.lyapunov_rates, scn.a, scn.p))] if scn.kind == "lyapunov" else []
     if scn.kind == "iss_check" and scn.estimate == "weighted_sup":
-        sigma_max = scn.a * math.pi**2
-        if scn.sigma is not None and not scn.sigma < sigma_max:
-            return f"check.sigma: weighted_sup needs sigma in (0, a pi^2) = (0, {sigma_max:g}), got {scn.sigma:g}"
-        sigma = 0.5 * sigma_max if scn.sigma is None else scn.sigma
-        theta_max = math.pi - math.sqrt(sigma / scn.a)
-        if scn.theta is not None and not scn.theta < theta_max:
-            return (f"check.theta: weighted_sup needs theta in (0, pi - sqrt(sigma / a)) = (0, {theta_max:g}), "
-                    f"got {scn.theta:g}")
+        asks = [("sigma", partial(certify.weighted_sup_parameters, scn.a, scn.sigma)),
+                ("theta", partial(certify.weighted_sup_parameters, scn.a, scn.sigma, scn.theta))]
+    for key, ask in asks:
+        try:
+            ask()
+        except InvalidParameterError as exc:
+            return f"check.{key}: {exc}"
     return None
 
 

@@ -20,7 +20,7 @@ def heat_problem(grid, initial_fn, d0=None, d1=None, a=1.0) -> SemilinearProblem
     d1 = BoundarySignal.zero() if d1 is None else d1
     return SemilinearProblem(
         a=a,
-        initial=Field.from_function(grid, initial_fn),
+        initial=Field(initial_fn(grid.nodes), grid),
         boundary_left=d0,
         boundary_right=d1,
     )

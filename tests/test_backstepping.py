@@ -65,7 +65,7 @@ class TestKernelSynthesis:
     def test_zero_reaction_gives_zero_kernel(self, kernel_grid):
         kernel = solve_kernel(1.0, 0.0, kernel_grid)
         assert np.all(kernel.samples == 0.0)
-        y = Field.from_function(kernel_grid, lambda z: np.sin(np.pi * z))
+        y = Field(np.sin(np.pi * kernel_grid.nodes), kernel_grid)
         assert np.array_equal(apply_transform(kernel, y).values, y.values)
         assert feedback(kernel, y, 0.7) == 0.7
 
@@ -257,7 +257,7 @@ class TestClosedLoop:
         assert np.all(run.x_traj.data == 0.0)
 
     def test_incompatible_initial_state_rejected(self, kernel_grid, kernel10):
-        bad = Field.from_function(kernel_grid, lambda z: np.sin(np.pi * z))
+        bad = Field(np.sin(np.pi * kernel_grid.nodes), kernel_grid)
         with pytest.raises(IncompatibleDataError):
             simulate_closed_loop(1.0, 10.0, bad, BoundarySignal.zero(), kernel_grid, kernel=kernel10)
 
@@ -273,7 +273,7 @@ class TestClosedLoop:
         k_reaction = 15.0
         open_problem = SemilinearProblem(
             a=1.0,
-            initial=Field.from_function(grid, lambda z: np.sin(np.pi * z)),
+            initial=Field(np.sin(np.pi * grid.nodes), grid),
             boundary_left=BoundarySignal.zero(),
             boundary_right=BoundarySignal.zero(),
             reaction=lambda z, w, g: k_reaction * w,
@@ -283,7 +283,7 @@ class TestClosedLoop:
         assert open_norms[-1] / open_norms[0] > 10.0
 
         kernel = solve_kernel(1.0, k_reaction, grid)
-        y0 = compatible_initial_state(kernel, Field.from_function(grid, lambda z: np.sin(np.pi * z)))
+        y0 = compatible_initial_state(kernel, Field(np.sin(np.pi * grid.nodes), grid))
         run = simulate_closed_loop(1.0, k_reaction, y0, BoundarySignal.zero(), grid, kernel=kernel)
         norms = lp_norms(run.y_traj.data, grid.h, 2.0)
         keep = run.y_traj.times >= 0.1
@@ -293,7 +293,7 @@ class TestClosedLoop:
     def test_transformed_boundary_tracks_disturbance(self, kernel_grid, kernel10):
         times = kernel_grid.times()
         d = BoundarySignal.sampled(times, 0.3 * np.sin(4.0 * times))
-        base = Field.from_function(kernel_grid, lambda z: 0.5 * np.sin(np.pi * z))
+        base = Field(0.5 * np.sin(np.pi * kernel_grid.nodes), kernel_grid)
         y0 = compatible_initial_state(kernel10, base, d0=float(d(0.0)))
         run = simulate_closed_loop(1.0, 10.0, y0, d, kernel_grid, kernel=kernel10)
         defect = np.max(np.abs(run.x_traj.boundary_left - run.disturbance))
@@ -313,7 +313,7 @@ class TestClosedLoop:
             grid = Grid1D(n_interior=n, dt=dt, t_final=0.5)
             kernel = solve_kernel(1.0, 10.0, grid)
             y0 = compatible_initial_state(
-                kernel, Field.from_function(grid, lambda z: np.sin(np.pi * z))
+                kernel, Field(np.sin(np.pi * grid.nodes), grid)
             )
             run = simulate_closed_loop(1.0, 10.0, y0, BoundarySignal.zero(), grid, kernel=kernel)
             residuals.append(transform_commutation_residual(run))
@@ -325,7 +325,7 @@ class TestClosedLoop:
         grid = Grid1D(n_interior=99, dt=2e-4, t_final=0.5)
         kernel = solve_kernel(1.0, k_reaction, grid)
         y0 = compatible_initial_state(
-            kernel, Field.from_function(grid, lambda z: np.sin(np.pi * z))
+            kernel, Field(np.sin(np.pi * grid.nodes), grid)
         )
         run = simulate_closed_loop(1.0, k_reaction, y0, BoundarySignal.zero(), grid, kernel=kernel)
         norms = lp_norms(run.y_traj.data, grid.h, 2.0)
@@ -342,7 +342,7 @@ class TestFlipEquivalence:
         a, kr = 1.0, 10.0
         kernel = solve_kernel(a, kr, grid)
         y0 = compatible_initial_state(
-            kernel, Field.from_function(grid, lambda z: np.sin(np.pi * z) * (1.0 + 0.3 * z))
+            kernel, Field(np.sin(np.pi * grid.nodes) * (1.0 + 0.3 * grid.nodes), grid)
         )
         run = simulate_closed_loop(a, kr, y0, BoundarySignal.zero(), grid, kernel=kernel)
 
@@ -385,7 +385,7 @@ class TestClosedLoopCertificate:
         decay = simulate(
             SemilinearProblem(
                 a=1.0,
-                initial=Field.from_function(grid, lambda z: np.sin(np.pi * z)),
+                initial=Field(np.sin(np.pi * grid.nodes), grid),
                 boundary_left=BoundarySignal.zero(),
                 boundary_right=BoundarySignal.zero(),
             ),
@@ -415,7 +415,7 @@ class TestClosedLoopCertificate:
 
     def test_decay_dominates_without_disturbance(self, kernel_grid, kernel10, inverse10):
         y0 = compatible_initial_state(
-            kernel10, Field.from_function(kernel_grid, lambda z: np.sin(np.pi * z))
+            kernel10, Field(np.sin(np.pi * kernel_grid.nodes), kernel_grid)
         )
         run = simulate_closed_loop(1.0, 10.0, y0, BoundarySignal.zero(), kernel_grid, kernel=kernel10)
         k1, k2 = estimate_equivalence_constants(kernel10, inverse10, 2.0)

@@ -318,7 +318,7 @@ def _closed_loop_case(grid):
     kernel = solve_kernel(1.0, 10.0, grid)
     k1, k2 = estimate_equivalence_constants(kernel, solve_inverse_kernel(kernel), 2.0)
     constants = ClosedLoopConstants(k1=k1, k2=k2, iss=_fitted_constants(grid))
-    y0 = compatible_initial_state(kernel, Field.from_function(grid, lambda z: np.sin(np.pi * z)))
+    y0 = compatible_initial_state(kernel, Field(np.sin(np.pi * grid.nodes), grid))
     run = simulate_closed_loop(1.0, 10.0, y0, _wobble(grid), grid, kernel=kernel)
     return certify_closed_loop(run.y_traj, constants, run.disturbance), np.abs(run.disturbance).max()
 

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from iss_parabolic import Grid1D, ScenarioError, scenarios
+from iss_parabolic import Grid1D, ScenarioError, runner, scenarios
 from iss_parabolic.cli import main
 from iss_parabolic.runner import run_scenario, run_suite
 from iss_parabolic.scenarios import (
@@ -84,12 +84,11 @@ mode = closed
 p = 2
 """
 
-# sigma lies outside (0, a pi^2), so the weighted sup check raises.
-# Parses, then raises at run time: weighted_sup applies to the heat equation only.
-RAISING_CHECK = """
+# Parses, then raises at run time: dt * k = 2 breaks the solver's step restriction.
+RAISING_RUN = """
 [scenario]
-name = not_heat
-kind = iss_check
+name = too_stiff
+kind = simulate
 
 [grid]
 n_interior = 15
@@ -98,11 +97,8 @@ t_final = 0.05
 
 [problem]
 a = 1.0
-reaction = cubic
+reaction = linear(2000.0)
 initial = sin_pi
-
-[check]
-estimate = weighted_sup
 """
 
 CORE_SEED7_DIGESTS = {
@@ -292,6 +288,10 @@ class TestScenarioParsing:
         }
         assert listed == {entry: keys.split() for entry, keys in KIND_KEYS.items()}
 
+    def test_every_kind_has_a_runner(self):
+        # a kind without one would escape run_scenario as a KeyError traceback
+        assert set(runner._DISPATCH) == set(scenarios.KINDS)
+
     def test_tampered_gain_under_l2_rejected(self, tmp_path, capsys):
         # l2 reads no gain_override, so the tampered gain would go unchecked.
         text = (SUITES / "negative" / "tampered_gain.scn").read_text()
@@ -365,6 +365,9 @@ class TestScenarioParsing:
             ("weighted_sup_decay", "sigma = 4.9348", "sigma = 9.8697"),  # just above a pi^2
             ("weighted_sup_decay", "theta = 0.45", "theta = 1.0"),  # pi - sqrt(sigma / a) = 0.9202
             ("weighted_sup_decay", "sigma = 4.9348\ntheta = 0.45", "theta = 0.93"),  # the default sigma
+            # the largest doubles below pi - sqrt(sigma / a) and a pi^2: the weight is undefined in rounding
+            ("weighted_sup_decay", "theta = 0.45", "theta = 0.920151679807235"),
+            ("weighted_sup_decay", "sigma = 4.9348\ntheta = 0.45", "sigma = 9.869604401089356"),
         ],
     )
     def test_kind_domain_rejected_before_anything_runs(self, tmp_path, capsys, shipped, old, new):
@@ -511,10 +514,12 @@ class TestRunCommand:
         assert capsys.readouterr().out.splitlines()[1].startswith("const_d,backstepping_loop,true,")
 
     def test_raising_kind_prints_minus_inf_and_writes_no_trajectory(self, tmp_path, capsys):
-        scn = _write(tmp_path / "not_heat.scn", RAISING_CHECK)
+        scn = _write(tmp_path / "too_stiff.scn", RAISING_RUN)
         assert main(["run", str(scn), "--out", str(tmp_path / "out")]) == 1
-        assert ",false,-inf," in capsys.readouterr().out.splitlines()[1]
-        assert not (tmp_path / "out" / "not_heat" / "trajectory.csv").exists()
+        captured = capsys.readouterr()
+        assert ",false,-inf," in captured.out.splitlines()[1]
+        assert "dt * lipschitz_k < 1" in captured.err
+        assert not (tmp_path / "out" / "too_stiff" / "trajectory.csv").exists()
 
     def test_kernel_plot_follows_logy(self, tmp_path):
         # KERNEL_SCENARIO sets no logy, so the default log scale applies.

@@ -70,7 +70,7 @@ class TestBracket:
 
     def test_constant_state_boundary_value_forced(self):
         grid = Grid1D(n_interior=49, dt=1e-4, t_final=0.1)
-        x = Field.constant(grid, 0.4)
+        x = Field(np.full(grid.n_nodes, 0.4), grid)
         for delta in (0.25, 0.125, 0.0625):
             bracket = build_bracket(x, u_sup=0.5, epsilon=0.2, delta=delta)
             assert bracket.x_minus.values[0] == -(0.5 + 0.2)
@@ -106,7 +106,7 @@ class TestBracket:
 
     def test_infeasible_layer_rejected(self):
         grid = Grid1D(n_interior=49, dt=1e-4, t_final=0.1)
-        x = Field.from_function(grid, lambda z: 3.0 * np.ones_like(z))
+        x = Field(np.full(grid.n_nodes, 3.0), grid)
         with pytest.raises(BracketingError):
             find_cutoff_delta(x, u_sup=0.5, epsilon=0.1)
         with pytest.raises(BracketingError):
@@ -127,7 +127,7 @@ class TestBracket:
     def test_delta_is_dyadic_and_maximal(self):
         grid = Grid1D(n_interior=99, dt=1e-4, t_final=0.1)
         # |x| <= 1.05 only within ~0.06 of the ends: delta = 1/4 infeasible, 1/16 fine
-        x = Field.from_function(grid, lambda z: 4.0 * np.sin(np.pi * z))
+        x = Field(4.0 * np.sin(np.pi * grid.nodes), grid)
         delta = find_cutoff_delta(x, u_sup=1.0, epsilon=0.05)
         assert delta in (0.25 / 2**k for k in range(10))
         assert not np.all(np.abs(x.values[cutoff_hat(grid.nodes, 2 * delta) > 0]) <= 1.05)
@@ -152,7 +152,7 @@ class TestSandwich:
         d1 = BoundarySignal.sampled(times, np.where(times >= 0.05, 0.4, 0.0))
         problem = SemilinearProblem(
             a=1.0,
-            initial=Field.from_function(grid_small, lambda z: 0.8 * np.sin(np.pi * z)),
+            initial=Field(0.8 * np.sin(np.pi * grid_small.nodes), grid_small),
             boundary_left=BoundarySignal.zero(),
             boundary_right=d1,
             reaction=lambda z, w, g: w - w**3,

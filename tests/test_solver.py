@@ -96,7 +96,7 @@ class TestProblemValidation:
     def test_closed_loop_step_restriction_refused(self, k_reaction):
         grid = Grid1D(n_interior=15, dt=0.1, t_final=0.2)  # dt |k_reaction| = 1
         kernel = solve_kernel(1.0, k_reaction, grid)
-        y0 = compatible_initial_state(kernel, Field.from_function(grid, lambda z: np.sin(np.pi * z)))
+        y0 = compatible_initial_state(kernel, Field(np.sin(np.pi * grid.nodes), grid))
         with pytest.raises(MonotonicityLossError):
             simulate_closed_loop(1.0, k_reaction, y0, BoundarySignal.zero(), grid, kernel=kernel)
 
@@ -259,7 +259,7 @@ def _cubic_case():
     grid = Grid1D(n_interior=47, dt=1e-3, t_final=0.2)
     problem = SemilinearProblem(
         a=0.5,
-        initial=Field.from_function(grid, lambda z: 0.9 * np.sin(np.pi * z)),
+        initial=Field(0.9 * np.sin(np.pi * grid.nodes), grid),
         boundary_left=BoundarySignal.zero(),
         boundary_right=BoundarySignal.zero(),
         reaction=lambda z, w, g: w - w**3,
@@ -272,7 +272,7 @@ def _gradient_case():
     grid = Grid1D(n_interior=39, dt=5e-4, t_final=0.1)
     problem = SemilinearProblem(
         a=1.0,
-        initial=Field.from_function(grid, lambda z: np.sin(np.pi * z) * (1.0 + z)),
+        initial=Field(np.sin(np.pi * grid.nodes) * (1.0 + grid.nodes), grid),
         boundary_left=BoundarySignal.zero(),
         boundary_right=BoundarySignal.zero(),
         reaction=lambda z, w, g: 3.0 * np.sin(w) + 0.4 * g * (1.0 - z),
@@ -286,7 +286,7 @@ def _closed_loop_case():
     kernel = solve_kernel(1.0, 10.0, grid)
     times = grid.times()
     d = BoundarySignal.sampled(times, 0.3 * np.sin(6.0 * times))
-    base = Field.from_function(grid, lambda z: np.sin(np.pi * z))
+    base = Field(np.sin(np.pi * grid.nodes), grid)
     y0 = compatible_initial_state(kernel, base, float(d(0.0)))
     run = simulate_closed_loop(1.0, 10.0, y0, d, grid, kernel=kernel)
     row0 = kernel.matrix[0]
@@ -341,7 +341,7 @@ def test_non_finite_reaction_stops_at_its_step(bad):
 
     problem = SemilinearProblem(
         a=1.0,
-        initial=Field.from_function(grid, lambda z: np.sin(np.pi * z)),
+        initial=Field(np.sin(np.pi * grid.nodes), grid),
         boundary_left=BoundarySignal.zero(),
         boundary_right=BoundarySignal.zero(),
         reaction=reaction,
@@ -416,7 +416,7 @@ class TestComparisonPrinciple:
     def test_ordered_inputs_give_ordered_trajectories(self, grid_small):
         base = heat_problem(grid_small, lambda z: np.zeros_like(z))
         lower = base.with_data(
-            Field.from_function(grid_small, lambda z: -0.5 * np.ones_like(z)),
+            Field(np.full(grid_small.n_nodes, -0.5), grid_small),
             BoundarySignal.constant(-0.5), BoundarySignal.constant(-0.5),
         )
         report = check_ordering(simulate(lower, grid_small), simulate(base, grid_small), tol=1e-12)
