@@ -265,16 +265,21 @@ def feedback(kernel: VolterraKernel, y: Field, d: float = 0.0) -> float:
     return float(d - kernel.matrix[0] @ y.values)
 
 
+def check_far_end(state: Field) -> None:
+    """Raise ``IncompatibleDataError`` unless a closed-loop state vanishes at z = 1, to ``COMPATIBILITY_TOL``."""
+    if abs(state.values[-1]) > COMPATIBILITY_TOL:
+        raise IncompatibleDataError("closed-loop initial data must vanish at z = 1")
+
+
 def compatible_initial_state(kernel: VolterraKernel, base: Field, d0: float = 0.0) -> Field:
     """Correct a profile so it is admissible for the closed loop.
 
     Adds c (1 + cos(pi z)) / 2 (equal to 1 at the controlled end, 0 at the
     far end) with c chosen so the corrected state satisfies the feedback
     boundary condition y(0) = d0 - int k(0, s) y(s) ds.  The base profile
-    must already vanish at z = 1.
+    must already vanish at z = 1 (``check_far_end``).
     """
-    if abs(base.values[-1]) > 1e-12:
-        raise IncompatibleDataError("closed-loop initial data must vanish at z = 1")
+    check_far_end(base)
     row0 = kernel.matrix[0]
     bump = 0.5 * (1.0 + np.cos(np.pi * base.grid.nodes))
     denom = bump[0] + row0 @ bump
@@ -322,8 +327,7 @@ def simulate_closed_loop(
         raise InvalidParameterError("initial state lives on a different grid")
     if kernel.grid != grid or abs(kernel.lam - k_reaction / a) > 1e-12:
         raise InvalidParameterError("kernel does not match the requested plant")
-    if abs(y0.values[-1]) > COMPATIBILITY_TOL:
-        raise IncompatibleDataError("closed-loop initial data must vanish at z = 1")
+    check_far_end(y0)
     u0 = feedback(kernel, y0, float(d(0.0)))
     if abs(y0.values[0] - u0) > COMPATIBILITY_TOL:
         raise IncompatibleDataError(

@@ -39,7 +39,7 @@ from .comparison import ExpLinearKL, LinearGain
 from .errors import EstimationError, InapplicableEstimateError, InvalidParameterError
 from .grid import Grid1D, Trajectory, float_block, literal, write_csv
 from .norms import lp_norms, sup_weight, weighted_sin_norms, weighted_sup_norms
-from .solver import SemilinearProblem, simulate
+from .solver import BoundarySignal, SemilinearProblem, simulate
 
 DEFAULT_REL_TOL = 0.02
 
@@ -186,6 +186,14 @@ def lyapunov_rates(a: float, p: float) -> tuple[float, float]:
     return a * (p - 1.0) * 4.0 * math.pi**2 / p, a * (p - 1.0) * 4.0 * math.pi**2 / p**2
 
 
+def lyapunov_preconditions(is_heat: bool, *boundary: BoundarySignal) -> None:
+    """Raise ``InapplicableEstimateError`` unless the certificate applies: the heat equation, these signals zero."""
+    if not is_heat:
+        raise InapplicableEstimateError("the Lyapunov certificate applies to the heat equation")
+    if any(signal.sup_norm != 0.0 for signal in boundary):
+        raise InapplicableEstimateError("the Lyapunov certificate needs zero boundary data")
+
+
 def lyapunov_decay_certificate(problem: SemilinearProblem, grid: Grid1D, p: float, tol: float = DEFAULT_REL_TOL) -> DecayReport:
     """Certify d/dt V_p <= -a (p-1) (4 pi^2 / p) V_p and the norm envelope.
 
@@ -196,10 +204,7 @@ def lyapunov_decay_certificate(problem: SemilinearProblem, grid: Grid1D, p: floa
     v_rate, norm_rate = lyapunov_rates(problem.a, p)
     if not 0.0 <= tol < 1.0:
         raise InvalidParameterError(f"need a relative tolerance 0 <= tol < 1, got {tol}")
-    if not problem.is_heat:
-        raise InapplicableEstimateError("the Lyapunov certificate applies to the heat equation")
-    if problem.boundary_left.sup_norm != 0.0 or problem.boundary_right.sup_norm != 0.0:
-        raise InapplicableEstimateError("the Lyapunov certificate needs zero boundary data")
+    lyapunov_preconditions(problem.is_heat, problem.boundary_left, problem.boundary_right)
     traj = simulate(problem, grid)
     norms = lp_norms(traj.data, grid.h, p)
     v = norms**p

@@ -2,8 +2,8 @@
 
 Both commands print the summary table, then one ``FAIL`` line on stderr per
 failed scenario.  Exit codes: 0 all checks passed, 1 at least one check
-failed, 2 the configuration could not be used (parse error, empty suite,
-unusable --out, or for ``run`` an unusable scenario output directory).
+failed, 2 the configuration could not be used (a file refused when read,
+an empty suite, unusable --out, or for ``run`` an unusable output directory).
 The output root defaults to ``./out`` and can be overridden by ``--out``
 or the ``ISS_PARABOLIC_OUT`` environment variable.
 """

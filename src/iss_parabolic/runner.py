@@ -7,8 +7,8 @@ writes the outcome's trajectories (``trajectory.csv``, ``x_trajectory.csv``
 for the closed loop) and, unless plots are disabled, one ``plot.svg`` whose
 y axis follows the scenario's ``logy``.  A kind that raises writes no
 trajectory.  A scenario passes iff every check it declares passes; no check
-is ever skipped silently -- inapplicable configurations raise and the
-scenario fails.
+is ever skipped silently.  Rules the file alone decides are refused when it
+is read; what raises here needs a run, and the scenario fails.
 """
 
 from __future__ import annotations
@@ -60,7 +60,8 @@ class ScenarioResult:
     message: str = ""
 
     def summary_row(self) -> str:
-        return f"{self.name},{self.kind},{str(self.passed).lower()},{self.min_margin:.6g},{self.wall_ms:.1f}"
+        name = '"%s"' % self.name.replace('"', '""') if any(c in self.name for c in ',"\r\n') else self.name
+        return f"{name},{self.kind},{str(self.passed).lower()},{self.min_margin:.6g},{self.wall_ms:.1f}"
 
 
 @dataclass(frozen=True)

@@ -62,9 +62,14 @@ closed with ``d0 = zero`` fits the rate a pi^2 to relative error tol
 Selector catalog.  Selectors, ``name`` or ``name(arg, ...)``, are checked
 when the file is read: c, amp, omega, t_on finite; j, modes whole numbers
 >= 1 (``3`` or ``3.0``); path a ``t,value`` CSV with a header row, relative
-to the scenario file.  Each reaction's slope bound feeds the solver's step
-restriction: |c| for linear(c) (conservative: order preservation constrains
-the negative slope), 1 for cubic, w - w^3, on the working range.
+to the scenario file.
+
+Refused when read, by each rule's one owner: a d0 or d1 not covering
+[0, t_final] (``BoundarySignal``); initial data and d0, d1 disagreeing at
+t = 0 (``SemilinearProblem``); dt * k >= 1 (``solver.check_step_restriction``;
+k is |c| for linear(c), 1 for cubic, |k_reaction| for backstepping_loop); a
+loop's initial data not vanishing at z = 1 (``backstepping.check_far_end``);
+nonzero lyapunov boundary data (``certify.lyapunov_preconditions``).
 
 - reaction: zero | linear(c) | cubic
 - initial: zero | constant(c) | sin_pi | mode(j) | ramp | random_smooth(modes, amp)
@@ -83,10 +88,10 @@ from typing import Optional
 
 import numpy as np
 
-from . import certify
-from .errors import InvalidParameterError, ScenarioError
+from . import backstepping, certify
+from .errors import InvalidParameterError, IssParabolicError, ScenarioError
 from .grid import Field, Grid1D
-from .solver import BoundarySignal, SemilinearProblem
+from .solver import BoundarySignal, SemilinearProblem, check_step_restriction
 
 ZERO = ("zero", ())
 
@@ -279,25 +284,39 @@ def parse_scenario(path) -> Scenario:
               for key in cp[section] if key not in ("a", "logy", *KIND_KEYS[entry].split())]
     if unread:
         raise ScenarioError(f"{path}: kind {entry} does not read {', '.join(unread)}")
-    bad = _kind_domain_error(scn)
-    if bad:
-        raise ScenarioError(f"{path}: bad value for {bad}")
+    try:
+        for key in _asks(scn):
+            pass
+    except IssParabolicError as exc:
+        raise ScenarioError(f"{path}: bad value for {key}: {exc}") from exc
     return scn
 
 
-def _kind_domain_error(scn: Scenario) -> Optional[str]:
-    """The first [check] key whose value ``certify`` refuses for the kind, with the refusal, or None;
-    sigma is asked with theta's default first, so a theta the file sets is blamed only for itself."""
-    asks = [("p", partial(certify.lyapunov_rates, scn.a, scn.p))] if scn.kind == "lyapunov" else []
-    if scn.kind == "iss_check" and scn.estimate == "weighted_sup":
-        asks = [("sigma", partial(certify.weighted_sup_parameters, scn.a, scn.sigma)),
-                ("theta", partial(certify.weighted_sup_parameters, scn.a, scn.sigma, scn.theta))]
-    for key, ask in asks:
-        try:
-            ask()
-        except InvalidParameterError as exc:
-            return f"check.{key}: {exc}"
-    return None
+def _asks(scn: Scenario):
+    """Ask the one owner of each rule the file decides, yielding the key each ask judges just before it; what
+    is built is thrown away, and ``random_smooth`` is anchored so the runner's seed changes no verdict."""
+    grid, rng = scn.grid, np.random.default_rng(scn.seed)
+    for key in ("d0", "d1"):
+        yield f"problem.{key}"
+        make_signal(getattr(scn, key), grid, scn.base_dir)(grid.times())
+    for key, theta in (("sigma", None), ("theta", scn.theta)):  # defaults pass; sigma alone, then with theta
+        yield f"check.{key}"
+        certify.weighted_sup_parameters(scn.a, scn.sigma, theta)
+    yield "problem.initial"
+    if scn.kind == "backstepping_loop":
+        backstepping.check_far_end(make_initial(scn.initial, grid, rng, 0.0, 0.0))
+        slope = abs(scn.k_reaction)
+    else:
+        problem = build_problem(scn, rng)
+        slope = problem.lipschitz_k
+    yield "grid.dt"
+    check_step_restriction(grid.dt, slope)
+    if scn.kind == "lyapunov":
+        yield "check.p"
+        certify.lyapunov_rates(scn.a, scn.p)
+        for key, signal in (("d0", problem.boundary_left), ("d1", problem.boundary_right)):
+            yield f"problem.{key}"
+            certify.lyapunov_preconditions(problem.is_heat, signal)
 
 
 def make_reaction(selector: tuple):

@@ -116,9 +116,8 @@ class SemilinearProblem:
     """Diffusion coefficient, reaction term, and initial/boundary data.
 
     ``reaction is None`` means the pure heat equation.  ``lipschitz_k``
-    bounds the slope of the reaction in the state variable over the working
-    range; the solver refuses any step with dt * lipschitz_k >= 1 because
-    the explicit reaction update would no longer preserve nodewise order.
+    bounds the reaction's slope in the state over the working range; the
+    solver steps only if ``check_step_restriction`` accepts it.
     """
 
     a: float
@@ -150,6 +149,13 @@ class SemilinearProblem:
         return replace(self, initial=initial, boundary_left=left, boundary_right=right)
 
 
+def check_step_restriction(dt: float, lipschitz_k: float) -> None:
+    """Raise ``MonotonicityLossError`` unless dt * lipschitz_k < 1, which keeps the reaction update order preserving."""
+    if dt * lipschitz_k >= 1.0:
+        raise MonotonicityLossError(f"time step dt={dt} violates dt * lipschitz_k < 1 (k={lipschitz_k}); "
+                                    "refusing to step because order preservation would be lost")
+
+
 def _march(
     grid: Grid1D,
     a: float,
@@ -161,9 +167,8 @@ def _march(
     """Take grid.n_steps IMEX steps of x_t = a x_zz + reaction from x0 and
     return every level, row m = level m.
 
-    Refuses to step (``MonotonicityLossError``) unless dt * lipschitz_k < 1:
-    otherwise the explicit reaction update would no longer preserve nodewise
-    order.  Each step applies the explicit reaction, then solves the
+    Refuses to step unless ``check_step_restriction`` accepts dt and
+    lipschitz_k.  Each step applies the explicit reaction, then solves the
     implicit diffusion with I + r tridiag(-1, 2, -1), r = a dt / h^2,
     factored once (LAPACK dgttrf) and reused for every step (dgttrs).
     ``boundary(m, x)`` returns the Dirichlet values (left, right) of level
@@ -176,11 +181,7 @@ def _march(
     values reaches that value.
     """
     dt, n_steps = grid.dt, grid.n_steps
-    if dt * lipschitz_k >= 1.0:
-        raise MonotonicityLossError(
-            f"time step dt={dt} violates dt * lipschitz_k < 1 (k={lipschitz_k}); "
-            "refusing to step because order preservation would be lost"
-        )
+    check_step_restriction(dt, lipschitz_k)
     h = grid.h
     n = grid.n_interior
     r = a * dt / h**2

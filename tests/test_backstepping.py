@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -260,6 +261,22 @@ class TestClosedLoop:
         bad = Field(np.sin(np.pi * kernel_grid.nodes), kernel_grid)
         with pytest.raises(IncompatibleDataError):
             simulate_closed_loop(1.0, 10.0, bad, BoundarySignal.zero(), kernel_grid, kernel=kernel10)
+
+    @pytest.mark.parametrize("far_end", [1e-10, 1e-8])
+    def test_far_end_has_one_verdict(self, kernel_grid, kernel10, far_end):
+        # k(0, 1) = 0, so moving the far-end value keeps the feedback condition at z = 0.
+        def accepts(call, values):
+            try:
+                call(Field(values, kernel_grid))
+            except IncompatibleDataError:
+                return False
+            return True
+
+        base = np.sin(np.pi * kernel_grid.nodes)
+        y0 = compatible_initial_state(kernel10, Field(base, kernel_grid)).values.copy()
+        base[-1] = y0[-1] = far_end
+        loop = lambda y: simulate_closed_loop(1.0, 10.0, y, BoundarySignal.zero(), kernel_grid, kernel=kernel10)
+        assert accepts(partial(compatible_initial_state, kernel10), base) == accepts(loop, y0) == (far_end < 1e-9)
 
     @pytest.mark.parametrize("a, k_reaction", [(0.0, 10.0), (-1.0, -10.0)])
     def test_nonpositive_diffusion_rejected(self, kernel_grid, kernel10, a, k_reaction):

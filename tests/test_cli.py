@@ -1,11 +1,13 @@
+import csv
 import hashlib
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from iss_parabolic import Grid1D, ScenarioError, runner, scenarios
+from iss_parabolic import Grid1D, ScenarioError, backstepping, runner, scenarios, solver
 from iss_parabolic.cli import main
 from iss_parabolic.runner import run_scenario, run_suite
 from iss_parabolic.scenarios import (
@@ -84,10 +86,10 @@ mode = closed
 p = 2
 """
 
-# Parses, then raises at run time: dt * k = 2 breaks the solver's step restriction.
+# Parses, then raises at run time: the cubic reaction overflows at step 6 of 50.
 RAISING_RUN = """
 [scenario]
-name = too_stiff
+name = blow_up
 kind = simulate
 
 [grid]
@@ -97,8 +99,10 @@ t_final = 0.05
 
 [problem]
 a = 1.0
-reaction = linear(2000.0)
-initial = sin_pi
+reaction = cubic
+initial = constant(100.0)
+d0 = constant(100.0)
+d1 = constant(100.0)
 """
 
 CORE_SEED7_DIGESTS = {
@@ -181,6 +185,43 @@ KEY_SECTION = {key: section for section, parsers in scenarios._SECTION_KEYS.item
 _SWITCHES = {(entry.split()[0], key) for entry in KIND_KEYS for key in re.findall(r"\((\w+)", entry)}
 UNREAD_CASES = [(entry, key) for entry, keys in KIND_KEYS.items() for key in VALID
                 if key not in keys.split() and (entry.split()[0], key) not in _SWITCHES]
+
+
+# An edit to a shipped file that the owner of a rule refuses when the file is read: the file, the
+# text replaced, its replacement, the key blamed and the owner's wording.
+DOMAIN_CASES = [
+    ("lyapunov_p3", "p = 3", "p = 1.5", "check.p", "needs p in (2, inf)"),
+    ("lyapunov_p3", "p = 3", "p = 2", "check.p", "needs p in (2, inf)"),
+    ("lyapunov_p3", "p = 3", "p = inf", "check.p", "needs p in (2, inf)"),
+    ("lyapunov_p3", "p = 3", "", "check.p", "needs p in (2, inf)"),  # the default p = 2
+    ("weighted_sup_decay", "sigma = 4.9348", "sigma = 20.0", "check.sigma", "need 0 < sigma < a pi^2"),
+    # just above a pi^2
+    ("weighted_sup_decay", "sigma = 4.9348", "sigma = 9.8697", "check.sigma", "need 0 < sigma < a pi^2"),
+    # pi - sqrt(sigma / a) = 0.9202
+    ("weighted_sup_decay", "theta = 0.45", "theta = 1.0", "check.theta", "theta + phi < pi"),
+    # the default sigma
+    ("weighted_sup_decay", "sigma = 4.9348\ntheta = 0.45", "theta = 0.93", "check.theta", "theta + phi < pi"),
+    # the largest doubles below pi - sqrt(sigma / a) and a pi^2: the weight is undefined in rounding
+    ("weighted_sup_decay", "theta = 0.45", "theta = 0.920151679807235", "check.theta", "theta + phi < pi"),
+    ("weighted_sup_decay", "sigma = 4.9348\ntheta = 0.45", "sigma = 9.869604401089356", "check.sigma",
+     "theta + phi < pi"),
+    ("lyapunov_p3", "d0 = zero", "d0 = step(0.3, 0.05)", "problem.d0", "needs zero boundary data"),
+    ("backstep_closed", "initial = sin_pi", "initial = constant(0.5)", "problem.initial", "must vanish at z = 1"),
+    ("backstep_closed", "dt = 2e-4", "dt = 0.1", "grid.dt", "dt * lipschitz_k < 1"),
+    ("eigen_decay", "d0 = zero", "d0 = constant(1.0)", "problem.initial", "disagree at t=0"),
+    ("backstep_disturbed", "d0 = step(0.5, 0.05)", "d0 = file(short.csv)", "problem.d0", "outside its table"),
+    # dt * k = 1e-4 * 20000 = 2 breaks the solver's step restriction
+    ("eigen_decay", "reaction = zero", "reaction = linear(20000.0)", "grid.dt", "dt * lipschitz_k < 1"),
+]
+
+
+def _edited(directory: Path, shipped: str, old: str, new: str) -> Path:
+    """The shipped core file with ``old`` replaced by ``new``, written to ``directory`` beside a signal
+    table ``short.csv`` that ends at t = 0.01."""
+    text = (SUITES / "core" / f"{shipped}.scn").read_text()
+    assert old in text
+    _write(directory / "short.csv", "t,value\n0,0\n0.01,0.2\n")
+    return _write(directory / f"{shipped}.scn", text.replace(old, new))
 
 
 def _entry_id(entry: str) -> str:
@@ -354,32 +395,30 @@ class TestScenarioParsing:
         with pytest.raises(ScenarioError, match=rf"\.{key}: "):
             parse_scenario(_write(tmp_path / "bad.scn", text))
 
-    @pytest.mark.parametrize(
-        "shipped,old,new",
-        [
-            ("lyapunov_p3", "p = 3", "p = 1.5"),
-            ("lyapunov_p3", "p = 3", "p = 2"),
-            ("lyapunov_p3", "p = 3", "p = inf"),
-            ("lyapunov_p3", "p = 3", ""),  # the default p = 2
-            ("weighted_sup_decay", "sigma = 4.9348", "sigma = 20.0"),
-            ("weighted_sup_decay", "sigma = 4.9348", "sigma = 9.8697"),  # just above a pi^2
-            ("weighted_sup_decay", "theta = 0.45", "theta = 1.0"),  # pi - sqrt(sigma / a) = 0.9202
-            ("weighted_sup_decay", "sigma = 4.9348\ntheta = 0.45", "theta = 0.93"),  # the default sigma
-            # the largest doubles below pi - sqrt(sigma / a) and a pi^2: the weight is undefined in rounding
-            ("weighted_sup_decay", "theta = 0.45", "theta = 0.920151679807235"),
-            ("weighted_sup_decay", "sigma = 4.9348\ntheta = 0.45", "sigma = 9.869604401089356"),
-        ],
-    )
-    def test_kind_domain_rejected_before_anything_runs(self, tmp_path, capsys, shipped, old, new):
-        text = (SUITES / "core" / f"{shipped}.scn").read_text()
-        assert old in text
-        scn = _write(tmp_path / f"{shipped}.scn", text.replace(old, new))
-        key = (new or old).split(" = ")[0]
-        with pytest.raises(ScenarioError, match=rf"check\.{key}: "):
+    @pytest.mark.parametrize("shipped,old,new,key,wording", DOMAIN_CASES, ids=["-".join(c[:3]) for c in DOMAIN_CASES])
+    def test_kind_domain_rejected_before_anything_runs(self, tmp_path, capsys, shipped, old, new, key, wording):
+        scn = _edited(tmp_path, shipped, old, new)
+        with pytest.raises(ScenarioError, match=rf"bad value for {re.escape(key)}: .*{re.escape(wording)}"):
             parse_scenario(scn)
         assert main(["run", str(scn), "--out", str(tmp_path / "out"), "--no-plots"]) == 2
-        assert f"check.{key}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {scn}: bad value for {key}: ") and wording in err
         assert not (tmp_path / "out" / shipped).exists()
+
+    def test_parsing_never_steps_or_synthesizes(self, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("parsing stepped the solver or synthesized a kernel")
+
+        owners = {"_march": solver._march, "solve_kernel": backstepping.solve_kernel}
+        for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "iss_parabolic"]:
+            for name, owner in owners.items():
+                if getattr(module, name, None) is owner:
+                    monkeypatch.setattr(module, name, refuse)
+        for path in SUITES.glob("**/*.scn"):
+            parse_scenario(path)
+        for shipped, old, new, _, _ in DOMAIN_CASES:
+            with pytest.raises(ScenarioError):
+                parse_scenario(_edited(tmp_path, shipped, old, new))
 
     def test_infinite_p_accepted(self, tmp_path):
         text = FAST_SCENARIO.format(name="x").replace("decay_rate = 9.869604401089358", "p = inf")
@@ -513,13 +552,14 @@ class TestRunCommand:
         assert main(["run", str(scn), "--out", str(tmp_path / "out"), "--no-plots"]) == 0
         assert capsys.readouterr().out.splitlines()[1].startswith("const_d,backstepping_loop,true,")
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_raising_kind_prints_minus_inf_and_writes_no_trajectory(self, tmp_path, capsys):
-        scn = _write(tmp_path / "too_stiff.scn", RAISING_RUN)
+        scn = _write(tmp_path / "blow_up.scn", RAISING_RUN)
         assert main(["run", str(scn), "--out", str(tmp_path / "out")]) == 1
         captured = capsys.readouterr()
         assert ",false,-inf," in captured.out.splitlines()[1]
-        assert "dt * lipschitz_k < 1" in captured.err
-        assert not (tmp_path / "out" / "too_stiff" / "trajectory.csv").exists()
+        assert "non-finite" in captured.err
+        assert not (tmp_path / "out" / "blow_up" / "trajectory.csv").exists()
 
     def test_kernel_plot_follows_logy(self, tmp_path):
         # KERNEL_SCENARIO sets no logy, so the default log scale applies.
@@ -623,6 +663,14 @@ class TestSuiteCommand:
         assert main(["run", str(suite / "rnd.scn"), "--out", str(tmp_path / "run_out"), *flags]) == 0
         suite_traj, run_traj = (tmp_path / out / "rnd" / "trajectory.csv" for out in ("suite_out", "run_out"))
         assert suite_traj.read_bytes() == run_traj.read_bytes()
+
+    def test_unparsed_file_row_quotes_its_name(self, tmp_path, capsys):
+        # The stem is not a filesystem-safe scenario name, so the file fails to parse under its stem.
+        _write(tmp_path / "a,b.scn", FAST_SCENARIO.format(name="x").replace("name = x\n", ""))
+        assert main(["suite", str(tmp_path), "--out", str(tmp_path / "out"), "--no-plots"]) == 1
+        rows = list(csv.reader(capsys.readouterr().out.splitlines()))
+        assert len(rows[0]) == len(rows[1]) == 5
+        assert rows[1][0] == "a,b"
 
     def test_parse_error_in_suite_marks_failure(self, tmp_path):
         _write(tmp_path / "a_ok.scn", FAST_SCENARIO.format(name="a_ok"))
