@@ -312,14 +312,15 @@ def check_fitted_lp(traj: Trajectory, constants: ExpIssConstants, tol: float = 1
     )
 
 
-def write_margin_csv(path, times: np.ndarray, lhs: np.ndarray, rhs: np.ndarray) -> None:
-    """Export a per-time bound evaluation: t,lhs,rhs,margin (margin = rhs - lhs)."""
+def write_margin_csv(columns: tuple, path) -> None:
+    """Export a per-time bound evaluation from its columns (times, lhs, rhs): t,lhs,rhs,margin (margin = rhs - lhs)."""
+    times, lhs, rhs = columns
     write_csv(path, "t,lhs,rhs,margin", [float_block(times, lhs, rhs, rhs - lhs)])
 
 
 def write_report_csv(report: ISSReport, path) -> None:
     """Export the per-time estimate evaluation: t,lhs,rhs,margin."""
-    write_margin_csv(path, report.times, report.lhs, report.rhs)
+    write_margin_csv((report.times, report.lhs, report.rhs), path)
 
 
 def write_summary_csv(report: ISSReport, path) -> None:
@@ -330,4 +331,4 @@ def write_summary_csv(report: ISSReport, path) -> None:
 
 def write_decay_csv(report: DecayReport, path) -> None:
     """Export the norm-envelope form of a decay certificate: t,lhs,rhs,margin."""
-    write_margin_csv(path, report.times, report.norm_lhs, report.norm_rhs)
+    write_margin_csv((report.times, report.norm_lhs, report.norm_rhs), path)

@@ -1,14 +1,14 @@
 """Batch scenario runner: dispatch, artifact writing, exit-code contract.
 
-Each kind computes its checks and writes only its kind-specific report
-(``report.csv``, ``summary.csv`` for estimate checks, ``kernel.csv``) into
-``<out_root>/<name>/``.  It returns an ``_Outcome``; ``run_scenario`` then
-writes the outcome's trajectories (``trajectory.csv``, ``x_trajectory.csv``
-for the closed loop) and, unless plots are disabled, one ``plot.svg`` whose
-y axis follows the scenario's ``logy``.  A kind that raises writes no
-trajectory.  A scenario passes iff every check it declares passes; no check
-is ever skipped silently.  Rules the file alone decides are refused when it
-is read; what raises here needs a run, and the scenario fails.
+A kind is ``(scenario, rng) -> _Outcome`` and writes nothing: the outcome
+declares every artifact as ``files = {file name: (writer, what it writes)}``
+(``trajectory.csv``, ``x_trajectory.csv`` for the closed loop, ``report.csv``,
+``summary.csv`` for estimate checks, ``kernel.csv``).  ``run_scenario``
+writes each as ``writer(obj, <out_root>/<name>/<file name>)`` and, unless
+plots are disabled, one ``plot.svg`` whose y axis follows ``logy``.  A kind
+that raises writes no artifact.  A scenario passes iff every check it
+declares passes; no check is ever skipped silently.  Rules the file alone
+decides are refused when it is read; what raises here needs a run and fails.
 """
 
 from __future__ import annotations
@@ -24,13 +24,14 @@ import numpy as np
 from . import backstepping as bs
 from . import certify
 from .errors import IssParabolicError, ScenarioError
-from .grid import Field, Trajectory, literal, write_csv
+from .grid import Field, literal, write_csv
 from .monotone import DEFAULT_ORDERING_TOL, constant_reduction_experiment, write_sandwich_csv
 from .norms import lp_norms
 from .scenarios import (
     ZERO,
     Scenario,
     build_problem,
+    check_name,
     make_initial,
     make_signal,
     nonnegative_int,
@@ -66,11 +67,11 @@ class ScenarioResult:
 
 @dataclass(frozen=True)
 class _Outcome:
-    """A kind's verdict and margin, the trajectories to write and its plot."""
+    """A kind's verdict and margin, its artifacts as {file name: (writer, what it writes)} and its plot."""
 
     passed: bool
     margin: float
-    trajectories: dict[str, Trajectory]
+    files: dict[str, tuple]
     x: np.ndarray
     curves: dict[str, np.ndarray]
     ylabel: str
@@ -88,15 +89,14 @@ def _rate_check(scn: Scenario, times, norms, target: float, default_tol: float, 
     return rel_err <= rate_tol, rate_tol - rel_err, norms[0] * np.exp(-target * times)
 
 
-def _estimate_outcome(report: certify.ISSReport, out_dir: Path, trajectories: dict, ylabel: str) -> _Outcome:
-    """Write an estimate check's report and summary; plot lhs against rhs."""
-    certify.write_report_csv(report, out_dir / "report.csv")
-    certify.write_summary_csv(report, out_dir / "summary.csv")
-    curves = {"lhs": report.lhs, "rhs": report.rhs}
-    return _Outcome(report.passed, report.margin_rel, trajectories, report.times, curves, ylabel)
+def _estimate_outcome(report: certify.ISSReport, files: dict, ylabel: str) -> _Outcome:
+    """An estimate check's outcome: ``files`` plus its report and summary; plot lhs against rhs."""
+    files = {**files, "report.csv": (certify.write_report_csv, report),
+             "summary.csv": (certify.write_summary_csv, report)}
+    return _Outcome(report.passed, report.margin_rel, files, report.times, {"lhs": report.lhs, "rhs": report.rhs}, ylabel)
 
 
-def _run_simulate(scn: Scenario, out_dir: Path, rng: np.random.Generator) -> _Outcome:
+def _run_simulate(scn: Scenario, rng: np.random.Generator) -> _Outcome:
     traj = simulate(build_problem(scn, rng), scn.grid)
     norms = lp_norms(traj.data, scn.grid.h, scn.p)
     if scn.decay_rate is not None:
@@ -105,20 +105,21 @@ def _run_simulate(scn: Scenario, out_dir: Path, rng: np.random.Generator) -> _Ou
     else:
         passed, margin, rhs = True, math.inf, norms
         curves = {"norm": norms}
-    certify.write_margin_csv(out_dir / "report.csv", traj.times, norms, rhs)
-    return _Outcome(passed, margin, {"trajectory.csv": traj}, traj.times, curves, f"L{scn.p:g} norm")
+    files = {"trajectory.csv": (write_trajectory_csv, traj),
+             "report.csv": (certify.write_margin_csv, (traj.times, norms, rhs))}
+    return _Outcome(passed, margin, files, traj.times, curves, f"L{scn.p:g} norm")
 
 
-def _run_sandwich(scn: Scenario, out_dir: Path, rng: np.random.Generator) -> _Outcome:
+def _run_sandwich(scn: Scenario, rng: np.random.Generator) -> _Outcome:
     problem = build_problem(scn, rng)
     report = constant_reduction_experiment(problem, scn.grid, scn.epsilon, _tol(scn, DEFAULT_ORDERING_TOL))
-    write_sandwich_csv(report, out_dir / "report.csv")
+    files = {"trajectory.csv": (write_trajectory_csv, report.traj), "report.csv": (write_sandwich_csv, report)}
     margin = float(min(report.min_gap_low.min(), report.min_gap_high.min()))
     curves = {"gap_low": report.min_gap_low, "gap_high": report.min_gap_high}
-    return _Outcome(report.passed, margin, {"trajectory.csv": report.traj}, report.times, curves, "envelope gap")
+    return _Outcome(report.passed, margin, files, report.times, curves, "envelope gap")
 
 
-def _run_iss_check(scn: Scenario, out_dir: Path, rng: np.random.Generator) -> _Outcome:
+def _run_iss_check(scn: Scenario, rng: np.random.Generator) -> _Outcome:
     traj = simulate(build_problem(scn, rng), scn.grid)
     rel_tol = _tol(scn, certify.DEFAULT_REL_TOL)
     if scn.estimate == "weighted_l1":
@@ -127,23 +128,22 @@ def _run_iss_check(scn: Scenario, out_dir: Path, rng: np.random.Generator) -> _O
         report = certify.check_l2(traj, rel_tol)
     else:
         report = certify.check_weighted_sup(traj, scn.sigma, scn.theta, rel_tol)
-    return _estimate_outcome(report, out_dir, {"trajectory.csv": traj}, scn.estimate)
+    return _estimate_outcome(report, {"trajectory.csv": (write_trajectory_csv, traj)}, scn.estimate)
 
 
-def _run_lyapunov(scn: Scenario, out_dir: Path, rng: np.random.Generator) -> _Outcome:
+def _run_lyapunov(scn: Scenario, rng: np.random.Generator) -> _Outcome:
     problem = build_problem(scn, rng)
     report = certify.lyapunov_decay_certificate(problem, scn.grid, scn.p, _tol(scn, certify.DEFAULT_REL_TOL))
-    certify.write_decay_csv(report, out_dir / "report.csv")
+    files = {"trajectory.csv": (write_trajectory_csv, report.traj), "report.csv": (certify.write_decay_csv, report)}
     return _Outcome(
-        report.passed, min(report.margin_v_rel, report.margin_norm_rel), {"trajectory.csv": report.traj},
+        report.passed, min(report.margin_v_rel, report.margin_norm_rel), files,
         report.times, {"lhs": report.norm_lhs, "rhs": report.norm_rhs}, f"L{scn.p:g} norm",
     )
 
 
-def _run_kernel_synthesis(scn: Scenario, out_dir: Path, rng: np.random.Generator) -> _Outcome:
+def _run_kernel_synthesis(scn: Scenario, rng: np.random.Generator) -> _Outcome:
     kernel = bs.solve_kernel(scn.a, scn.k_reaction, scn.grid)
     inverse = bs.solve_inverse_kernel(kernel)
-    bs.write_kernel_csv(kernel, out_dir / "kernel.csv")
 
     oracle = bs.kernel_series_reference(scn.a, scn.k_reaction, scn.grid)
     oracle_err = float(np.max(np.abs(kernel.samples - oracle)))
@@ -153,17 +153,14 @@ def _run_kernel_synthesis(scn: Scenario, out_dir: Path, rng: np.random.Generator
     back = transformed + transformed @ inverse.matrix.T
     roundtrip_err = float(np.max(np.abs(back - fields)))
 
-    checks = [
-        ("oracle_sup_diff", oracle_err, _tol(scn, 1e-6)),
-        ("roundtrip_sup_err", roundtrip_err, ROUNDTRIP_TOL),
-    ]
-    _write_check_csv(out_dir / "report.csv", checks)
+    checks = [("oracle_sup_diff", oracle_err, _tol(scn, 1e-6)), ("roundtrip_sup_err", roundtrip_err, ROUNDTRIP_TOL)]
+    files = {"kernel.csv": (bs.write_kernel_csv, kernel), "report.csv": (_write_check_csv, checks)}
     passed = all(value <= threshold for _, value, threshold in checks)
     margin = min((threshold - value) / threshold for _, value, threshold in checks)
-    return _Outcome(passed, margin, {}, scn.grid.nodes, {"k(0,s)": kernel.samples[0]}, "feedback kernel", "s")
+    return _Outcome(passed, margin, files, scn.grid.nodes, {"k(0,s)": kernel.samples[0]}, "feedback kernel", "s")
 
 
-def _write_check_csv(path, checks) -> None:
+def _write_check_csv(checks, path) -> None:
     """Export named threshold checks: check,value,threshold,pass."""
     rows = "".join(
         f"{literal(name)},%.17g,%.17g,{str(value <= threshold).lower()}\n" for name, value, threshold in checks
@@ -188,7 +185,7 @@ def _fit_loop_constants(scn: Scenario, d_signal: BoundarySignal, rng: np.random.
     return certify.estimate_exp_iss_constants(runs, scn.p)
 
 
-def _run_backstepping(scn: Scenario, out_dir: Path, rng: np.random.Generator) -> _Outcome:
+def _run_backstepping(scn: Scenario, rng: np.random.Generator) -> _Outcome:
     grid = scn.grid
     if scn.mode == "open":
         plant = replace(scn, reaction=("linear", (scn.k_reaction,)), initial=("sin_pi", ()), d0=ZERO, d1=ZERO)
@@ -196,30 +193,32 @@ def _run_backstepping(scn: Scenario, out_dir: Path, rng: np.random.Generator) ->
         norms = lp_norms(traj.data, grid.h, scn.p)
         growth = float(norms.max() / norms[0])
         threshold = np.full_like(norms, norms[0] * GROWTH_MIN)
-        certify.write_margin_csv(out_dir / "report.csv", traj.times, norms, threshold)
+        files = {"trajectory.csv": (write_trajectory_csv, traj),
+                 "report.csv": (certify.write_margin_csv, (traj.times, norms, threshold))}
         curves = {"norm": norms, "growth_cut": threshold}
         margin = growth / GROWTH_MIN - 1.0
-        return _Outcome(growth >= GROWTH_MIN, margin, {"trajectory.csv": traj}, traj.times, curves, "open-loop norm")
+        return _Outcome(growth >= GROWTH_MIN, margin, files, traj.times, curves, "open-loop norm")
 
     kernel = bs.solve_kernel(scn.a, scn.k_reaction, grid)
     d_signal = make_signal(scn.d0, grid, scn.base_dir)
     base = make_initial(scn.initial, grid, rng, 0.0, 0.0)
     y0 = bs.compatible_initial_state(kernel, base, float(d_signal(0.0)))
     run = bs.simulate_closed_loop(scn.a, scn.k_reaction, y0, d_signal, grid, kernel=kernel)
-    trajectories = {"trajectory.csv": run.y_traj, "x_trajectory.csv": run.x_traj}
+    files = {"trajectory.csv": (write_trajectory_csv, run.y_traj),
+             "x_trajectory.csv": (write_trajectory_csv, run.x_traj)}
 
     if d_signal.sup_norm == 0.0:
         times = run.y_traj.times
         norms = lp_norms(run.y_traj.data, grid.h, scn.p)
         passed, margin, rhs = _rate_check(scn, times, norms, scn.a * math.pi**2, 0.05, 0.2 * grid.t_final)
-        certify.write_margin_csv(out_dir / "report.csv", times, norms, rhs)
-        return _Outcome(passed, margin, trajectories, times, {"closed_loop": norms, "target_rate": rhs}, "norm")
+        files["report.csv"] = (certify.write_margin_csv, (times, norms, rhs))
+        return _Outcome(passed, margin, files, times, {"closed_loop": norms, "target_rate": rhs}, "norm")
 
     inverse = bs.solve_inverse_kernel(kernel)
     k1, k2 = bs.estimate_equivalence_constants(kernel, inverse, scn.p)
     constants = bs.ClosedLoopConstants(k1=k1, k2=k2, iss=_fit_loop_constants(scn, d_signal, rng))
     report = bs.certify_closed_loop(run.y_traj, constants, run.disturbance, tol=_tol(scn, 1e-6))
-    return _estimate_outcome(report, out_dir, trajectories, "closed-loop norm")
+    return _estimate_outcome(report, files, "closed-loop norm")
 
 
 _DISPATCH = {
@@ -251,23 +250,25 @@ def run_scenario(
     """Execute one scenario; artifacts land in out_root/<name>/.
 
     ``tol`` and ``seed_override`` replace the scenario's own values; an
-    out-of-domain override, or an output directory that cannot be created,
-    raises ``ScenarioError``.
+    out-of-domain override, a name that is not filesystem-safe
+    (``scenarios.check_name``) or an output directory that cannot be
+    created raises ``ScenarioError`` before anything is written.
     """
     start = time.perf_counter()
     scenario = replace(scenario, **_overrides(tol, seed_override))
+    check_name(scenario.name)
     out_dir = Path(out_root) / scenario.name
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ScenarioError(f"cannot use output directory {out_dir}: {exc}") from exc
     try:
-        outcome = _DISPATCH[scenario.kind](scenario, out_dir, np.random.default_rng(scenario.seed))
+        outcome = _DISPATCH[scenario.kind](scenario, np.random.default_rng(scenario.seed))
     except IssParabolicError as exc:
         passed, margin, message = False, -math.inf, str(exc)
     else:
-        for file_name, traj in outcome.trajectories.items():
-            write_trajectory_csv(traj, out_dir / file_name)
+        for file_name, (write, obj) in outcome.files.items():
+            write(obj, out_dir / file_name)
         if not no_plots:
             write_line_plot(
                 out_dir / "plot.svg", outcome.x, outcome.curves, title=scenario.name,

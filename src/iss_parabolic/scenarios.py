@@ -5,7 +5,8 @@ not read and values outside the domains below are rejected, so typos fail
 loudly::
 
     [scenario]
-    name = eigen_decay          # output directory name [file stem]
+    name = eigen_decay          # output directory name [file stem]:
+                                # [A-Za-z0-9._-]+, not . or ..
     kind = simulate             # simulate | sandwich | iss_check | lyapunov
                                 # | kernel_synthesis | backstepping_loop
     seed = 42                   # drives every randomized input; >= 0
@@ -270,8 +271,6 @@ def parse_scenario(path) -> Scenario:
                 (grid if section == "grid" else values)[key] = parse(raw)
             except ValueError as exc:
                 raise ScenarioError(f"{path}: bad value for {section}.{key}: {raw!r} ({exc})") from exc
-    if not re.fullmatch(r"[A-Za-z0-9._-]+", values["name"]):
-        raise ScenarioError(f"{path}: scenario name {values['name']!r} must be filesystem-safe")
     try:
         values["grid"] = Grid1D(**grid)
     except InvalidParameterError as exc:
@@ -296,6 +295,8 @@ def _asks(scn: Scenario):
     """Ask the one owner of each rule the file decides, yielding the key each ask judges just before it; what
     is built is thrown away, and ``random_smooth`` is anchored so the runner's seed changes no verdict."""
     grid, rng = scn.grid, np.random.default_rng(scn.seed)
+    yield "scenario.name"
+    check_name(scn.name)
     for key in ("d0", "d1"):
         yield f"problem.{key}"
         make_signal(getattr(scn, key), grid, scn.base_dir)(grid.times())
@@ -317,6 +318,12 @@ def _asks(scn: Scenario):
         for key, signal in (("d0", problem.boundary_left), ("d1", problem.boundary_right)):
             yield f"problem.{key}"
             certify.lyapunov_preconditions(problem.is_heat, signal)
+
+
+def check_name(name: str) -> None:
+    """Refuse a scenario name that is not one filesystem-safe path component: [A-Za-z0-9._-]+, not . or .."""
+    if name in (".", "..") or not re.fullmatch(r"[A-Za-z0-9._-]+", name):
+        raise ScenarioError(f"scenario name {name!r} must be filesystem-safe")
 
 
 def make_reaction(selector: tuple):

@@ -191,22 +191,23 @@ def _march(
     nodes = grid.nodes[1:-1]
     data = np.empty((n_steps + 1, grid.n_nodes))
     data[0] = x0
-    for m in range(n_steps):
-        x = data[m]
-        left, right = boundary(m, x)
-        rhs = data[m + 1, 1:-1]
-        rhs[:] = x[1:-1]
-        if reaction is not None:
-            rhs += dt * reaction(nodes, x[1:-1], (x[2:] - x[:-2]) / (2.0 * h))
-        rhs[0] += r * left
-        rhs[-1] += r * right
-        out, info = dgttrs(dl, d, du, du2, ipiv, rhs, overwrite_b=1)
-        if out is not rhs:
-            rhs[:] = out
-        if info != 0 or not math.isfinite(rhs[0]):
-            raise NumericalError(f"step {m + 1} of {n_steps} produced non-finite values")
-        data[m + 1, 0] = left
-        data[m + 1, -1] = right
+    with np.errstate(over="ignore", invalid="ignore"):  # the finiteness test below owns this verdict
+        for m in range(n_steps):
+            x = data[m]
+            left, right = boundary(m, x)
+            rhs = data[m + 1, 1:-1]
+            rhs[:] = x[1:-1]
+            if reaction is not None:
+                rhs += dt * reaction(nodes, x[1:-1], (x[2:] - x[:-2]) / (2.0 * h))
+            rhs[0] += r * left
+            rhs[-1] += r * right
+            out, info = dgttrs(dl, d, du, du2, ipiv, rhs, overwrite_b=1)
+            if out is not rhs:
+                rhs[:] = out
+            if info != 0 or not math.isfinite(rhs[0]):
+                raise NumericalError(f"step {m + 1} of {n_steps} produced non-finite values")
+            data[m + 1, 0] = left
+            data[m + 1, -1] = right
     data.setflags(write=False)
     return data
 

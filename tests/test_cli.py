@@ -1,13 +1,16 @@
 import csv
 import hashlib
+import math
 import re
 import sys
+import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from iss_parabolic import Grid1D, ScenarioError, backstepping, runner, scenarios, solver
+from iss_parabolic import Grid1D, ScenarioError, SynthesisError, backstepping, runner, scenarios, solver
 from iss_parabolic.cli import main
 from iss_parabolic.runner import run_scenario, run_suite
 from iss_parabolic.scenarios import (
@@ -210,17 +213,35 @@ DOMAIN_CASES = [
     ("backstep_closed", "dt = 2e-4", "dt = 0.1", "grid.dt", "dt * lipschitz_k < 1"),
     ("eigen_decay", "d0 = zero", "d0 = constant(1.0)", "problem.initial", "disagree at t=0"),
     ("backstep_disturbed", "d0 = step(0.5, 0.05)", "d0 = file(short.csv)", "problem.d0", "outside its table"),
+    ("backstep_disturbed", "d0 = step(0.5, 0.05)", "d0 = file(absent.csv)", "problem.d0", "cannot read signal file"),
+    ("backstep_disturbed", "d0 = step(0.5, 0.05)", "d0 = file(words.csv)", "problem.d0", "cannot parse signal file"),
+    ("backstep_disturbed", "d0 = step(0.5, 0.05)", "d0 = file(wide.csv)", "problem.d0", "must have two columns"),
     # dt * k = 1e-4 * 20000 = 2 breaks the solver's step restriction
     ("eigen_decay", "reaction = zero", "reaction = linear(20000.0)", "grid.dt", "dt * lipschitz_k < 1"),
 ]
 
 
+# A scenario file refused as a whole or for one value before anything runs: the case id, the file name, its
+# text (None: no such file) and the wording of the refusal.
+FILE_CASES = [
+    ("missing", "x.scn", None, "cannot read scenario file"),
+    ("malformed", "x.scn", "[scenario\nkind = simulate\n", "cannot parse scenario file"),
+    ("section", "x.scn", FAST_SCENARIO.format(name="x") + "\n[extra]\nkey = 1\n", "unknown section [extra]"),
+    ("logy", "x.scn", FAST_SCENARIO.format(name="x") + "logy = maybe\n", "check.logy: 'maybe' (expected a boolean)"),
+    ("name..", "x.scn", FAST_SCENARIO.format(name=".."), "scenario name '..' must be filesystem-safe"),
+    ("name.", "x.scn", FAST_SCENARIO.format(name="."), "scenario name '.' must be filesystem-safe"),
+    ("stem.", "..scn", FAST_SCENARIO.format(name="x").replace("name = x\n", ""), "name '.' must be filesystem-safe"),
+]
+
+
 def _edited(directory: Path, shipped: str, old: str, new: str) -> Path:
-    """The shipped core file with ``old`` replaced by ``new``, written to ``directory`` beside a signal
-    table ``short.csv`` that ends at t = 0.01."""
+    """The shipped core file with ``old`` replaced by ``new``, written to ``directory`` beside three signal
+    tables: ``short.csv`` ends at t = 0.01, ``words.csv`` holds a word and ``wide.csv`` three columns."""
     text = (SUITES / "core" / f"{shipped}.scn").read_text()
     assert old in text
     _write(directory / "short.csv", "t,value\n0,0\n0.01,0.2\n")
+    _write(directory / "words.csv", "t,value\n0,zero\n1,0.2\n")
+    _write(directory / "wide.csv", "t,value,more\n0,0,0\n1,0.2,0\n")
     return _write(directory / f"{shipped}.scn", text.replace(old, new))
 
 
@@ -405,6 +426,17 @@ class TestScenarioParsing:
         assert err.startswith(f"error: {scn}: bad value for {key}: ") and wording in err
         assert not (tmp_path / "out" / shipped).exists()
 
+    @pytest.mark.parametrize("file_name,text,wording", [c[1:] for c in FILE_CASES], ids=[c[0] for c in FILE_CASES])
+    def test_unusable_file_rejected_before_anything_runs(self, tmp_path, capsys, file_name, text, wording):
+        scn = tmp_path / file_name if text is None else _write(tmp_path / file_name, text)
+        with pytest.raises(ScenarioError, match=re.escape(wording)):
+            parse_scenario(scn)
+        work = tmp_path / "work"
+        assert main(["run", str(scn), "--out", str(work / "out"), "--no-plots"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and wording in err
+        assert [path.relative_to(work) for path in work.rglob("*")] == [Path("out")]
+
     def test_parsing_never_steps_or_synthesizes(self, tmp_path, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("parsing stepped the solver or synthesized a kernel")
@@ -508,6 +540,14 @@ class TestRunCommand:
             run_scenario(scn, tmp_path / "out", **override)
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("name", [".", ".."])
+    def test_run_scenario_refuses_unsafe_name(self, tmp_path, name):
+        # A Scenario built in code skips the parser; the runner asks the same owner before it makes a directory.
+        scn = parse_scenario(_write(tmp_path / "ok.scn", FAST_SCENARIO.format(name="ok")))
+        with pytest.raises(ScenarioError, match="filesystem-safe"):
+            run_scenario(replace(scn, name=name), tmp_path / "work" / "out")
+        assert not (tmp_path / "work").exists()
+
     def test_no_plots_flag(self, tmp_path):
         scn = _write(tmp_path / "ok.scn", FAST_SCENARIO.format(name="ok"))
         assert main(["run", str(scn), "--out", str(tmp_path / "out"), "--no-plots"]) == 0
@@ -552,14 +592,26 @@ class TestRunCommand:
         assert main(["run", str(scn), "--out", str(tmp_path / "out"), "--no-plots"]) == 0
         assert capsys.readouterr().out.splitlines()[1].startswith("const_d,backstepping_loop,true,")
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_raising_kind_prints_minus_inf_and_writes_no_trajectory(self, tmp_path, capsys):
         scn = _write(tmp_path / "blow_up.scn", RAISING_RUN)
-        assert main(["run", str(scn), "--out", str(tmp_path / "out")]) == 1
+        # The march's finiteness test owns the verdict; numpy's overflow warning would report it a second time.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["run", str(scn), "--out", str(tmp_path / "out")]) == 1
         captured = capsys.readouterr()
         assert ",false,-inf," in captured.out.splitlines()[1]
-        assert "non-finite" in captured.err
+        assert captured.err == "FAIL blow_up [simulate]: step 6 of 50 produced non-finite values\n"
         assert not (tmp_path / "out" / "blow_up" / "trajectory.csv").exists()
+
+    def test_raising_oracle_leaves_no_artifact(self, tmp_path, monkeypatch):
+        # The kernel and its check table are computed before the oracle runs; neither may be written.
+        def refuse(*args, **kwargs):
+            raise SynthesisError("oracle refused")
+
+        monkeypatch.setattr(backstepping, "kernel_series_reference", refuse)
+        result = run_scenario(parse_scenario(_write(tmp_path / "kern.scn", KERNEL_SCENARIO)), tmp_path / "out")
+        assert (result.passed, result.min_margin, result.message) == (False, -math.inf, "oracle refused")
+        assert list((tmp_path / "out" / "kern").iterdir()) == []
 
     def test_kernel_plot_follows_logy(self, tmp_path):
         # KERNEL_SCENARIO sets no logy, so the default log scale applies.
@@ -567,10 +619,66 @@ class TestRunCommand:
         assert main(["run", str(scn), "--out", str(tmp_path / "out")]) == 0
         assert "log10(feedback kernel)" in (tmp_path / "out" / "kern" / "plot.svg").read_text()
 
+    def test_zero_kernel_plot_falls_back_to_a_flat_linear_axis(self, tmp_path):
+        # k_reaction = 0 gives a zero kernel row: the default log axis has no positive sample, and the
+        # flat range is widened to one unit around 0, so every point sits at mid-height.
+        text = (SUITES / "core" / "kernel_a1k10.scn").read_text()
+        assert "k_reaction = 10.0" in text and "\n[check]\nlogy = false\n" in text
+        text = text.replace("k_reaction = 10.0", "k_reaction = 0.0").replace("\n[check]\nlogy = false\n", "")
+        scn = _write(tmp_path / "kernel_a1k10.scn", text)
+        assert main(["run", str(scn), "--out", str(tmp_path / "out")]) == 0
+        svg = (tmp_path / "out" / "kernel_a1k10" / "plot.svg").read_text()
+        assert ">feedback kernel</text>" in svg and "log10(" not in svg
+        (points,) = re.findall(r'points="([^"]*)"', svg)
+        xy = np.array([[float(c) for c in point.split(",")] for point in points.split()])
+        assert xy.shape == (201, 2) and np.isfinite(xy).all()
+        assert set(xy[:, 1]) == {202.0}
+
+
+# Each scenario's artifacts, as the README lists them: trajectory.csv, x_trajectory.csv for the closed loop,
+# report.csv, summary.csv for estimate checks, kernel.csv for synthesis.
+KIND_FILES = {
+    "simulate": {"trajectory.csv", "report.csv"},
+    "simulate (decay_rate given)": {"trajectory.csv", "report.csv"},
+    "sandwich": {"trajectory.csv", "report.csv"},
+    "iss_check (estimate = l2)": {"trajectory.csv", "report.csv", "summary.csv"},
+    "iss_check (estimate = weighted_l1)": {"trajectory.csv", "report.csv", "summary.csv"},
+    "iss_check (estimate = weighted_sup)": {"trajectory.csv", "report.csv", "summary.csv"},
+    "lyapunov": {"trajectory.csv", "report.csv"},
+    "kernel_synthesis": {"kernel.csv", "report.csv"},
+    "backstepping_loop (mode = open)": {"trajectory.csv", "report.csv"},
+    "backstepping_loop (mode = closed)": {"trajectory.csv", "x_trajectory.csv", "report.csv"},
+    "backstepping_loop (mode = closed, disturbed)": {"trajectory.csv", "x_trajectory.csv", "report.csv",
+                                                     "summary.csv"},
+}
+
+
+@pytest.mark.parametrize("entry", KIND_FILES, ids=_entry_id)
+def test_kind_declares_its_artifacts_and_writes_nothing(tmp_path, monkeypatch, entry):
+    readme = (SUITES.parent / "README.md").read_text()
+    assert all(f"`{name}`" in readme for name in KIND_FILES[entry])
+    table_entry = entry.replace(", disturbed", "")
+    scn = parse_scenario(_kind_file(tmp_path / "x.scn", table_entry, KIND_KEYS[table_entry].split()))
+    if entry != table_entry:
+        scn = replace(scn, d0=("step", (0.3, 0.01)))
+    monkeypatch.chdir(tmp_path)
+    outcome = runner._DISPATCH[scn.kind](scn, np.random.default_rng(scn.seed))
+    assert set(outcome.files) == KIND_FILES[entry]
+    assert [path.name for path in tmp_path.iterdir()] == ["x.scn"]
+    for name, (write, obj) in outcome.files.items():
+        write(obj, tmp_path / name)
+        assert (tmp_path / name).read_text().count("\n") >= 2  # a header and at least one row
+
 
 class TestSuiteCommand:
     def test_empty_directory_exit_two(self, tmp_path):
         assert main(["suite", str(tmp_path), "--out", str(tmp_path / "out")]) == 2
+
+    def test_file_in_place_of_suite_directory_exit_two(self, tmp_path, capsys):
+        scn = _write(tmp_path / "ok.scn", FAST_SCENARIO.format(name="ok"))
+        assert main(["suite", str(scn), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"error: no scenario files (*.scn) found in {scn}\n"
+        assert list((tmp_path / "out").iterdir()) == []
 
     def test_failure_does_not_stop_batch(self, tmp_path, capsys):
         _write(tmp_path / "a_ok.scn", FAST_SCENARIO.format(name="a_ok"))

@@ -194,7 +194,7 @@ def _writer_cases():
         "summary": (write_summary_csv, _rows_summary, report),
         **{case: (write_summary_csv, _rows_summary, summary) for case, summary in summaries.items()},
         "kernel": (write_kernel_csv, _rows_kernel, kernel),
-        "check_table": (lambda c, p: _write_check_csv(p, c), _rows_checks, checks),
+        "check_table": (_write_check_csv, _rows_checks, checks),
     }
 
 

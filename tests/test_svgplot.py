@@ -34,3 +34,12 @@ def test_polyline_matches_per_point_format(tmp_path, logy):
     write_line_plot(tmp_path / "p.svg", x, {"v": v}, logy=logy)
     (points,) = re.findall(r'points="([^"]*)"', (tmp_path / "p.svg").read_text())
     assert points == _points_per_point(x, v, logy)
+
+
+def test_constant_abscissa_gets_a_unit_tick_range(tmp_path):
+    # x.min() == x.max(): the x ticks span one unit from x, and every point sits on the left axis.
+    write_line_plot(tmp_path / "p.svg", np.full(3, 0.5), {"v": np.array([1.0, 2.0, 3.0])})
+    svg = (tmp_path / "p.svg").read_text()
+    assert re.findall(r'text-anchor="middle">([^<]*)</text>', svg)[:5] == ["0.5", "0.75", "1", "1.25", "1.5"]
+    (points,) = re.findall(r'points="([^"]*)"', svg)
+    assert [point.split(",")[0] for point in points.split()] == ["64.00"] * 3
