@@ -2,8 +2,9 @@
 
 Both commands print the summary table, then one ``FAIL`` line on stderr per
 failed scenario.  Exit codes: 0 all checks passed, 1 at least one check
-failed, 2 the configuration could not be used (a file refused when read,
-an empty suite, unusable --out, or for ``run`` an unusable output directory).
+failed, 2 one ``error:`` line: an out-of-domain flag, an unusable --out,
+for ``run`` a file refused when read or an unusable output directory, for
+``suite`` a path that is no directory or holds no ``*.scn``.
 The output root defaults to ``./out`` and can be overridden by ``--out``
 or the ``ISS_PARABOLIC_OUT`` environment variable.
 """
@@ -20,10 +21,11 @@ from .runner import (
     EXIT_CHECK_FAILED,
     EXIT_CONFIG_ERROR,
     EXIT_PASS,
+    make_directory,
     run_scenario,
     run_suite,
 )
-from .scenarios import nonnegative_int, parse_scenario, positive_float
+from .scenarios import nonnegative_int, parse_scenario, tolerance
 
 SUMMARY_HEADER = "name,kind,pass,min_margin,wall_ms"
 
@@ -41,7 +43,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument(target)
         p.add_argument("--out", default=None, help="output root (default $ISS_PARABOLIC_OUT or ./out)")
-        p.add_argument("--tol", type=positive_float, default=None, help="override the check tolerance (> 0)")
+        p.add_argument("--tol", type=tolerance, default=None, help="override the check tolerance, in (0, 1)")
         p.add_argument("--seed", type=nonnegative_int, default=None, help="override the scenario seed")
         p.add_argument("--no-plots", action="store_true", help="skip SVG plot emission")
     return parser
@@ -57,24 +59,15 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     out_root = _out_root(args.out)
     try:
-        out_root.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        print(f"error: cannot use output root {out_root}: {exc}", file=sys.stderr)
+        make_directory(out_root, "output root")
+        if args.command == "run":
+            results = [run_scenario(parse_scenario(args.scenario, args.tol, args.seed), out_root, args.no_plots)]
+            code = EXIT_PASS if results[0].passed else EXIT_CHECK_FAILED
+        else:
+            results, code = run_suite(args.directory, out_root, args.no_plots, args.tol, args.seed)
+    except ScenarioError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
-
-    options = {"tol": args.tol, "no_plots": args.no_plots, "seed_override": args.seed}
-    if args.command == "run":
-        try:
-            results = [run_scenario(parse_scenario(args.scenario), out_root, **options)]
-        except ScenarioError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_CONFIG_ERROR
-        code = EXIT_PASS if results[0].passed else EXIT_CHECK_FAILED
-    else:
-        results, code = run_suite(args.directory, out_root, **options)
-        if code == EXIT_CONFIG_ERROR:
-            print(f"error: no scenario files (*.scn) found in {args.directory}", file=sys.stderr)
-            return code
     print(SUMMARY_HEADER)
     for result in results:
         print(result.summary_row())

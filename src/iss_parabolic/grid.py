@@ -114,9 +114,6 @@ class Field:
     def zeros(cls, grid: Grid1D) -> "Field":
         return cls(np.zeros(grid.n_nodes), grid)
 
-    def __len__(self) -> int:
-        return self.values.shape[0]
-
 
 @dataclass(frozen=True)
 class Trajectory:

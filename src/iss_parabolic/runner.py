@@ -17,7 +17,6 @@ import math
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
@@ -34,9 +33,7 @@ from .scenarios import (
     check_name,
     make_initial,
     make_signal,
-    nonnegative_int,
     parse_scenario,
-    positive_float,
 )
 from .solver import BoundarySignal, SemilinearProblem, simulate, write_trajectory_csv
 from .svgplot import write_line_plot
@@ -231,37 +228,26 @@ _DISPATCH = {
 }
 
 
-def _overrides(tol, seed_override) -> dict:
-    """The given overrides as Scenario fields, parsed as the keys ``tol`` and ``seed`` are."""
-    given = (("tol", positive_float, tol), ("seed", nonnegative_int, seed_override))
+def make_directory(path: Path, what: str) -> Path:
+    """Create ``path`` and its parents; one that cannot be made raises ``ScenarioError`` naming ``what``."""
     try:
-        return {key: parse(str(value)) for key, parse, value in given if value is not None}
-    except ValueError as exc:
-        raise ScenarioError(f"bad override: {exc}") from exc
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ScenarioError(f"cannot use {what} {path}: {exc}") from exc
+    return path
 
 
-def run_scenario(
-    scenario: Scenario,
-    out_root,
-    tol: Optional[float] = None,
-    no_plots: bool = False,
-    seed_override: Optional[int] = None,
-) -> ScenarioResult:
-    """Execute one scenario; artifacts land in out_root/<name>/.
+def run_scenario(scenario: Scenario, out_root, no_plots: bool = False) -> ScenarioResult:
+    """Execute the scenario as given; artifacts land in out_root/<name>/.
 
-    ``tol`` and ``seed_override`` replace the scenario's own values; an
-    out-of-domain override, a name that is not filesystem-safe
-    (``scenarios.check_name``) or an output directory that cannot be
-    created raises ``ScenarioError`` before anything is written.
+    Overrides are ``parse_scenario``'s to apply.  A name that is not
+    filesystem-safe (``scenarios.check_name``, for a ``Scenario`` built in
+    code) or an output directory that cannot be created raises
+    ``ScenarioError`` before anything is written.
     """
     start = time.perf_counter()
-    scenario = replace(scenario, **_overrides(tol, seed_override))
     check_name(scenario.name)
-    out_dir = Path(out_root) / scenario.name
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ScenarioError(f"cannot use output directory {out_dir}: {exc}") from exc
+    out_dir = make_directory(Path(out_root) / scenario.name, "output directory")
     try:
         outcome = _DISPATCH[scenario.kind](scenario, np.random.default_rng(scenario.seed))
     except IssParabolicError as exc:
@@ -279,30 +265,29 @@ def run_scenario(
     return ScenarioResult(scenario.name, scenario.kind, passed, margin, wall_ms, message)
 
 
-def run_suite(directory, out_root, tol=None, no_plots=False, seed_override=None) -> tuple[list[ScenarioResult], int]:
-    """Run every scenario file in a directory; no fail-fast.
+def run_suite(directory, out_root, no_plots=False, tol=None, seed=None) -> tuple[list[ScenarioResult], int]:
+    """Run every scenario file in a directory, each parsed with the overrides ``tol`` and ``seed``; no fail-fast.
 
     Returns the per-scenario results and the suite exit code (0 all pass,
-    1 any failure, 2 empty or unreadable directory).  A file that does not
-    parse, reuses an earlier file's name or whose output directory cannot
-    be created fails without running.
-    Out-of-domain overrides raise ``ScenarioError`` before any scenario runs.
+    1 any failure).  A path that is not a directory, or holds no ``*.scn``,
+    raises ``ScenarioError``.  A file that does not parse (a bad override
+    fails every file), reuses an earlier file's name or whose output
+    directory cannot be created fails without running.
     """
-    _overrides(tol, seed_override)
     directory = Path(directory)
     if not directory.is_dir():
-        return [], EXIT_CONFIG_ERROR
+        raise ScenarioError(f"{directory} is not a directory")
     files = sorted(directory.glob("*.scn"))
     if not files:
-        return [], EXIT_CONFIG_ERROR
+        raise ScenarioError(f"no scenario files (*.scn) found in {directory}")
     results, first_file = [], {}
     for f in files:
         try:
-            scn = parse_scenario(f)
+            scn = parse_scenario(f, tol, seed)
             if scn.name in first_file:
                 raise ScenarioError(f"{f}: scenario name {scn.name!r} is already used by {first_file[scn.name]}")
             first_file[scn.name] = f
-            results.append(run_scenario(scn, out_root, tol=tol, no_plots=no_plots, seed_override=seed_override))
+            results.append(run_scenario(scn, out_root, no_plots))
         except ScenarioError as exc:
             results.append(ScenarioResult(f.stem, "?", False, -math.inf, 0.0, str(exc)))
     code = EXIT_PASS if all(r.passed for r in results) else EXIT_CHECK_FAILED

@@ -33,8 +33,8 @@ loudly::
 
 Kind-key catalog (``KIND_KEYS``).  Besides the [scenario] and [grid] keys,
 ``a`` and ``logy`` [true], a kind, or the variant a setting picks, reads
-only these keys; any other is a configuration error.  ``tol`` (finite, > 0)
-is its one check tolerance, [default] unless the file or ``--tol`` sets it.
+only these keys; any other is a configuration error.  ``tol``, in (0, 1), is
+its one check tolerance, [default] unless the file or ``--tol`` sets it.
 
 - simulate: reaction initial d0 d1 p
 - simulate (decay_rate given): reaction initial d0 d1 p decay_rate tol
@@ -51,7 +51,7 @@ is its one check tolerance, [default] unless the file or ``--tol`` sets it.
 simulate: the fitted decay rate must match ``decay_rate`` (> 0, finite) to
 relative error tol [0.02].  sandwich: ``epsilon`` (> 0, finite) [0.05]
 widens the constant bracket; tol is the ordering slack [1e-10].  iss_check
-and lyapunov: tol is the relative slack, below 1 [0.02]; ``estimate`` [l2];
+and lyapunov: tol is the relative slack [0.02]; ``estimate`` [l2];
 ``gain_override`` (> 0, finite) replaces weighted_l1's gain; weighted_sup's
 ``sigma`` is in (0, a pi^2) [a pi^2 / 2], ``theta`` in (0, pi - sqrt(sigma
 / a)) [its midpoint].  kernel_synthesis: tol bounds the sup distance to the
@@ -158,6 +158,13 @@ def positive_float(raw: str) -> float:
     return value
 
 
+def tolerance(raw: str) -> float:
+    value = float(raw)
+    if not 0.0 < value < 1.0:
+        raise ValueError(f"expected a tolerance 0 < tol < 1, got {value}")
+    return value
+
+
 def _norm_exponent(raw: str) -> float:
     value = float(raw)
     if not value >= 1.0:
@@ -230,7 +237,7 @@ _SECTION_KEYS = {
     },
     "check": {
         "estimate": _choice("weighted_l1", "l2", "weighted_sup"), "p": _norm_exponent, "sigma": positive_float,
-        "theta": positive_float, "tol": positive_float, "epsilon": positive_float, "decay_rate": positive_float,
+        "theta": positive_float, "tol": tolerance, "epsilon": positive_float, "decay_rate": positive_float,
         "gain_override": positive_float, "logy": _boolean,
     },
     "loop": {"mode": _choice("open", "closed")},
@@ -238,9 +245,10 @@ _SECTION_KEYS = {
 _REQUIRED = {("scenario", "kind"), ("grid", "n_interior"), ("grid", "dt"), ("grid", "t_final")}
 
 
-def parse_scenario(path) -> Scenario:
+def parse_scenario(path, tol=None, seed=None) -> Scenario:
     """Parse one scenario file, rejecting unknown sections, keys and values, then keys its kind does not
-    read and values outside the domain its kind needs."""
+    read and values outside the domain its kind needs.  A given ``tol`` or ``seed`` is parsed as the text of
+    ``check.tol`` or ``scenario.seed`` after the file's value and judged with it, but never counts as unread."""
     path = Path(path)
     cp = configparser.ConfigParser(inline_comment_prefixes=("#",))
     try:
@@ -259,18 +267,18 @@ def parse_scenario(path) -> Scenario:
             raise ScenarioError(f"{path}: unknown key(s) {sorted(unknown)} in [{section}]")
 
     values = {"name": path.stem, "base_dir": path.parent}
-    grid = {}
+    grid, overrides = {}, {"tol": tol, "seed": seed}
     for section, parsers in _SECTION_KEYS.items():
         for key, parse in parsers.items():
-            if not cp.has_option(section, key):
-                if (section, key) in _REQUIRED:
-                    raise ScenarioError(f"{path}: missing required key {section}.{key}")
-                continue
-            raw = cp.get(section, key)
-            try:
-                (grid if section == "grid" else values)[key] = parse(raw)
-            except ValueError as exc:
-                raise ScenarioError(f"{path}: bad value for {section}.{key}: {raw!r} ({exc})") from exc
+            raws = [cp.get(section, key)] if cp.has_option(section, key) else []
+            raws += [str(overrides[key])] if overrides.get(key) is not None else []
+            if not raws and (section, key) in _REQUIRED:
+                raise ScenarioError(f"{path}: missing required key {section}.{key}")
+            for raw in raws:
+                try:
+                    (grid if section == "grid" else values)[key] = parse(raw)
+                except ValueError as exc:
+                    raise ScenarioError(f"{path}: bad value for {section}.{key}: {raw!r} ({exc})") from exc
     try:
         values["grid"] = Grid1D(**grid)
     except InvalidParameterError as exc:

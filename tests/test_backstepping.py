@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -14,11 +15,14 @@ import iss_parabolic
 from iss_parabolic import (
     BoundarySignal,
     ClosedLoopConstants,
+    ExpIssConstants,
     Field,
     Grid1D,
     IncompatibleDataError,
     InvalidParameterError,
+    NumericalError,
     SemilinearProblem,
+    Trajectory,
     apply_transform,
     certify_closed_loop,
     compatible_initial_state,
@@ -454,3 +458,57 @@ class TestClosedLoopCertificate:
         assert report.passed
         steady = norm_lp(run.y_traj.final_state, 2.0)
         assert steady <= k2 * constants.iss.gamma * 0.5
+
+
+_SMALL = Grid1D(n_interior=15, dt=1e-3, t_final=0.01)
+_OTHER = Grid1D(n_interior=17, dt=1e-3, t_final=0.01)
+
+
+def _nan_on_diagonal(kernel):
+    samples = kernel.samples.copy()
+    samples[0, 0] = math.nan
+    return VolterraKernel(samples, kernel.lam, "direct", _SMALL)
+
+
+def _misaligned_certificate(kernel, inverse):
+    traj = Trajectory(grid=_SMALL, times=_SMALL.times(), data=np.zeros((_SMALL.n_steps + 1, _SMALL.n_nodes)))
+    constants = ClosedLoopConstants(k1=1.0, k2=1.0, iss=ExpIssConstants(m=1.0, sigma=1.0, gamma=1.0, p=2.0))
+    return certify_closed_loop(traj, constants, np.zeros(3))
+
+
+# Each documented refusal, reached through public arguments with the k = 5 kernel pair on a 17-node grid:
+# the case id, the call on (kernel, inverse), the error raised and its wording.
+REFUSALS = [
+    ("direction", lambda k, inv: VolterraKernel(k.samples, k.lam, "sideways", _SMALL), InvalidParameterError,
+     "unknown kernel direction 'sideways'"),
+    ("shape", lambda k, inv: VolterraKernel(k.samples[:-1], k.lam, "direct", _SMALL), InvalidParameterError,
+     "kernel samples do not match the grid"),
+    ("non_finite", lambda k, inv: _nan_on_diagonal(k), NumericalError, "kernel samples contain non-finite values"),
+    ("series_a", lambda k, inv: kernel_series_reference(0.0, 5.0, _SMALL), InvalidParameterError,
+     "diffusion coefficient must be positive"),
+    ("solve_a", lambda k, inv: solve_kernel(-1.0, 5.0, _SMALL), InvalidParameterError,
+     "diffusion coefficient must be positive"),
+    ("transform_grid", lambda k, inv: apply_transform(k, Field.zeros(_OTHER)), InvalidParameterError,
+     "field and kernel live on different grids"),
+    ("feedback_grid", lambda k, inv: feedback(k, Field.zeros(_OTHER)), InvalidParameterError,
+     "field and kernel live on different grids"),
+    ("loop_state_grid",
+     lambda k, inv: simulate_closed_loop(1.0, 5.0, Field.zeros(_OTHER), BoundarySignal.zero(), _SMALL, k),
+     InvalidParameterError, "initial state lives on a different grid"),
+    ("loop_kernel",
+     lambda k, inv: simulate_closed_loop(1.0, 6.0, Field.zeros(_SMALL), BoundarySignal.zero(), _SMALL, k),
+     InvalidParameterError, "kernel does not match the requested plant"),
+    ("schur_p", lambda k, inv: estimate_equivalence_constants(k, inv, 0.5), InvalidParameterError,
+     "p must lie in [1, inf], got 0.5"),
+    ("pair_order", lambda k, inv: estimate_equivalence_constants(inv, k, 2.0), InvalidParameterError,
+     "expected a (direct, inverse) kernel pair"),
+    ("disturbance_times", _misaligned_certificate, InvalidParameterError,
+     "disturbance samples must align with the trajectory times"),
+]
+
+
+@pytest.mark.parametrize("call,error,wording", [case[1:] for case in REFUSALS], ids=[case[0] for case in REFUSALS])
+def test_documented_refusal(call, error, wording):
+    kernel = solve_kernel(1.0, 5.0, _SMALL)
+    with pytest.raises(error, match=re.escape(wording)):
+        call(kernel, solve_inverse_kernel(kernel))

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from iss_parabolic import (
     solve_inverse_kernel,
     solve_kernel,
 )
-from iss_parabolic.certify import write_report_csv, write_summary_csv
+from iss_parabolic.certify import fit_decay_rate, write_report_csv, write_summary_csv
 from conftest import heat_problem
 
 PI2 = math.pi**2
@@ -212,6 +213,52 @@ def test_zero_relative_tolerance_accepted():
     grid = Grid1D(n_interior=31, dt=1e-3, t_final=0.05)
     problem = heat_problem(grid, lambda z: np.sin(np.pi * z))
     assert check_l2(simulate(problem, grid), tol=0.0).tol == 0.0
+
+
+_FIT_GRID = Grid1D(n_interior=15, dt=1e-3, t_final=0.1)
+
+
+def _forced_run():
+    """Zero initial state, unit step at z = 0 from t = 0.02."""
+    times = _FIT_GRID.times()
+    step = BoundarySignal.sampled(times, np.where(times >= 0.02, 1.0, 0.0))
+    return simulate(heat_problem(_FIT_GRID, np.zeros_like, d0=step), _FIT_GRID)
+
+
+def _growing_run():
+    """Zero boundary data under the reaction 20 w, which outgrows the decay rate pi^2."""
+    problem = SemilinearProblem(
+        a=1.0, initial=Field(np.sin(np.pi * _FIT_GRID.nodes), _FIT_GRID), boundary_left=BoundarySignal.zero(),
+        boundary_right=BoundarySignal.zero(), reaction=lambda z, w, grad: 20.0 * w, lipschitz_k=20.0,
+    )
+    return simulate(problem, _FIT_GRID)
+
+
+def _reaction_certificate():
+    problem = SemilinearProblem(
+        a=1.0, initial=Field.zeros(_FIT_GRID), boundary_left=BoundarySignal.zero(),
+        boundary_right=BoundarySignal.zero(), reaction=lambda z, w, grad: -w, lipschitz_k=1.0,
+    )
+    return lyapunov_decay_certificate(problem, _FIT_GRID, 3.0)
+
+
+# Each documented refusal reached through public arguments: the case id, the call, the error and its wording.
+REFUSALS = [
+    ("lyapunov_reaction", _reaction_certificate, InapplicableEstimateError,
+     "the Lyapunov certificate applies to the heat equation"),
+    ("two_point_fit", lambda: fit_decay_rate(np.array([0.0, 0.1]), np.array([1.0, 0.5])), EstimationError,
+     "trajectory too short or degenerate for a decay fit"),
+    ("no_zero_input_run", lambda: estimate_exp_iss_constants([_forced_run()], 2.0), EstimationError,
+     "need a zero-disturbance scenario with nonzero initial data"),
+    ("growing_zero_input_run", lambda: estimate_exp_iss_constants([_growing_run(), _forced_run()], 2.0),
+     EstimationError, "fitted decay rate is not positive: -"),
+]
+
+
+@pytest.mark.parametrize("call,error,wording", [case[1:] for case in REFUSALS], ids=[case[0] for case in REFUSALS])
+def test_documented_refusal(call, error, wording):
+    with pytest.raises(error, match=re.escape(wording)):
+        call()
 
 
 class TestFittedConstants:

@@ -403,9 +403,9 @@ class TestScenarioParsing:
         "line",
         [
             "decay_rate = 0", "decay_rate = -1", "decay_rate = inf", "decay_rate = nan", "p = 0.5", "p = nan",
-            "seed = -1", "tol = 0", "tol = -1", "tol = nan", "gain_override = 0", "gain_override = nan",
-            "epsilon = 0", "epsilon = -1", "epsilon = nan", "a = 0", "a = nan", "k_reaction = nan",
-            "k_reaction = inf", "sigma = nan", "theta = -1",
+            "seed = -1", "tol = 0", "tol = -1", "tol = nan", "tol = 1", "tol = 1.5", "gain_override = 0",
+            "gain_override = nan", "epsilon = 0", "epsilon = -1", "epsilon = nan", "a = 0", "a = nan",
+            "k_reaction = nan", "k_reaction = inf", "sigma = nan", "theta = -1",
         ],
     )
     def test_out_of_domain_value_rejected(self, tmp_path, line):
@@ -487,10 +487,17 @@ class TestRunCommand:
         assert code == 1
 
     def test_unit_tol_does_not_pass_tampered_gain(self, tmp_path, capsys):
-        # A relative slack of 1 would pass any margin; the check refuses it.
-        args = ["run", str(SUITES / "negative" / "tampered_gain.scn"), "--out", str(tmp_path), "--no-plots"]
-        assert main(args + ["--tol", "1"]) == 1
-        assert "0 <= tol < 1" in capsys.readouterr().err
+        # A relative slack of 1 would pass any margin; the flag and the key refuse it before anything runs.
+        shipped = SUITES / "negative" / "tampered_gain.scn"
+        with pytest.raises(SystemExit) as exc:
+            main(["run", str(shipped), "--out", str(tmp_path / "out"), "--no-plots", "--tol", "1"])
+        assert exc.value.code == 2
+        assert "argument --tol" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+        scn = _write(tmp_path / "tampered_gain.scn", shipped.read_text().replace("tol = 0.02", "tol = 1"))
+        assert main(["run", str(scn), "--out", str(tmp_path / "out"), "--no-plots"]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {scn}: bad value for check.tol: '1'")
+        assert list((tmp_path / "out").iterdir()) == []
 
     @pytest.mark.parametrize("command", ["run", "suite"])
     def test_unusable_out_root_exit_two(self, tmp_path, capsys, command):
@@ -530,15 +537,23 @@ class TestRunCommand:
         assert exc.value.code == 2
 
     @pytest.mark.parametrize(
-        "override",
-        [{"tol": 0.0}, {"tol": float("nan")}, {"seed_override": -3}],
+        "override,key",
+        [({"tol": 0.0}, "check.tol"), ({"tol": float("nan")}, "check.tol"), ({"seed": -3}, "scenario.seed")],
         ids=["tol=0", "tol=nan", "seed=-3"],
     )
-    def test_run_scenario_refuses_bad_override(self, tmp_path, override):
-        scn = parse_scenario(_write(tmp_path / "ok.scn", FAST_SCENARIO.format(name="ok")))
-        with pytest.raises(ScenarioError):
-            run_scenario(scn, tmp_path / "out", **override)
-        assert not (tmp_path / "out").exists()
+    def test_parse_scenario_refuses_bad_override(self, tmp_path, override, key):
+        path = _write(tmp_path / "ok.scn", FAST_SCENARIO.format(name="ok"))
+        with pytest.raises(ScenarioError, match=rf"bad value for {re.escape(key)}: "):
+            parse_scenario(path, **override)
+        assert [p.name for p in tmp_path.iterdir()] == ["ok.scn"]
+
+    def test_seed_override_reaches_the_parse_time_asks(self, monkeypatch):
+        # random_smooth initial data are built by _asks from the seed that will run, not the file's.
+        seeds = []
+        default_rng = np.random.default_rng
+        monkeypatch.setattr(scenarios.np.random, "default_rng", lambda seed: seeds.append(seed) or default_rng(seed))
+        scn = parse_scenario(SUITES / "core" / "l2_random_a.scn", seed=77)
+        assert scn.seed == 77 and seeds == [77]
 
     @pytest.mark.parametrize("name", [".", ".."])
     def test_run_scenario_refuses_unsafe_name(self, tmp_path, name):
@@ -671,13 +686,14 @@ def test_kind_declares_its_artifacts_and_writes_nothing(tmp_path, monkeypatch, e
 
 
 class TestSuiteCommand:
-    def test_empty_directory_exit_two(self, tmp_path):
+    def test_empty_directory_exit_two(self, tmp_path, capsys):
         assert main(["suite", str(tmp_path), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"error: no scenario files (*.scn) found in {tmp_path}\n"
 
     def test_file_in_place_of_suite_directory_exit_two(self, tmp_path, capsys):
         scn = _write(tmp_path / "ok.scn", FAST_SCENARIO.format(name="ok"))
         assert main(["suite", str(scn), "--out", str(tmp_path / "out")]) == 2
-        assert capsys.readouterr().err == f"error: no scenario files (*.scn) found in {scn}\n"
+        assert capsys.readouterr().err == f"error: {scn} is not a directory\n"
         assert list((tmp_path / "out").iterdir()) == []
 
     def test_failure_does_not_stop_batch(self, tmp_path, capsys):
@@ -706,11 +722,17 @@ class TestSuiteCommand:
         assert out[1].startswith("a_zero,?,false,-inf,")
         assert out[2].startswith("b_ok,simulate,true,")
 
-    @pytest.mark.parametrize("override", [{"tol": -1.0}, {"seed_override": -3}], ids=["tol=-1", "seed=-3"])
-    def test_run_suite_refuses_bad_override(self, tmp_path, override):
-        _write(tmp_path / "a_ok.scn", FAST_SCENARIO.format(name="a_ok"))
-        with pytest.raises(ScenarioError):
-            run_suite(tmp_path, tmp_path / "out", **override)
+    @pytest.mark.parametrize(
+        "override,key", [({"tol": -1.0}, "check.tol"), ({"seed": -3}, "scenario.seed")], ids=["tol=-1", "seed=-3"]
+    )
+    def test_run_suite_refuses_bad_override(self, tmp_path, override, key):
+        # The CLI refuses such flags through argparse; a library caller gets one failed row per file.
+        for name in ("a_ok", "b_ok"):
+            _write(tmp_path / f"{name}.scn", FAST_SCENARIO.format(name=name))
+        results, code = run_suite(tmp_path, tmp_path / "out", **override)
+        assert code == 1 and [r.name for r in results] == ["a_ok", "b_ok"]
+        for result in results:
+            assert not result.passed and f"bad value for {key}: " in result.message
         assert not (tmp_path / "out").exists()
 
     def test_core_artifacts_match_recorded_digests(self, tmp_path):

@@ -1,3 +1,4 @@
+import re
 import sys
 import tracemalloc
 from types import SimpleNamespace
@@ -87,6 +88,18 @@ class TestTrajectory:
             self._make(grid, data, times=np.array([0.0, 2e-3, 2e-3]))
         with pytest.raises(InvalidParameterError):
             self._make(grid, data, times=np.array([1e-3, 2e-3, 3e-3]))
+
+    @pytest.mark.parametrize(
+        "data,wording",
+        [(np.zeros((3, 10)), "trajectory data shape (3, 10) does not match 3 times x 11 nodes"),
+         (np.zeros(11), "trajectory data shape (11,) does not match 11 times x 11 nodes"),
+         (np.full((3, 11), np.nan), "trajectory contains non-finite entries")],
+        ids=["columns", "one_dimensional", "non_finite"],
+    )
+    def test_unusable_data_rejected(self, data, wording):
+        grid = Grid1D(n_interior=9, dt=1e-3, t_final=0.1)
+        with pytest.raises(InvalidFieldError, match=re.escape(wording)):
+            self._make(grid, data)
 
     def test_data_copied_only_while_writeable(self):
         grid = Grid1D(n_interior=9, dt=1e-3, t_final=0.1)

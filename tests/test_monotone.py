@@ -124,6 +124,12 @@ class TestBracket:
         with pytest.raises(InvalidParameterError, match="need finite u_sup >= 0 and epsilon > 0"):
             build_bracket(x, u_sup, epsilon, delta=0.25)
 
+    @pytest.mark.parametrize("delta", [0.0, -0.25, 0.6, math.nan])
+    def test_cutoff_width_outside_half_interval_rejected(self, delta):
+        nodes = Grid1D(n_interior=9, dt=1e-3, t_final=0.1).nodes
+        with pytest.raises(InvalidParameterError, match=r"cutoff width must lie in \(0, 1/2\], got "):
+            cutoff_hat(nodes, delta)
+
     def test_delta_is_dyadic_and_maximal(self):
         grid = Grid1D(n_interior=99, dt=1e-4, t_final=0.1)
         # |x| <= 1.05 only within ~0.06 of the ends: delta = 1/4 infeasible, 1/16 fine

@@ -53,6 +53,9 @@ class TestBoundarySignal:
             BoundarySignal.sampled(np.array([0.0, 0.0]), np.array([1.0, 2.0]))
         with pytest.raises(InvalidParameterError):
             BoundarySignal.sampled(np.array([0.0, 1.0]), np.array([1.0, np.inf]))
+        for times, values in (([0.0, 1.0], [1.0, 2.0, 3.0]), ([0.0], [1.0]), ([[0.0, 1.0]], [[1.0, 2.0]])):
+            with pytest.raises(InvalidParameterError, match="sampled signal needs matching time/value tables"):
+                BoundarySignal.sampled(np.array(times), np.array(values))
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
     def test_non_finite_constant_rejected(self, value):
@@ -77,6 +80,17 @@ class TestProblemValidation:
                 initial=Field.zeros(grid_small),
                 boundary_left=BoundarySignal.zero(),
                 boundary_right=BoundarySignal.zero(),
+            )
+
+    @pytest.mark.parametrize("lipschitz_k", [-1.0, -math.inf])
+    def test_negative_slope_bound_rejected(self, grid_small, lipschitz_k):
+        with pytest.raises(InvalidParameterError, match="lipschitz_k must be nonnegative"):
+            SemilinearProblem(
+                a=1.0,
+                initial=Field.zeros(grid_small),
+                boundary_left=BoundarySignal.zero(),
+                boundary_right=BoundarySignal.zero(),
+                lipschitz_k=lipschitz_k,
             )
 
     def test_step_restriction_refused(self):

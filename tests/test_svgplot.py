@@ -43,3 +43,11 @@ def test_constant_abscissa_gets_a_unit_tick_range(tmp_path):
     assert re.findall(r'text-anchor="middle">([^<]*)</text>', svg)[:5] == ["0.5", "0.75", "1", "1.25", "1.5"]
     (points,) = re.findall(r'points="([^"]*)"', svg)
     assert [point.split(",")[0] for point in points.split()] == ["64.00"] * 3
+
+
+def test_all_non_finite_samples_get_a_unit_value_range(tmp_path):
+    # No finite sample sets the y range, so the axis spans [0, 1] and no point is drawn.
+    write_line_plot(tmp_path / "p.svg", np.arange(3.0), {"v": np.array([math.nan, math.inf, -math.inf])})
+    svg = (tmp_path / "p.svg").read_text()
+    assert re.findall(r'text-anchor="end">([^<]*)</text>', svg) == ["0", "0.25", "0.5", "0.75", "1"]
+    assert re.findall(r'points="([^"]*)"', svg) == [""]
