@@ -32,23 +32,23 @@ def write_line_plot(
 ) -> None:
     """Write a simple line chart of one or more series against x.
 
-    With ``logy`` the y axis is log10 and nonpositive samples are dropped;
-    if a series has no positive samples the plot falls back to linear.
+    Only finite samples are drawn.  With ``logy`` the y axis is log10 and
+    only finite positive samples are drawn; if no series has one, the plot
+    falls back to linear.  The samples drawn are the ones that set the y
+    range.
     """
     x = np.asarray(x, dtype=float)
     ys = {name: np.asarray(v, dtype=float) for name, v in series.items()}
-    if logy and not any(np.any(v > 0.0) for v in ys.values()):
-        logy = False
-
-    def transform(v: np.ndarray) -> np.ndarray:
-        return np.log10(v) if logy else v
+    keep = {name: np.isfinite(v) & (v > 0.0) for name, v in ys.items()}
+    logy = logy and any(k.any() for k in keep.values())
+    if not logy:
+        keep = {name: np.isfinite(v) for name, v in ys.items()}
+    drawn = {name: (x[k], np.log10(ys[name][k]) if logy else ys[name][k]) for name, k in keep.items()}
 
     xmin, xmax = float(x.min()), float(x.max())
     ymin, ymax = math.inf, -math.inf
-    for v in ys.values():
-        vv = v[v > 0.0] if logy else v[np.isfinite(v)]
-        if vv.size:
-            tv = transform(vv)
+    for _, tv in drawn.values():
+        if tv.size:
             ymin = min(ymin, float(tv.min()))
             ymax = max(ymax, float(tv.max()))
     if not (math.isfinite(ymin) and math.isfinite(ymax)):
@@ -93,12 +93,10 @@ def write_line_plot(
             f'<text x="14" y="{_MT + ph / 2:.0f}" text-anchor="middle" '
             f'transform="rotate(-90 14 {_MT + ph / 2:.0f})">{label}</text>'
         )
-    for idx, (name, v) in enumerate(ys.items()):
+    for idx, (name, (xv, tv)) in enumerate(drawn.items()):
         color = _COLORS[idx % len(_COLORS)]
-        keep = (v > 0.0) if logy else np.isfinite(v)
-        tv = transform(v[keep])
         # px and py act elementwise on arrays with the scalar order of operations.
-        xy = np.column_stack((px(x[keep]), py(tv)))
+        xy = np.column_stack((px(xv), py(tv)))
         pts = " ".join(["%.2f,%.2f"] * len(xy)) % tuple(xy.ravel().tolist())
         parts.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{pts}"/>')
         parts.append(

@@ -38,15 +38,17 @@ from iss_parabolic import (
     transform_commutation_residual,
 )
 from iss_parabolic.backstepping import (
+    BURN_FRACTION,
     KERNEL_ITERATION_CAP,
     KERNEL_ITERATION_TOL,
     VolterraKernel,
-    _cumulative_simpson,
     _random_smooth_fields,
+    _series_shape,
+    _simpson_panels,
     write_kernel_csv,
 )
 from iss_parabolic.norms import lp_norms
-from iss_parabolic.solver import _march
+from iss_parabolic.solver import BLOCK_BYTES, _march
 
 PI2 = math.pi**2
 
@@ -140,7 +142,12 @@ def test_cumulative_simpson_matches_scipy_bitwise(n, axis):
         y = np.ascontiguousarray(y.T)
     h = 1.0 / (n - 1)
     expected = cumulative_simpson(y, dx=h, axis=axis, initial=0.0)
-    actual = _cumulative_simpson(y, h, axis, np.empty_like(y), np.empty_like(y))
+    out = np.full_like(y, 7.0)
+    _simpson_panels(y, h, axis, out, np.empty(4 * y.size))
+    first = np.moveaxis(out, axis, 0)[0]
+    assert np.all(first == 7.0)  # left for the caller to seed
+    first[...] = 0.0
+    actual = np.cumsum(out, axis=axis)
     assert np.all(np.isfinite(expected))
     assert np.array_equal(actual, expected)
     assert np.array_equal(np.signbit(actual), np.signbit(expected))
@@ -174,7 +181,11 @@ def _reference_solve_kernel(a, k_reaction, grid):
     return samples
 
 
-@pytest.mark.parametrize("n_interior", [39, 40], ids=["odd_nodes", "even_nodes"])
+# 41 and 42 nodes fit one row block; 201 and 202 nodes take several, the last
+# one partial at 202 nodes.
+@pytest.mark.parametrize(
+    "n_interior", [39, 40, 199, 200], ids=["odd_nodes", "even_nodes", "odd_nodes_n199", "even_nodes_n200"]
+)
 @pytest.mark.parametrize("k_reaction", [10.0, 25.0, -8.0, 0.0])
 def test_solve_kernel_matches_reference_iteration_bitwise(n_interior, k_reaction):
     grid = Grid1D(n_interior=n_interior, dt=2e-4, t_final=0.1)
@@ -182,6 +193,19 @@ def test_solve_kernel_matches_reference_iteration_bitwise(n_interior, k_reaction
     reference = _reference_solve_kernel(1.0, k_reaction, grid)
     assert np.array_equal(actual, reference)
     assert np.array_equal(np.signbit(actual), np.signbit(reference))
+
+
+@pytest.mark.parametrize("n_interior", [39, 40], ids=["odd_nodes", "even_nodes"])
+@pytest.mark.parametrize("k_reaction", [10.0, -8.0, 0.0])
+def test_series_reference_matches_full_square_bitwise(n_interior, k_reaction):
+    # The full square's stop rule sees max |q| = |lam| at (z, s) = (1, 0) as the triangle does at (0, 1).
+    grid = Grid1D(n_interior=n_interior, dt=2e-4, t_final=0.1)
+    zz, ss = np.meshgrid(grid.nodes, grid.nodes, indexing="ij")
+    lam = k_reaction / 1.0
+    expected = np.triu(lam * (1.0 - ss) * _series_shape(lam * ((1.0 - zz) ** 2 - (1.0 - ss) ** 2)))
+    actual = kernel_series_reference(1.0, k_reaction, grid)
+    assert np.array_equal(actual, expected)
+    assert np.array_equal(np.signbit(actual), np.signbit(expected))
 
 
 def test_package_import_leaves_scipy_integrate_unloaded():
@@ -341,6 +365,21 @@ class TestClosedLoop:
         order = math.log2(residuals[0] / residuals[1])
         assert order >= 1.8
 
+    def test_commutation_residual_matches_full_array_formula(self, kernel_grid):
+        a, k_reaction = 0.5, 5.0
+        kernel = solve_kernel(a, k_reaction, kernel_grid)
+        y0 = compatible_initial_state(kernel, Field(np.sin(np.pi * kernel_grid.nodes), kernel_grid))
+        run = simulate_closed_loop(a, k_reaction, y0, BoundarySignal.zero(), kernel_grid, kernel=kernel)
+        x = run.x_traj
+        start = int(BURN_FRACTION * (len(x) - 1))
+        data, times, nodes = x.data[start:], x.times[start:], kernel_grid.nodes
+        assert len(data) - 2 > 3 * (BLOCK_BYTES // data[0].nbytes)  # several row blocks, the last partial
+        dt = times[1] - times[0]
+        h = nodes[1] - nodes[0]
+        x_t = (data[2:] - data[:-2]) / (2.0 * dt)
+        x_zz = (data[1:-1, :-2] - 2.0 * data[1:-1, 1:-1] + data[1:-1, 2:]) / h**2
+        assert transform_commutation_residual(run) == float(np.abs(x_t[:, 1:-1] - a * x_zz).max())
+
     @pytest.mark.parametrize("k_reaction", [5.0, 15.0, 25.0])
     def test_disturbance_free_loop_decays_at_target_rate(self, k_reaction):
         grid = Grid1D(n_interior=99, dt=2e-4, t_final=0.5)
@@ -464,9 +503,9 @@ _SMALL = Grid1D(n_interior=15, dt=1e-3, t_final=0.01)
 _OTHER = Grid1D(n_interior=17, dt=1e-3, t_final=0.01)
 
 
-def _nan_on_diagonal(kernel):
+def _planted(kernel, index, value):
     samples = kernel.samples.copy()
-    samples[0, 0] = math.nan
+    samples[index] = value
     return VolterraKernel(samples, kernel.lam, "direct", _SMALL)
 
 
@@ -483,7 +522,10 @@ REFUSALS = [
      "unknown kernel direction 'sideways'"),
     ("shape", lambda k, inv: VolterraKernel(k.samples[:-1], k.lam, "direct", _SMALL), InvalidParameterError,
      "kernel samples do not match the grid"),
-    ("non_finite", lambda k, inv: _nan_on_diagonal(k), NumericalError, "kernel samples contain non-finite values"),
+    ("non_finite", lambda k, inv: _planted(k, (0, 0), math.nan), NumericalError,
+     "kernel samples contain non-finite values"),
+    ("lower_triangle", lambda k, inv: _planted(k, (-1, 0), 1.0), InvalidParameterError,
+     "kernel samples must vanish below the diagonal"),
     ("series_a", lambda k, inv: kernel_series_reference(0.0, 5.0, _SMALL), InvalidParameterError,
      "diffusion coefficient must be positive"),
     ("solve_a", lambda k, inv: solve_kernel(-1.0, 5.0, _SMALL), InvalidParameterError,

@@ -22,7 +22,7 @@ from iss_parabolic import (
     write_trajectory_csv,
 )
 from iss_parabolic import solver
-from iss_parabolic.solver import pde_residual_field
+from iss_parabolic.solver import pde_residual_sup
 from conftest import eigenfield, heat_problem
 
 PI2 = math.pi**2
@@ -82,7 +82,7 @@ class TestProblemValidation:
                 boundary_right=BoundarySignal.zero(),
             )
 
-    @pytest.mark.parametrize("lipschitz_k", [-1.0, -math.inf])
+    @pytest.mark.parametrize("lipschitz_k", [-1.0, -math.inf, math.nan])
     def test_negative_slope_bound_rejected(self, grid_small, lipschitz_k):
         with pytest.raises(InvalidParameterError, match="lipschitz_k must be nonnegative"):
             SemilinearProblem(
@@ -105,6 +105,11 @@ class TestProblemValidation:
         )
         with pytest.raises(MonotonicityLossError):
             simulate(problem, grid)
+
+    @pytest.mark.parametrize("dt, lipschitz_k", [(0.2, 5.0), (1.0, math.nan)], ids=["unit_product", "nan_slope"])
+    def test_check_step_restriction_refuses(self, dt, lipschitz_k):
+        with pytest.raises(MonotonicityLossError, match=r"violates dt \* lipschitz_k < 1"):
+            solver.check_step_restriction(dt, lipschitz_k)
 
     @pytest.mark.parametrize("k_reaction", [10.0, -10.0])
     def test_closed_loop_step_restriction_refused(self, k_reaction):
@@ -440,7 +445,7 @@ class TestComparisonPrinciple:
 class TestResidual:
     def test_zero_trajectory(self, grid_small):
         traj = simulate(heat_problem(grid_small, lambda z: np.zeros_like(z)), grid_small)
-        assert pde_residual_field(traj.data, traj.times, grid_small.nodes, 1.0).max() == 0.0
+        assert pde_residual_sup(traj.data, traj.times, grid_small.nodes, 1.0) == 0.0
 
     def test_exact_solution_residual_small(self):
         # residual of the injected analytic eigen-solution is quadrature-level
@@ -448,14 +453,14 @@ class TestResidual:
         times = grid.times()
         data = np.exp(-PI2 * times)[:, None] * np.sin(np.pi * grid.nodes)[None, :]
         # truncation error of central differences on the smooth solution
-        assert pde_residual_field(data, times, grid.nodes, 1.0).max() < PI2**2 * (grid.h**2 + grid.dt)
+        assert pde_residual_sup(data, times, grid.nodes, 1.0) < PI2**2 * (grid.h**2 + grid.dt)
 
     def test_refinement_drops_residual(self):
         values = []
         for n, dt in ((49, 4e-4), (99, 1e-4)):
             grid = Grid1D(n_interior=n, dt=dt, t_final=0.05)
             traj = simulate(heat_problem(grid, lambda z: np.sin(np.pi * z)), grid)
-            values.append(pde_residual_field(traj.data, traj.times, grid.nodes, 1.0).max())
+            values.append(pde_residual_sup(traj.data, traj.times, grid.nodes, 1.0))
         assert values[0] / values[1] >= 1.8
 
 

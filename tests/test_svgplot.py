@@ -12,7 +12,7 @@ def _points_per_point(x, v, logy):
 
     The plot area is 560 x 348 px with its top-left corner at (64, 28).
     """
-    keep = (v > 0.0) if logy else np.isfinite(v)
+    keep = np.isfinite(v) & (v > 0.0) if logy else np.isfinite(v)
     ys = np.log10(v[keep]) if logy else v[keep]
     xmin, xmax = float(x.min()), float(x.max())
     ymin, ymax = float(ys.min()), float(ys.max())
@@ -29,8 +29,6 @@ def test_polyline_matches_per_point_format(tmp_path, logy):
     x = np.sort(rng.uniform(-1.0, 1.0, 400)) * 1e3
     v = rng.standard_normal(400) * np.exp(rng.uniform(-30.0, 30.0, 400))
     v[[5, 50, 123]] = [math.inf, -math.inf, math.nan]
-    if logy:  # nonpositive samples are dropped, and an infinite one would reset the axis
-        v = np.where(np.isfinite(v), v, 0.0)
     write_line_plot(tmp_path / "p.svg", x, {"v": v}, logy=logy)
     (points,) = re.findall(r'points="([^"]*)"', (tmp_path / "p.svg").read_text())
     assert points == _points_per_point(x, v, logy)
@@ -51,3 +49,12 @@ def test_all_non_finite_samples_get_a_unit_value_range(tmp_path):
     svg = (tmp_path / "p.svg").read_text()
     assert re.findall(r'text-anchor="end">([^<]*)</text>', svg) == ["0", "0.25", "0.5", "0.75", "1"]
     assert re.findall(r'points="([^"]*)"', svg) == [""]
+
+
+def test_log_axis_draws_only_finite_positive_samples(tmp_path):
+    # inf passes v > 0, but it must neither set the y range nor reach the polyline.
+    write_line_plot(tmp_path / "p.svg", np.arange(3.0), {"v": np.array([1.0, 10.0, math.inf])}, logy=True)
+    svg = (tmp_path / "p.svg").read_text()
+    assert "inf" not in svg
+    assert re.findall(r'points="([^"]*)"', svg) == ["64.00,376.00 344.00,28.00"]
+    assert re.findall(r'text-anchor="end">([^<]*)</text>', svg) == ["1e0.00", "1e0.25", "1e0.50", "1e0.75", "1e1.00"]
