@@ -153,7 +153,7 @@ def kernel_series_reference(a: float, k_reaction: float, grid: Grid1D) -> np.nda
 
 
 def _simpson_panels(y: np.ndarray, h: float, axis: int, out: np.ndarray, work: np.ndarray) -> None:
-    """Simpson sub-integrals of ``y`` along ``axis``, into ``out[1:]`` along it.
+    """Simpson sub-integrals of 2-D ``y`` along ``axis``, into ``out[1:]`` along it.
 
     out[j] is scipy's ``cumulative_simpson`` sub-integral over [y_j-1, y_j]:
     h/3 (5 f1/4 + 2 f2 - f3/4) with (f1, f2, f3) = (y_j-1, y_j, y_j+1) for odd
@@ -184,9 +184,11 @@ def _simpson_panels(y: np.ndarray, h: float, axis: int, out: np.ndarray, work: n
     right[:m] -= quarter[:m]
     left[:m] *= h / 3.0
     right[:m] *= h / 3.0
-    # entry j - 1 along the axis holds the panels of the triple at j
-    left, right = (np.moveaxis(w.reshape(y.shape), axis, -1) for w in (left, right))
-    out = np.moveaxis(out, axis, -1)
+    # entry j - 1 along the axis holds the panels of the triple at j; a
+    # transpose makes axis 0 the last
+    left, right = (w.reshape(y.shape) for w in (left, right))
+    if axis == 0:
+        left, right, out = left.T, right.T, out.T
     pairs = (n - 1) // 2
     out[..., 1 : 2 * pairs : 2] = left[..., : 2 * pairs : 2]
     out[..., 2 : 2 * pairs + 1 : 2] = right[..., : 2 * pairs : 2]
@@ -509,8 +511,14 @@ def certify_closed_loop(
 
 
 def write_kernel_csv(kernel: VolterraKernel, path) -> None:
-    """Export kernel samples over the triangle: z,s,k_value."""
+    """Export kernel samples over the triangle: z,s,k_value, row by row."""
     nodes = format_floats(kernel.grid.nodes)
-    cells = [f",{s},%.17g\n" for s in nodes]
-    rows = ((z + z.join(cells[i:]), kernel.samples[i, i:]) for i, z in enumerate(nodes))
-    write_csv(path, "z,s,k_value", rows)
+    upper = np.triu(np.ones(kernel.samples.shape, dtype=bool))
+
+    def bands(rows=16):  # a block per 16 rows of the triangle: few blocks, each small
+        for i0 in range(0, len(nodes), rows):
+            i, j = np.nonzero(upper[i0 : i0 + rows])
+            i += i0
+            yield nodes[i], nodes[j], kernel.samples[i, j]
+
+    write_csv(path, "z,s,k_value", bands())

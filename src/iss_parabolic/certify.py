@@ -37,7 +37,7 @@ import numpy as np
 
 from .comparison import ExpLinearKL, LinearGain
 from .errors import EstimationError, InapplicableEstimateError, InvalidParameterError
-from .grid import Grid1D, Trajectory, float_block, literal, write_csv
+from .grid import Grid1D, Trajectory, write_csv
 from .norms import lp_norms, sup_weight, weighted_sin_norms, weighted_sup_norms
 from .solver import BoundarySignal, SemilinearProblem, simulate
 
@@ -315,7 +315,7 @@ def check_fitted_lp(traj: Trajectory, constants: ExpIssConstants, tol: float = 1
 def write_margin_csv(columns: tuple, path) -> None:
     """Export a per-time bound evaluation from its columns (times, lhs, rhs): t,lhs,rhs,margin (margin = rhs - lhs)."""
     times, lhs, rhs = columns
-    write_csv(path, "t,lhs,rhs,margin", [float_block(times, lhs, rhs, rhs - lhs)])
+    write_csv(path, "t,lhs,rhs,margin", [(times, lhs, rhs, rhs - lhs)])
 
 
 def write_report_csv(report: ISSReport, path) -> None:
@@ -325,8 +325,7 @@ def write_report_csv(report: ISSReport, path) -> None:
 
 def write_summary_csv(report: ISSReport, path) -> None:
     """One-line summary: estimate_id,pass,min_margin."""
-    row = f"{literal(report.estimate_id)},{str(report.passed).lower()},%.17g\n"
-    write_csv(path, "estimate_id,pass,min_margin", [(row, [report.margin])])
+    write_csv(path, "estimate_id,pass,min_margin", [(report.estimate_id, str(report.passed).lower(), report.margin)])
 
 
 def write_decay_csv(report: DecayReport, path) -> None:

@@ -23,7 +23,7 @@ import numpy as np
 from . import backstepping as bs
 from . import certify
 from .errors import IssParabolicError, ScenarioError
-from .grid import Field, literal, write_csv
+from .grid import Field, write_csv
 from .monotone import DEFAULT_ORDERING_TOL, constant_reduction_experiment, write_sandwich_csv
 from .norms import lp_norms
 from .scenarios import (
@@ -159,11 +159,9 @@ def _run_kernel_synthesis(scn: Scenario, rng: np.random.Generator) -> _Outcome:
 
 def _write_check_csv(checks, path) -> None:
     """Export named threshold checks: check,value,threshold,pass."""
-    rows = "".join(
-        f"{literal(name)},%.17g,%.17g,{str(value <= threshold).lower()}\n" for name, value, threshold in checks
-    )
-    values = [(value, threshold) for _, value, threshold in checks]
-    write_csv(path, "check,value,threshold,pass", [(rows, values)])
+    names, values, thresholds = zip(*checks)
+    passes = [str(value <= threshold).lower() for value, threshold in zip(values, thresholds)]
+    write_csv(path, "check,value,threshold,pass", [(names, values, thresholds, passes)])
 
 
 def _fit_loop_constants(scn: Scenario, d_signal: BoundarySignal, rng: np.random.Generator) -> certify.ExpIssConstants:

@@ -262,6 +262,5 @@ def pde_residual_sup(data: np.ndarray, times: np.ndarray, nodes: np.ndarray, a: 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:
     """Export as CSV with header t,z,value, row-major by time."""
-    cells = [f",{z},%.17g\n" for z in format_floats(traj.grid.nodes)]
-    levels = zip(format_floats(traj.times), traj.data)
-    write_csv(path, "t,z,value", ((t + t.join(cells), row) for t, row in levels))
+    times = format_floats(traj.times)[:, None]
+    write_csv(path, "t,z,value", [(times, format_floats(traj.grid.nodes), traj.data)])

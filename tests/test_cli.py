@@ -109,34 +109,68 @@ d1 = constant(100.0)
 """
 
 CORE_SEED7_DIGESTS = {
-    "weighted_l1_steady": {
-        "report.csv": "17b2053c8d11032dbe9242c401a8d23fe8fb25276e0dde76bb49376259d9432b",
-        "summary.csv": "3f43b05ac39536cc97e520640882d433f48e9669257c34755a3e1f9b035c3404",
-    },
-    "l2_random_a": {
-        "report.csv": "936720d2d55756cde3012a2f64dbada28a78889447fffc633d1e3a880818e26e",
-        "summary.csv": "b61769f79d447673584cad13f3d74576aaee9cae8c4104cf184acb008eb4177c",
-    },
-    "weighted_sup_decay": {
-        "report.csv": "702cd2674b52d4a8e0a0ad6ed284c5674ae511afc391586e01a8a4dece47ca24",
-        "summary.csv": "57f8c422b0333968c803c0e011c2555212bce2bda22096ce5db193cb86b2d222",
+    "backstep_closed": {
+        "report.csv": "5455bb8e0673a19084e26983b9e79251d1a4e43bac2d5580f358ec6f699b6bd9",
+        "trajectory.csv": "c993b969f889cb4690dbb4300633f06d1040b2f5d80cb0224858229e71409f17",
+        "x_trajectory.csv": "fa56a508e9832ec28563f90d6fe68c816affc3aeafeb7a716d9df321058cf694",
     },
     "backstep_disturbed": {
         "report.csv": "398fb2cbe495dc200b69161be11ca22ac5eb789b3b073f59741e51ff244a3d89",
         "summary.csv": "7943caff5c6a11a5249650d3c4904265848c5f90bd17979dbcd00d2f202fc669",
+        "trajectory.csv": "aeee99f4ee84125ef01cd2e7a7776cae39e291a91bb2529cf58b84ab2122525a",
         "x_trajectory.csv": "5376dabdac4f6c50cc5e360397ff5f68e2b5fc466038ff10e851e8673e6f646e",
-    },
-    "sandwich_cubic": {
-        "report.csv": "cecc378a61608f0da00c2b9e02edc8df55b0316009a4d6e0fe1cd4fc6206fa8f",
-    },
-    "lyapunov_p3": {
-        "report.csv": "90463bc7a0d94711c0a30a2005ecce0a7a8963ddddb0d93f8d3fdedc65b6c17d",
     },
     "backstep_open": {
         "report.csv": "cf7503ab5af4cdceb360a5ffc725aa9d25da7f54b2508e3d3f6257f6a2a5b3a1",
+        "trajectory.csv": "859bc1000468b0868f58a503a7fde4d7dd3b0bf604c3ee0b2e512689f770372a",
     },
-    "backstep_closed": {
-        "report.csv": "5455bb8e0673a19084e26983b9e79251d1a4e43bac2d5580f358ec6f699b6bd9",
+    "eigen_decay": {
+        "report.csv": "71ba8078f559068149ca2c0a65961b1dc28c84d49444a42a30f48933d75dc361",
+        "trajectory.csv": "3289d0b8ec5d031b8355e103a6e8fbe075c45fbd32708da1823e7caf498a55c9",
+    },
+    "kernel_a1k10": {
+        "kernel.csv": "d0bf41c51ae51ca22a23f7ffd874c548542e4e42f3c3b40bd420ea7e049e1b1f",
+        "report.csv": "6269b4641dbadf45a6ec9e59bf98096ac1ccdb888325235ce90dd3db24d68004",
+    },
+    "l2_random_a": {
+        "report.csv": "936720d2d55756cde3012a2f64dbada28a78889447fffc633d1e3a880818e26e",
+        "summary.csv": "b61769f79d447673584cad13f3d74576aaee9cae8c4104cf184acb008eb4177c",
+        "trajectory.csv": "70103ed794528161e779a4da4d2e60b2022cc742130df8127020769c0b268b7d",
+    },
+    "l2_random_b": {
+        "report.csv": "81aa027c24fe6f867b0fbc297b6f7ee81d18b36a152010af38990d5ea2b91aaa",
+        "summary.csv": "b61769f79d447673584cad13f3d74576aaee9cae8c4104cf184acb008eb4177c",
+        "trajectory.csv": "076269010169aa5981ee07f5732cfa5368bd236a0d1b2f3f7da4f0358b6f10dc",
+    },
+    "lyapunov_p3": {
+        "report.csv": "90463bc7a0d94711c0a30a2005ecce0a7a8963ddddb0d93f8d3fdedc65b6c17d",
+        "trajectory.csv": "eabca79f3996a55af1d84a976401a2838973d0bee28f23204831fa12190e67ec",
+    },
+    "lyapunov_p4": {
+        "report.csv": "57af0f4e2b52242ac53486a2045702bbc9addcdda05c2e2ad5608e93a29e83d1",
+        "trajectory.csv": "eabca79f3996a55af1d84a976401a2838973d0bee28f23204831fa12190e67ec",
+    },
+    "lyapunov_p8": {
+        "report.csv": "354e473c7d47c34826ca9ecbfb5ffc157fcd5c9488e7676ee4a162a25bce2bf6",
+        "trajectory.csv": "eabca79f3996a55af1d84a976401a2838973d0bee28f23204831fa12190e67ec",
+    },
+    "sandwich_cubic": {
+        "report.csv": "cecc378a61608f0da00c2b9e02edc8df55b0316009a4d6e0fe1cd4fc6206fa8f",
+        "trajectory.csv": "ad2468aea8d81d47db9bd76c35795661647d4b3bd60a9063e1f6ffb904eda468",
+    },
+    "sandwich_heat": {
+        "report.csv": "917a780500731bc0fcb5c0fd7e620c4d33c89be8fe32dd2d5f7530564a24851d",
+        "trajectory.csv": "0894306fe13372b7c17ba66f01da7c288fa9531aa73ca9fd313fe3f8f178830f",
+    },
+    "weighted_l1_steady": {
+        "report.csv": "17b2053c8d11032dbe9242c401a8d23fe8fb25276e0dde76bb49376259d9432b",
+        "summary.csv": "3f43b05ac39536cc97e520640882d433f48e9669257c34755a3e1f9b035c3404",
+        "trajectory.csv": "76dbccdd4e427d98ef959c25725f081aaf0fb4d860184eaba44ce72b2c24a4b3",
+    },
+    "weighted_sup_decay": {
+        "report.csv": "702cd2674b52d4a8e0a0ad6ed284c5674ae511afc391586e01a8a4dece47ca24",
+        "summary.csv": "57f8c422b0333968c803c0e011c2555212bce2bda22096ce5db193cb86b2d222",
+        "trajectory.csv": "2dd273d94b300f2f83bb378b146a3340917aeb4d0d22359c6d39f740fd1f8381",
     },
 }
 
@@ -735,12 +769,13 @@ class TestSuiteCommand:
             assert not result.passed and f"bad value for {key}: " in result.message
         assert not (tmp_path / "out").exists()
 
-    def test_core_artifacts_match_recorded_digests(self, tmp_path):
-        # Digests of suites/core at --seed 7 --no-plots (numpy 2.4, x86-64).
-        # A change that moves any of them must say so and re-record them.
+    def test_core_artifacts_match_recorded_digests(self, tmp_path, capsys):
+        # Digests of every CSV of suites/core at --seed 7 --no-plots (numpy 2.4,
+        # x86-64).  A change that moves any of them must say so and re-record them.
+        assert main(["suite", str(SUITES / "core"), "--out", str(tmp_path), "--seed", "7", "--no-plots"]) == 0
+        written = {path.relative_to(tmp_path).as_posix() for path in tmp_path.rglob("*.csv")}
+        assert written == {f"{name}/{artifact}" for name, digests in CORE_SEED7_DIGESTS.items() for artifact in digests}
         for name, digests in CORE_SEED7_DIGESTS.items():
-            assert main(["run", str(SUITES / "core" / f"{name}.scn"), "--out", str(tmp_path),
-                         "--seed", "7", "--no-plots"]) == 0
             for artifact, digest in digests.items():
                 data = (tmp_path / name / artifact).read_bytes()
                 assert hashlib.sha256(data).hexdigest() == digest, f"{name}/{artifact}"

@@ -5,6 +5,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from iss_parabolic import (
     Field,
@@ -15,9 +17,23 @@ from iss_parabolic import (
 )
 from iss_parabolic.backstepping import VolterraKernel, write_kernel_csv
 from iss_parabolic.certify import write_decay_csv, write_report_csv, write_summary_csv
+from iss_parabolic.grid import format_floats
 from iss_parabolic.monotone import write_sandwich_csv
 from iss_parabolic.runner import _write_check_csv
 from iss_parabolic.solver import write_trajectory_csv
+
+# Values at the edges of the formatter's integer window (decimal exponents
+# -11 to 15) and of its exponent estimate and rounding: powers of ten with
+# their neighbours one ulp away, 1e-7 (log10 exactly -7, %.17g
+# 9.9999999999999995e-08), 1e-14 (9.99999999999999998819e-15, which rounds up
+# to 1e-14) and two exact ties (0.0010004043579101562|5 rounds down to even,
+# 0.00010061264038085937|5 up).
+WINDOW_EDGES = [
+    np.nextafter(v, toward) for v in (1e-11, 1e-5, 1e-4, 1e16, 1e17) for toward in (0.0, v, np.inf)
+] + [1e-7, 1e-14, 1049 * 2.0**-20, 211 * 2.0**-21]
+FORMAT_EDGES = [
+    0.0, -0.0, 5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308, 1.7976931348623157e308, *WINDOW_EDGES
+]
 
 
 class TestGrid1D:
@@ -177,27 +193,33 @@ def _rows_checks(checks, path):
 def _writer_cases():
     grid = Grid1D(n_interior=5, dt=0.1, t_final=0.6)
     special = np.array([-0.0, 5e-324, 1e300, -2.5, 1.0 / 3.0, -1e300, 0.1])
+    edges = np.array(WINDOW_EDGES)
     rng = np.random.default_rng(4)
     times = np.array([-0.0, 5e-324, 0.1, 1.0 / 3.0, 1e300])
     data = rng.standard_normal((times.size, grid.n_nodes)) * 10.0
     data[1] = special
+    data[2:].flat[: edges.size] = edges * np.resize([1.0, -1.0], edges.size)
     inf, nan = np.inf, np.nan
     # Non-finite cells: margins rhs - lhs of -inf, inf and nan (inf - inf among them).
-    lhs = np.concatenate([special[:5], [inf, -inf, nan, 1.0, inf]])
-    rhs = np.concatenate([special[::-1][:5], [1.0, 1.0, 2.0, nan, inf]])
-    rows_times = np.concatenate([times, -times])
+    lhs = np.concatenate([special[:5], [inf, -inf, nan, 1.0, inf], edges])
+    rhs = np.concatenate([special[::-1][:5], [1.0, 1.0, 2.0, nan, inf], -edges[::-1]])
+    rows_times = np.concatenate([times, -times, edges])
     report = SimpleNamespace(times=rows_times, lhs=lhs, rhs=rhs, estimate_id="l2", passed=False, margin=-1.0 / 3.0)
     decay = SimpleNamespace(times=rows_times, norm_lhs=lhs, norm_rhs=rhs)
     sandwich = SimpleNamespace(times=rows_times, min_gap_low=lhs, min_gap_high=-rhs)
     samples = np.triu(rng.standard_normal((grid.n_nodes, grid.n_nodes)))
     samples[0] = special
+    row, col = np.triu_indices(grid.n_nodes, 1)
+    samples[row[-edges.size :], col[-edges.size :]] = edges
     kernel = VolterraKernel(samples, 1.0, "direct", grid)
     # Text cells holding "%" must pass through a %-template unchanged.
     checks = [("a", -0.0, 5e-324), ("b", 1e300, -2.5), ("c", 0.1, 0.1),
               ("100%", inf, 1.0), ("%s", -inf, nan), ("%(x)s %%d", nan, inf)]
+    checks += [("edge", lo, hi) for lo, hi in zip(edges, -edges[::-1])]
     summaries = {
         f"summary_{margin}": SimpleNamespace(estimate_id=estimate_id, passed=passed, margin=margin)
-        for estimate_id, passed, margin in (("100%", True, inf), ("%s", False, -inf), ("%(x)s %%d", False, nan))
+        for estimate_id, passed, margin in (("100%", True, inf), ("%s", False, -inf), ("%(x)s %%d", False, nan),
+                                            ("edge", True, 1e-14), ("edge", False, -1e17))
     }
     return {
         "trajectory": (write_trajectory_csv, _rows_trajectory, Trajectory(grid, times, data)),
@@ -235,3 +257,35 @@ def test_trajectory_writer_streams_one_level_at_a_time(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < whole / 10, (peak, whole)
+
+
+class TestFormatFloats:
+    """``format_floats`` and every writer's cells are ``"%.17g" % v``, byte for byte."""
+
+    @staticmethod
+    def _check(values):
+        values = np.asarray(values, dtype=float)
+        assert format_floats(values).tolist() == [b"%.17g" % v for v in values.tolist()]
+
+    def test_edges(self):
+        self._check(FORMAT_EDGES + [-v for v in FORMAT_EDGES])
+        assert format_floats([1e-7, 1e-14, 1049 * 2.0**-20, 211 * 2.0**-21]).tolist() == [
+            b"9.9999999999999995e-08", b"1e-14", b"0.0010004043579101562", b"0.00010061264038085938"
+        ]
+
+    def test_random_bit_patterns(self):
+        bits = np.random.default_rng(21).integers(0, 2**64, 200_000, dtype=np.uint64, endpoint=False)
+        self._check(bits.view(np.float64))
+        # a quarter of them again with binary exponents from 2^-40 to 2^56, about the integer window
+        bits = bits[::4]
+        exponents = np.random.default_rng(22).integers(1023 - 40, 1023 + 56, bits.size, dtype=np.uint64)
+        self._check(((bits & np.uint64(2**52 - 1 + 2**63)) | (exponents << np.uint64(52))).view(np.float64))
+
+    @settings(max_examples=50, derandomize=True, deadline=None)
+    @given(st.lists(st.floats(), min_size=1, max_size=20))
+    def test_any_doubles(self, values):
+        self._check(values)
+
+    def test_shape_and_empty(self):
+        assert format_floats(np.array([[0.5, -2.0], [np.inf, np.nan]])).tolist() == [[b"0.5", b"-2"], [b"inf", b"nan"]]
+        assert format_floats([]).shape == (0,)
