@@ -293,14 +293,18 @@ def solve_inverse_kernel(direct: VolterraKernel) -> VolterraKernel:
     """
     if direct.direction != "direct":
         raise InvalidParameterError("inverse synthesis expects the direct kernel")
-    eye = np.eye(direct.grid.n_nodes)
+    n = direct.grid.n_nodes
+    eye = np.eye(n)
     U = direct.matrix
-    L = solve_triangular(eye + U, eye) - eye
-    defect = float(np.max(np.abs((eye + L) @ (eye + U) - eye)))
+    L = solve_triangular(eye + U, eye)
+    L -= eye
+    composed = (eye + L) @ (eye + U)
+    composed[np.diag_indices(n)] -= 1.0
+    defect = float(np.max(np.abs(composed, out=composed)))
     if defect > 1e-8:
         raise SynthesisError(f"inverse kernel failed the composition check: defect {defect:.3e}")
-    weights = _row_trapezoid_weights(direct.grid.n_nodes, direct.grid.h)
-    samples = np.where(weights > 0.0, L / np.where(weights > 0.0, weights, 1.0), 0.0)
+    weights = _row_trapezoid_weights(n, direct.grid.h)
+    samples = np.divide(L, weights, out=np.zeros_like(L), where=weights > 0.0)
     samples.setflags(write=False)
     return VolterraKernel(samples=samples, lam=-direct.lam, direction="inverse", grid=direct.grid)
 
@@ -399,7 +403,8 @@ def simulate_closed_loop(
     )
     y_traj = Trajectory(grid=grid, times=times, data=data)
 
-    x_data = data + data @ kernel.matrix.T
+    x_data = data @ kernel.matrix.T
+    x_data += data
     x_data.setflags(write=False)
     x_traj = Trajectory(grid=grid, times=times, data=x_data)
     return ClosedLoopRun(a=a, y_traj=y_traj, x_traj=x_traj, disturbance=d_values)

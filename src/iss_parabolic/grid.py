@@ -16,6 +16,7 @@ is formatted alone by ``"%.17g" % v`` itself.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -43,8 +44,8 @@ class Grid1D:
     t_final: float
 
     def __post_init__(self) -> None:
-        if self.n_interior < 3:
-            raise InvalidParameterError(f"n_interior must be >= 3, got {self.n_interior}")
+        if not (isinstance(self.n_interior, numbers.Integral) and self.n_interior >= 3):
+            raise InvalidParameterError(f"n_interior must be an integer >= 3, got {self.n_interior}")
         if not (self.dt > 0.0 and math.isfinite(self.dt)):
             raise InvalidParameterError(f"dt must be positive, got {self.dt}")
         if not (self.t_final >= self.dt and math.isfinite(self.t_final)):

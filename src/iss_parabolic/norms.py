@@ -13,31 +13,64 @@ import numpy as np
 
 from .errors import InvalidParameterError
 from .grid import Field
+from .solver import _block_rows
 
 
-# Norms of a history work in one buffer of its size, updated in place: a
-# second one is trimmed off the heap after each call and faulted back next.
+# A history at n_interior=999 is 5001 x 1001 doubles (40 MB); a whole-array
+# |x| copy of it would set a closed-loop plant's peak memory and stream it
+# through memory twice.  So a norm reduces one block of rows of about
+# ``solver.BLOCK_BYTES`` at a time in one reused buffer that stays in cache.
+# Each row still gets the same elementwise steps and the same
+# ``sum(axis=-1)`` or ``max(axis=-1)``, so every norm keeps the bits of the
+# whole-array formula.
 
 
-def _trapz(values: np.ndarray, h: float) -> np.ndarray:
-    """Composite trapezoid along the last axis of ``values``."""
-    return h * (values.sum(axis=-1) - 0.5 * (values[..., 0] + values[..., -1]))
+def _row_reductions(data: np.ndarray, reduce) -> np.ndarray:
+    """``reduce`` of |data|, one value per row: a scalar for a field, an array for a history.
+
+    ``reduce(block)`` gets the absolute values of a block of rows in a
+    reused float buffer, may overwrite it, and returns one value per row.
+    """
+    rows2d = data.reshape(-1, data.shape[-1])
+    n = len(rows2d)
+    out = np.empty(n)
+    rows = _block_rows(rows2d.shape[1] * out.itemsize, n)
+    buffer = np.empty((rows, rows2d.shape[1]))
+    for r0 in range(0, n, rows):
+        r1 = min(r0 + rows, n)
+        block = np.abs(rows2d[r0:r1], out=buffer[: r1 - r0], dtype=float)
+        out[r0:r1] = reduce(block)
+    return out.reshape(data.shape[:-1])[()]
+
+
+def _trapz_sums(values: np.ndarray) -> np.ndarray:
+    """Composite trapezoid along the last axis of ``values``, before the factor h."""
+    return values.sum(axis=-1) - 0.5 * (values[..., 0] + values[..., -1])
 
 
 def lp_norms(data: np.ndarray, h: float, p: float) -> np.ndarray:
-    """L^p norm of each row of a (time x node) array; p may be math.inf."""
+    """L^p norm of each row of a (time x node) array for p >= 1; p may be math.inf."""
+    if not p >= 1.0:
+        raise InvalidParameterError(f"p must be >= 1 or inf, got {p}")
     if p == math.inf:
-        return np.abs(data).max(axis=-1)
-    powers = np.abs(data, dtype=float)
-    powers **= p
-    return _trapz(powers, h) ** (1.0 / p)
+        return _row_reductions(data, lambda block: block.max(axis=-1))
+
+    def trapz_of_powers(block):
+        block **= p
+        return _trapz_sums(block)
+
+    return (h * _row_reductions(data, trapz_of_powers)) ** (1.0 / p)
 
 
 def weighted_sin_norms(data: np.ndarray, h: float) -> np.ndarray:
     """Row-wise integral of sin(pi z) |x(z)| over [0, 1]."""
-    weighted = np.abs(data, dtype=float)
-    weighted *= np.sin(np.pi * np.linspace(0.0, 1.0, data.shape[-1]))
-    return _trapz(weighted, h)
+    weight = np.sin(np.pi * np.linspace(0.0, 1.0, data.shape[-1]))
+
+    def trapz_of_weighted(block):
+        block *= weight
+        return _trapz_sums(block)
+
+    return h * _row_reductions(data, trapz_of_weighted)
 
 
 def sup_weight(nodes: np.ndarray, theta: float, phi: float) -> np.ndarray:
@@ -51,9 +84,13 @@ def sup_weight(nodes: np.ndarray, theta: float, phi: float) -> np.ndarray:
 
 def weighted_sup_norms(data: np.ndarray, nodes: np.ndarray, theta: float, phi: float) -> np.ndarray:
     """Row-wise max of the weighted absolute value with :func:`sup_weight`."""
-    weighted = np.abs(data, dtype=float)
-    weighted *= sup_weight(nodes, theta, phi)
-    return weighted.max(axis=-1)
+    weight = sup_weight(nodes, theta, phi)
+
+    def max_of_weighted(block):
+        block *= weight
+        return block.max(axis=-1)
+
+    return _row_reductions(data, max_of_weighted)
 
 
 def norm_lp(x: Field, p: float) -> float:
@@ -62,8 +99,6 @@ def norm_lp(x: Field, p: float) -> float:
     For finite p this is the trapezoid quadrature of (integral |x|^p)^(1/p);
     for p = inf it is the maximum of |x| over all nodes.
     """
-    if not (p >= 1.0):
-        raise InvalidParameterError(f"p must lie in [1, inf], got {p}")
     return float(lp_norms(x.values[np.newaxis, :], x.grid.h, p)[0])
 
 

@@ -41,7 +41,8 @@ Reaction = Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 
 COMPATIBILITY_TOL = 1e-9
 # Byte budget of one row-block buffer in the blocked array passes (kernel
-# synthesis, the residual sup): small enough to stay in a core's cache.
+# synthesis, the residual sup, the norms of a history): small enough to stay
+# in a core's cache.
 BLOCK_BYTES = 1 << 17
 # Rounding slack, as a fraction of the table's span, that a sampled signal
 # allows beyond either end of its table.
@@ -229,6 +230,11 @@ def simulate(problem: SemilinearProblem, grid: Grid1D) -> Trajectory:
     return Trajectory(grid=grid, times=times, data=data, problem=problem)
 
 
+def _block_rows(row_bytes: int, n_rows: int) -> int:
+    """Rows per block of a blocked pass: about ``BLOCK_BYTES`` of ``row_bytes`` rows, at least one, at most ``n_rows``."""
+    return max(1, min(BLOCK_BYTES // row_bytes, n_rows))
+
+
 def pde_residual_sup(data: np.ndarray, times: np.ndarray, nodes: np.ndarray, a: float) -> float:
     """max |x_t - a x_zz| over interior nodes and interior times.
 
@@ -241,7 +247,7 @@ def pde_residual_sup(data: np.ndarray, times: np.ndarray, nodes: np.ndarray, a: 
     dt = times[1] - times[0]
     h = nodes[1] - nodes[0]
     n = data.shape[0] - 2
-    rows = max(1, min(BLOCK_BYTES // data[0].nbytes, n))
+    rows = _block_rows(data[0].nbytes, n)
     x_t, x_zz = np.empty((2, rows, data.shape[1] - 2))
     peaks = []
     for r0 in range(0, n, rows):

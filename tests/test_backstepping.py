@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from scipy.integrate import cumulative_simpson
+from scipy.linalg import solve_triangular
 
 import iss_parabolic
 from iss_parabolic import (
@@ -43,6 +44,7 @@ from iss_parabolic.backstepping import (
     KERNEL_ITERATION_TOL,
     VolterraKernel,
     _random_smooth_fields,
+    _row_trapezoid_weights,
     _series_shape,
     _simpson_panels,
     write_kernel_csv,
@@ -392,6 +394,23 @@ class TestClosedLoop:
         keep = run.y_traj.times >= 0.1
         fitted = -np.polyfit(run.y_traj.times[keep], np.log(norms[keep]), 1)[0]
         assert fitted == pytest.approx(PI2, rel=0.05)
+
+@pytest.mark.parametrize("n_interior", [99, 200])
+def test_inverse_samples_and_closed_loop_image_match_old_expressions_bitwise(n_interior):
+    grid = Grid1D(n_interior=n_interior, dt=1e-4, t_final=0.05)
+    kernel = solve_kernel(1.0, 12.0, grid)
+    eye = np.eye(grid.n_nodes)
+    L = solve_triangular(eye + kernel.matrix, eye) - eye
+    weights = _row_trapezoid_weights(grid.n_nodes, grid.h)
+    samples = np.where(weights > 0.0, L / np.where(weights > 0.0, weights, 1.0), 0.0)
+    assert solve_inverse_kernel(kernel).samples.tobytes() == samples.tobytes()
+
+    times = grid.times()
+    d = BoundarySignal.sampled(times, np.where(times >= 0.01, 0.4, -0.2))
+    y0 = compatible_initial_state(kernel, Field(np.sin(np.pi * grid.nodes), grid), d0=-0.2)
+    run = simulate_closed_loop(1.0, 12.0, y0, d, grid, kernel=kernel)
+    data = run.y_traj.data
+    assert run.x_traj.data.tobytes() == (data + data @ kernel.matrix.T).tobytes()
 
 
 class TestFlipEquivalence:

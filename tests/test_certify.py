@@ -8,6 +8,7 @@ from iss_parabolic import (
     BoundarySignal,
     ClosedLoopConstants,
     EstimationError,
+    ExpIssConstants,
     Field,
     Grid1D,
     InapplicableEstimateError,
@@ -234,6 +235,11 @@ def _growing_run():
     return simulate(problem, _FIT_GRID)
 
 
+def _decay_run():
+    """Zero boundary data from sin(pi z)."""
+    return simulate(heat_problem(_FIT_GRID, lambda z: np.sin(np.pi * z)), _FIT_GRID)
+
+
 def _reaction_certificate():
     problem = SemilinearProblem(
         a=1.0, initial=Field.zeros(_FIT_GRID), boundary_left=BoundarySignal.zero(),
@@ -252,6 +258,11 @@ REFUSALS = [
      "need a zero-disturbance scenario with nonzero initial data"),
     ("growing_zero_input_run", lambda: estimate_exp_iss_constants([_growing_run(), _forced_run()], 2.0),
      EstimationError, "fitted decay rate is not positive: -"),
+    # p < 1 gave quasi-norm constants, p = 0 a ZeroDivisionError, p = nan NaN norms
+    *[(f"fit_p_{p}", lambda p=p: estimate_exp_iss_constants([_decay_run(), _forced_run()], p),
+       InvalidParameterError, "p must be >= 1 or inf") for p in (0.5, -1.0, 0.0, math.nan)],
+    *[(f"fitted_check_p_{p}", lambda p=p: check_fitted_lp(_forced_run(), ExpIssConstants(1.0, 1.0, 1.0, p)),
+       InvalidParameterError, "p must be >= 1 or inf") for p in (0.5, -1.0, 0.0, math.nan)],
 ]
 
 

@@ -51,11 +51,19 @@ class TestGrid1D:
             dict(n_interior=10, dt=-1e-3, t_final=0.1),
             dict(n_interior=10, dt=1e-2, t_final=1e-3),
             dict(n_interior=9, dt=0.03, t_final=0.1),
+            dict(n_interior=63.5, dt=1e-3, t_final=0.1),
+            dict(n_interior=64.0, dt=1e-3, t_final=0.1),
         ],
     )
     def test_invariants_rejected(self, kwargs):
         with pytest.raises(InvalidParameterError):
             Grid1D(**kwargs)
+
+    @pytest.mark.parametrize("n_interior", [np.int64(9), np.int32(9), np.uint16(9)])
+    def test_numpy_integer_node_count_accepted(self, n_interior):
+        grid = Grid1D(n_interior=n_interior, dt=1e-3, t_final=0.1)
+        assert grid == Grid1D(n_interior=9, dt=1e-3, t_final=0.1)
+        assert np.array_equal(grid.nodes, np.linspace(0.0, 1.0, 11))
 
     def test_times_cover_horizon(self):
         grid = Grid1D(n_interior=9, dt=0.025, t_final=0.1)

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -12,7 +14,10 @@ from iss_parabolic import (
     norm_lp,
     norm_weighted_sin,
     norm_weighted_sup,
+    norms,
 )
+from iss_parabolic.norms import lp_norms, sup_weight, weighted_sin_norms, weighted_sup_norms
+from iss_parabolic.solver import BLOCK_BYTES
 
 
 def _grid(n):
@@ -58,6 +63,12 @@ class TestNormLp:
     def test_p_below_one_rejected(self):
         with pytest.raises(InvalidParameterError):
             norm_lp(Field.zeros(_grid(9)), 0.5)
+
+    @pytest.mark.parametrize("p", [0.5, -1.0, 0.0, math.nan, -math.inf])
+    def test_history_norms_refuse_exponents_outside_domain(self, p):
+        # quasi-norms for p < 1, a division by zero at p = 0, NaN norms at p = nan
+        with pytest.raises(InvalidParameterError, match="p must be >= 1 or inf"):
+            lp_norms(np.ones((3, 11)), 0.1, p)
 
 
 class TestWeightedSin:
@@ -121,3 +132,96 @@ def test_triangle_inequality(pair, p):
     x, y = pair
     total = Field(x.values + y.values, x.grid)
     assert norm_lp(total, p) <= norm_lp(x, p) + norm_lp(y, p) + 1e-12
+
+
+# A history at the closed-loop benchmark's size, n_interior = 999 over 5000 steps.
+HISTORY_NODES = 1001
+BLOCK = BLOCK_BYTES // (HISTORY_NODES * 8)
+THETA, PHI = 0.7, 0.9
+EXPONENTS = [1.0, 2.0, 3.0, 8.0, math.inf]
+
+
+def _whole_array_norms(data, h, nodes):
+    """Every norm by the whole-array formula, one |x| copy of the history each."""
+    def trapz(values):
+        return h * (values.sum(axis=-1) - 0.5 * (values[..., 0] + values[..., -1]))
+
+    out = {}
+    for p in EXPONENTS:
+        if p == math.inf:
+            out[f"l{p}"] = np.abs(data).max(axis=-1)
+        else:
+            powers = np.abs(data, dtype=float)
+            powers **= p
+            out[f"l{p}"] = trapz(powers) ** (1.0 / p)
+    weighted = np.abs(data, dtype=float)
+    weighted *= np.sin(np.pi * np.linspace(0.0, 1.0, data.shape[-1]))
+    out["sin"] = trapz(weighted)
+    weighted = np.abs(data, dtype=float)
+    weighted *= sup_weight(nodes, THETA, PHI)
+    out["sup"] = weighted.max(axis=-1)
+    return out
+
+
+def _norm_calls(data, h, nodes):
+    """Each blocked norm of ``data`` by name, as a call not yet made."""
+    calls = {f"l{p}": partial(lp_norms, data, h, p) for p in EXPONENTS}
+    calls["sin"] = partial(weighted_sin_norms, data, h)
+    calls["sup"] = partial(weighted_sup_norms, data, nodes, THETA, PHI)
+    return calls
+
+
+def _history(shape, seed=0):
+    """Signed values over twelve decades, with exact zeros of both signs and a zero row."""
+    rng = np.random.default_rng(seed)
+    data = rng.standard_normal(shape) * 10.0 ** rng.integers(-6, 6, shape)
+    flat = data.reshape(-1)
+    flat[::7] = 0.0
+    flat[3::11] = -0.0
+    if data.ndim == 2 and len(data) > 2:
+        data[len(data) // 2] = 0.0
+    return data
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [(0, HISTORY_NODES), (HISTORY_NODES,), (1, HISTORY_NODES), (BLOCK, HISTORY_NODES),
+     (BLOCK + 1, HISTORY_NODES), (5001, HISTORY_NODES)],
+    ids=["empty", "field", "one_row", "one_block", "block_plus_row", "history"],
+)
+def test_blocked_norms_match_whole_array_formulas_bitwise(shape):
+    data = _history(shape)
+    grid = _grid(HISTORY_NODES - 2)
+    expected = _whole_array_norms(data, grid.h, grid.nodes)
+    got = {name: call() for name, call in _norm_calls(data, grid.h, grid.nodes).items()}
+    assert got.keys() == expected.keys()
+    for name in expected:
+        assert np.shape(got[name]) == np.shape(expected[name]), name
+        # tobytes compares every bit, the sign bit included
+        assert np.asarray(got[name]).tobytes() == np.asarray(expected[name]).tobytes(), name
+
+
+@pytest.mark.parametrize("name", [f"l{p}" for p in EXPONENTS] + ["sin", "sup"])
+def test_history_norm_allocates_one_block_buffer(name):
+    grid = _grid(HISTORY_NODES - 2)
+    call = _norm_calls(_history((5001, HISTORY_NODES)), grid.h, grid.nodes)[name]
+    tracemalloc.start()
+    try:
+        result = call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * BLOCK_BYTES + result.nbytes  # the history itself is 40 MB
+
+
+def test_sup_weight_is_built_once_per_history(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return sup_weight(*args)
+
+    monkeypatch.setattr(norms, "sup_weight", counted)
+    grid = _grid(HISTORY_NODES - 2)
+    weighted_sup_norms(_history((3 * BLOCK + 1, HISTORY_NODES)), grid.nodes, THETA, PHI)
+    assert len(calls) == 1
