@@ -31,7 +31,7 @@ tests and the ``closed_loop_fine`` benchmark; no scenario kind runs it.
 The double integral is cumulative Simpson quadrature, equal bit for bit to
 scipy's ``cumulative_simpson`` in each direction.  The 2n x n arrays of an
 n-node grid outgrow a core's cache, so synthesis and the commutation
-residual walk them in blocks of rows of about ``solver.BLOCK_BYTES`` per
+residual walk them in blocks of rows of about ``grid.BLOCK_BYTES`` per
 buffer; blocking changes only the order in which memory is visited, never
 the roundings or the sequence of a running sum, so every result keeps the
 bits of the whole-array computation.
@@ -62,9 +62,9 @@ from .errors import (
     NumericalError,
     SynthesisError,
 )
-from .grid import Field, Grid1D, Trajectory, _frozen, format_floats, write_csv
+from .grid import BLOCK_BYTES, Field, Grid1D, Trajectory, _frozen, format_floats, write_csv
 from .norms import lp_norms
-from .solver import BLOCK_BYTES, COMPATIBILITY_TOL, BoundarySignal, _march, pde_residual_sup
+from .solver import COMPATIBILITY_TOL, BoundarySignal, _march, pde_residual_sup
 
 KERNEL_ITERATION_TOL = 1e-10
 KERNEL_ITERATION_CAP = 200
@@ -396,10 +396,9 @@ def simulate_closed_loop(
     kr = float(k_reaction)
     times = grid.times()
     d_values = d(times)
-    row0 = kernel.matrix[0]
     data = _march(
         grid, a, lambda z, w, grad: kr * w, abs(kr), y0.values,
-        lambda m, y: (d_values[m + 1] - float(row0 @ y), 0.0),
+        d_values, np.zeros_like(d_values), left_row=kernel.matrix[0],
     )
     y_traj = Trajectory(grid=grid, times=times, data=data)
 

@@ -12,14 +12,13 @@ import math
 import numpy as np
 
 from .errors import InvalidParameterError
-from .grid import Field
-from .solver import _block_rows
+from .grid import Field, _block_rows
 
 
 # A history at n_interior=999 is 5001 x 1001 doubles (40 MB); a whole-array
 # |x| copy of it would set a closed-loop plant's peak memory and stream it
 # through memory twice.  So a norm reduces one block of rows of about
-# ``solver.BLOCK_BYTES`` at a time in one reused buffer that stays in cache.
+# ``grid.BLOCK_BYTES`` at a time in one reused buffer that stays in cache.
 # Each row still gets the same elementwise steps and the same
 # ``sum(axis=-1)`` or ``max(axis=-1)``, so every norm keeps the bits of the
 # whole-array formula.
@@ -48,10 +47,15 @@ def _trapz_sums(values: np.ndarray) -> np.ndarray:
     return values.sum(axis=-1) - 0.5 * (values[..., 0] + values[..., -1])
 
 
+def check_exponent(p: float) -> None:
+    """Raise ``InvalidParameterError`` unless p >= 1 (math.inf included): an L^p norm needs it."""
+    if not p >= 1.0:  # NaN fails too
+        raise InvalidParameterError(f"p must be >= 1 or inf, got {p}")
+
+
 def lp_norms(data: np.ndarray, h: float, p: float) -> np.ndarray:
     """L^p norm of each row of a (time x node) array for p >= 1; p may be math.inf."""
-    if not p >= 1.0:
-        raise InvalidParameterError(f"p must be >= 1 or inf, got {p}")
+    check_exponent(p)
     if p == math.inf:
         return _row_reductions(data, lambda block: block.max(axis=-1))
 

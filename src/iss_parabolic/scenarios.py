@@ -65,10 +65,11 @@ when the file is read: c, amp, omega, t_on finite; j, modes whole numbers
 >= 1 (``3`` or ``3.0``); path a ``t,value`` CSV with a header row, relative
 to the scenario file.
 
-Refused when read, by each rule's one owner: a d0 or d1 not covering
-[0, t_final] (``BoundarySignal``); initial data and d0, d1 disagreeing at
-t = 0 (``SemilinearProblem``); dt * k >= 1 (``solver.check_step_restriction``;
-k is |c| for linear(c), 1 for cubic, |k_reaction| for backstepping_loop); a
+Refused when read, by each rule's one owner: p < 1 or NaN
+(``norms.check_exponent``); a d0 or d1 not covering [0, t_final]
+(``BoundarySignal``); initial data and d0, d1 disagreeing at t = 0
+(``SemilinearProblem``); dt * k >= 1 (``solver.check_step_restriction``; k
+is |c| for linear(c), 1 for cubic, |k_reaction| for backstepping_loop); a
 loop's initial data not vanishing at z = 1 (``backstepping.check_far_end``);
 nonzero lyapunov boundary data (``certify.lyapunov_preconditions``).
 
@@ -92,6 +93,7 @@ import numpy as np
 from . import backstepping, certify
 from .errors import InvalidParameterError, IssParabolicError, ScenarioError
 from .grid import Field, Grid1D
+from .norms import check_exponent
 from .solver import BoundarySignal, SemilinearProblem, check_step_restriction
 
 ZERO = ("zero", ())
@@ -165,13 +167,6 @@ def tolerance(raw: str) -> float:
     return value
 
 
-def _norm_exponent(raw: str) -> float:
-    value = float(raw)
-    if not value >= 1.0:
-        raise ValueError(f"expected p >= 1 or inf, got {value}")
-    return value
-
-
 def _boolean(raw: str) -> bool:
     try:
         return configparser.ConfigParser.BOOLEAN_STATES[raw.strip().lower()]
@@ -236,7 +231,7 @@ _SECTION_KEYS = {
         "d1": partial(parse_selector, catalog="signal"),
     },
     "check": {
-        "estimate": _choice("weighted_l1", "l2", "weighted_sup"), "p": _norm_exponent, "sigma": positive_float,
+        "estimate": _choice("weighted_l1", "l2", "weighted_sup"), "p": float, "sigma": positive_float,
         "theta": positive_float, "tol": tolerance, "epsilon": positive_float, "decay_rate": positive_float,
         "gain_override": positive_float, "logy": _boolean,
     },
@@ -303,6 +298,8 @@ def _asks(scn: Scenario):
     """Ask the one owner of each rule the file decides, yielding the key each ask judges just before it; what
     is built is thrown away, and ``random_smooth`` is anchored so the runner's seed changes no verdict."""
     grid, rng = scn.grid, np.random.default_rng(scn.seed)
+    yield "check.p"
+    check_exponent(scn.p)
     yield "scenario.name"
     check_name(scn.name)
     for key in ("d0", "d1"):

@@ -14,9 +14,11 @@ comparison principle into an executable oracle downstream.
 
 ``simulate`` and the closed loop in ``backstepping`` both run the one
 stepping loop ``_march`` on a grid and an operator: one factorization per
-run; state feedback enters through the boundary callback.  Each level is
-built and solved in place in its history row, and one scalar finiteness
-test per step is exact.
+run.  The Dirichlet data come in as tables over the time levels; state
+feedback comes in as a row whose dot product with the current level is
+subtracted from its table.  Each level is built by whole-row ufuncs and
+solved in place in its history row, and one scalar finiteness test per step
+is exact.
 """
 
 from __future__ import annotations
@@ -34,16 +36,12 @@ from .errors import (
     MonotonicityLossError,
     NumericalError,
 )
-from .grid import Field, Grid1D, Trajectory, format_floats, write_csv
+from .grid import BLOCK_BYTES, Field, Grid1D, Trajectory, _block_rows, format_floats, write_csv
 
 # Vectorized reaction term f(z, w, w_z) evaluated at interior nodes.
 Reaction = Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 
 COMPATIBILITY_TOL = 1e-9
-# Byte budget of one row-block buffer in the blocked array passes (kernel
-# synthesis, the residual sup, the norms of a history): small enough to stay
-# in a core's cache.
-BLOCK_BYTES = 1 << 17
 # Rounding slack, as a fraction of the table's span, that a sampled signal
 # allows beyond either end of its table.
 TABLE_SLACK = 1e-9
@@ -166,7 +164,10 @@ def _march(
     reaction: Optional[Reaction],
     lipschitz_k: float,
     x0: np.ndarray,
-    boundary: Callable[[int, np.ndarray], tuple[float, float]],
+    left: np.ndarray,
+    right: np.ndarray,
+    left_row: Optional[np.ndarray] = None,
+    right_row: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Take grid.n_steps IMEX steps of x_t = a x_zz + reaction from x0 and
     return every level, row m = level m.
@@ -175,14 +176,27 @@ def _march(
     lipschitz_k.  Each step applies the explicit reaction, then solves the
     implicit diffusion with I + r tridiag(-1, 2, -1), r = a dt / h^2,
     factored once (LAPACK dgttrf) and reused for every step (dgttrs).
-    ``boundary(m, x)`` returns the Dirichlet values (left, right) of level
-    m + 1 given the state x at level m.  The reaction gradient is the
-    central difference; at nodes next to the boundary it uses the known
-    Dirichlet neighbor.  Level m + 1 is built and solved in place in its
-    history row; testing only its first interior value is exact, because
-    back substitution multiplies each unknown into the one above it by
-    du = -r != 0, so a NaN or inf anywhere in the solve or the boundary
-    values reaches that value.
+
+    ``left`` and ``right`` are the Dirichlet tables over ``grid.times()``:
+    level m + 1 takes ``left[m + 1]`` and ``right[m + 1]``, written into the
+    history's end columns before the first step.  A feedback row turns an
+    end into state feedback: with ``left_row`` the left value of level
+    m + 1 is ``left[m + 1] - float(left_row @ x)``, x the whole level m,
+    computed as step m begins; likewise on the right.
+
+    The reaction gets the interior nodes, the interior of level m (a view of
+    the history) and its gradient, the central difference with the known
+    Dirichlet neighbor next to the boundary, in a buffer reused every step;
+    it must keep neither.  Its result is scaled into a buffer of its own,
+    never in place.  Level m + 1 is built and solved in place in its
+    history row: x + dt f, then one add of an edge vector that holds
+    r left and r right at its ends and -0.0 elsewhere.  x + (-0.0) is x for
+    every double (signed zeros, infinities and NaN included), so this is
+    bit for bit the scheme that adds r left and r right to the two end
+    entries alone.  Testing only the first interior value of the solution
+    is exact, because back substitution multiplies each unknown into the
+    one above it by du = -r != 0, so a NaN or inf anywhere in the solve or
+    the boundary values reaches that value.
     """
     dt, n_steps = grid.dt, grid.n_steps
     check_step_restriction(dt, lipschitz_k)
@@ -195,23 +209,39 @@ def _march(
     nodes = grid.nodes[1:-1]
     data = np.empty((n_steps + 1, grid.n_nodes))
     data[0] = x0
+    data[1:, 0] = left[1:]
+    data[1:, -1] = right[1:]
+    r_left = (r * data[:, 0]).tolist()
+    r_right = (r * data[:, -1]).tolist()
+    ends = ((0, left, left_row, r_left), (-1, right, right_row, r_right))
+    feedback = [(end, table.tolist(), row, r_table) for end, table, row, r_table in ends if row is not None]
+    inner = list(data[:, 1:-1])
+    edge = np.full(n, -0.0)
+    x_z, f_dt = np.empty((2, n))
+    two_h = 2.0 * h
     with np.errstate(over="ignore", invalid="ignore"):  # the finiteness test below owns this verdict
         for m in range(n_steps):
-            x = data[m]
-            left, right = boundary(m, x)
-            rhs = data[m + 1, 1:-1]
-            rhs[:] = x[1:-1]
-            if reaction is not None:
-                rhs += dt * reaction(nodes, x[1:-1], (x[2:] - x[:-2]) / (2.0 * h))
-            rhs[0] += r * left
-            rhs[-1] += r * right
+            for end, table, row, r_table in feedback:
+                value = table[m + 1] - float(row @ data[m])
+                data[m + 1, end] = value
+                r_table[m + 1] = r * value
+            edge[0] = r_left[m + 1]
+            edge[-1] = r_right[m + 1]
+            rhs = inner[m + 1]
+            if reaction is None:
+                np.add(inner[m], edge, out=rhs)
+            else:
+                x = data[m]
+                np.subtract(x[2:], x[:-2], out=x_z)
+                x_z /= two_h
+                np.multiply(reaction(nodes, inner[m], x_z), dt, out=f_dt)
+                np.add(inner[m], f_dt, out=rhs)
+                rhs += edge
             out, info = dgttrs(dl, d, du, du2, ipiv, rhs, overwrite_b=1)
             if out is not rhs:
                 rhs[:] = out
             if info != 0 or not math.isfinite(rhs[0]):
                 raise NumericalError(f"step {m + 1} of {n_steps} produced non-finite values")
-            data[m + 1, 0] = left
-            data[m + 1, -1] = right
     data.setflags(write=False)
     return data
 
@@ -221,18 +251,11 @@ def simulate(problem: SemilinearProblem, grid: Grid1D) -> Trajectory:
     if problem.initial.grid != grid:
         raise InvalidParameterError("problem initial data lives on a different grid")
     times = grid.times()
-    left = problem.boundary_left(times)
-    right = problem.boundary_right(times)
     data = _march(
         grid, problem.a, problem.reaction, problem.lipschitz_k, problem.initial.values,
-        lambda m, x: (left[m + 1], right[m + 1]),
+        problem.boundary_left(times), problem.boundary_right(times),
     )
     return Trajectory(grid=grid, times=times, data=data, problem=problem)
-
-
-def _block_rows(row_bytes: int, n_rows: int) -> int:
-    """Rows per block of a blocked pass: about ``BLOCK_BYTES`` of ``row_bytes`` rows, at least one, at most ``n_rows``."""
-    return max(1, min(BLOCK_BYTES // row_bytes, n_rows))
 
 
 def pde_residual_sup(data: np.ndarray, times: np.ndarray, nodes: np.ndarray, a: float) -> float:

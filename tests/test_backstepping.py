@@ -430,9 +430,9 @@ class TestFlipEquivalence:
         omega = np.full(grid.n_nodes, h)
         omega[0] = omega[-1] = h / 2.0
         fb_row = omega * flipped_kernel[-1]
+        zeros = np.zeros(grid.n_steps + 1)
         flipped = _march(
-            grid, a, lambda z, w, g: kr * w, kr, y0.values[::-1],
-            lambda m, y: (0.0, -float(fb_row @ y)),
+            grid, a, lambda z, w, g: kr * w, kr, y0.values[::-1], zeros, zeros, right_row=fb_row,
         )[:, ::-1]
         assert np.max(np.abs(flipped - run.y_traj.data)) < 1e-10
 

@@ -48,6 +48,22 @@ def test_closed_loop_plant_matches_reference(k_reaction, tmp_path, monkeypatch):
     assert not item.problems, item.problems
 
 
+def test_scenario_batch_matches_reference(tmp_path, monkeypatch):
+    # One minimal pass holds the open-loop heat and cubic stepping paths to
+    # the reference values the benchmark compares with.
+    monkeypatch.syspath_prepend(str(ROOT / "src"))
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    reference = json.loads((PERFBENCH / "reference.json").read_text())
+    bench = workloads.ScenarioBatch(ROOT, 1, "min", tmp_path, reference["scenario_batch"])
+    items = bench.run_pass(0).items
+    assert [item.label for item in items] == ["heat0", "heat1", "heat2", "sandwich0", "sandwich1",
+                                               "zero_input", "zero_state"]
+    for item in items:
+        bench.compare(item)
+    assert not [(item.label, item.problems) for item in items if item.problems]
+
+
 SMALL_SCENARIO = """
 [scenario]
 name = {kind}

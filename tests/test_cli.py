@@ -450,6 +450,16 @@ class TestScenarioParsing:
         with pytest.raises(ScenarioError, match=rf"\.{key}: "):
             parse_scenario(_write(tmp_path / "bad.scn", text))
 
+    @pytest.mark.parametrize("value", ["0.5", "nan"])
+    def test_norm_exponent_below_one_exits_2(self, tmp_path, capsys, value):
+        # norms.check_exponent owns the p >= 1 rule; the file's p is judged by it when read
+        text = FAST_SCENARIO.format(name="x").replace("decay_rate = 9.869604401089358", f"p = {value}")
+        scn = _write(tmp_path / "bad.scn", text)
+        assert main(["run", str(scn), "--out", str(tmp_path / "out"), "--no-plots"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {scn}: bad value for check.p: p must be >= 1 or inf, got {value}")
+        assert not (tmp_path / "out" / "x").exists()
+
     @pytest.mark.parametrize("shipped,old,new,key,wording", DOMAIN_CASES, ids=["-".join(c[:3]) for c in DOMAIN_CASES])
     def test_kind_domain_rejected_before_anything_runs(self, tmp_path, capsys, shipped, old, new, key, wording):
         scn = _edited(tmp_path, shipped, old, new)

@@ -1,3 +1,4 @@
+import math
 import re
 import sys
 import tracemalloc
@@ -17,7 +18,7 @@ from iss_parabolic import (
 )
 from iss_parabolic.backstepping import VolterraKernel, write_kernel_csv
 from iss_parabolic.certify import write_decay_csv, write_report_csv, write_summary_csv
-from iss_parabolic.grid import format_floats
+from iss_parabolic.grid import BLOCK_BYTES, format_floats
 from iss_parabolic.monotone import write_sandwich_csv
 from iss_parabolic.runner import _write_check_csv
 from iss_parabolic.solver import write_trajectory_csv
@@ -124,6 +125,30 @@ class TestTrajectory:
         grid = Grid1D(n_interior=9, dt=1e-3, t_final=0.1)
         with pytest.raises(InvalidFieldError, match=re.escape(wording)):
             self._make(grid, data)
+
+    @pytest.mark.parametrize("row", [0, -1], ids=["first_row", "last_row"])
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+    def test_non_finite_entry_in_an_end_row_rejected(self, row, bad):
+        # 2001 rows of 1001 nodes span many row blocks; the first and last are the edge blocks
+        grid = Grid1D(n_interior=999, dt=1e-3, t_final=2.0)
+        data = np.zeros((2001, grid.n_nodes))
+        data[row, 500] = bad
+        with pytest.raises(InvalidFieldError, match="trajectory contains non-finite entries"):
+            self._make(grid, data)
+
+    def test_finiteness_test_needs_no_history_sized_temporary(self):
+        grid = Grid1D(n_interior=999, dt=1e-3, t_final=2.0)
+        data = np.zeros((2001, grid.n_nodes))
+        data.setflags(write=False)
+        times = grid.times()
+        tracemalloc.start()
+        try:
+            traj = self._make(grid, data, times)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert traj.data is data
+        assert peak < 2 * BLOCK_BYTES  # a whole-history bool mask would be 2 MB
 
     def test_data_copied_only_while_writeable(self):
         grid = Grid1D(n_interior=9, dt=1e-3, t_final=0.1)

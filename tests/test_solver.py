@@ -204,18 +204,33 @@ class TestSimulate:
         with pytest.raises(InvalidParameterError):
             simulate(problem, grid_small)
 
-    def test_history_is_not_copied(self):
+    @pytest.mark.parametrize("kind", ["heat", "cubic", "closed_loop"])
+    def test_history_is_not_copied(self, kind):
         import tracemalloc
 
         grid = Grid1D(n_interior=199, dt=1e-4, t_final=0.3)
-        problem = heat_problem(grid, lambda z: np.sin(np.pi * z))
+        x0 = Field(np.sin(np.pi * grid.nodes), grid)
+        if kind == "closed_loop":
+            kernel = solve_kernel(1.0, 10.0, grid)
+            y0 = compatible_initial_state(kernel, x0)
+            run = lambda: simulate_closed_loop(1.0, 10.0, y0, BoundarySignal.zero(), grid, kernel=kernel)
+        else:
+            problem = heat_problem(grid, lambda z: np.sin(np.pi * z))
+            if kind == "cubic":
+                problem = SemilinearProblem(
+                    a=1.0, initial=x0, boundary_left=BoundarySignal.zero(), boundary_right=BoundarySignal.zero(),
+                    reaction=lambda z, w, g: w - w**3, lipschitz_k=1.0,
+                )
+            run = lambda: simulate(problem, grid)
         tracemalloc.start()
         try:
-            traj = simulate(problem, grid)
+            result = run()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.5 * traj.data.nbytes
+        # the closed loop returns its transformed image as a second history
+        histories = [result.y_traj.data, result.x_traj.data] if kind == "closed_loop" else [result.data]
+        assert peak < sum(h.nbytes for h in histories) + 0.5 * histories[0].nbytes
 
 
 def _reference_march(grid, a, reaction, x0, boundary):
@@ -239,6 +254,44 @@ def _reference_march(grid, a, reaction, x0, boundary):
         x = np.concatenate(([left], solve_banded((1, 1), ab, rhs), [right]))
         levels.append(x)
     return np.array(levels)
+
+
+def _signed_zero_case():
+    # x + (-0.0) is x for every double, so the edge vector must keep the
+    # state -0.0 where the end-only additions keep it; x + 0.0 would not, and
+    # the first solve passes some of those sign bits on.
+    grid = Grid1D(n_interior=15, dt=1e-3, t_final=0.02)
+    minus_zero = BoundarySignal.constant(-0.0)
+    problem = SemilinearProblem(
+        a=1.0, initial=Field(np.full(grid.n_nodes, -0.0), grid), boundary_left=minus_zero, boundary_right=minus_zero
+    )
+    return _open_loop_case(problem, grid)
+
+
+def _own_argument_case():
+    # the reaction hands back w itself, a view of the level being stepped
+    grid = Grid1D(n_interior=23, dt=1e-3, t_final=0.05)
+    problem = SemilinearProblem(
+        a=1.0,
+        initial=Field(np.sin(np.pi * grid.nodes), grid),
+        boundary_left=BoundarySignal.constant(0.0),
+        boundary_right=BoundarySignal.zero(),
+        reaction=lambda z, w, g: w,
+        lipschitz_k=1.0,
+    )
+    return _open_loop_case(problem, grid)
+
+
+def _scalar_reaction_case():
+    grid = Grid1D(n_interior=23, dt=1e-3, t_final=0.05)
+    problem = SemilinearProblem(
+        a=1.0,
+        initial=Field(0.5 * np.sin(np.pi * grid.nodes), grid),
+        boundary_left=BoundarySignal.zero(),
+        boundary_right=BoundarySignal.zero(),
+        reaction=lambda z, w, g: 0.75,
+    )
+    return _open_loop_case(problem, grid)
 
 
 def _open_loop_case(problem, grid):
@@ -319,13 +372,16 @@ def _closed_loop_case():
 
 @pytest.mark.parametrize(
     "case",
-    [_heat_sampled_case, _cubic_case, _gradient_case, _closed_loop_case, _heat_sampled_n199_case],
-    ids=["heat_sampled", "cubic", "gradient", "closed_loop_n15", "heat_both_sampled_n199"],
+    [_heat_sampled_case, _cubic_case, _gradient_case, _closed_loop_case, _heat_sampled_n199_case,
+     _signed_zero_case, _own_argument_case, _scalar_reaction_case],
+    ids=["heat_sampled", "cubic", "gradient", "closed_loop_n15", "heat_both_sampled_n199",
+         "signed_zeros", "reaction_returns_w", "scalar_reaction"],
 )
 def test_prefactored_march_matches_reference_scheme_bitwise(case):
     actual, reference = case()
     assert np.all(np.isfinite(reference))
     assert np.array_equal(actual, reference)
+    assert np.array_equal(np.signbit(actual), np.signbit(reference))
 
 
 @pytest.mark.parametrize("case", [_heat_sampled_case, _cubic_case], ids=["heat_sampled", "cubic"])
