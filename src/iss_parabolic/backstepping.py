@@ -63,8 +63,8 @@ from .errors import (
     SynthesisError,
 )
 from .grid import BLOCK_BYTES, Field, Grid1D, Trajectory, _frozen, format_floats, write_csv
-from .norms import lp_norms
-from .solver import COMPATIBILITY_TOL, BoundarySignal, _march, pde_residual_sup
+from .norms import check_exponent, lp_norms
+from .solver import COMPATIBILITY_TOL, BoundarySignal, _march, check_diffusion, pde_residual_sup
 
 KERNEL_ITERATION_TOL = 1e-10
 KERNEL_ITERATION_CAP = 200
@@ -130,6 +130,15 @@ def _series_shape(q: np.ndarray) -> np.ndarray:
     return out
 
 
+def kernel_ratio(a: float, k_reaction: float) -> float:
+    """lam = k_reaction / a; refuses an a that ``solver.check_diffusion`` refuses and a non-finite k_reaction or lam."""
+    check_diffusion(a)
+    lam = float(k_reaction) / float(a)
+    if not math.isfinite(lam):
+        raise InvalidParameterError(f"kernel ratio k_reaction / a must be finite, got {k_reaction} / {a}")
+    return lam
+
+
 def kernel_series_reference(a: float, k_reaction: float, grid: Grid1D) -> np.ndarray:
     """Closed-form kernel samples; the independent cross-check for the solver.
 
@@ -141,9 +150,7 @@ def kernel_series_reference(a: float, k_reaction: float, grid: Grid1D) -> np.nda
     evaluation gives.  Passing ``-k_reaction`` yields the continuous inverse
     kernel.
     """
-    if not a > 0.0:
-        raise InvalidParameterError("diffusion coefficient must be positive")
-    lam = k_reaction / a
+    lam = kernel_ratio(a, k_reaction)
     rest = 1.0 - grid.nodes
     sq = rest**2
     z_idx, s_idx = np.triu_indices(grid.n_nodes)
@@ -218,9 +225,7 @@ def solve_kernel(a: float, k_reaction: float, grid: Grid1D) -> VolterraKernel:
     second loop over row blocks forms the next iterate base + lam/4 (D -
     diag D) and its sup change.  Buffers are allocated once per synthesis.
     """
-    if not a > 0.0:
-        raise InvalidParameterError("diffusion coefficient must be positive")
-    lam = k_reaction / a
+    lam = kernel_ratio(a, k_reaction)
     h = grid.h
     n_eta = grid.n_nodes
     corner = 2 * (grid.n_interior + 1)
@@ -236,7 +241,6 @@ def solve_kernel(a: float, k_reaction: float, grid: Grid1D) -> VolterraKernel:
     inner = np.empty((rows + 1, n_eta))
     work = np.empty(4 * inner.size)
     diag = np.arange(n_eta)
-    converged = False
     for _ in range(KERNEL_ITERATION_CAP):
         # D into `new`, xi rows [r0, r1) per block; inner[0] and new[r0 - 1]
         # carry the previous block's last eta integral and last row of D.
@@ -266,13 +270,10 @@ def solve_kernel(a: float, k_reaction: float, grid: Grid1D) -> VolterraKernel:
         change = float(np.max(peaks))
         F, new = new, F
         if change < KERNEL_ITERATION_TOL:
-            converged = True
             break
-    if not converged:
-        raise SynthesisError(
-            f"kernel iteration did not converge within {KERNEL_ITERATION_CAP} iterations "
-            f"(last change {change:.3e})"
-        )
+    else:
+        raise SynthesisError(f"kernel iteration did not converge within {KERNEL_ITERATION_CAP} iterations "
+                             f"(last change {change:.3e})")
     # k(z_i, s_j) = F(2 - z_i - s_j, s_j - z_i): row i runs up an anti-diagonal of F
     samples = np.zeros((n_eta, n_eta))
     for i in range(n_eta):
@@ -376,28 +377,25 @@ def simulate_closed_loop(
     current state (feedback explicit, diffusion implicit, matching the IMEX
     split), so the transformed trajectory satisfies x(t, 0) = d(t) up to an
     O(dt) lag.  The transformed image is recorded alongside the plant state.
-    ``kernel`` is the plant's kernel from ``solve_kernel``.  The stepper
-    refuses dt |k_reaction| >= 1 with ``MonotonicityLossError``.
+    ``kernel`` is the plant's kernel from ``solve_kernel``, its ``lam`` exactly
+    ``kernel_ratio(a, k_reaction)``.  The stepper refuses dt |k_reaction| >= 1
+    with ``MonotonicityLossError``.
     """
-    if not a > 0.0:
-        raise InvalidParameterError(f"diffusion coefficient must be positive, got {a}")
+    lam = kernel_ratio(a, k_reaction)
     if y0.grid != grid:
         raise InvalidParameterError("initial state lives on a different grid")
-    if kernel.grid != grid or abs(kernel.lam - k_reaction / a) > 1e-12:
+    if kernel.grid != grid or kernel.lam != lam:
         raise InvalidParameterError("kernel does not match the requested plant")
     check_far_end(y0)
     u0 = feedback(kernel, y0, float(d(0.0)))
     if abs(y0.values[0] - u0) > COMPATIBILITY_TOL:
-        raise IncompatibleDataError(
-            "initial state is incompatible with the feedback at z = 0; "
-            "see compatible_initial_state"
-        )
+        raise IncompatibleDataError("initial state is incompatible with the feedback at z = 0; "
+                                    "see compatible_initial_state")
 
-    kr = float(k_reaction)
     times = grid.times()
     d_values = d(times)
     data = _march(
-        grid, a, lambda z, w, grad: kr * w, abs(kr), y0.values,
+        grid, a, lambda z, w, grad: k_reaction * w, abs(k_reaction), y0.values,
         d_values, np.zeros_like(d_values), left_row=kernel.matrix[0],
     )
     y_traj = Trajectory(grid=grid, times=times, data=data)
@@ -427,23 +425,19 @@ def transform_commutation_residual(run: ClosedLoopRun) -> float:
 
 
 def _schur_bound(kernel: VolterraKernel, p: float) -> float:
-    """Induced-norm bound of the discrete transform operator on L^p.
+    """Induced-norm bound of the discrete transform operator on L^p, the row bound at p = inf.
 
     Discrete Schur test with unit test weights: with M the quadrature
     matrix and omega the trapezoid node weights,
         ||M|| <= (max_i sum_j |M_ij|)^(1 - 1/p) (max_j sum_i omega_i |M_ij| / omega_j)^(1/p).
     """
-    n = kernel.grid.n_nodes
+    check_exponent(p)
     h = kernel.grid.h
     M = np.abs(kernel.matrix)
-    omega = np.full(n, h)
+    omega = np.full(kernel.grid.n_nodes, h)
     omega[0] = omega[-1] = h / 2.0
     row = float(M.sum(axis=1).max())
     col = float(((omega[:, None] * M).sum(axis=0) / omega).max())
-    if p == math.inf:
-        return row
-    if not p >= 1.0:
-        raise InvalidParameterError(f"p must lie in [1, inf], got {p}")
     return row ** (1.0 - 1.0 / p) * col ** (1.0 / p)
 
 

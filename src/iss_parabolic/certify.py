@@ -60,13 +60,18 @@ class ISSReport:
     gain: LinearGain
 
 
+def _check_tolerance(tol: float) -> None:
+    """Raise ``InvalidParameterError`` unless 0 <= tol < 1: a relative slack of 1 passes any nonnegative bound."""
+    if not 0.0 <= tol < 1.0:
+        raise InvalidParameterError(f"need a relative tolerance 0 <= tol < 1, got {tol}")
+
+
 def evaluate_bound(estimate_id, times, lhs, beta, gain, drive, tol, join=np.add) -> ISSReport:
     """Check the norm history ``lhs`` against ``join(beta(lhs[0], times), gain(drive))``.
 
     ``drive`` is the running input sup the gain acts on.
     """
-    if not 0.0 <= tol < 1.0:
-        raise InvalidParameterError(f"need a relative tolerance 0 <= tol < 1, got {tol}")
+    _check_tolerance(tol)
     rhs = join(beta(lhs[0], times), gain(drive))
     diff = rhs - lhs
     scale = np.maximum(np.maximum(np.abs(rhs), np.abs(lhs)), 1e-30)
@@ -202,8 +207,7 @@ def lyapunov_decay_certificate(problem: SemilinearProblem, grid: Grid1D, p: floa
     the zero-boundary heat problem with p in (2, inf) only.
     """
     v_rate, norm_rate = lyapunov_rates(problem.a, p)
-    if not 0.0 <= tol < 1.0:
-        raise InvalidParameterError(f"need a relative tolerance 0 <= tol < 1, got {tol}")
+    _check_tolerance(tol)
     lyapunov_preconditions(problem.is_heat, problem.boundary_left, problem.boundary_right)
     traj = simulate(problem, grid)
     norms = lp_norms(traj.data, grid.h, p)

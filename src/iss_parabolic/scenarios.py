@@ -65,13 +65,14 @@ when the file is read: c, amp, omega, t_on finite; j, modes whole numbers
 >= 1 (``3`` or ``3.0``); path a ``t,value`` CSV with a header row, relative
 to the scenario file.
 
-Refused when read, by each rule's one owner: p < 1 or NaN
-(``norms.check_exponent``); a d0 or d1 not covering [0, t_final]
-(``BoundarySignal``); initial data and d0, d1 disagreeing at t = 0
-(``SemilinearProblem``); dt * k >= 1 (``solver.check_step_restriction``; k
-is |c| for linear(c), 1 for cubic, |k_reaction| for backstepping_loop); a
-loop's initial data not vanishing at z = 1 (``backstepping.check_far_end``);
-nonzero lyapunov boundary data (``certify.lyapunov_preconditions``).
+Refused when read, by each rule's one owner: a not finite and > 0
+(``solver.check_diffusion``); p < 1 or NaN (``norms.check_exponent``); d0 or d1
+not covering [0, t_final] (``BoundarySignal``); initial data and d0, d1
+disagreeing at t = 0 (``SemilinearProblem``); dt * k >= 1
+(``solver.check_step_restriction``; k is |c| for linear(c), 1 for cubic,
+|k_reaction| for backstepping_loop); loop initial data nonzero at z = 1
+(``backstepping.check_far_end``); nonzero lyapunov boundary data
+(``certify.lyapunov_preconditions``).
 
 - reaction: zero | linear(c) | cubic
 - initial: zero | constant(c) | sin_pi | mode(j) | ramp | random_smooth(modes, amp)
@@ -94,7 +95,7 @@ from . import backstepping, certify
 from .errors import InvalidParameterError, IssParabolicError, ScenarioError
 from .grid import Field, Grid1D
 from .norms import check_exponent
-from .solver import BoundarySignal, SemilinearProblem, check_step_restriction
+from .solver import BoundarySignal, SemilinearProblem, check_diffusion, check_step_restriction
 
 ZERO = ("zero", ())
 
@@ -226,7 +227,7 @@ _SECTION_KEYS = {
     "scenario": {"name": str.strip, "kind": _choice(*KINDS), "seed": nonnegative_int},
     "grid": {"n_interior": int, "dt": float, "t_final": float},
     "problem": {
-        "a": positive_float, "k_reaction": finite_float, "reaction": partial(parse_selector, catalog="reaction"),
+        "a": float, "k_reaction": finite_float, "reaction": partial(parse_selector, catalog="reaction"),
         "initial": partial(parse_selector, catalog="initial"), "d0": partial(parse_selector, catalog="signal"),
         "d1": partial(parse_selector, catalog="signal"),
     },
@@ -298,6 +299,8 @@ def _asks(scn: Scenario):
     """Ask the one owner of each rule the file decides, yielding the key each ask judges just before it; what
     is built is thrown away, and ``random_smooth`` is anchored so the runner's seed changes no verdict."""
     grid, rng = scn.grid, np.random.default_rng(scn.seed)
+    yield "problem.a"  # first: the sigma ask reads a
+    check_diffusion(scn.a)
     yield "check.p"
     check_exponent(scn.p)
     yield "scenario.name"

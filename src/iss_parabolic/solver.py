@@ -130,17 +130,14 @@ class SemilinearProblem:
     lipschitz_k: float = 0.0
 
     def __post_init__(self) -> None:
-        if not self.a > 0.0:
-            raise InvalidParameterError(f"diffusion coefficient must be positive, got {self.a}")
+        check_diffusion(self.a)
         if not self.lipschitz_k >= 0.0:  # NaN fails too
             raise InvalidParameterError("lipschitz_k must be nonnegative")
         for side, sig in (("left", self.boundary_left), ("right", self.boundary_right)):
             node = self.initial.values[0 if side == "left" else -1]
             if abs(node - sig(0.0)) > COMPATIBILITY_TOL:
-                raise IncompatibleDataError(
-                    f"initial state and {side} boundary signal disagree at t=0: "
-                    f"{node} vs {sig(0.0)}"
-                )
+                raise IncompatibleDataError(f"initial state and {side} boundary signal disagree at t=0: "
+                                            f"{node} vs {sig(0.0)}")
 
     @property
     def is_heat(self) -> bool:
@@ -149,6 +146,12 @@ class SemilinearProblem:
     def with_data(self, initial: Field, left: BoundarySignal, right: BoundarySignal) -> "SemilinearProblem":
         """Same operator, different admissible pair."""
         return replace(self, initial=initial, boundary_left=left, boundary_right=right)
+
+
+def check_diffusion(a: float) -> None:
+    """Raise ``InvalidParameterError`` unless the diffusion coefficient a is finite and > 0."""
+    if not 0.0 < a < math.inf:  # NaN fails too
+        raise InvalidParameterError(f"diffusion coefficient must be positive and finite, got {a}")
 
 
 def check_step_restriction(dt: float, lipschitz_k: float) -> None:

@@ -13,6 +13,7 @@ import numpy as np
 _WIDTH, _HEIGHT = 640, 420
 _ML, _MR, _MT, _MB = 64, 16, 28, 44
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b")
+_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})  # not saxutils.escape: it imports urllib.request
 
 
 def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
@@ -30,7 +31,7 @@ def write_line_plot(
     ylabel: str = "",
     logy: bool = False,
 ) -> None:
-    """Write a simple line chart of one or more series against x.
+    """Write a simple line chart of one or more series against x; the title, labels and names are XML-escaped.
 
     Only finite samples are drawn.  With ``logy`` the y axis is log10 and
     only finite positive samples are drawn; if no series has one, the plot
@@ -70,7 +71,7 @@ def write_line_plot(
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
         f'viewBox="0 0 {_WIDTH} {_HEIGHT}" font-family="monospace" font-size="11">',
         f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
-        f'<text x="{_ML}" y="16" font-size="13">{title}</text>',
+        f'<text x="{_ML}" y="16" font-size="13">{title.translate(_ESCAPES)}</text>',
     ]
     axis = f'stroke="black" stroke-width="1"'
     parts.append(f'<line x1="{_ML}" y1="{_MT}" x2="{_ML}" y2="{_MT + ph}" {axis}/>')
@@ -84,25 +85,20 @@ def write_line_plot(
         label = f"1e{tv:.2f}" if logy else f"{tv:.4g}"
         parts.append(f'<line x1="{_ML - 5}" y1="{yy:.2f}" x2="{_ML}" y2="{yy:.2f}" {axis}/>')
         parts.append(f'<text x="{_ML - 8}" y="{yy + 4:.2f}" text-anchor="end">{label}</text>')
-    parts.append(
-        f'<text x="{_ML + pw / 2:.0f}" y="{_HEIGHT - 8}" text-anchor="middle">{xlabel}</text>'
-    )
+    parts.append(f'<text x="{_ML + pw / 2:.0f}" y="{_HEIGHT - 8}" text-anchor="middle">'
+                 f'{xlabel.translate(_ESCAPES)}</text>')
     if ylabel:
-        label = f"log10({ylabel})" if logy else ylabel
-        parts.append(
-            f'<text x="14" y="{_MT + ph / 2:.0f}" text-anchor="middle" '
-            f'transform="rotate(-90 14 {_MT + ph / 2:.0f})">{label}</text>'
-        )
+        label = (f"log10({ylabel})" if logy else ylabel).translate(_ESCAPES)
+        parts.append(f'<text x="14" y="{_MT + ph / 2:.0f}" text-anchor="middle" '
+                     f'transform="rotate(-90 14 {_MT + ph / 2:.0f})">{label}</text>')
     for idx, (name, (xv, tv)) in enumerate(drawn.items()):
         color = _COLORS[idx % len(_COLORS)]
         # px and py act elementwise on arrays with the scalar order of operations.
         xy = np.column_stack((px(xv), py(tv)))
         pts = " ".join(["%.2f,%.2f"] * len(xy)) % tuple(xy.ravel().tolist())
         parts.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{pts}"/>')
-        parts.append(
-            f'<text x="{_ML + pw - 4}" y="{_MT + 14 + 14 * idx}" text-anchor="end" '
-            f'fill="{color}">{name}</text>'
-        )
+        parts.append(f'<text x="{_ML + pw - 4}" y="{_MT + 14 + 14 * idx}" text-anchor="end" '
+                     f'fill="{color}">{name.translate(_ESCAPES)}</text>')
     parts.append("</svg>")
     with open(path, "w", newline="\n") as fh:
         fh.write("\n".join(parts) + "\n")

@@ -45,6 +45,7 @@ from iss_parabolic.backstepping import (
     VolterraKernel,
     _random_smooth_fields,
     _row_trapezoid_weights,
+    _schur_bound,
     _series_shape,
     _simpson_panels,
     write_kernel_csv,
@@ -444,6 +445,10 @@ class TestEquivalenceConstants:
         k1, k2 = estimate_equivalence_constants(kernel, inverse, 2.0)
         assert k1 == pytest.approx(1.0) and k2 == pytest.approx(1.0)
 
+    def test_sup_norm_bound_is_the_row_bound(self, kernel10):
+        # at p = inf the Schur product's exponents are 1 and 0, so it is the max row sum, bit for bit
+        assert _schur_bound(kernel10, math.inf) == float(np.abs(kernel10.matrix).sum(axis=1).max())
+
     @pytest.mark.parametrize("p", [1.0, 2.0, 4.0, math.inf])
     def test_bracket_random_field_ratios(self, p, kernel_grid, kernel10, inverse10):
         k1, k2 = estimate_equivalence_constants(kernel10, inverse10, p)
@@ -528,6 +533,18 @@ def _planted(kernel, index, value):
     return VolterraKernel(samples, kernel.lam, "direct", _SMALL)
 
 
+def _loop(a, k_reaction, kernel):
+    return simulate_closed_loop(a, k_reaction, Field.zeros(_SMALL), BoundarySignal.zero(), _SMALL, kernel)
+
+
+# The entry points that take (a, k_reaction), each called on (a, k_reaction, kernel).
+_PLANT_ENTRIES = {
+    "series": lambda a, kr, k: kernel_series_reference(a, kr, _SMALL),
+    "solve": lambda a, kr, k: solve_kernel(a, kr, _SMALL),
+    "loop": _loop,
+}
+
+
 def _misaligned_certificate(kernel, inverse):
     traj = Trajectory(grid=_SMALL, times=_SMALL.times(), data=np.zeros((_SMALL.n_steps + 1, _SMALL.n_nodes)))
     constants = ClosedLoopConstants(k1=1.0, k2=1.0, iss=ExpIssConstants(m=1.0, sigma=1.0, gamma=1.0, p=2.0))
@@ -546,9 +563,20 @@ REFUSALS = [
     ("lower_triangle", lambda k, inv: _planted(k, (-1, 0), 1.0), InvalidParameterError,
      "kernel samples must vanish below the diagonal"),
     ("series_a", lambda k, inv: kernel_series_reference(0.0, 5.0, _SMALL), InvalidParameterError,
-     "diffusion coefficient must be positive"),
+     "diffusion coefficient must be positive and finite, got 0.0"),
     ("solve_a", lambda k, inv: solve_kernel(-1.0, 5.0, _SMALL), InvalidParameterError,
-     "diffusion coefficient must be positive"),
+     "diffusion coefficient must be positive and finite, got -1.0"),
+    # solver.check_diffusion and kernel_ratio refuse before any array work; before them a = inf gave a zero
+    # kernel, and a NaN k_reaction ran every Picard iteration, gave NaN series samples or passed the loop's
+    # 1e-12 kernel match
+    *[(f"{entry}_a_{a}", lambda k, inv, call=call, a=a: call(a, 10.0, k), InvalidParameterError,
+       f"diffusion coefficient must be positive and finite, got {a}")
+      for entry, call in _PLANT_ENTRIES.items() for a in (math.inf, math.nan)],
+    *[(f"{entry}_k_{kr}", lambda k, inv, call=call, kr=kr: call(1.0, kr, k), InvalidParameterError,
+       f"kernel ratio k_reaction / a must be finite, got {kr} / 1.0")
+      for entry, call in _PLANT_ENTRIES.items() for kr in (math.nan, math.inf)],
+    ("ratio_overflow", lambda k, inv: solve_kernel(1e-10, 1e300, _SMALL), InvalidParameterError,
+     "kernel ratio k_reaction / a must be finite, got 1e+300 / 1e-10"),
     ("transform_grid", lambda k, inv: apply_transform(k, Field.zeros(_OTHER)), InvalidParameterError,
      "field and kernel live on different grids"),
     ("feedback_grid", lambda k, inv: feedback(k, Field.zeros(_OTHER)), InvalidParameterError,
@@ -556,11 +584,12 @@ REFUSALS = [
     ("loop_state_grid",
      lambda k, inv: simulate_closed_loop(1.0, 5.0, Field.zeros(_OTHER), BoundarySignal.zero(), _SMALL, k),
      InvalidParameterError, "initial state lives on a different grid"),
-    ("loop_kernel",
-     lambda k, inv: simulate_closed_loop(1.0, 6.0, Field.zeros(_SMALL), BoundarySignal.zero(), _SMALL, k),
-     InvalidParameterError, "kernel does not match the requested plant"),
+    ("loop_kernel", lambda k, inv: _loop(1.0, 6.0, k), InvalidParameterError,
+     "kernel does not match the requested plant"),
     ("schur_p", lambda k, inv: estimate_equivalence_constants(k, inv, 0.5), InvalidParameterError,
-     "p must lie in [1, inf], got 0.5"),
+     "p must be >= 1 or inf, got 0.5"),
+    ("schur_p_nan", lambda k, inv: estimate_equivalence_constants(k, inv, math.nan), InvalidParameterError,
+     "p must be >= 1 or inf, got nan"),
     ("pair_order", lambda k, inv: estimate_equivalence_constants(inv, k, 2.0), InvalidParameterError,
      "expected a (direct, inverse) kernel pair"),
     ("disturbance_times", _misaligned_certificate, InvalidParameterError,

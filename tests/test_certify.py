@@ -204,9 +204,10 @@ def test_relative_tolerance_outside_unit_interval_rejected(tol):
     # NaN failed every check and tol >= 1 passed every check; both are refused.
     grid = Grid1D(n_interior=31, dt=1e-3, t_final=0.05)
     problem = heat_problem(grid, lambda z: np.sin(np.pi * z))
-    with pytest.raises(InvalidParameterError):
+    wording = re.escape(f"need a relative tolerance 0 <= tol < 1, got {tol}")
+    with pytest.raises(InvalidParameterError, match=wording):
         check_l2(simulate(problem, grid), tol=tol)
-    with pytest.raises(InvalidParameterError):
+    with pytest.raises(InvalidParameterError, match=wording):
         lyapunov_decay_certificate(problem, grid, 3.0, tol=tol)
 
 

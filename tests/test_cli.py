@@ -242,6 +242,10 @@ DOMAIN_CASES = [
     ("weighted_sup_decay", "theta = 0.45", "theta = 0.920151679807235", "check.theta", "theta + phi < pi"),
     ("weighted_sup_decay", "sigma = 4.9348\ntheta = 0.45", "sigma = 9.869604401089356", "check.sigma",
      "theta + phi < pi"),
+    # solver.check_diffusion owns a; it is asked first, so a bad a is not blamed on sigma, which reads it
+    ("eigen_decay", "a = 1.0", "a = inf", "problem.a", "diffusion coefficient must be positive and finite, got inf"),
+    ("weighted_sup_decay", "a = 1.0", "a = nan", "problem.a",
+     "diffusion coefficient must be positive and finite, got nan"),
     ("lyapunov_p3", "d0 = zero", "d0 = step(0.3, 0.05)", "problem.d0", "needs zero boundary data"),
     ("backstep_closed", "initial = sin_pi", "initial = constant(0.5)", "problem.initial", "must vanish at z = 1"),
     ("backstep_closed", "dt = 2e-4", "dt = 0.1", "grid.dt", "dt * lipschitz_k < 1"),

@@ -74,13 +74,16 @@ class TestProblemValidation:
             heat_problem(grid_small, lambda z: np.ones_like(z), d0=BoundarySignal.zero())
 
     def test_positive_diffusion_required(self, grid_small):
-        with pytest.raises(InvalidParameterError):
-            SemilinearProblem(
-                a=0.0,
-                initial=Field.zeros(grid_small),
-                boundary_left=BoundarySignal.zero(),
-                boundary_right=BoundarySignal.zero(),
-            )
+        # inf was accepted and failed at step 1 with a RuntimeWarning and a NumericalError
+        for a in (0.0, math.inf, math.nan):
+            wording = f"diffusion coefficient must be positive and finite, got {a}"
+            with pytest.raises(InvalidParameterError, match=wording):
+                SemilinearProblem(
+                    a=a,
+                    initial=Field.zeros(grid_small),
+                    boundary_left=BoundarySignal.zero(),
+                    boundary_right=BoundarySignal.zero(),
+                )
 
     @pytest.mark.parametrize("lipschitz_k", [-1.0, -math.inf, math.nan])
     def test_negative_slope_bound_rejected(self, grid_small, lipschitz_k):

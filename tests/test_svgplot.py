@@ -1,5 +1,6 @@
 import math
 import re
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -58,3 +59,12 @@ def test_log_axis_draws_only_finite_positive_samples(tmp_path):
     assert "inf" not in svg
     assert re.findall(r'points="([^"]*)"', svg) == ["64.00,376.00 344.00,28.00"]
     assert re.findall(r'text-anchor="end">([^<]*)</text>', svg) == ["1e0.00", "1e0.25", "1e0.50", "1e0.75", "1e1.00"]
+
+
+@pytest.mark.parametrize("logy", [False, True])
+def test_text_is_xml_escaped(tmp_path, logy):
+    # Unescaped, a title such as a<b wrote a file no XML parser reads.
+    write_line_plot(tmp_path / "p.svg", np.arange(3.0), {'x<"y">': np.array([1.0, 2.0, 4.0])},
+                    title="a<b", xlabel="t & s", ylabel="|x|>0", logy=logy)
+    texts = [el.text for el in ElementTree.parse(tmp_path / "p.svg").iter("{http://www.w3.org/2000/svg}text")]
+    assert {"a<b", "t & s", "log10(|x|>0)" if logy else "|x|>0", 'x<"y">'} <= set(texts)
