@@ -210,9 +210,9 @@ def solve_kernel(a: float, k_reaction: float, grid: Grid1D) -> VolterraKernel:
     xi in [0, 2], eta in [0, 1] (the equation extends smoothly beyond the
     physical triangle, which keeps the quadrature stencils away from kinks),
     with cumulative Simpson quadrature for the double integral, until the
-    sup-difference of successive iterates drops below
-    ``KERNEL_ITERATION_TOL``, or raises ``SynthesisError`` after
-    ``KERNEL_ITERATION_CAP`` iterations.
+    sup-difference of successive iterates drops below ``KERNEL_ITERATION_TOL``.
+    Raises ``SynthesisError`` at the first non-finite change, naming its
+    iteration, or after ``KERNEL_ITERATION_CAP`` iterations.
 
     Each iteration is one sweep over blocks of xi rows, each buffer about
     ``BLOCK_BYTES`` and never more rows than the rectangle, so the work stays
@@ -241,39 +241,42 @@ def solve_kernel(a: float, k_reaction: float, grid: Grid1D) -> VolterraKernel:
     inner = np.empty((rows + 1, n_eta))
     work = np.empty(4 * inner.size)
     diag = np.arange(n_eta)
-    for _ in range(KERNEL_ITERATION_CAP):
-        # D into `new`, xi rows [r0, r1) per block; inner[0] and new[r0 - 1]
-        # carry the previous block's last eta integral and last row of D.
-        new[0] = 0.0
-        for r0 in range(1, n_xi, rows):
-            r1 = min(r0 + rows, n_xi)
-            block = inner[: r1 - r0 + 1]
-            carried = int(r0 > 1)
-            fresh = block[carried:]
-            _simpson_panels(F[r0 - 1 + carried : r1], h, 1, fresh, work)
-            fresh[:, 0] = 0.0
-            np.cumsum(fresh, axis=1, out=fresh)
-            d = new[r0 - 1 : r1]
-            _simpson_panels(block, h, 0, d, work)
-            np.cumsum(d, axis=0, out=d)
-            inner[0] = block[-1]
-        # int_eta^xi int_0^eta F = D(xi, eta) - D(eta, eta)
-        diag_d = new[diag, diag]
-        peaks = []
-        for r0 in range(0, n_xi, rows):
-            d = new[r0 : r0 + rows]
-            d -= diag_d
-            d *= lam / 4.0
-            d += base[r0 : r0 + rows]
-            diff = np.subtract(d, F[r0 : r0 + rows], out=inner[: len(d)])
-            peaks.append(np.abs(diff, out=diff).max())
-        change = float(np.max(peaks))
-        F, new = new, F
-        if change < KERNEL_ITERATION_TOL:
-            break
-    else:
-        raise SynthesisError(f"kernel iteration did not converge within {KERNEL_ITERATION_CAP} iterations "
-                             f"(last change {change:.3e})")
+    with np.errstate(over="ignore", invalid="ignore"):  # the finiteness test below owns this verdict
+        for iteration in range(1, KERNEL_ITERATION_CAP + 1):
+            # D into `new`, xi rows [r0, r1) per block; inner[0] and new[r0 - 1]
+            # carry the previous block's last eta integral and last row of D.
+            new[0] = 0.0
+            for r0 in range(1, n_xi, rows):
+                r1 = min(r0 + rows, n_xi)
+                block = inner[: r1 - r0 + 1]
+                carried = int(r0 > 1)
+                fresh = block[carried:]
+                _simpson_panels(F[r0 - 1 + carried : r1], h, 1, fresh, work)
+                fresh[:, 0] = 0.0
+                np.cumsum(fresh, axis=1, out=fresh)
+                d = new[r0 - 1 : r1]
+                _simpson_panels(block, h, 0, d, work)
+                np.cumsum(d, axis=0, out=d)
+                inner[0] = block[-1]
+            # int_eta^xi int_0^eta F = D(xi, eta) - D(eta, eta)
+            diag_d = new[diag, diag]
+            peaks = []
+            for r0 in range(0, n_xi, rows):
+                d = new[r0 : r0 + rows]
+                d -= diag_d
+                d *= lam / 4.0
+                d += base[r0 : r0 + rows]
+                diff = np.subtract(d, F[r0 : r0 + rows], out=inner[: len(d)])
+                peaks.append(np.abs(diff, out=diff).max())
+            change = float(np.max(peaks))
+            if not math.isfinite(change):
+                raise SynthesisError(f"kernel iteration {iteration} produced non-finite values")
+            F, new = new, F
+            if change < KERNEL_ITERATION_TOL:
+                break
+        else:
+            raise SynthesisError(f"kernel iteration did not converge within {KERNEL_ITERATION_CAP} iterations "
+                                 f"(last change {change:.3e})")
     # k(z_i, s_j) = F(2 - z_i - s_j, s_j - z_i): row i runs up an anti-diagonal of F
     samples = np.zeros((n_eta, n_eta))
     for i in range(n_eta):

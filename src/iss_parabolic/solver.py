@@ -17,8 +17,8 @@ stepping loop ``_march`` on a grid and an operator: one factorization per
 run.  The Dirichlet data come in as tables over the time levels; state
 feedback comes in as a row whose dot product with the current level is
 subtracted from its table.  Each level is built by whole-row ufuncs and
-solved in place in its history row, and one scalar finiteness test per step
-is exact.
+solved in place in its history row by one LDL^T solve; one finiteness test
+per step is exact, as inf or NaN times any multiplier, even 0, is not finite.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg.lapack import dgttrf, dgttrs
+from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .errors import (
     IncompatibleDataError,
@@ -178,7 +178,7 @@ def _march(
     Refuses to step unless ``check_step_restriction`` accepts dt and
     lipschitz_k.  Each step applies the explicit reaction, then solves the
     implicit diffusion with I + r tridiag(-1, 2, -1), r = a dt / h^2,
-    factored once (LAPACK dgttrf) and reused for every step (dgttrs).
+    factored once as LDL^T (LAPACK dpttrf) and reused for every step (dpttrs).
 
     ``left`` and ``right`` are the Dirichlet tables over ``grid.times()``:
     level m + 1 takes ``left[m + 1]`` and ``right[m + 1]``, written into the
@@ -197,18 +197,17 @@ def _march(
     every double (signed zeros, infinities and NaN included), so this is
     bit for bit the scheme that adds r left and r right to the two end
     entries alone.  Testing only the first interior value of the solution
-    is exact, because back substitution multiplies each unknown into the
-    one above it by du = -r != 0, so a NaN or inf anywhere in the solve or
-    the boundary values reaches that value.
+    is exact: each sweep of dpttrs forms b_i - e b_(i-+1), e = -r / d_i,
+    d_i >= 1, and inf or NaN times any e, 0 included, is not finite, so a NaN
+    or inf anywhere in the solve or the boundary values reaches that value.
     """
     dt, n_steps = grid.dt, grid.n_steps
     check_step_restriction(dt, lipschitz_k)
     h = grid.h
     n = grid.n_interior
     r = a * dt / h**2
-    off = np.full(n - 1, -r)
-    # Strictly diagonally dominant, so the factorization cannot break down.
-    dl, d, du, du2, ipiv, _ = dgttrf(off, np.full(n, 1.0 + 2.0 * r), off)
+    # Symmetric and strictly diagonally dominant: LDL^T cannot break down.
+    d, e, _ = dpttrf(np.full(n, 1.0 + 2.0 * r), np.full(n - 1, -r))
     nodes = grid.nodes[1:-1]
     data = np.empty((n_steps + 1, grid.n_nodes))
     data[0] = x0
@@ -240,7 +239,7 @@ def _march(
                 np.multiply(reaction(nodes, inner[m], x_z), dt, out=f_dt)
                 np.add(inner[m], f_dt, out=rhs)
                 rhs += edge
-            out, info = dgttrs(dl, d, du, du2, ipiv, rhs, overwrite_b=1)
+            out, info = dpttrs(d, e, rhs, overwrite_b=1)
             if out is not rhs:
                 rhs[:] = out
             if info != 0 or not math.isfinite(rhs[0]):

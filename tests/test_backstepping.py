@@ -4,6 +4,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from functools import partial
 from pathlib import Path
 
@@ -251,6 +252,18 @@ class TestInverseKernel:
         monkeypatch.setattr(backstepping, "KERNEL_ITERATION_CAP", 2)
         with pytest.raises(SynthesisError):
             solve_kernel(1.0, 10.0, kernel_grid)
+
+    # At k = 1e200 the first pass already multiplies lam/4 ~ 2.5e199 into
+    # itself, past the largest double; smaller ratios overflow later.
+    @pytest.mark.parametrize("k_reaction, iteration", [(1e200, 1), (1e20, 17)])
+    def test_overflow_raises_at_its_iteration_without_warning(self, k_reaction, iteration):
+        from iss_parabolic import SynthesisError
+
+        grid = Grid1D(n_interior=15, dt=1e-3, t_final=0.01)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SynthesisError, match=rf"^kernel iteration {iteration} produced non-finite values$"):
+                solve_kernel(1.0, k_reaction, grid)
 
     @pytest.mark.parametrize("k_reaction", [10.0, 25.0, -8.0])
     def test_composition_is_exact(self, kernel_grid, k_reaction):

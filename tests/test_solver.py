@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.linalg import solve_banded
+from scipy.linalg import solveh_banded
 
 from iss_parabolic import (
     BoundarySignal,
@@ -237,13 +237,13 @@ class TestSimulate:
 
 
 def _reference_march(grid, a, reaction, x0, boundary):
-    """The scheme as first written: a fresh banded solve on every step."""
+    """The scheme with a fresh symmetric banded solve (LAPACK ptsv: factor,
+    then solve) on every step, through scipy's public API."""
     h, n, dt = grid.h, grid.n_interior, grid.dt
     r = a * dt / h**2
-    ab = np.zeros((3, n))
-    ab[0, 1:] = -r
-    ab[1, :] = 1.0 + 2.0 * r
-    ab[2, :-1] = -r
+    ab = np.zeros((2, n))  # lower form: the diagonal, then the subdiagonal
+    ab[0, :] = 1.0 + 2.0 * r
+    ab[1, :-1] = -r
     x = x0.copy()
     levels = [x]
     for m in range(grid.n_steps):
@@ -254,7 +254,7 @@ def _reference_march(grid, a, reaction, x0, boundary):
             rhs += dt * reaction(grid.nodes[1:-1], x[1:-1], grad)
         rhs[0] += r * left
         rhs[-1] += r * right
-        x = np.concatenate(([left], solve_banded((1, 1), ab, rhs), [right]))
+        x = np.concatenate(([left], solveh_banded(ab, rhs, lower=True), [right]))
         levels.append(x)
     return np.array(levels)
 
@@ -330,6 +330,18 @@ def _heat_sampled_n199_case():
     return _open_loop_case(problem, grid)
 
 
+def _heat_sampled_n999_case():
+    # the closed_loop_fine size, where the solve is about half of a step
+    grid = Grid1D(n_interior=999, dt=1e-4, t_final=0.021)
+    times = grid.times()
+    d0 = BoundarySignal.sampled(times[::3], 0.4 * np.sin(13.0 * times[::3]))
+    d1 = BoundarySignal.sampled(times[::7], 0.2 - 0.5 * np.cos(7.0 * times[::7]))
+    z = grid.nodes
+    x0 = d0(0.0) * (1 - z) + d1(0.0) * z + 0.6 * np.sin(3.0 * np.pi * z)
+    problem = SemilinearProblem(a=1.0, initial=Field(x0, grid), boundary_left=d0, boundary_right=d1)
+    return _open_loop_case(problem, grid)
+
+
 def _cubic_case():
     grid = Grid1D(n_interior=47, dt=1e-3, t_final=0.2)
     problem = SemilinearProblem(
@@ -376,9 +388,9 @@ def _closed_loop_case():
 @pytest.mark.parametrize(
     "case",
     [_heat_sampled_case, _cubic_case, _gradient_case, _closed_loop_case, _heat_sampled_n199_case,
-     _signed_zero_case, _own_argument_case, _scalar_reaction_case],
+     _heat_sampled_n999_case, _signed_zero_case, _own_argument_case, _scalar_reaction_case],
     ids=["heat_sampled", "cubic", "gradient", "closed_loop_n15", "heat_both_sampled_n199",
-         "signed_zeros", "reaction_returns_w", "scalar_reaction"],
+         "heat_both_sampled_n999", "signed_zeros", "reaction_returns_w", "scalar_reaction"],
 )
 def test_prefactored_march_matches_reference_scheme_bitwise(case):
     actual, reference = case()
@@ -391,17 +403,33 @@ def test_prefactored_march_matches_reference_scheme_bitwise(case):
 def test_march_keeps_a_solution_lapack_returns_in_a_new_array(case, monkeypatch):
     # f2py may copy the right-hand side instead of solving in place; the
     # march must then take the returned array, not its own unsolved row.
-    lapack_dgttrs = solver.dgttrs
+    lapack_dpttrs = solver.dpttrs
     calls = []
 
-    def copying_dgttrs(dl, d, du, du2, ipiv, b, **kwargs):
+    def copying_dpttrs(d, e, b, **kwargs):
         calls.append(1)
-        return lapack_dgttrs(dl, d, du, du2, ipiv, b.copy(), **kwargs)
+        return lapack_dpttrs(d, e, b.copy(), **kwargs)
 
-    monkeypatch.setattr(solver, "dgttrs", copying_dgttrs)
+    monkeypatch.setattr(solver, "dpttrs", copying_dpttrs)
     actual, reference = case()
     assert calls
     assert np.array_equal(actual, reference)
+
+
+@pytest.mark.parametrize("r", [0.0, 5e-324, 1e-12, 0.05, 1.0, 1e6, 1e300])
+def test_non_finite_value_anywhere_reaches_the_first_unknown(r):
+    # The march tests only the first unknown of each solve.  Both sweeps form
+    # each unknown as b_i - e b_(i-+1), and inf or NaN times any e, 0
+    # included, is not finite, so one bad value anywhere must show there.
+    for n in (3, 4, 63, 199):
+        d, e, info = solver.dpttrf(np.full(n, 1.0 + 2.0 * r), np.full(n - 1, -r))
+        assert info == 0
+        for bad in (math.inf, -math.inf, math.nan):
+            for i in range(n):
+                rhs = np.linspace(-1.0, 1.0, n)
+                rhs[i] = bad
+                out, _ = solver.dpttrs(d, e, rhs, overwrite_b=1)
+                assert not math.isfinite(out[0]), (n, bad, i)
 
 
 @pytest.mark.parametrize("bad", [math.inf, math.nan], ids=["inf", "nan"])
