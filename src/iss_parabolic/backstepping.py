@@ -36,13 +36,13 @@ buffer; blocking changes only the order in which memory is visited, never
 the roundings or the sequence of a running sum, so every result keeps the
 bits of the whole-array computation.
 
-Each kernel carries its quadrature operator (``VolterraKernel.matrix``, the
-row-wise trapezoid weights times the samples), built once.  The inverse
-transform y = x + int_z^1 l(z, s) x(t, s) ds is synthesized as the exact
-inverse of the direct operator by one triangular solve, so a transform
-round trip reproduces fields to rounding; its samples agree with the
-continuous inverse kernel (the series with lam -> -lam) up to quadrature
-order.
+Each kernel carries its upper-triangular quadrature operator M
+(``VolterraKernel.matrix``, row-wise trapezoid weights times the samples),
+built once; every image (I + M) y is one BLAS ``dtrmm`` on the triangle
+(``_image``).  The inverse transform y = x + int_z^1 l(z, s) x(t, s) ds is
+the exact inverse of the direct operator, one LAPACK ``dtrtri``, so a round
+trip reproduces fields to rounding; its samples agree with the continuous
+inverse kernel (the series with lam -> -lam) up to quadrature order.
 """
 
 from __future__ import annotations
@@ -52,16 +52,12 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg.blas import dtrmm
+from scipy.linalg.lapack import dtrtri
 
 from .certify import ExpIssConstants, ISSReport, evaluate_bound
 from .comparison import ExpLinearKL, LinearGain
-from .errors import (
-    IncompatibleDataError,
-    InvalidParameterError,
-    NumericalError,
-    SynthesisError,
-)
+from .errors import IncompatibleDataError, InvalidParameterError, NumericalError, SynthesisError
 from .grid import BLOCK_BYTES, Field, Grid1D, Trajectory, _frozen, format_floats, write_csv
 from .norms import check_exponent, lp_norms
 from .solver import COMPATIBILITY_TOL, BoundarySignal, _march, check_diffusion, pde_residual_sup
@@ -110,8 +106,7 @@ class VolterraKernel:
 def _row_trapezoid_weights(n_nodes: int, h: float) -> np.ndarray:
     """W[i, j]: trapezoid weight of node j for the integral over [z_i, 1]."""
     w = np.triu(np.full((n_nodes, n_nodes), h))
-    idx = np.arange(n_nodes)
-    w[idx, idx] = h / 2.0
+    np.fill_diagonal(w, h / 2.0)
     w[:, -1] = h / 2.0
     w[-1, -1] = 0.0  # degenerate interval [1, 1]
     return w
@@ -217,9 +212,9 @@ def solve_kernel(a: float, k_reaction: float, grid: Grid1D) -> VolterraKernel:
     Each iteration is one sweep over blocks of xi rows, each buffer about
     ``BLOCK_BYTES`` and never more rows than the rectangle, so the work stays
     in cache.  A block's rows are integrated in eta (``_simpson_panels``,
-    then a cumulative sum along each row), then in xi into
-    D = int_0^xi int_0^eta F by a cumulative sum down the block whose first
-    row is the previous block's last row of D.  That is scipy's
+    then a cumulative sum along each row), then in xi into D = int_0^xi
+    int_0^eta F by a running sum down the block, one contiguous row add per
+    row, from the previous block's last row of D.  That is scipy's
     ``cumulative_simpson`` applied twice, bit for bit: every sub-integral
     has its roundings and every running sum adds in the same sequence.  A
     second loop over row blocks forms the next iterate base + lam/4 (D -
@@ -240,7 +235,6 @@ def solve_kernel(a: float, k_reaction: float, grid: Grid1D) -> VolterraKernel:
     rows = min(max(2, BLOCK_BYTES // F[0].nbytes // 2 * 2), n_xi - 1)
     inner = np.empty((rows + 1, n_eta))
     work = np.empty(4 * inner.size)
-    diag = np.arange(n_eta)
     with np.errstate(over="ignore", invalid="ignore"):  # the finiteness test below owns this verdict
         for iteration in range(1, KERNEL_ITERATION_CAP + 1):
             # D into `new`, xi rows [r0, r1) per block; inner[0] and new[r0 - 1]
@@ -256,10 +250,11 @@ def solve_kernel(a: float, k_reaction: float, grid: Grid1D) -> VolterraKernel:
                 np.cumsum(fresh, axis=1, out=fresh)
                 d = new[r0 - 1 : r1]
                 _simpson_panels(block, h, 0, d, work)
-                np.cumsum(d, axis=0, out=d)
+                for prev, row in zip(d, d[1:]):  # one contiguous add per row; cumsum(axis=0) is a strided scalar loop
+                    np.add(prev, row, out=row)
                 inner[0] = block[-1]
             # int_eta^xi int_0^eta F = D(xi, eta) - D(eta, eta)
-            diag_d = new[diag, diag]
+            diag_d = new.diagonal().copy()
             peaks = []
             for r0 in range(0, n_xi, rows):
                 d = new[r0 : r0 + rows]
@@ -286,23 +281,24 @@ def solve_kernel(a: float, k_reaction: float, grid: Grid1D) -> VolterraKernel:
 
 
 def solve_inverse_kernel(direct: VolterraKernel) -> VolterraKernel:
-    """Invert the discretized direct transform by one triangular solve.
+    """Invert the discretized direct transform by one triangular inversion.
 
-    With U the quadrature operator of the direct transform, I + U is upper
-    triangular with a unit-plus-O(h) diagonal, so the inverse transform
-    operator L = (I + U)^-1 - I comes from one back substitution against
-    the identity.  Transform round trips are therefore exact to rounding
-    rather than to quadrature order; the composition (I + L)(I + U) = I is
-    checked after the solve.
+    With U the direct quadrature operator, the inverse operator
+    L = (I + U)^-1 - I comes from one LAPACK ``dtrtri`` on the transpose of
+    I + U, in place, so round trips are exact to rounding, not to quadrature
+    order.  I + L applied to each column of I + U (``_image``) checks
+    (I + L)(I + U) = I.  A zero diagonal entry of I + U, 1 + (h/2) k(z_i, z_i),
+    raises ``SynthesisError`` naming the entry.
     """
     if direct.direction != "direct":
         raise InvalidParameterError("inverse synthesis expects the direct kernel")
     n = direct.grid.n_nodes
-    eye = np.eye(n)
-    U = direct.matrix
-    L = solve_triangular(eye + U, eye)
-    L -= eye
-    composed = (eye + L) @ (eye + U)
+    L = np.eye(n) + direct.matrix
+    _, info = dtrtri(L.T, lower=1, overwrite_c=1)  # in place on the Fortran view, lower triangular
+    if info > 0:
+        raise SynthesisError(f"the direct transform I + U is singular: diagonal entry {info - 1} is zero")
+    L[np.diag_indices(n)] -= 1.0
+    composed = _image(L, np.eye(n) + direct.matrix.T)  # ((I + L)(I + U))^T
     composed[np.diag_indices(n)] -= 1.0
     defect = float(np.max(np.abs(composed, out=composed)))
     if defect > 1e-8:
@@ -313,11 +309,18 @@ def solve_inverse_kernel(direct: VolterraKernel) -> VolterraKernel:
     return VolterraKernel(samples=samples, lam=-direct.lam, direction="inverse", grid=direct.grid)
 
 
+def _image(matrix: np.ndarray, fields: np.ndarray) -> np.ndarray:
+    """(I + M) y per row y of ``fields``, M upper triangular: one in-place ``dtrmm`` on Fortran views, no f2py copy."""
+    x = np.array(fields, dtype=float, order="C")
+    dtrmm(1.0, matrix.T, x.reshape(-1, x.shape[-1]).T, lower=1, trans_a=1, overwrite_b=1)
+    return np.add(x, fields, out=x)
+
+
 def apply_transform(kernel: VolterraKernel, y: Field) -> Field:
     """x(z_i) = y(z_i) + trapezoid of k(z_i, .) y over [z_i, 1], row-wise."""
     if y.grid != kernel.grid:
         raise InvalidParameterError("field and kernel live on different grids")
-    return Field(y.values + kernel.matrix @ y.values, y.grid)
+    return Field(_image(kernel.matrix, y.values), y.grid)
 
 
 def feedback(kernel: VolterraKernel, y: Field, d: float = 0.0) -> float:
@@ -403,8 +406,7 @@ def simulate_closed_loop(
     )
     y_traj = Trajectory(grid=grid, times=times, data=data)
 
-    x_data = data @ kernel.matrix.T
-    x_data += data
+    x_data = _image(kernel.matrix, data)
     x_data.setflags(write=False)
     x_traj = Trajectory(grid=grid, times=times, data=x_data)
     return ClosedLoopRun(a=a, y_traj=y_traj, x_traj=x_traj, disturbance=d_values)
@@ -465,9 +467,8 @@ def estimate_equivalence_constants(kernel: VolterraKernel, inverse: VolterraKern
     k1 = 1.0 / (1.0 + _schur_bound(kernel, p))
     k2 = 1.0 + _schur_bound(inverse, p)
     fields = _random_smooth_fields(kernel.grid, 100, np.random.default_rng(0))
-    x = fields + fields @ kernel.matrix.T
     ny = lp_norms(fields, kernel.grid.h, p)
-    nx = lp_norms(x, kernel.grid.h, p)
+    nx = lp_norms(_image(kernel.matrix, fields), kernel.grid.h, p)
     keep = nx > 1e-14
     ratio = ny[keep] / nx[keep]
     if ratio.size and (ratio.min() < k1 * (1.0 - 1e-9) or ratio.max() > k2 * (1.0 + 1e-9)):

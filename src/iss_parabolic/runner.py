@@ -146,8 +146,7 @@ def _run_kernel_synthesis(scn: Scenario, rng: np.random.Generator) -> _Outcome:
     oracle_err = float(np.max(np.abs(kernel.samples - oracle)))
 
     fields = bs._random_smooth_fields(scn.grid, N_TEST_FIELDS, rng)
-    transformed = fields + fields @ kernel.matrix.T
-    back = transformed + transformed @ inverse.matrix.T
+    back = bs._image(inverse.matrix, bs._image(kernel.matrix, fields))
     roundtrip_err = float(np.max(np.abs(back - fields)))
 
     checks = [("oracle_sup_diff", oracle_err, _tol(scn, 1e-6)), ("roundtrip_sup_err", roundtrip_err, ROUNDTRIP_TOL)]

@@ -12,6 +12,8 @@ import numpy as np
 import pytest
 from scipy.integrate import cumulative_simpson
 from scipy.linalg import solve_triangular
+from scipy.linalg.blas import dtrmm
+from scipy.linalg.lapack import dtrtri
 
 import iss_parabolic
 from iss_parabolic import (
@@ -72,6 +74,16 @@ def inverse10(kernel10):
     return solve_inverse_kernel(kernel10)
 
 
+def _traced_peak(call):
+    tracemalloc.start()
+    try:
+        result = call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
 class TestKernelSynthesis:
     def test_zero_reaction_gives_zero_kernel(self, kernel_grid):
         kernel = solve_kernel(1.0, 0.0, kernel_grid)
@@ -108,12 +120,7 @@ class TestKernelSynthesis:
     def test_construction_copies_only_a_writeable_caller_array(self):
         grid = Grid1D(n_interior=499, dt=2e-4, t_final=0.5)
         samples = np.triu(np.random.default_rng(0).standard_normal((grid.n_nodes, grid.n_nodes)))
-        tracemalloc.start()
-        try:
-            kernel = VolterraKernel(samples, 1.0, "direct", grid)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        kernel, peak = _traced_peak(lambda: VolterraKernel(samples, 1.0, "direct", grid))
         assert peak < 1.5 * samples.nbytes
         before = kernel.samples[0, 0]
         samples[0, 0] += 1.0
@@ -265,6 +272,15 @@ class TestInverseKernel:
             with pytest.raises(SynthesisError, match=rf"^kernel iteration {iteration} produced non-finite values$"):
                 solve_kernel(1.0, k_reaction, grid)
 
+    def test_singular_transform_raises_naming_the_zero_diagonal(self):
+        from iss_parabolic import SynthesisError
+
+        # a = 1, k = -64, h = 1/16: diag(I + U)[0] = 1 + (h/2) k(0, 0) = 1 - (1/32)(64/2) is exactly 0.
+        kernel = solve_kernel(1.0, -64.0, Grid1D(n_interior=15, dt=1e-3, t_final=0.01))
+        assert kernel.matrix[0, 0] == -1.0
+        with pytest.raises(SynthesisError, match=re.escape("I + U is singular: diagonal entry 0 is zero")):
+            solve_inverse_kernel(kernel)
+
     @pytest.mark.parametrize("k_reaction", [10.0, 25.0, -8.0])
     def test_composition_is_exact(self, kernel_grid, k_reaction):
         kernel = solve_kernel(1.0, k_reaction, kernel_grid)
@@ -409,22 +425,58 @@ class TestClosedLoop:
         fitted = -np.polyfit(run.y_traj.times[keep], np.log(norms[keep]), 1)[0]
         assert fitted == pytest.approx(PI2, rel=0.05)
 
+
+# The inverse is one dtrtri on the transpose of I + U, the loop image one dtrmm on the history's transpose:
+# pinned bit for bit to fresh calls, and within the rounding bound n u |.| of the dense expressions they
+# replaced (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., sections 3.5 and 14.2).
 @pytest.mark.parametrize("n_interior", [99, 200])
-def test_inverse_samples_and_closed_loop_image_match_old_expressions_bitwise(n_interior):
+def test_inverse_samples_and_closed_loop_image_match_lapack_calls_bitwise(n_interior):
     grid = Grid1D(n_interior=n_interior, dt=1e-4, t_final=0.05)
     kernel = solve_kernel(1.0, 12.0, grid)
-    eye = np.eye(grid.n_nodes)
-    L = solve_triangular(eye + kernel.matrix, eye) - eye
+    n, eps = grid.n_nodes, np.finfo(float).eps
+    eye = np.eye(n)
+    direct = eye + kernel.matrix
+    inverse_t, info = dtrtri(direct.T, lower=1)
+    assert info == 0
+    L = inverse_t.T - eye
     weights = _row_trapezoid_weights(grid.n_nodes, grid.h)
     samples = np.where(weights > 0.0, L / np.where(weights > 0.0, weights, 1.0), 0.0)
     assert solve_inverse_kernel(kernel).samples.tobytes() == samples.tobytes()
+    dense_L = solve_triangular(direct, eye) - eye
+    assert np.all(np.abs(dense_L - L) <= n * eps * (np.abs(inverse_t.T) @ np.abs(direct) @ np.abs(inverse_t.T)))
 
     times = grid.times()
     d = BoundarySignal.sampled(times, np.where(times >= 0.01, 0.4, -0.2))
     y0 = compatible_initial_state(kernel, Field(np.sin(np.pi * grid.nodes), grid), d0=-0.2)
     run = simulate_closed_loop(1.0, 12.0, y0, d, grid, kernel=kernel)
     data = run.y_traj.data
-    assert run.x_traj.data.tobytes() == (data + data @ kernel.matrix.T).tobytes()
+    image = dtrmm(1.0, kernel.matrix.T, data.T, lower=1, trans_a=1).T + data
+    assert run.x_traj.data.tobytes() == image.tobytes()
+    dense = data + data @ kernel.matrix.T
+    bound = n * eps * (np.abs(data) @ np.abs(kernel.matrix).T) + eps * np.abs(dense)
+    assert np.all(np.abs(dense - image) <= bound)
+
+
+# tracemalloc sees numpy's buffers, so a copy f2py makes of an array handed to BLAS or LAPACK shows in these
+# peaks.  At 201 nodes and 1001 levels the operator is a fifth of a history: one more history, or an
+# n x n copy of the operator, breaks either bound (2.03 histories and 4.2 operators as built).
+@pytest.fixture(scope="module")
+def traced_kernel():
+    kernel = solve_kernel(1.0, 10.0, Grid1D(n_interior=199, dt=1e-4, t_final=0.1))
+    kernel.matrix  # built before tracing starts
+    return kernel
+
+
+def test_closed_loop_peaks_at_its_two_histories(traced_kernel):
+    grid = traced_kernel.grid
+    y0 = compatible_initial_state(traced_kernel, Field(np.sin(np.pi * grid.nodes), grid))
+    run, peak = _traced_peak(lambda: simulate_closed_loop(1.0, 10.0, y0, BoundarySignal.zero(), grid, traced_kernel))
+    assert peak <= 2.1 * run.y_traj.data.nbytes
+
+
+def test_inverse_synthesis_peaks_below_four_and_a_half_operators(traced_kernel):
+    _, peak = _traced_peak(lambda: solve_inverse_kernel(traced_kernel))
+    assert peak <= 4.5 * traced_kernel.matrix.nbytes
 
 
 class TestFlipEquivalence:

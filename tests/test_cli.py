@@ -112,13 +112,13 @@ CORE_SEED7_DIGESTS = {
     "backstep_closed": {
         "report.csv": "b7afc6b8638a478ec14625bdcd57947d1f295e867bf4f7a61afbd28e8c1231df",
         "trajectory.csv": "ca032021732faeb29e2cdbb6c01a5f6e89aa555c8f1dae9bac1d6dae1b5cacfd",
-        "x_trajectory.csv": "4b6adf836b9f9d35c1e02c2649a29e7e06f49324c65722d3f4744be64bbd5046",
+        "x_trajectory.csv": "f168fd45246b5ff8af91a8649bc4c6151d11476cfbe8afaf2e5843418071da56",
     },
     "backstep_disturbed": {
         "report.csv": "6e7be62ae2e511504f979c62ef5a98df9c7b8c0c8003f9edf5246fa60e199eba",
         "summary.csv": "0fc5525db7dacd9dc5a707d1d9c57703f4fa71817f2d65438fa8fbfe028913f2",
         "trajectory.csv": "2669375752364c0f6aa2d14308bbbb8793c2e08dd99b5ca98637f4f445ac8384",
-        "x_trajectory.csv": "1863270cc891c6c10145c2c8fabfa3354ae0c7434b0e9a7f37772120a4b2ed7b",
+        "x_trajectory.csv": "1263afdcc053007ecfb790558149ecf7249bb60f45200fdecc382a07e26dfbce",
     },
     "backstep_open": {
         "report.csv": "c7e3a051fa585bde59c5464fd70fee14a6f64c77f878e91bb7a22a35d82e08a1",
@@ -130,7 +130,7 @@ CORE_SEED7_DIGESTS = {
     },
     "kernel_a1k10": {
         "kernel.csv": "d0bf41c51ae51ca22a23f7ffd874c548542e4e42f3c3b40bd420ea7e049e1b1f",
-        "report.csv": "6269b4641dbadf45a6ec9e59bf98096ac1ccdb888325235ce90dd3db24d68004",
+        "report.csv": "71e8bf089d68e164b4bc4dd16a1e89b9fa9b912f85f40482393e01c6ad82cc6d",
     },
     "l2_random_a": {
         "report.csv": "8dbe4edded0ea501d7ab0734cc6e7515107d9c5b7490a0c4e031472aa2a91b1f",
@@ -666,6 +666,16 @@ class TestRunCommand:
         assert captured.err == "FAIL blow_up [simulate]: step 6 of 50 produced non-finite values\n"
         assert not (tmp_path / "out" / "blow_up" / "trajectory.csv").exists()
 
+    def test_singular_transform_fails_the_scenario(self, tmp_path, capsys):
+        # a = 1, k = -64, h = 1/16: diag(I + U)[0] = 1 + (h/2) k(0, 0) = 1 - (1/32)(64/2) is exactly 0.
+        text = KERNEL_SCENARIO.replace("n_interior = 63", "n_interior = 15").replace("dt = 2e-4", "dt = 1e-3")
+        scn = _write(tmp_path / "kern.scn", text.replace("k_reaction = 10.0", "k_reaction = -64"))
+        assert main(["run", str(scn), "--out", str(tmp_path / "out")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out.splitlines()[1].startswith("kern,kernel_synthesis,false,-inf,")
+        assert captured.err == ("FAIL kern [kernel_synthesis]: the direct transform I + U is singular: "
+                                "diagonal entry 0 is zero\n")
+
     def test_raising_oracle_leaves_no_artifact(self, tmp_path, monkeypatch):
         # The kernel and its check table are computed before the oracle runs; neither may be written.
         def refuse(*args, **kwargs):
@@ -786,10 +796,10 @@ class TestSuiteCommand:
     def test_core_artifacts_match_recorded_digests(self, tmp_path, capsys):
         # Digests of every CSV of suites/core at --seed 7 --no-plots (numpy 2.4,
         # x86-64).  A change that moves any of them must say so and re-record them.
-        # Last re-recorded when the stepper went from pivoted LU to LDL^T: 27
-        # files moved, by at most 3.6e-14 (eigen_decay/trajectory.csv); the
-        # kernel_a1k10 and weighted_l1_steady files and the summary.csv of
-        # l2_random_a, l2_random_b and weighted_sup_decay stayed byte-identical.
+        # Last re-recorded when the loop image and the inverse kernel went from
+        # dense products and a triangular solve to BLAS dtrmm and LAPACK dtrtri:
+        # three files moved, the two x_trajectory.csv by at most 1.4e-17 and
+        # kernel_a1k10/report.csv (roundtrip_sup_err 6.44e-15 -> 6.88e-15).
         assert main(["suite", str(SUITES / "core"), "--out", str(tmp_path), "--seed", "7", "--no-plots"]) == 0
         # One comparison of the whole map, and a failure names every file at once.
         written = {
