@@ -63,6 +63,8 @@ from .norms import check_exponent, lp_norms
 from .solver import COMPATIBILITY_TOL, BoundarySignal, _march, check_diffusion, pde_residual_sup
 
 KERNEL_ITERATION_TOL = 1e-10
+# The stop rule's floor in units of eps max |F|: a large kernel's change stalls at its rounding.
+KERNEL_ITERATION_ULPS = 16.0
 KERNEL_ITERATION_CAP = 200
 # Share of the horizon skipped before the commutation residual is measured.
 BURN_FRACTION = 0.05
@@ -154,48 +156,31 @@ def kernel_series_reference(a: float, k_reaction: float, grid: Grid1D) -> np.nda
     return samples
 
 
-def _simpson_panels(y: np.ndarray, h: float, axis: int, out: np.ndarray, work: np.ndarray) -> None:
+def _simpson_panels(y: np.ndarray, h: float, axis: int, out: np.ndarray) -> None:
     """Simpson sub-integrals of 2-D ``y`` along ``axis``, into ``out[1:]`` along it.
 
-    out[j] is scipy's ``cumulative_simpson`` sub-integral over [y_j-1, y_j]:
-    h/3 (5 f1/4 + 2 f2 - f3/4) with (f1, f2, f3) = (y_j-1, y_j, y_j+1) for odd
-    j and (y_j, y_j-1, y_j-2) for even j and for the last j of an even count,
-    in scipy's order of operations.  So for at least 3 points, setting
-    out[0] = 0.0 and summing cumulatively from it gives
+    out[j] is scipy's ``cumulative_simpson`` sub-integral over [y_j-1, y_j] in
+    its order of operations, h/3 ((5 f1/4 + 2 f2) - f3/4) with (f1, f2, f3) =
+    (y_j-1, y_j, y_j+1) for odd j and (y_j, y_j-1, y_j-2) for even j.  So for
+    at least 3 points, a cumulative sum from out[0] = 0.0 is
     ``cumulative_simpson(y, dx=h, axis=axis, initial=0.0)`` bit for bit.
-
-    5 y/4, 2 y and y/4 are formed over all of ``y``, and both panels of the
-    triple centred on every j are summed with contiguous arithmetic on ``y``
-    read flat (a copy unless ``y`` is C-contiguous), shifted by one step
-    along ``axis``; one strided copy per side picks out the triples centred
-    on odd j.  ``out[0]`` is left as it is; ``work`` is a flat buffer of at
-    least 4 ``y.size`` floats and must not overlap ``y`` or ``out``.
+    out[0] is left to the caller.
     """
-    n = y.shape[axis]
-    step = math.prod(y.shape[axis + 1 :])  # one step along the axis in y read flat
-    flat = y.reshape(-1)
-    five, two, left, right = work[: 4 * flat.size].reshape(4, -1)
-    m = flat.size - 2 * step
-    np.multiply(flat, 5.0, out=five)
-    five *= 0.25  # the same rounding as / 4.0, and faster
-    np.multiply(flat, 2.0, out=two)
-    np.add(five[:m], two[step:-step], out=left[:m])  # panel [j-1, j] of the triple at j
-    np.add(five[2 * step :], two[step:-step], out=right[:m])  # panel [j, j+1]
-    quarter = np.multiply(flat, 0.25, out=five)
-    left[:m] -= quarter[2 * step :]
-    right[:m] -= quarter[:m]
-    left[:m] *= h / 3.0
-    right[:m] *= h / 3.0
-    # entry j - 1 along the axis holds the panels of the triple at j; a
-    # transpose makes axis 0 the last
-    left, right = (w.reshape(y.shape) for w in (left, right))
     if axis == 0:
-        left, right, out = left.T, right.T, out.T
-    pairs = (n - 1) // 2
-    out[..., 1 : 2 * pairs : 2] = left[..., : 2 * pairs : 2]
-    out[..., 2 : 2 * pairs + 1 : 2] = right[..., : 2 * pairs : 2]
+        y, out = y.T, out.T
+    n = y.shape[-1]
+    p = (n - 1) // 2
+    ym, y0, yp = y[..., 0 : 2 * p - 1 : 2], y[..., 1 : 2 * p : 2], y[..., 2 : 2 * p + 1 : 2]
+    two = 2.0 * y0
+    for j, f1, f3 in ((1, ym, yp), (2, yp, ym)):  # panels [j-1, j] and [j, j+1] of the triple at each odd j
+        panel = f1 * 5.0
+        panel *= 0.25  # the rounding of / 4.0
+        panel += two
+        panel -= f3 * 0.25
+        panel *= h / 3.0
+        out[..., j : 2 * p + j - 1 : 2] = panel
     if n % 2 == 0:
-        out[..., -1] = right[..., n - 3]
+        out[..., -1] = (((y[..., -1] * 5.0) * 0.25 + 2.0 * y[..., -2]) - y[..., -3] * 0.25) * (h / 3.0)
 
 
 def solve_kernel(a: float, k_reaction: float, grid: Grid1D) -> VolterraKernel:
@@ -205,9 +190,11 @@ def solve_kernel(a: float, k_reaction: float, grid: Grid1D) -> VolterraKernel:
     xi in [0, 2], eta in [0, 1] (the equation extends smoothly beyond the
     physical triangle, which keeps the quadrature stencils away from kinks),
     with cumulative Simpson quadrature for the double integral, until the
-    sup-difference of successive iterates drops below ``KERNEL_ITERATION_TOL``.
-    Raises ``SynthesisError`` at the first non-finite change, naming its
-    iteration, or after ``KERNEL_ITERATION_CAP`` iterations.
+    sup-difference of successive iterates drops below ``KERNEL_ITERATION_TOL``
+    or below ``KERNEL_ITERATION_ULPS`` eps max |F| (F the new iterate), the
+    rounding floor where a large kernel's change stalls.  Raises
+    ``SynthesisError`` at the first non-finite change, naming its iteration,
+    or after ``KERNEL_ITERATION_CAP`` iterations.
 
     Each iteration is one sweep over blocks of xi rows, each buffer about
     ``BLOCK_BYTES`` and never more rows than the rectangle, so the work stays
@@ -218,7 +205,7 @@ def solve_kernel(a: float, k_reaction: float, grid: Grid1D) -> VolterraKernel:
     ``cumulative_simpson`` applied twice, bit for bit: every sub-integral
     has its roundings and every running sum adds in the same sequence.  A
     second loop over row blocks forms the next iterate base + lam/4 (D -
-    diag D) and its sup change.  Buffers are allocated once per synthesis.
+    diag D), its sup change and its sup.  Rectangles are allocated once.
     """
     lam = kernel_ratio(a, k_reaction)
     h = grid.h
@@ -234,7 +221,6 @@ def solve_kernel(a: float, k_reaction: float, grid: Grid1D) -> VolterraKernel:
     # an odd xi row and its panels pair up as they do over the whole column.
     rows = min(max(2, BLOCK_BYTES // F[0].nbytes // 2 * 2), n_xi - 1)
     inner = np.empty((rows + 1, n_eta))
-    work = np.empty(4 * inner.size)
     with np.errstate(over="ignore", invalid="ignore"):  # the finiteness test below owns this verdict
         for iteration in range(1, KERNEL_ITERATION_CAP + 1):
             # D into `new`, xi rows [r0, r1) per block; inner[0] and new[r0 - 1]
@@ -245,17 +231,17 @@ def solve_kernel(a: float, k_reaction: float, grid: Grid1D) -> VolterraKernel:
                 block = inner[: r1 - r0 + 1]
                 carried = int(r0 > 1)
                 fresh = block[carried:]
-                _simpson_panels(F[r0 - 1 + carried : r1], h, 1, fresh, work)
+                _simpson_panels(F[r0 - 1 + carried : r1], h, 1, fresh)
                 fresh[:, 0] = 0.0
                 np.cumsum(fresh, axis=1, out=fresh)
                 d = new[r0 - 1 : r1]
-                _simpson_panels(block, h, 0, d, work)
+                _simpson_panels(block, h, 0, d)
                 for prev, row in zip(d, d[1:]):  # one contiguous add per row; cumsum(axis=0) is a strided scalar loop
                     np.add(prev, row, out=row)
                 inner[0] = block[-1]
             # int_eta^xi int_0^eta F = D(xi, eta) - D(eta, eta)
             diag_d = new.diagonal().copy()
-            peaks = []
+            peaks, sizes = [], []
             for r0 in range(0, n_xi, rows):
                 d = new[r0 : r0 + rows]
                 d -= diag_d
@@ -263,11 +249,12 @@ def solve_kernel(a: float, k_reaction: float, grid: Grid1D) -> VolterraKernel:
                 d += base[r0 : r0 + rows]
                 diff = np.subtract(d, F[r0 : r0 + rows], out=inner[: len(d)])
                 peaks.append(np.abs(diff, out=diff).max())
+                sizes.append(np.abs(d, out=diff).max())
             change = float(np.max(peaks))
             if not math.isfinite(change):
                 raise SynthesisError(f"kernel iteration {iteration} produced non-finite values")
             F, new = new, F
-            if change < KERNEL_ITERATION_TOL:
+            if change < max(KERNEL_ITERATION_TOL, KERNEL_ITERATION_ULPS * np.finfo(float).eps * max(sizes)):
                 break
         else:
             raise SynthesisError(f"kernel iteration did not converge within {KERNEL_ITERATION_CAP} iterations "

@@ -47,7 +47,7 @@ class EstimationError(IssParabolicError):
 
 
 class SynthesisError(IssParabolicError):
-    """Kernel synthesis hit its iteration cap, or the inverse failed its composition check."""
+    """Kernel synthesis failed: iteration cap, non-finite iterate, singular I + U, or failed inverse composition check."""
 
 
 class ScenarioError(IssParabolicError):

@@ -36,7 +36,7 @@ from .errors import (
     MonotonicityLossError,
     NumericalError,
 )
-from .grid import BLOCK_BYTES, Field, Grid1D, Trajectory, _block_rows, format_floats, write_csv
+from .grid import Field, Grid1D, Trajectory, _block_rows, format_floats, write_csv
 
 # Vectorized reaction term f(z, w, w_z) evaluated at interior nodes.
 Reaction = Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
@@ -265,7 +265,7 @@ def pde_residual_sup(data: np.ndarray, times: np.ndarray, nodes: np.ndarray, a: 
 
     Central differences in both variables, with dt and h taken once from the
     first two times and nodes.  The residual is formed a block of time levels
-    at a time in buffers of about ``BLOCK_BYTES``; each entry gets the
+    at a time in buffers of about ``grid.BLOCK_BYTES``; each entry gets the
     roundings of the whole-array formula and a max is exact in any order, so
     the result does not depend on the blocking.
     """

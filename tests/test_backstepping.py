@@ -45,6 +45,7 @@ from iss_parabolic.backstepping import (
     BURN_FRACTION,
     KERNEL_ITERATION_CAP,
     KERNEL_ITERATION_TOL,
+    KERNEL_ITERATION_ULPS,
     VolterraKernel,
     _random_smooth_fields,
     _row_trapezoid_weights,
@@ -53,8 +54,9 @@ from iss_parabolic.backstepping import (
     _simpson_panels,
     write_kernel_csv,
 )
+from iss_parabolic.grid import BLOCK_BYTES
 from iss_parabolic.norms import lp_norms
-from iss_parabolic.solver import BLOCK_BYTES, _march
+from iss_parabolic.solver import _march
 
 PI2 = math.pi**2
 
@@ -154,7 +156,7 @@ def test_cumulative_simpson_matches_scipy_bitwise(n, axis):
     h = 1.0 / (n - 1)
     expected = cumulative_simpson(y, dx=h, axis=axis, initial=0.0)
     out = np.full_like(y, 7.0)
-    _simpson_panels(y, h, axis, out, np.empty(4 * y.size))
+    _simpson_panels(y, h, axis, out)
     first = np.moveaxis(out, axis, 0)[0]
     assert np.all(first == 7.0)  # left for the caller to seed
     first[...] = 0.0
@@ -181,7 +183,7 @@ def _reference_solve_kernel(a, k_reaction, grid):
         new = base + (lam / 4.0) * (outer - outer[diag, diag][None, :])
         change = float(np.max(np.abs(new - F)))
         F = new
-        if change < KERNEL_ITERATION_TOL:
+        if change < max(KERNEL_ITERATION_TOL, KERNEL_ITERATION_ULPS * np.finfo(float).eps * np.max(np.abs(F))):
             break
     else:
         raise AssertionError("reference kernel iteration did not converge")
@@ -259,6 +261,16 @@ class TestInverseKernel:
         monkeypatch.setattr(backstepping, "KERNEL_ITERATION_CAP", 2)
         with pytest.raises(SynthesisError):
             solve_kernel(1.0, 10.0, kernel_grid)
+
+    def test_large_kernel_stops_on_its_rounding_floor(self, monkeypatch):
+        # At k = 200 max |F| is 2.1e8: the change wanders at its rounding, still 1.16e-10 after 200 iterations,
+        # above the absolute KERNEL_ITERATION_TOL; the floor KERNEL_ITERATION_ULPS eps max |F| ~ 7.5e-7 stops it at 32.
+        from iss_parabolic import backstepping
+
+        grid = Grid1D(n_interior=15, dt=1e-3, t_final=0.01)
+        monkeypatch.setattr(backstepping, "KERNEL_ITERATION_CAP", 40)
+        kernel = solve_kernel(1.0, 200.0, grid)
+        assert np.array_equal(kernel.samples, _reference_solve_kernel(1.0, 200.0, grid))
 
     # At k = 1e200 the first pass already multiplies lam/4 ~ 2.5e199 into
     # itself, past the largest double; smaller ratios overflow later.
@@ -472,6 +484,15 @@ def test_closed_loop_peaks_at_its_two_histories(traced_kernel):
     y0 = compatible_initial_state(traced_kernel, Field(np.sin(np.pi * grid.nodes), grid))
     run, peak = _traced_peak(lambda: simulate_closed_loop(1.0, 10.0, y0, BoundarySignal.zero(), grid, traced_kernel))
     assert peak <= 2.1 * run.y_traj.data.nbytes
+
+
+def test_kernel_synthesis_peaks_at_three_rectangles_and_its_samples():
+    # F, the next iterate and the base term each fill the 401 x 201 characteristic rectangle; the samples
+    # are 201 x 201.  Per-block buffers may add a few blocks, a whole-rectangle temporary may not.
+    grid = Grid1D(n_interior=199, dt=1e-4, t_final=0.1)
+    kernel, peak = _traced_peak(lambda: solve_kernel(1.0, 10.0, grid))
+    rectangle = (2 * grid.n_nodes - 1) * grid.n_nodes * 8
+    assert peak <= 3 * rectangle + kernel.samples.nbytes + 4 * BLOCK_BYTES
 
 
 def test_inverse_synthesis_peaks_below_four_and_a_half_operators(traced_kernel):

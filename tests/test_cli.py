@@ -676,6 +676,19 @@ class TestRunCommand:
         assert captured.err == ("FAIL kern [kernel_synthesis]: the direct transform I + U is singular: "
                                 "diagonal entry 0 is zero\n")
 
+    def test_large_kernel_ends_on_a_check_margin(self, tmp_path, capsys):
+        # k = 200 synthesizes (the stop rule's rounding floor ends the iteration), and the series oracle,
+        # 1e-6 against a quadrature error of 5.9e-2 at n = 199, decides the FAIL.
+        text = (SUITES / "core" / "kernel_a1k10.scn").read_text()
+        scn = _write(tmp_path / "kern.scn", text.replace("k_reaction = 10.0", "k_reaction = 200.0"))
+        assert main(["run", str(scn), "--out", str(tmp_path / "out"), "--no-plots"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("FAIL kernel_a1k10 [kernel_synthesis]: check failed with margin -")
+        rows = (tmp_path / "out" / "kernel_a1k10" / "report.csv").read_text().splitlines()
+        assert [(row.split(",")[0], row.split(",")[-1]) for row in rows[1:]] == [
+            ("oracle_sup_diff", "false"), ("roundtrip_sup_err", "true")
+        ]
+
     def test_raising_oracle_leaves_no_artifact(self, tmp_path, monkeypatch):
         # The kernel and its check table are computed before the oracle runs; neither may be written.
         def refuse(*args, **kwargs):

@@ -1,0 +1,31 @@
+"""Every package module uses each name it imports (a linter's unused-import rule, without a linter)."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "iss_parabolic"
+
+
+def _unused_imports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [alias.asname or alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [alias.asname or alias.name for alias in node.names]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [name for name in imported if name not in used]
+
+
+def test_finds_a_name_named_only_in_a_docstring():
+    source = '"""Uses ``BLOCK_BYTES``."""\nimport os.path\nfrom .grid import BLOCK_BYTES, Grid1D\nGrid1D(os.sep)\n'
+    assert _unused_imports(source) == ["BLOCK_BYTES"]
+
+
+# The package's __init__ imports names to re-export them.
+@pytest.mark.parametrize("path", sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"), ids=lambda p: p.name)
+def test_module_uses_every_name_it_imports(path):
+    assert _unused_imports(path.read_text()) == []

@@ -16,8 +16,8 @@ from iss_parabolic import (
     norm_weighted_sup,
     norms,
 )
+from iss_parabolic.grid import BLOCK_BYTES
 from iss_parabolic.norms import lp_norms, sup_weight, weighted_sin_norms, weighted_sup_norms
-from iss_parabolic.solver import BLOCK_BYTES
 
 
 def _grid(n):
