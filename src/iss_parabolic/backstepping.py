@@ -29,12 +29,15 @@ dynamic check, ``transform_commutation_residual`` (the transformed loop must
 satisfy the heat residual at the scheme's order), is run by the acceptance
 tests and the ``closed_loop_fine`` benchmark; no scenario kind runs it.
 The double integral is cumulative Simpson quadrature, equal bit for bit to
-scipy's ``cumulative_simpson`` in each direction.  The 2n x n arrays of an
-n-node grid outgrow a core's cache, so synthesis and the commutation
-residual walk them in blocks of rows of about ``grid.BLOCK_BYTES`` per
-buffer; blocking changes only the order in which memory is visited, never
-the roundings or the sequence of a running sum, so every result keeps the
-bits of the whole-array computation.
+scipy's ``cumulative_simpson`` in each direction.  Synthesis sweeps only a
+staircase of the 2n x n characteristic rectangle of an n-node grid, about
+three quarters of it, around the sample triangle and closed under every
+Simpson stencil, so each iterate there has the bits of the whole-rectangle
+iterate.  These arrays outgrow a core's cache, so synthesis and the
+commutation residual walk them in blocks of rows of about
+``grid.BLOCK_BYTES`` per buffer; blocking changes only the order in which
+memory is visited, never the roundings or the sequence of a running sum, so
+every result keeps the bits of the whole-array computation.
 
 Each kernel carries its upper-triangular quadrature operator M
 (``VolterraKernel.matrix``, row-wise trapezoid weights times the samples),
@@ -63,7 +66,7 @@ from .norms import check_exponent, lp_norms
 from .solver import COMPATIBILITY_TOL, BoundarySignal, _march, check_diffusion, pde_residual_sup
 
 KERNEL_ITERATION_TOL = 1e-10
-# The stop rule's floor in units of eps max |F|: a large kernel's change stalls at its rounding.
+# The stop rule's floor in units of eps max |F| on the swept staircase: a large kernel's change stalls at its rounding.
 KERNEL_ITERATION_ULPS = 16.0
 KERNEL_ITERATION_CAP = 200
 # Share of the horizon skipped before the commutation residual is measured.
@@ -183,29 +186,43 @@ def _simpson_panels(y: np.ndarray, h: float, axis: int, out: np.ndarray) -> None
         out[..., -1] = (((y[..., -1] * 5.0) * 0.25 + 2.0 * y[..., -2]) - y[..., -3] * 0.25) * (h / 3.0)
 
 
+def _staircase_widths(n_interior: int) -> np.ndarray:
+    """w_r for each xi row r of the characteristic rectangle: the columns c < w_r that ``solve_kernel`` sweeps."""
+    corner = 2 * (n_interior + 1)
+    return np.minimum(n_interior + 2, (corner + 2 - np.arange(corner + 1)) // 2 * 2 + 1)
+
+
 def solve_kernel(a: float, k_reaction: float, grid: Grid1D) -> VolterraKernel:
     """Synthesize the direct kernel by successive approximation.
 
-    Iterates the characteristic-variable integral equation on the rectangle
+    Iterates the characteristic-variable integral equation in the rectangle
     xi in [0, 2], eta in [0, 1] (the equation extends smoothly beyond the
     physical triangle, which keeps the quadrature stencils away from kinks),
-    with cumulative Simpson quadrature for the double integral, until the
-    sup-difference of successive iterates drops below ``KERNEL_ITERATION_TOL``
-    or below ``KERNEL_ITERATION_ULPS`` eps max |F| (F the new iterate), the
-    rounding floor where a large kernel's change stalls.  Raises
+    with cumulative Simpson quadrature for the double integral, on the
+    staircase S where xi row r keeps the columns c < w_r
+    (``_staircase_widths``).  Each row of S that is not full and each column
+    has an odd count, so every Simpson triple of a kept row or column lies in
+    S with no end panel; S holds the samples (z, s) -> (2 - z - s, s - z) and
+    every D(c, c).  So each iterate on S has the bits of the whole-rectangle
+    iterate, and the far corner xi + eta > 2, which converges last, does not
+    set the count.  Iteration stops when the sup-difference of successive
+    iterates on S drops below ``KERNEL_ITERATION_TOL`` or below
+    ``KERNEL_ITERATION_ULPS`` eps max |F| (F the new iterate on S).  Raises
     ``SynthesisError`` at the first non-finite change, naming its iteration,
     or after ``KERNEL_ITERATION_CAP`` iterations.
 
     Each iteration is one sweep over blocks of xi rows, each buffer about
     ``BLOCK_BYTES`` and never more rows than the rectangle, so the work stays
-    in cache.  A block's rows are integrated in eta (``_simpson_panels``,
-    then a cumulative sum along each row), then in xi into D = int_0^xi
-    int_0^eta F by a running sum down the block, one contiguous row add per
-    row, from the previous block's last row of D.  That is scipy's
+    in cache; a block runs over the width of its first (widest) row.  A
+    block's rows are integrated in eta (``_simpson_panels``, then a
+    cumulative sum along each row), then in xi into D = int_0^xi int_0^eta F
+    by a running sum down the block, one contiguous row add per row, from
+    the previous block's last row of D.  That is scipy's
     ``cumulative_simpson`` applied twice, bit for bit: every sub-integral
     has its roundings and every running sum adds in the same sequence.  A
-    second loop over row blocks forms the next iterate base + lam/4 (D -
-    diag D), its sup change and its sup.  Rectangles are allocated once.
+    second loop over the same blocks forms the next iterate base + lam/4 (D
+    - diag D), 0.0 in the columns a row does not keep, its sup change and
+    its sup.  Rectangles are allocated once.
     """
     lam = kernel_ratio(a, k_reaction)
     h = grid.h
@@ -221,33 +238,40 @@ def solve_kernel(a: float, k_reaction: float, grid: Grid1D) -> VolterraKernel:
     # an odd xi row and its panels pair up as they do over the whole column.
     rows = min(max(2, BLOCK_BYTES // F[0].nbytes // 2 * 2), n_xi - 1)
     inner = np.empty((rows + 1, n_eta))
+    # Block (r0, r1, s0, w): D rows [r0, r1) from F rows [s0, r1), s0 = 0 in the first block and r0 after, over the
+    # width w of row r0; `outside` indexes the block's columns c < w that its rows do not keep, 0.0 in every iterate.
+    widths = _staircase_widths(grid.n_interior)
+    blocks = []
+    for r0 in range(1, n_xi, rows):
+        r1, s0, w = min(r0 + rows, n_xi), (r0 if r0 > 1 else 0), widths[r0]
+        outside = np.nonzero(np.arange(w) >= widths[s0:r1, None])
+        F[s0:r1, :w][outside] = 0.0
+        blocks.append((r0, r1, s0, w, outside))
     with np.errstate(over="ignore", invalid="ignore"):  # the finiteness test below owns this verdict
         for iteration in range(1, KERNEL_ITERATION_CAP + 1):
-            # D into `new`, xi rows [r0, r1) per block; inner[0] and new[r0 - 1]
-            # carry the previous block's last eta integral and last row of D.
+            # D into `new`; inner[0] and new[r0 - 1] carry the previous block's last eta integral and last row of D.
             new[0] = 0.0
-            for r0 in range(1, n_xi, rows):
-                r1 = min(r0 + rows, n_xi)
-                block = inner[: r1 - r0 + 1]
-                carried = int(r0 > 1)
-                fresh = block[carried:]
-                _simpson_panels(F[r0 - 1 + carried : r1], h, 1, fresh)
+            for r0, r1, s0, w, _ in blocks:
+                block = inner[: r1 - r0 + 1, :w]
+                fresh = block[s0 - r0 + 1 :]
+                _simpson_panels(F[s0:r1, :w], h, 1, fresh)
                 fresh[:, 0] = 0.0
                 np.cumsum(fresh, axis=1, out=fresh)
-                d = new[r0 - 1 : r1]
+                d = new[r0 - 1 : r1, :w]
                 _simpson_panels(block, h, 0, d)
                 for prev, row in zip(d, d[1:]):  # one contiguous add per row; cumsum(axis=0) is a strided scalar loop
                     np.add(prev, row, out=row)
-                inner[0] = block[-1]
+                inner[0, :w] = block[-1]
             # int_eta^xi int_0^eta F = D(xi, eta) - D(eta, eta)
             diag_d = new.diagonal().copy()
             peaks, sizes = [], []
-            for r0 in range(0, n_xi, rows):
-                d = new[r0 : r0 + rows]
-                d -= diag_d
+            for r0, r1, s0, w, outside in blocks:
+                d = new[s0:r1, :w]
+                d -= diag_d[:w]
                 d *= lam / 4.0
-                d += base[r0 : r0 + rows]
-                diff = np.subtract(d, F[r0 : r0 + rows], out=inner[: len(d)])
+                d += base[s0:r1, :w]
+                d[outside] = 0.0
+                diff = np.subtract(d, F[s0:r1, :w], out=inner[: len(d), :w])
                 peaks.append(np.abs(diff, out=diff).max())
                 sizes.append(np.abs(d, out=diff).max())
             change = float(np.max(peaks))

@@ -52,6 +52,7 @@ from iss_parabolic.backstepping import (
     _schur_bound,
     _series_shape,
     _simpson_panels,
+    _staircase_widths,
     write_kernel_csv,
 )
 from iss_parabolic.grid import BLOCK_BYTES
@@ -177,13 +178,14 @@ def _reference_solve_kernel(a, k_reaction, grid):
     base = (lam / 4.0) * (xi[:, None] - eta[None, :])
     F = base.copy()
     diag = np.arange(n_eta)
+    kept = diag[None, :] < _staircase_widths(grid.n_interior)[:, None]  # the stop rule reads the staircase only
     for _ in range(KERNEL_ITERATION_CAP):
         inner = cumulative_simpson(F, dx=h, axis=1, initial=0.0)
         outer = cumulative_simpson(inner, dx=h, axis=0, initial=0.0)
         new = base + (lam / 4.0) * (outer - outer[diag, diag][None, :])
-        change = float(np.max(np.abs(new - F)))
+        change = float(np.max(np.abs(new - F)[kept]))
         F = new
-        if change < max(KERNEL_ITERATION_TOL, KERNEL_ITERATION_ULPS * np.finfo(float).eps * np.max(np.abs(F))):
+        if change < max(KERNEL_ITERATION_TOL, KERNEL_ITERATION_ULPS * np.finfo(float).eps * np.max(np.abs(F[kept]))):
             break
     else:
         raise AssertionError("reference kernel iteration did not converge")
@@ -206,6 +208,36 @@ def test_solve_kernel_matches_reference_iteration_bitwise(n_interior, k_reaction
     reference = _reference_solve_kernel(1.0, k_reaction, grid)
     assert np.array_equal(actual, reference)
     assert np.array_equal(np.signbit(actual), np.signbit(reference))
+
+
+def test_first_change_reads_only_the_staircase():
+    # At k = 1e-6 the first change on the staircase is 2.9e-14, below KERNEL_ITERATION_TOL, while the base term
+    # reaches 4.5e-7 in the columns the sweep runs over but does not keep: the stop rule must not see them.
+    grid = Grid1D(n_interior=15, dt=1e-3, t_final=0.01)
+    actual = solve_kernel(1.0, 1e-6, grid).samples
+    assert np.array_equal(actual, _reference_solve_kernel(1.0, 1e-6, grid))
+
+
+@pytest.mark.parametrize("n_interior", [3, 4, 15, 40, 99, 200])
+def test_staircase_closes_every_simpson_stencil_and_holds_the_samples(n_interior):
+    widths = _staircase_widths(n_interior)
+    n_eta = n_interior + 2
+    n_xi = 2 * n_eta - 1
+    assert widths.shape == (n_xi,) and widths[0] == n_eta
+    kept = np.arange(n_eta)[None, :] < widths[:, None]
+    # k(z_i, s_j) = F(2 - z_i - s_j, s_j - z_i) and the diagonal D(c, c)
+    i, j = np.triu_indices(n_eta)
+    assert kept[n_xi - 1 - i - j, j - i].all()
+    assert kept.diagonal().all()
+    # An odd count puts every cumulative-Simpson triple inside the row or column, with no end panel.
+    assert np.all((widths == n_eta) | (widths % 2 == 1))
+    heights = kept.sum(axis=0)
+    assert np.all(heights % 2 == 1)
+    assert np.all(np.diff(widths) <= 0)  # so column c keeps exactly the rows r < heights[c]
+    assert np.array_equal(kept, np.arange(n_xi)[:, None] < heights[None, :])
+    assert np.array_equal(heights, np.minimum(n_xi, n_xi + 2 - 2 * ((np.arange(n_eta) + 1) // 2)))
+    if n_interior == 99:
+        assert kept.mean() <= 0.78
 
 
 @pytest.mark.parametrize("n_interior", [39, 40], ids=["odd_nodes", "even_nodes"])
@@ -263,12 +295,13 @@ class TestInverseKernel:
             solve_kernel(1.0, 10.0, kernel_grid)
 
     def test_large_kernel_stops_on_its_rounding_floor(self, monkeypatch):
-        # At k = 200 max |F| is 2.1e8: the change wanders at its rounding, still 1.16e-10 after 200 iterations,
-        # above the absolute KERNEL_ITERATION_TOL; the floor KERNEL_ITERATION_ULPS eps max |F| ~ 7.5e-7 stops it at 32.
+        # At k = 200 max |F| on the staircase is 7.7e5: the change stalls at its rounding, 1.14e-10 to 1.16e-10 over
+        # iterations 28-32, above the absolute KERNEL_ITERATION_TOL, which it first meets at 33; the floor
+        # KERNEL_ITERATION_ULPS eps max |F| ~ 2.7e-9 stops it at 27, under a cap that the absolute rule alone exceeds.
         from iss_parabolic import backstepping
 
         grid = Grid1D(n_interior=15, dt=1e-3, t_final=0.01)
-        monkeypatch.setattr(backstepping, "KERNEL_ITERATION_CAP", 40)
+        monkeypatch.setattr(backstepping, "KERNEL_ITERATION_CAP", 30)
         kernel = solve_kernel(1.0, 200.0, grid)
         assert np.array_equal(kernel.samples, _reference_solve_kernel(1.0, 200.0, grid))
 

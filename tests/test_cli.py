@@ -110,15 +110,15 @@ d1 = constant(100.0)
 
 CORE_SEED7_DIGESTS = {
     "backstep_closed": {
-        "report.csv": "b7afc6b8638a478ec14625bdcd57947d1f295e867bf4f7a61afbd28e8c1231df",
-        "trajectory.csv": "ca032021732faeb29e2cdbb6c01a5f6e89aa555c8f1dae9bac1d6dae1b5cacfd",
-        "x_trajectory.csv": "f168fd45246b5ff8af91a8649bc4c6151d11476cfbe8afaf2e5843418071da56",
+        "report.csv": "3519b79b6be9c51c0503683323fcaebca1e0f31fd255615eba49ecac13e7d323",
+        "trajectory.csv": "0ba7fa46a8dbe1be160ec779fe2aa8788f4e6eb877f1e4ef2d944a679c78ce90",
+        "x_trajectory.csv": "d7bdda87b1639d45ffd35ece848a62364ae4ca715e318585173f182da1007014",
     },
     "backstep_disturbed": {
-        "report.csv": "6e7be62ae2e511504f979c62ef5a98df9c7b8c0c8003f9edf5246fa60e199eba",
-        "summary.csv": "0fc5525db7dacd9dc5a707d1d9c57703f4fa71817f2d65438fa8fbfe028913f2",
-        "trajectory.csv": "2669375752364c0f6aa2d14308bbbb8793c2e08dd99b5ca98637f4f445ac8384",
-        "x_trajectory.csv": "1263afdcc053007ecfb790558149ecf7249bb60f45200fdecc382a07e26dfbce",
+        "report.csv": "4c7b0a979b4d821ecbbc4adde04ae29ff7c7934a3dff20fcf68a26a97660d727",
+        "summary.csv": "52edddc536e8ca60706ece62acca3bd73fb11717ce380997b9f0df61f8961240",
+        "trajectory.csv": "358a99db08ab3761a9f4277037d9b4581d066114d860e6e556d5af9320d79bde",
+        "x_trajectory.csv": "8704a19a148832675e686c86667bdb3a2385128385abf297e144333bada81b4f",
     },
     "backstep_open": {
         "report.csv": "c7e3a051fa585bde59c5464fd70fee14a6f64c77f878e91bb7a22a35d82e08a1",
@@ -129,8 +129,8 @@ CORE_SEED7_DIGESTS = {
         "trajectory.csv": "b743ff4b1b8abe3c79227502eeeddafad67bebea8b92e8eb0fe056db270e900c",
     },
     "kernel_a1k10": {
-        "kernel.csv": "d0bf41c51ae51ca22a23f7ffd874c548542e4e42f3c3b40bd420ea7e049e1b1f",
-        "report.csv": "71e8bf089d68e164b4bc4dd16a1e89b9fa9b912f85f40482393e01c6ad82cc6d",
+        "kernel.csv": "da641b4736a670f18cf6288c0eed22c78129ba84819714cb0a6cc71dd67acc12",
+        "report.csv": "1ea77ee0593048b14aa02de418720ceb960716989a7b56b31b5e646e37898972",
     },
     "l2_random_a": {
         "report.csv": "8dbe4edded0ea501d7ab0734cc6e7515107d9c5b7490a0c4e031472aa2a91b1f",
@@ -809,10 +809,11 @@ class TestSuiteCommand:
     def test_core_artifacts_match_recorded_digests(self, tmp_path, capsys):
         # Digests of every CSV of suites/core at --seed 7 --no-plots (numpy 2.4,
         # x86-64).  A change that moves any of them must say so and re-record them.
-        # Last re-recorded when the loop image and the inverse kernel went from
-        # dense products and a triangular solve to BLAS dtrmm and LAPACK dtrtri:
-        # three files moved, the two x_trajectory.csv by at most 1.4e-17 and
-        # kernel_a1k10/report.csv (roundtrip_sup_err 6.44e-15 -> 6.88e-15).
+        # Last re-recorded when kernel synthesis moved to the staircase and its
+        # stop rule to the staircase's change, 2-3 iterations fewer: the nine
+        # files of kernel_a1k10, backstep_closed and backstep_disturbed moved,
+        # kernel.csv by at most 8.1e-13 and the loop files by at most 1.2e-14;
+        # every printed margin is unchanged.
         assert main(["suite", str(SUITES / "core"), "--out", str(tmp_path), "--seed", "7", "--no-plots"]) == 0
         # One comparison of the whole map, and a failure names every file at once.
         written = {
