@@ -528,9 +528,9 @@ def write_kernel_csv(kernel: VolterraKernel, path) -> None:
     nodes = format_floats(kernel.grid.nodes)
     upper = np.triu(np.ones(kernel.samples.shape, dtype=bool))
 
-    def bands(rows=16):  # a block per 16 rows of the triangle: few blocks, each small
-        for i0 in range(0, len(nodes), rows):
-            i, j = np.nonzero(upper[i0 : i0 + rows])
+    def bands():  # a block per 16 rows of the triangle: few blocks, each small
+        for i0 in range(0, len(nodes), 16):
+            i, j = np.nonzero(upper[i0 : i0 + 16])
             i += i0
             yield nodes[i], nodes[j], kernel.samples[i, j]
 

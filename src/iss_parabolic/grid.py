@@ -25,26 +25,14 @@ import numpy as np
 from .errors import InvalidFieldError, InvalidParameterError
 
 # Byte budget of one row-block buffer in the blocked array passes (kernel
-# synthesis, the residual sup, the norms and the finiteness test of a
-# history): small enough to stay in a core's cache.
+# synthesis, the residual sup and the norms): small enough to stay in a
+# core's cache.
 BLOCK_BYTES = 1 << 17
 
 
 def _block_rows(row_bytes: int, n_rows: int) -> int:
     """Rows per block of a blocked pass: about ``BLOCK_BYTES`` of ``row_bytes`` rows, at least one, at most ``n_rows``."""
     return max(1, min(BLOCK_BYTES // row_bytes, n_rows))
-
-
-def _all_finite(data: np.ndarray) -> bool:
-    """Whether every entry of a 2-D array is finite, tested a block of rows at a time in one reused buffer."""
-    n = data.shape[0]
-    rows = _block_rows(data[0].nbytes, n)
-    buffer = np.empty((rows, data.shape[1]), dtype=bool)
-    for r0 in range(0, n, rows):
-        r1 = min(r0 + rows, n)
-        if not np.isfinite(data[r0:r1], out=buffer[: r1 - r0]).all():
-            return False
-    return True
 
 
 @dataclass(frozen=True)
@@ -171,7 +159,8 @@ class Trajectory:
             )
         if times[0] != 0.0 or np.any(np.diff(times) <= 0.0):
             raise InvalidParameterError("times must increase strictly from 0")
-        if not _all_finite(data):
+        # NaN propagates through max and min and an infinity reaches one of them; neither needs a temporary
+        if not (math.isfinite(data.max()) and math.isfinite(data.min())):
             raise InvalidFieldError("trajectory contains non-finite entries")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "data", data)

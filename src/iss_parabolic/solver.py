@@ -15,10 +15,11 @@ comparison principle into an executable oracle downstream.
 ``simulate`` and the closed loop in ``backstepping`` both run the one
 stepping loop ``_march`` on a grid and an operator: one factorization per
 run.  The Dirichlet data come in as tables over the time levels; state
-feedback comes in as a row whose dot product with the current level is
-subtracted from its table.  Each level is built by whole-row ufuncs and
-solved in place in its history row by one LDL^T solve; one finiteness test
-per step is exact, as inf or NaN times any multiplier, even 0, is not finite.
+feedback at z = 0 comes in as a row whose dot product with the current
+level is subtracted from the left table.  Each level is built by whole-row
+ufuncs and solved in place in its history row by one LDL^T solve; one
+finiteness test per step is exact, as inf or NaN times any multiplier, even
+0, is not finite.
 """
 
 from __future__ import annotations
@@ -170,7 +171,6 @@ def _march(
     left: np.ndarray,
     right: np.ndarray,
     left_row: Optional[np.ndarray] = None,
-    right_row: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Take grid.n_steps IMEX steps of x_t = a x_zz + reaction from x0 and
     return every level, row m = level m.
@@ -182,10 +182,10 @@ def _march(
 
     ``left`` and ``right`` are the Dirichlet tables over ``grid.times()``:
     level m + 1 takes ``left[m + 1]`` and ``right[m + 1]``, written into the
-    history's end columns before the first step.  A feedback row turns an
-    end into state feedback: with ``left_row`` the left value of level
-    m + 1 is ``left[m + 1] - float(left_row @ x)``, x the whole level m,
-    computed as step m begins; likewise on the right.
+    history's end columns before the first step.  The one feedback row is
+    at z = 0: with ``left_row`` the left value of level m + 1 is
+    ``left[m + 1] - float(left_row @ x)``, x the whole level m, computed as
+    step m begins.
 
     The reaction gets the interior nodes, the interior of level m (a view of
     the history) and its gradient, the central difference with the known
@@ -215,18 +215,17 @@ def _march(
     data[1:, -1] = right[1:]
     r_left = (r * data[:, 0]).tolist()
     r_right = (r * data[:, -1]).tolist()
-    ends = ((0, left, left_row, r_left), (-1, right, right_row, r_right))
-    feedback = [(end, table.tolist(), row, r_table) for end, table, row, r_table in ends if row is not None]
+    left_table = None if left_row is None else left.tolist()
     inner = list(data[:, 1:-1])
     edge = np.full(n, -0.0)
     x_z, f_dt = np.empty((2, n))
     two_h = 2.0 * h
     with np.errstate(over="ignore", invalid="ignore"):  # the finiteness test below owns this verdict
         for m in range(n_steps):
-            for end, table, row, r_table in feedback:
-                value = table[m + 1] - float(row @ data[m])
-                data[m + 1, end] = value
-                r_table[m + 1] = r * value
+            if left_table is not None:
+                value = left_table[m + 1] - float(left_row @ data[m])
+                data[m + 1, 0] = value
+                r_left[m + 1] = r * value
             edge[0] = r_left[m + 1]
             edge[-1] = r_right[m + 1]
             rhs = inner[m + 1]

@@ -16,10 +16,10 @@ _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b")
 _ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})  # not saxutils.escape: it imports urllib.request
 
 
-def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
+def _ticks(lo: float, hi: float) -> list[float]:
     if hi <= lo:
         hi = lo + 1.0
-    return [lo + (hi - lo) * k / (count - 1) for k in range(count)]
+    return [lo + (hi - lo) * k / 4 for k in range(5)]  # five ticks, both ends included
 
 
 def write_line_plot(

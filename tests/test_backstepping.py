@@ -57,7 +57,6 @@ from iss_parabolic.backstepping import (
 )
 from iss_parabolic.grid import BLOCK_BYTES
 from iss_parabolic.norms import lp_norms
-from iss_parabolic.solver import _march
 
 PI2 = math.pi**2
 
@@ -531,30 +530,6 @@ def test_kernel_synthesis_peaks_at_three_rectangles_and_its_samples():
 def test_inverse_synthesis_peaks_below_four_and_a_half_operators(traced_kernel):
     _, peak = _traced_peak(lambda: solve_inverse_kernel(traced_kernel))
     assert peak <= 4.5 * traced_kernel.matrix.nbytes
-
-
-class TestFlipEquivalence:
-    def test_flipped_synthesis_reproduces_trajectory(self):
-        # synthesizing for the right-actuated plant (z -> 1 - z) and flipping
-        # back must reproduce the left-actuated closed loop
-        grid = Grid1D(n_interior=79, dt=2e-4, t_final=0.2)
-        a, kr = 1.0, 10.0
-        kernel = solve_kernel(a, kr, grid)
-        y0 = compatible_initial_state(
-            kernel, Field(np.sin(np.pi * grid.nodes) * (1.0 + 0.3 * grid.nodes), grid)
-        )
-        run = simulate_closed_loop(a, kr, y0, BoundarySignal.zero(), grid, kernel=kernel)
-
-        flipped_kernel = kernel.samples[::-1, ::-1]  # k_hat(z, s) = k(1 - z, 1 - s)
-        h = grid.h
-        omega = np.full(grid.n_nodes, h)
-        omega[0] = omega[-1] = h / 2.0
-        fb_row = omega * flipped_kernel[-1]
-        zeros = np.zeros(grid.n_steps + 1)
-        flipped = _march(
-            grid, a, lambda z, w, g: kr * w, kr, y0.values[::-1], zeros, zeros, right_row=fb_row,
-        )[:, ::-1]
-        assert np.max(np.abs(flipped - run.y_traj.data)) < 1e-10
 
 
 class TestEquivalenceConstants:

@@ -126,15 +126,22 @@ class TestTrajectory:
         with pytest.raises(InvalidFieldError, match=re.escape(wording)):
             self._make(grid, data)
 
-    @pytest.mark.parametrize("row", [0, -1], ids=["first_row", "last_row"])
+    @pytest.mark.parametrize("row", [0, 1000, -1], ids=["first_row", "interior_row", "last_row"])
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
     def test_non_finite_entry_in_an_end_row_rejected(self, row, bad):
-        # 2001 rows of 1001 nodes span many row blocks; the first and last are the edge blocks
+        # one bad entry in the first, a middle or the last of 2001 rows of 1001 nodes
         grid = Grid1D(n_interior=999, dt=1e-3, t_final=2.0)
         data = np.zeros((2001, grid.n_nodes))
         data[row, 500] = bad
         with pytest.raises(InvalidFieldError, match="trajectory contains non-finite entries"):
             self._make(grid, data)
+
+    def test_largest_finite_values_accepted(self):
+        # +-DBL_MAX is finite; a reduction that overflows on it (a sum, a max - min) is no finiteness test
+        grid = Grid1D(n_interior=999, dt=1e-3, t_final=2.0)
+        data = np.full((2001, grid.n_nodes), 1.7976931348623157e308)
+        data[1::2] *= -1.0
+        self._make(grid, data)
 
     def test_finiteness_test_needs_no_history_sized_temporary(self):
         grid = Grid1D(n_interior=999, dt=1e-3, t_final=2.0)

@@ -1,11 +1,12 @@
-"""Every package module uses each name it imports (a linter's unused-import rule, without a linter)."""
+"""Every package module and test file uses each name it imports (a linter's unused-import rule, without a linter)."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "iss_parabolic"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "iss_parabolic"
 
 
 def _unused_imports(source: str) -> list[str]:
@@ -26,6 +27,10 @@ def test_finds_a_name_named_only_in_a_docstring():
 
 
 # The package's __init__ imports names to re-export them.
-@pytest.mark.parametrize("path", sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"), ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "path",
+    sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py") + sorted(TESTS.glob("*.py")),
+    ids=lambda p: p.name,
+)
 def test_module_uses_every_name_it_imports(path):
     assert _unused_imports(path.read_text()) == []

@@ -385,12 +385,30 @@ def _closed_loop_case():
     return run.y_traj.data, reference
 
 
+def _closed_loop_n79_case():
+    # a sampled disturbance moves the left table and the row's feedback together
+    grid = Grid1D(n_interior=79, dt=2e-4, t_final=0.2)
+    kernel = solve_kernel(1.0, 10.0, grid)
+    times = grid.times()
+    d = BoundarySignal.sampled(times[::4], 0.25 * np.cos(17.0 * times[::4]) - 0.1)
+    base = Field(np.sin(np.pi * grid.nodes) * (1.0 + 0.3 * grid.nodes), grid)
+    y0 = compatible_initial_state(kernel, base, float(d(0.0)))
+    run = simulate_closed_loop(1.0, 10.0, y0, d, grid, kernel=kernel)
+    row0 = kernel.matrix[0]
+
+    def boundary(m, y):
+        return float(d(times[m + 1])) - float(row0 @ y), 0.0
+
+    reference = _reference_march(grid, 1.0, lambda z, w, g: 10.0 * w, y0.values, boundary)
+    return run.y_traj.data, reference
+
+
 @pytest.mark.parametrize(
     "case",
     [_heat_sampled_case, _cubic_case, _gradient_case, _closed_loop_case, _heat_sampled_n199_case,
-     _heat_sampled_n999_case, _signed_zero_case, _own_argument_case, _scalar_reaction_case],
+     _heat_sampled_n999_case, _signed_zero_case, _own_argument_case, _scalar_reaction_case, _closed_loop_n79_case],
     ids=["heat_sampled", "cubic", "gradient", "closed_loop_n15", "heat_both_sampled_n199",
-         "heat_both_sampled_n999", "signed_zeros", "reaction_returns_w", "scalar_reaction"],
+         "heat_both_sampled_n999", "signed_zeros", "reaction_returns_w", "scalar_reaction", "closed_loop_n79"],
 )
 def test_prefactored_march_matches_reference_scheme_bitwise(case):
     actual, reference = case()
