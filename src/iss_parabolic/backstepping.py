@@ -46,6 +46,8 @@ built once; every image (I + M) y is one BLAS ``dtrmm`` on the triangle
 the exact inverse of the direct operator, one LAPACK ``dtrtri``, so a round
 trip reproduces fields to rounding; its samples agree with the continuous
 inverse kernel (the series with lam -> -lam) up to quadrature order.
+Both routines come from scipy's compiled ``_fblas`` and ``_flapack``,
+loaded by ``_lapack`` without ``scipy.linalg``.
 """
 
 from __future__ import annotations
@@ -55,9 +57,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg.blas import dtrmm
-from scipy.linalg.lapack import dtrtri
 
+from ._lapack import dtrmm, dtrtri
 from .certify import ExpIssConstants, ISSReport, evaluate_bound
 from .comparison import ExpLinearKL, LinearGain
 from .errors import IncompatibleDataError, InvalidParameterError, NumericalError, SynthesisError

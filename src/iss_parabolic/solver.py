@@ -17,9 +17,10 @@ stepping loop ``_march`` on a grid and an operator: one factorization per
 run.  The Dirichlet data come in as tables over the time levels; state
 feedback at z = 0 comes in as a row whose dot product with the current
 level is subtracted from the left table.  Each level is built by whole-row
-ufuncs and solved in place in its history row by one LDL^T solve; one
-finiteness test per step is exact, as inf or NaN times any multiplier, even
-0, is not finite.
+ufuncs and solved in place in its history row by one LDL^T solve (LAPACK
+``dpttrf`` once, ``dpttrs`` per step, from scipy's compiled ``_flapack``
+through ``_lapack``); one finiteness test per step is exact, as inf or NaN
+times any multiplier, even 0, is not finite.
 """
 
 from __future__ import annotations
@@ -29,8 +30,8 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg.lapack import dpttrf, dpttrs
 
+from ._lapack import dpttrf, dpttrs
 from .errors import (
     IncompatibleDataError,
     InvalidParameterError,
@@ -53,7 +54,8 @@ class BoundarySignal:
     """A scalar Dirichlet boundary signal on [0, t_final].
 
     ``constant`` signals evaluate to a fixed finite value; ``sampled``
-    signals interpolate a finite table linearly and refuse times outside it.
+    signals interpolate a finite table linearly and refuse an empty time
+    array, NaN and times outside the table.
     """
 
     kind: str
@@ -100,8 +102,10 @@ class BoundarySignal:
         if self.kind == "constant":
             return self.value if np.ndim(t) == 0 else np.full(np.shape(t), self.value)
         ts = self.sample_times
+        if np.size(t) == 0:
+            raise InvalidParameterError("signal evaluated at no time")
         slack = TABLE_SLACK * (ts[-1] - ts[0])
-        if np.min(t) < ts[0] - slack or np.max(t) > ts[-1] + slack:
+        if not (ts[0] - slack <= np.min(t) and np.max(t) <= ts[-1] + slack):  # NaN fails too
             raise InvalidParameterError(
                 f"signal evaluated at t in [{np.min(t)}, {np.max(t)}], outside its table [{ts[0]}, {ts[-1]}]"
             )

@@ -1,4 +1,5 @@
-"""Every package module and test file uses each name it imports (a linter's unused-import rule, without a linter)."""
+"""Linter rules without a linter: every package module and test file uses each name it imports, and only
+``_lapack`` imports scipy."""
 
 import ast
 from pathlib import Path
@@ -34,3 +35,25 @@ def test_finds_a_name_named_only_in_a_docstring():
 )
 def test_module_uses_every_name_it_imports(path):
     assert _unused_imports(path.read_text()) == []
+
+
+def _scipy_imports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    modules = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules.append(node.module)
+    return [name for name in modules if name == "scipy" or name.startswith("scipy.")]
+
+
+def test_finds_scipy_imports_at_any_depth():
+    source = "import scipyx\nfrom .scipy import a\ndef f():\n    from scipy.linalg import solve\n    import scipy\n"
+    assert _scipy_imports(source) == ["scipy.linalg", "scipy"]
+
+
+# Importing scipy.linalg costs ~0.2 s of every start-up; _lapack loads the compiled routines without it.
+@pytest.mark.parametrize("path", sorted(p for p in PACKAGE.glob("*.py") if p.name != "_lapack.py"), ids=lambda p: p.name)
+def test_only_the_lapack_loader_imports_scipy(path):
+    assert _scipy_imports(path.read_text()) == []

@@ -41,6 +41,21 @@ class TestBoundarySignal:
             sig(5.0)  # beyond the table: refused, not clamped
         assert sig.sup_norm == 4.0
 
+    @pytest.mark.parametrize(
+        "t", [math.nan, np.array([0.5, np.nan]), np.array([np.nan, 0.5])], ids=["nan", "nan-last", "nan-first"]
+    )
+    def test_sampled_refuses_nan_time(self, t):
+        # NaN failed both comparisons of the range test and interpolated to NaN
+        sig = BoundarySignal.sampled(np.array([0.0, 1.0]), np.array([0.0, 1.0]))
+        with pytest.raises(InvalidParameterError, match="outside its table"):
+            sig(t)
+
+    def test_sampled_refuses_empty_time_array(self):
+        # the range test's np.min raised numpy's own ValueError on a zero-size array
+        sig = BoundarySignal.sampled(np.array([0.0, 1.0]), np.array([0.0, 1.0]))
+        with pytest.raises(InvalidParameterError, match="signal evaluated at no time"):
+            sig(np.array([]))
+
     def test_shift_matches_evaluation(self):
         times = np.linspace(0.0, 1.0, 11)
         sig = BoundarySignal.sampled(times, np.sin(3.0 * times))
