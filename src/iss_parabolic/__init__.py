@@ -55,14 +55,11 @@ from .errors import (
 )
 from .grid import Field, Grid1D, Trajectory
 from .monotone import (
-    Bracket,
     OrderingReport,
     SandwichReport,
     build_bracket,
     check_ordering,
     constant_reduction_experiment,
-    cutoff_hat,
-    find_cutoff_delta,
 )
 from .norms import norm_lp, norm_weighted_sin, norm_weighted_sup
 from .solver import (

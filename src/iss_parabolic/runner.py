@@ -113,7 +113,7 @@ def _run_sandwich(scn: Scenario, rng: np.random.Generator) -> _Outcome:
     files = {"trajectory.csv": (write_trajectory_csv, report.traj), "report.csv": (write_sandwich_csv, report)}
     margin = float(min(report.min_gap_low.min(), report.min_gap_high.min()))
     curves = {"gap_low": report.min_gap_low, "gap_high": report.min_gap_high}
-    return _Outcome(report.passed, margin, files, report.times, curves, "envelope gap")
+    return _Outcome(report.passed, margin, files, report.traj.times, curves, "envelope gap")
 
 
 def _run_iss_check(scn: Scenario, rng: np.random.Generator) -> _Outcome:

@@ -1,12 +1,8 @@
 import math
-import os
 import re
-import subprocess
-import sys
 import tracemalloc
 import warnings
 from functools import partial
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +11,6 @@ from scipy.linalg import solve_triangular
 from scipy.linalg.blas import dtrmm
 from scipy.linalg.lapack import dtrtri
 
-import iss_parabolic
 from iss_parabolic import (
     BoundarySignal,
     ClosedLoopConstants,
@@ -250,16 +245,6 @@ def test_series_reference_matches_full_square_bitwise(n_interior, k_reaction):
     actual = kernel_series_reference(1.0, k_reaction, grid)
     assert np.array_equal(actual, expected)
     assert np.array_equal(np.signbit(actual), np.signbit(expected))
-
-
-def test_package_import_leaves_scipy_integrate_unloaded():
-    src = str(Path(iss_parabolic.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    probe = "import iss_parabolic, sys; print('scipy.integrate' in sys.modules)"
-    out = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True, timeout=120
-    )
-    assert out.stdout.strip() == "False"
 
 
 class TestInverseKernel:

@@ -1,6 +1,7 @@
 """The benchmark drives the package by name and checks it against stored
 reference values; keep both the names and the values it relies on."""
 
+import ast
 import importlib
 import importlib.util
 import json
@@ -8,6 +9,8 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+
+from conftest import PINNED_BLAS
 
 ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
@@ -31,6 +34,16 @@ def test_span_functions_exist(span, target):
     module = importlib.import_module(f"iss_parabolic.{module_name}")
     missing = [name for name in functions if not callable(getattr(module, name, None))]
     assert not missing, f"{span}: iss_parabolic.{module_name} lacks {missing}"
+
+
+def test_digest_pin_runs_under_the_benchmarks_blas_settings():
+    # Read from the source, since importing perfbench/run.py writes os.environ.
+    body = ast.parse((PERFBENCH / "run.py").read_text()).body
+    threads = next(ast.literal_eval(node.value) for node in body
+                   if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "BLAS_THREADS")
+    loop = next(node for node in body if isinstance(node, ast.For)
+                and ast.unparse(node.body[0]) == f"os.environ[{node.target.id}] = str(BLAS_THREADS)")
+    assert PINNED_BLAS == dict.fromkeys(ast.literal_eval(loop.iter), str(threads))
 
 
 @pytest.mark.parametrize("k_reaction", [8.0, 14.0, 20.0])

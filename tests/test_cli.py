@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import PINNED_BLAS, fresh_python
 from iss_parabolic import Grid1D, ScenarioError, SynthesisError, backstepping, runner, scenarios, solver
 from iss_parabolic.cli import main
 from iss_parabolic.runner import run_scenario, run_suite
@@ -130,7 +131,7 @@ CORE_SEED7_DIGESTS = {
     },
     "kernel_a1k10": {
         "kernel.csv": "da641b4736a670f18cf6288c0eed22c78129ba84819714cb0a6cc71dd67acc12",
-        "report.csv": "1ea77ee0593048b14aa02de418720ceb960716989a7b56b31b5e646e37898972",
+        "report.csv": "d67678a7807ec6978c79fed8888278960fd1933df88d7c4bcbaec83b14bce238",
     },
     "l2_random_a": {
         "report.csv": "8dbe4edded0ea501d7ab0734cc6e7515107d9c5b7490a0c4e031472aa2a91b1f",
@@ -806,15 +807,19 @@ class TestSuiteCommand:
             assert not result.passed and f"bad value for {key}: " in result.message
         assert not (tmp_path / "out").exists()
 
-    def test_core_artifacts_match_recorded_digests(self, tmp_path, capsys):
+    def test_core_artifacts_match_recorded_digests(self, tmp_path):
         # Digests of every CSV of suites/core at --seed 7 --no-plots (numpy 2.4,
-        # x86-64).  A change that moves any of them must say so and re-record them.
-        # Last re-recorded when kernel synthesis moved to the staircase and its
-        # stop rule to the staircase's change, 2-3 iterations fewer: the nine
-        # files of kernel_a1k10, backstep_closed and backstep_disturbed moved,
-        # kernel.csv by at most 8.1e-13 and the loop files by at most 1.2e-14;
-        # every printed margin is unchanged.
-        assert main(["suite", str(SUITES / "core"), "--out", str(tmp_path), "--seed", "7", "--no-plots"]) == 0
+        # scipy 1.17 and its bundled DYNAMIC_ARCH OpenBLAS, x86-64), written by a
+        # fresh interpreter at one BLAS thread (PINNED_BLAS).  The pin holds
+        # whatever threading the test run itself has: OpenBLAS's threaded dtrmm
+        # rounds differently from its one-thread path, and kernel_a1k10's
+        # round trip reads the difference.  Another CPU type or BLAS may round
+        # differently.  A change that moves any of them must say so and
+        # re-record them.  Last re-recorded when the pin moved to one BLAS
+        # thread: kernel_a1k10/report.csv's roundtrip_sup_err went from
+        # 4.496403249731884e-15 (two threads) to 4.4408920985006262e-15.
+        fresh_python("-m", "iss_parabolic.cli", "suite", str(SUITES / "core"), "--out", str(tmp_path),
+                     "--seed", "7", "--no-plots", env=PINNED_BLAS)
         # One comparison of the whole map, and a failure names every file at once.
         written = {
             path.relative_to(tmp_path).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()

@@ -197,7 +197,7 @@ def _rows_trajectory(traj, path):
 def _rows_sandwich(report, path):
     with open(path, "w", newline="\n") as fh:
         fh.write("t,min_gap_low,min_gap_high\n")
-        for t, lo, hi in zip(report.times, report.min_gap_low, report.min_gap_high):
+        for t, lo, hi in zip(report.traj.times, report.min_gap_low, report.min_gap_high):
             fh.write(f"{t:.17g},{lo:.17g},{hi:.17g}\n")
 
 
@@ -246,7 +246,7 @@ def _writer_cases():
     rows_times = np.concatenate([times, -times, edges])
     report = SimpleNamespace(times=rows_times, lhs=lhs, rhs=rhs, estimate_id="l2", passed=False, margin=-1.0 / 3.0)
     decay = SimpleNamespace(times=rows_times, norm_lhs=lhs, norm_rhs=rhs)
-    sandwich = SimpleNamespace(times=rows_times, min_gap_low=lhs, min_gap_high=-rhs)
+    sandwich = SimpleNamespace(traj=SimpleNamespace(times=rows_times), min_gap_low=lhs, min_gap_high=-rhs)
     samples = np.triu(rng.standard_normal((grid.n_nodes, grid.n_nodes)))
     samples[0] = special
     row, col = np.triu_indices(grid.n_nodes, 1)

@@ -1,18 +1,12 @@
 """The package's LAPACK/BLAS routines are scipy's own objects, loaded without ``scipy.linalg``."""
 
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import pytest
 import scipy.linalg.blas
 import scipy.linalg.lapack
 
-import iss_parabolic
+from conftest import fresh_python
 from iss_parabolic import _lapack, backstepping, solver
 
-SRC = str(Path(iss_parabolic.__file__).resolve().parents[1])
 SAME_OBJECTS = (
     "import scipy.linalg.blas as blas, scipy.linalg.lapack as lapack\n"
     "from iss_parabolic import backstepping as b, solver as s\n"
@@ -20,20 +14,11 @@ SAME_OBJECTS = (
 )
 
 
-def _fresh_python(source: str) -> str:
-    """Standard output of ``source`` run in a new interpreter that imports the package from this checkout."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
-    out = subprocess.run(
-        [sys.executable, "-c", source], env=env, capture_output=True, text=True, check=True, timeout=120
-    )
-    return out.stdout.strip()
-
-
-def test_cli_start_up_leaves_scipy_linalg_unloaded():
-    # In-process, other test modules have imported scipy.linalg already; only a fresh process sees a regression.
-    unwanted = ("scipy.linalg", "scipy._lib._array_api")
-    probe = f"import iss_parabolic.cli, sys; print([m for m in {unwanted!r} if m in sys.modules])"
-    assert _fresh_python(probe) == "[]"
+def test_cli_start_up_leaves_heavy_scipy_modules_unloaded():
+    # In-process, other test modules have imported them already; only a fresh process sees a regression.
+    # Importing the CLI imports the package, so this covers a bare package import too.
+    unwanted = ("scipy.integrate", "scipy.linalg", "scipy._lib._array_api")
+    assert fresh_python("-c", f"import iss_parabolic.cli, sys; print([m for m in {unwanted!r} if m in sys.modules])") == "[]"
 
 
 def test_routines_are_scipys_own_objects():
@@ -45,7 +30,7 @@ def test_routines_are_scipys_own_objects():
 
 @pytest.mark.parametrize("first", ["scipy.linalg", "iss_parabolic"])
 def test_routines_are_scipys_own_objects_in_either_import_order(first):
-    assert _fresh_python(f"import {first}\n{SAME_OBJECTS}") == "True True True True"
+    assert fresh_python("-c", f"import {first}\n{SAME_OBJECTS}") == "True True True True"
 
 
 def test_missing_extension_raises_naming_it():

@@ -15,8 +15,6 @@ from iss_parabolic import (
     build_bracket,
     check_ordering,
     constant_reduction_experiment,
-    cutoff_hat,
-    find_cutoff_delta,
     norm_lp,
 )
 from iss_parabolic.monotone import write_sandwich_csv
@@ -59,24 +57,46 @@ class TestCheckOrdering:
 
 
 class TestBracket:
+    @pytest.mark.parametrize("amplitude, width", [(1.0, 0.25), (2.0, 0.125), (4.0, 0.0625)])
+    def test_bracket_is_the_formula_at_the_widest_dyadic_width(self, amplitude, width):
+        grid = Grid1D(n_interior=99, dt=1e-4, t_final=0.1)
+        nodes = grid.nodes
+        x = Field(amplitude * np.sin(np.pi * nodes), grid)
+        u_sup, epsilon = 1.0, 0.05
+        level = u_sup + epsilon
+        # The hat of width delta is positive exactly within delta of an end, so the widest dyadic
+        # width keeps every node with |x| > level at least delta from both ends.
+        exceeding = np.minimum(nodes, 1.0 - nodes)[np.abs(x.values) > level]
+        delta = 0.25
+        while exceeding.size and delta > exceeding.min():
+            delta *= 0.5
+        assert delta == width
+        k = np.maximum(0.0, 1.0 - nodes / delta) + np.maximum(0.0, 1.0 - (1.0 - nodes) / delta)
+        x_minus, x_plus, returned = build_bracket(x, u_sup, epsilon)
+        assert returned == level
+        assert np.array_equal(x_minus.values, (1.0 - k) * x.values - level * k)
+        assert np.array_equal(x_plus.values, (1.0 - k) * x.values + level * k)
+        assert np.all(x_minus.values <= x.values) and np.all(x.values <= x_plus.values)
+        assert x_minus.values[[0, -1]].tolist() == [-level, -level]
+        assert x_plus.values[[0, -1]].tolist() == [level, level]
+
     def test_zero_state_bracket_is_scaled_hat(self):
-        grid = Grid1D(n_interior=99, dt=1e-4, t_final=0.1)  # h = 0.01 resolves delta = 0.05
-        x = Field.zeros(grid)
-        bracket = build_bracket(x, u_sup=1.0, epsilon=0.1, delta=0.05)
-        hat = cutoff_hat(grid.nodes, 0.05)
-        assert np.allclose(bracket.x_minus.values, -1.1 * hat, atol=1e-15)
-        assert np.allclose(bracket.x_plus.values, 1.1 * hat, atol=1e-15)
-        assert norm_lp(bracket.x_minus, math.inf) == pytest.approx(1.1)
+        grid = Grid1D(n_interior=99, dt=1e-4, t_final=0.1)
+        x_minus, x_plus, level = build_bracket(Field.zeros(grid), u_sup=1.0, epsilon=0.1)
+        hat = np.maximum(0.0, 1.0 - grid.nodes / 0.25) + np.maximum(0.0, 1.0 - (1.0 - grid.nodes) / 0.25)
+        assert level == 1.0 + 0.1
+        assert np.array_equal(x_minus.values, -level * hat)
+        assert np.array_equal(x_plus.values, level * hat)
+        assert norm_lp(x_minus, math.inf) == pytest.approx(1.1)
 
     def test_constant_state_boundary_value_forced(self):
         grid = Grid1D(n_interior=49, dt=1e-4, t_final=0.1)
         x = Field(np.full(grid.n_nodes, 0.4), grid)
-        for delta in (0.25, 0.125, 0.0625):
-            bracket = build_bracket(x, u_sup=0.5, epsilon=0.2, delta=delta)
-            assert bracket.x_minus.values[0] == -(0.5 + 0.2)
-            assert bracket.x_plus.values[0] == +(0.5 + 0.2)
-            assert np.all(bracket.x_minus.values <= x.values + 1e-15)
-            assert np.all(x.values <= bracket.x_plus.values + 1e-15)
+        x_minus, x_plus, _ = build_bracket(x, u_sup=0.5, epsilon=0.2)
+        assert x_minus.values[[0, -1]].tolist() == [-(0.5 + 0.2)] * 2
+        assert x_plus.values[[0, -1]].tolist() == [+(0.5 + 0.2)] * 2
+        assert np.all(x_minus.values <= x.values + 1e-15)
+        assert np.all(x.values <= x_plus.values + 1e-15)
 
     @pytest.mark.parametrize("p", [1.0, 2.0, 4.0, math.inf])
     def test_norm_bounds_hold(self, p):
@@ -87,9 +107,9 @@ class TestBracket:
             x = Field(vals, grid)
             u_sup = float(np.abs(vals[[0, -1]]).max()) + 0.05
             eps = 0.1
-            bracket = build_bracket(x, u_sup, eps, find_cutoff_delta(x, u_sup, eps))
-            level = u_sup + eps
-            for side in (bracket.x_minus, bracket.x_plus):
+            x_minus, x_plus, level = build_bracket(x, u_sup, eps)
+            assert level == u_sup + eps
+            for side in (x_minus, x_plus):
                 assert norm_lp(side, p) <= norm_lp(x, p) + level + 1e-12
                 # envelope modulus xi(s) = (1 + mu(G)^(1/p)) s = 2 s on unit measure
                 assert norm_lp(side, p) <= 2.0 * (norm_lp(x, p) + u_sup + eps) + 1e-12
@@ -97,20 +117,15 @@ class TestBracket:
     def test_epsilon_shrink_tightens_input_bound(self):
         grid = Grid1D(n_interior=49, dt=1e-4, t_final=0.1)
         x = Field.zeros(grid)
-        sups = []
-        for eps in (0.4, 0.2, 0.1, 0.05):
-            bracket = build_bracket(x, u_sup=1.0, epsilon=eps, delta=0.125)
-            sups.append(abs(bracket.u_plus))
-        assert sups == sorted(sups, reverse=True)
-        assert sups[-1] == pytest.approx(1.05)
+        levels = [build_bracket(x, u_sup=1.0, epsilon=eps)[2] for eps in (0.4, 0.2, 0.1, 0.05)]
+        assert levels == sorted(levels, reverse=True)
+        assert levels[-1] == pytest.approx(1.05)
 
     def test_infeasible_layer_rejected(self):
         grid = Grid1D(n_interior=49, dt=1e-4, t_final=0.1)
         x = Field(np.full(grid.n_nodes, 3.0), grid)
-        with pytest.raises(BracketingError):
-            find_cutoff_delta(x, u_sup=0.5, epsilon=0.1)
-        with pytest.raises(BracketingError):
-            build_bracket(x, u_sup=0.5, epsilon=0.1, delta=0.25)
+        with pytest.raises(BracketingError, match="no admissible cutoff width"):
+            build_bracket(x, u_sup=0.5, epsilon=0.1)
 
     @pytest.mark.parametrize(
         "u_sup, epsilon",
@@ -120,23 +135,7 @@ class TestBracket:
         # refused before any scan, not reported as an infeasible layer
         x = Field.zeros(Grid1D(n_interior=49, dt=1e-4, t_final=0.1))
         with pytest.raises(InvalidParameterError, match="need finite u_sup >= 0 and epsilon > 0"):
-            find_cutoff_delta(x, u_sup, epsilon)
-        with pytest.raises(InvalidParameterError, match="need finite u_sup >= 0 and epsilon > 0"):
-            build_bracket(x, u_sup, epsilon, delta=0.25)
-
-    @pytest.mark.parametrize("delta", [0.0, -0.25, 0.6, math.nan])
-    def test_cutoff_width_outside_half_interval_rejected(self, delta):
-        nodes = Grid1D(n_interior=9, dt=1e-3, t_final=0.1).nodes
-        with pytest.raises(InvalidParameterError, match=r"cutoff width must lie in \(0, 1/2\], got "):
-            cutoff_hat(nodes, delta)
-
-    def test_delta_is_dyadic_and_maximal(self):
-        grid = Grid1D(n_interior=99, dt=1e-4, t_final=0.1)
-        # |x| <= 1.05 only within ~0.06 of the ends: delta = 1/4 infeasible, 1/16 fine
-        x = Field(4.0 * np.sin(np.pi * grid.nodes), grid)
-        delta = find_cutoff_delta(x, u_sup=1.0, epsilon=0.05)
-        assert delta in (0.25 / 2**k for k in range(10))
-        assert not np.all(np.abs(x.values[cutoff_hat(grid.nodes, 2 * delta) > 0]) <= 1.05)
+            build_bracket(x, u_sup, epsilon)
 
 
 class TestSandwich:
@@ -174,4 +173,4 @@ class TestSandwich:
         write_sandwich_csv(report, path)
         lines = path.read_text().splitlines()
         assert lines[0] == "t,min_gap_low,min_gap_high"
-        assert len(lines) == 1 + len(report.times)
+        assert len(lines) == 1 + len(report.traj.times)
