@@ -57,7 +57,10 @@ class TestCheckOrdering:
 
 
 class TestBracket:
-    @pytest.mark.parametrize("amplitude, width", [(1.0, 0.25), (2.0, 0.125), (4.0, 0.0625)])
+    # At h = 0.01 the scan's thinnest width is 1/128, the first dyadic width below h.
+    @pytest.mark.parametrize(
+        "amplitude, width", [(1.0, 0.25), (2.0, 0.125), (4.0, 0.0625), (8.0, 0.03125), (40.0, 0.0078125)]
+    )
     def test_bracket_is_the_formula_at_the_widest_dyadic_width(self, amplitude, width):
         grid = Grid1D(n_interior=99, dt=1e-4, t_final=0.1)
         nodes = grid.nodes
