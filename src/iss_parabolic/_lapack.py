@@ -3,9 +3,10 @@
 ``import scipy.linalg`` costs ~0.2 s at start-up (scipy's array-API layer,
 ``numpy.f2py``, ``numpy.testing``) to reach ``dpttrf``, ``dpttrs``,
 ``dtrtri`` and ``dtrmm``.  This module loads only the extension modules that
-define them, ``scipy.linalg._flapack`` and ``scipy.linalg._fblas``, under their
-own names, so the names below are the very objects ``scipy.linalg.lapack`` and
-``scipy.linalg.blas`` export, in either import order.
+define them, ``scipy.linalg._flapack`` and ``scipy.linalg._fblas``, and leaves
+``sys.modules`` without them, so a later ``import scipy.linalg`` loads and binds
+them itself.  Either way the names below are the very objects
+``scipy.linalg.lapack`` and ``scipy.linalg.blas`` export, in either import order.
 """
 
 import sys
@@ -26,8 +27,10 @@ def _extension(name: str):
     if spec is None:
         raise ImportError(f"scipy {scipy.__version__} ships no compiled {full}", name=full)
     module = module_from_spec(spec)
-    sys.modules[full] = module
     spec.loader.exec_module(module)
+    # Loading registers the module under its real name.  Left there, a later ``import scipy.linalg`` would find
+    # it and never bind ``scipy.linalg.<name>``; loaded again then, it carries this load's function objects.
+    sys.modules.pop(full, None)
     return module
 
 

@@ -8,9 +8,12 @@ The problem class is
 stepped with backward-Euler diffusion (tridiagonal elimination) and an
 explicit reaction term.  The implicit matrix I + (a dt / h^2) T is an
 M-matrix, so each step is order preserving provided the explicit reaction
-map w -> w + dt f(z, w, .) is monotone in w; the stepper's restriction
-dt * lipschitz_k < 1 guards that.  Order preservation is what turns the
-comparison principle into an executable oracle downstream.
+map w -> w + dt f(z, w, .) is monotone in w.  Order preservation is what
+turns the comparison principle into an executable oracle downstream.  The
+stepper enforces dt * lipschitz_k < 1 for the declared slope bound
+lipschitz_k and nothing more: it does not check the slope at the states a
+run reaches, nor a reaction that reads x_z, so an accepted input can leave
+the monotone regime with no error raised (ROADMAP item 1).
 
 ``simulate`` and the closed loop in ``backstepping`` both run the one
 stepping loop ``_march`` on a grid and an operator: one factorization per
@@ -160,7 +163,8 @@ def check_diffusion(a: float) -> None:
 
 
 def check_step_restriction(dt: float, lipschitz_k: float) -> None:
-    """Raise ``MonotonicityLossError`` unless dt * lipschitz_k < 1, which keeps the reaction update order preserving."""
+    """Raise ``MonotonicityLossError`` unless dt * lipschitz_k < 1, which keeps the reaction update order
+    preserving wherever the reaction's slope in the state lies within lipschitz_k; that slope is not checked."""
     if not dt * lipschitz_k < 1.0:  # NaN fails too
         raise MonotonicityLossError(f"time step dt={dt} violates dt * lipschitz_k < 1 (k={lipschitz_k}); "
                                     "refusing to step because order preservation would be lost")
@@ -204,6 +208,15 @@ def _march(
     is exact: each sweep of dpttrs forms b_i - e b_(i-+1), e = -r / d_i,
     d_i >= 1, and inf or NaN times any e, 0 included, is not finite, so a NaN
     or inf anywhere in the solve or the boundary values reaches that value.
+
+    The loop does only the step's arithmetic.  It zips four per-level tables
+    built once: the interior views of the history, the same views one level
+    ahead (each step's right-hand side and solution) and r left and r right
+    as Python floats; with ``left_row``, r left is r times the fed-back value,
+    formed in the step.  The ufuncs, ``dpttrs`` and ``math.isfinite`` are
+    bound to locals once per march, every call takes its arguments and
+    outputs by position (f2py and the ufuncs parse keywords on every call),
+    and the finiteness test reads ``rhs.item(0)``, a Python float.
     """
     dt, n_steps = grid.dt, grid.n_steps
     check_step_restriction(dt, lipschitz_k)
@@ -224,28 +237,30 @@ def _march(
     edge = np.full(n, -0.0)
     x_z, f_dt = np.empty((2, n))
     two_h = 2.0 * h
+    add, subtract, multiply, divide = np.add, np.subtract, np.multiply, np.divide
+    solve, isfinite = dpttrs, math.isfinite
+    steps = zip(range(n_steps), inner, inner[1:], r_left[1:], r_right[1:])
     with np.errstate(over="ignore", invalid="ignore"):  # the finiteness test below owns this verdict
-        for m in range(n_steps):
+        for m, level, rhs, r_lo, r_hi in steps:
             if left_table is not None:
                 value = left_table[m + 1] - float(left_row @ data[m])
                 data[m + 1, 0] = value
-                r_left[m + 1] = r * value
-            edge[0] = r_left[m + 1]
-            edge[-1] = r_right[m + 1]
-            rhs = inner[m + 1]
+                r_lo = r * value
+            edge[0] = r_lo
+            edge[-1] = r_hi
             if reaction is None:
-                np.add(inner[m], edge, out=rhs)
+                add(level, edge, rhs)
             else:
                 x = data[m]
-                np.subtract(x[2:], x[:-2], out=x_z)
-                x_z /= two_h
-                np.multiply(reaction(nodes, inner[m], x_z), dt, out=f_dt)
-                np.add(inner[m], f_dt, out=rhs)
-                rhs += edge
-            out, info = dpttrs(d, e, rhs, overwrite_b=1)
+                subtract(x[2:], x[:-2], x_z)
+                divide(x_z, two_h, x_z)
+                multiply(reaction(nodes, level, x_z), dt, f_dt)
+                add(level, f_dt, rhs)
+                add(rhs, edge, rhs)
+            out, info = solve(d, e, rhs, 1)  # 1: overwrite_b
             if out is not rhs:
                 rhs[:] = out
-            if info != 0 or not math.isfinite(rhs[0]):
+            if info != 0 or not isfinite(rhs.item(0)):
                 raise NumericalError(f"step {m + 1} of {n_steps} produced non-finite values")
     data.setflags(write=False)
     return data

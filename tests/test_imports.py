@@ -1,5 +1,6 @@
-"""Linter rules without a linter: every package module and test file uses each name it imports, and only
-``_lapack`` imports scipy."""
+"""Linter rules without a linter: every package module and test file uses each name it imports, only
+``_lapack`` imports scipy, and the stepping loop of ``solver._march`` passes no keyword and reads no attribute of
+``np`` or ``math``."""
 
 import ast
 from pathlib import Path
@@ -57,3 +58,39 @@ def test_finds_scipy_imports_at_any_depth():
 @pytest.mark.parametrize("path", sorted(p for p in PACKAGE.glob("*.py") if p.name != "_lapack.py"), ids=lambda p: p.name)
 def test_only_the_lapack_loader_imports_scipy(path):
     assert _scipy_imports(path.read_text()) == []
+
+
+def _per_step_lookups(source: str, function: str) -> list[str]:
+    """Keyword arguments (f2py and the ufuncs parse them on every call) and reads of ``np.`` or ``math.``
+    attributes inside the ``for`` statements of ``function``, as ``"<line>: <what>"``."""
+    tree = ast.parse(source)
+    (func,) = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef) and node.name == function]
+    loops = [node for node in ast.walk(func) if isinstance(node, ast.For)]
+    assert loops, f"{function} has no for statement"
+    found = set()
+    for node in (inner for loop in loops for inner in ast.walk(loop)):
+        if isinstance(node, ast.Call) and node.keywords:
+            found.add(f"{node.lineno}: keyword argument")
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in ("np", "math"):
+            found.add(f"{node.lineno}: {node.value.id}.{node.attr}")
+    return sorted(found)
+
+
+def test_finds_keywords_and_module_attributes_in_a_loop():
+    source = (
+        "def _march(x, f):\n"
+        "    add = np.add\n"
+        "    for m in range(3):\n"
+        "        np.add(x, x, out=x)\n"
+        "        f(x, **{'a': 1}) or math.isfinite(x.item(0))\n"
+        "        add(x, x, x)\n"
+        "def other(x):\n"
+        "    for m in range(3):\n"
+        "        np.add(x, x, out=x)\n"
+    )
+    assert _per_step_lookups(source, "_march") == ["4: keyword argument", "4: np.add", "5: keyword argument", "5: math.isfinite"]
+
+
+# At n = 63 a heat step is mostly interpreter work around one LAPACK call; the loop binds its callables once.
+def test_march_loop_passes_no_keywords_and_reads_no_module_attributes():
+    assert _per_step_lookups((PACKAGE / "solver.py").read_text(), "_march") == []

@@ -439,9 +439,9 @@ def test_march_keeps_a_solution_lapack_returns_in_a_new_array(case, monkeypatch)
     lapack_dpttrs = solver.dpttrs
     calls = []
 
-    def copying_dpttrs(d, e, b, **kwargs):
+    def copying_dpttrs(d, e, b, *args, **kwargs):
         calls.append(1)
-        return lapack_dpttrs(d, e, b.copy(), **kwargs)
+        return lapack_dpttrs(d, e, b.copy(), *args, **kwargs)
 
     monkeypatch.setattr(solver, "dpttrs", copying_dpttrs)
     actual, reference = case()
@@ -489,6 +489,46 @@ def test_non_finite_reaction_stops_at_its_step(bad):
     with pytest.raises(NumericalError, match=rf"^step {k} of {grid.n_steps} produced non-finite values$"):
         simulate(problem, grid)
     assert len(calls) == k
+
+
+def _linear_closed_form(grid, a, c, d0, d1, x0):
+    """Every level of the scheme for x_t = a x_zz + c x with constant Dirichlet data, interior nodes only,
+    from the eigenvectors of tridiag(-1, 2, -1): x^m = x* + S^T diag(rho^m) S (x0 - x*)."""
+    h, n, dt = grid.h, grid.n_interior, grid.dt
+    j = np.arange(1, n + 1)
+    sines = math.sqrt(2.0 * h) * np.sin(np.pi * np.outer(j, j) * h)  # S_jk = sqrt(2h) sin(j pi z_k), orthonormal
+    lam = 4.0 * a / h**2 * np.sin(j * np.pi * h / 2.0) ** 2
+    rho = (1.0 + dt * c) / (1.0 + dt * lam)
+    operator = a / h**2 * (2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)) - c * np.eye(n)
+    edge = np.zeros(n)
+    edge[0], edge[-1] = a / h**2 * d0, a / h**2 * d1
+    steady = np.linalg.solve(operator, edge)
+    modes = sines @ (x0[1:-1] - steady)
+    powers = rho ** np.arange(grid.n_steps + 1)[:, None]
+    return steady + (powers * modes) @ sines
+
+
+@pytest.mark.parametrize(
+    "n, c, d0, d1, steps, dt",
+    [(31, 0.0, 0.0, 0.0, 100, 1e-2), (63, 0.0, 0.3, 0.7, 1500, 2e-4), (99, 0.0, 1.0, 0.0, 1500, 2e-4),
+     (99, 5.0, 0.4, -0.2, 1500, 2e-4), (199, 9.0, 0.5, 0.0, 5000, 1e-4)],
+)
+def test_linear_march_matches_its_closed_form(n, c, d0, d1, steps, dt):
+    # An oracle that shares no code with the stepper: no solve in time and no loop.  c = 0 runs the heat path.
+    grid = Grid1D(n_interior=n, dt=dt, t_final=steps * dt)
+    a, z = 1.0, grid.nodes
+    amplitudes = np.random.default_rng(n).standard_normal(8) / np.arange(1, 9)
+    x0 = np.sin(np.pi * np.outer(z, np.arange(1, 9))) @ amplitudes + d0 * (1.0 - z) + d1 * z
+    reaction = None if c == 0.0 else (lambda z, w, grad: c * w)
+    problem = SemilinearProblem(
+        a=a, initial=Field(x0, grid), boundary_left=BoundarySignal.constant(d0),
+        boundary_right=BoundarySignal.constant(d1), reaction=reaction, lipschitz_k=c,
+    )
+    data = simulate(problem, grid).data
+    expected = _linear_closed_form(grid, a, c, d0, d1, x0)
+    r = a * grid.dt / grid.h**2
+    peak = np.max(np.abs(data))
+    assert np.max(np.abs(data[:, 1:-1] - expected)) <= steps * (1.0 + 4.0 * r) * np.finfo(float).eps * peak
 
 
 class TestControlSystemAxioms:
