@@ -41,11 +41,19 @@ every result keeps the bits of the whole-array computation.
 
 Each kernel carries its upper-triangular quadrature operator M
 (``VolterraKernel.matrix``, row-wise trapezoid weights times the samples),
-built once; every image (I + M) y is one BLAS ``dtrmm`` on the triangle
-(``_image``).  The inverse transform y = x + int_z^1 l(z, s) x(t, s) ds is
-the exact inverse of the direct operator, one LAPACK ``dtrtri``, so a round
-trip reproduces fields to rounding; its samples agree with the continuous
-inverse kernel (the series with lam -> -lam) up to quadrature order.
+built once; an image (I + M) y of a batch of fields is one BLAS ``dtrmm``
+on the triangle (``_image``).  A closed loop's image is a history as large
+as the plant's, so it is formed only when read, one ``dtrmm`` per aligned
+block of n_nodes time levels (``ClosedLoopRun``): a block as large as the
+operator it applies, so each call reads the triangle once for as many
+levels as it has rows, and the commutation residual holds one block and
+two carried levels, never the whole image.  ``dtrmm`` may round a level
+differently in a batch of another size, so the history and the residual
+use the same blocks and agree bit for bit.  The inverse transform
+y = x + int_z^1 l(z, s) x(t, s) ds is the exact inverse of the direct
+operator, one LAPACK ``dtrtri``, so a round trip reproduces fields to
+rounding; its samples agree with the continuous inverse kernel (the series
+with lam -> -lam) up to quadrature order.
 Both routines come from scipy's compiled ``_fblas`` and ``_flapack``,
 loaded by ``_lapack`` without ``scipy.linalg``.
 """
@@ -64,7 +72,7 @@ from .comparison import ExpLinearKL, LinearGain
 from .errors import IncompatibleDataError, InvalidParameterError, NumericalError, SynthesisError
 from .grid import BLOCK_BYTES, Field, Grid1D, Trajectory, _frozen, format_floats, write_csv
 from .norms import check_exponent, lp_norms
-from .solver import COMPATIBILITY_TOL, BoundarySignal, _march, check_diffusion, pde_residual_sup
+from .solver import COMPATIBILITY_TOL, BoundarySignal, _march, _residual_sup, check_diffusion
 
 KERNEL_ITERATION_TOL = 1e-10
 # The stop rule's floor in units of eps max |F| on the swept staircase: a large kernel's change stalls at its rounding.
@@ -321,9 +329,13 @@ def solve_inverse_kernel(direct: VolterraKernel) -> VolterraKernel:
     return VolterraKernel(samples=samples, lam=-direct.lam, direction="inverse", grid=direct.grid)
 
 
-def _image(matrix: np.ndarray, fields: np.ndarray) -> np.ndarray:
-    """(I + M) y per row y of ``fields``, M upper triangular: one in-place ``dtrmm`` on Fortran views, no f2py copy."""
-    x = np.array(fields, dtype=float, order="C")
+def _image(matrix: np.ndarray, fields: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """(I + M) y per row y of ``fields``, M upper triangular: one in-place ``dtrmm`` on Fortran views, no f2py copy.
+
+    The image goes into ``out``, C-contiguous and of the shape of ``fields``, or a new array.
+    """
+    x = np.empty(np.shape(fields)) if out is None else out
+    x[...] = fields
     dtrmm(1.0, matrix.T, x.reshape(-1, x.shape[-1]).T, lower=1, trans_a=1, overwrite_b=1)
     return np.add(x, fields, out=x)
 
@@ -368,17 +380,36 @@ def compatible_initial_state(kernel: VolterraKernel, base: Field, d0: float = 0.
 
 @dataclass(frozen=True)
 class ClosedLoopRun:
-    """Closed-loop plant trajectory with its transformed (target) image.
+    """Closed-loop plant trajectory; its transformed (target) image on demand.
 
     ``a`` is the diffusion coefficient of plant and target; ``disturbance``
     records the actuator error d(t_k); the applied control u(t_k) is
-    ``y_traj.boundary_left``.  Neither trajectory carries a problem.
+    ``y_traj.boundary_left``; ``kernel`` is the feedback kernel.  The image
+    x = (I + K) y is formed only when read, one ``_image`` per aligned
+    block of ``n_nodes`` time levels, the operator's size
+    (``_image_blocks``).  Neither trajectory carries a problem.
     """
 
     a: float
     y_traj: Trajectory
-    x_traj: Trajectory
     disturbance: np.ndarray
+    kernel: VolterraKernel
+
+    def _image_blocks(self, first: int = 0):
+        """(r0, r1) for each aligned block of ``n_nodes`` levels, from the one holding level ``first``."""
+        n, levels = self.kernel.grid.n_nodes, len(self.y_traj)
+        for r0 in range(first // n * n, levels, n):
+            yield r0, min(r0 + n, levels)
+
+    @cached_property
+    def x_traj(self) -> Trajectory:
+        """The transformed history, the blocks' images stacked; built once, on first read."""
+        y = self.y_traj
+        data = np.empty_like(y.data)
+        for r0, r1 in self._image_blocks():
+            _image(self.kernel.matrix, y.data[r0:r1], data[r0:r1])
+        data.setflags(write=False)
+        return Trajectory(grid=y.grid, times=y.times, data=data)
 
 
 def simulate_closed_loop(
@@ -394,7 +425,8 @@ def simulate_closed_loop(
     The boundary value applied at each new time level is computed from the
     current state (feedback explicit, diffusion implicit, matching the IMEX
     split), so the transformed trajectory satisfies x(t, 0) = d(t) up to an
-    O(dt) lag.  The transformed image is recorded alongside the plant state.
+    O(dt) lag.  Only the plant history is recorded; the run forms the
+    transformed image when ``x_traj`` or the commutation residual reads it.
     ``kernel`` is the plant's kernel from ``solve_kernel``, its ``lam`` exactly
     ``kernel_ratio(a, k_reaction)``.  The stepper refuses dt |k_reaction| >= 1
     with ``MonotonicityLossError``.
@@ -417,11 +449,7 @@ def simulate_closed_loop(
         d_values, np.zeros_like(d_values), left_row=kernel.matrix[0],
     )
     y_traj = Trajectory(grid=grid, times=times, data=data)
-
-    x_data = _image(kernel.matrix, data)
-    x_data.setflags(write=False)
-    x_traj = Trajectory(grid=grid, times=times, data=x_data)
-    return ClosedLoopRun(a=a, y_traj=y_traj, x_traj=x_traj, disturbance=d_values)
+    return ClosedLoopRun(a=a, y_traj=y_traj, disturbance=d_values, kernel=kernel)
 
 
 def transform_commutation_residual(run: ClosedLoopRun) -> float:
@@ -432,13 +460,35 @@ def transform_commutation_residual(run: ClosedLoopRun) -> float:
     the L-stable stepper damps; the residual is therefore measured after
     ``BURN_FRACTION`` of the horizon.  It decreases at the scheme's order
     (dt + h^2) under refinement, validating the kernel against the dynamics
-    with no reference to any kernel formula.  It is a running max over
-    blocks of time levels (``pde_residual_sup``), bit-identical to the max
-    of the whole residual field.
+    with no reference to any kernel formula.
+
+    The image is formed block by block (``ClosedLoopRun._image_blocks``),
+    from the block that holds the burn-in start, into one buffer that
+    carries the previous block's last two levels ahead of each block, so
+    every central difference in time sees its neighbours and no more than
+    a block and two levels of the image is held.  Each block's residual is
+    a running max (``solver._residual_sup``) with dt and h taken from the
+    first levels and nodes past burn-in, so the result is, bit for bit,
+    ``pde_residual_sup`` over ``x_traj`` past burn-in.  A run of fewer than
+    three time levels raises ``InvalidParameterError``.
     """
-    x = run.x_traj
-    start = min(int(BURN_FRACTION * (len(x) - 1)), len(x) - 3)
-    return pde_residual_sup(x.data[start:], x.times[start:], x.grid.nodes, run.a)
+    y = run.y_traj
+    if len(y) < 3:
+        raise InvalidParameterError(f"the commutation residual needs at least three time levels for a central "
+                                    f"difference in time; the run has {len(y)}")
+    start = min(int(BURN_FRACTION * (len(y) - 1)), len(y) - 3)
+    dt = y.times[start + 1] - y.times[start]
+    h = y.grid.nodes[1] - y.grid.nodes[0]
+    # window[2 + i] is level r0 + i of the block; window[:2] holds the two levels before r0.
+    window = np.empty((y.grid.n_nodes + 2, y.grid.n_nodes))
+    peaks = []
+    for r0, r1 in run._image_blocks(start):
+        _image(run.kernel.matrix, y.data[r0:r1], window[2 : 2 + r1 - r0])
+        levels = window[max(0, start - r0 + 2) : 2 + r1 - r0]  # none before burn-in
+        if len(levels) >= 3:
+            peaks.append(_residual_sup(levels, dt, h, run.a))
+        window[:2] = window[r1 - r0 : r1 - r0 + 2]
+    return float(np.max(peaks))
 
 
 def _schur_bound(kernel: VolterraKernel, p: float) -> float:

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from itertools import repeat
 from typing import Callable, Optional
 
 import numpy as np
@@ -193,7 +194,7 @@ def _march(
     history's end columns before the first step.  The one feedback row is
     at z = 0: with ``left_row`` the left value of level m + 1 is
     ``left[m + 1] - float(left_row @ x)``, x the whole level m, computed as
-    step m begins.
+    step m begins and written into the history then, never before.
 
     The reaction gets the interior nodes, the interior of level m (a view of
     the history) and its gradient, the central difference with the known
@@ -212,11 +213,12 @@ def _march(
     The loop does only the step's arithmetic.  It zips four per-level tables
     built once: the interior views of the history, the same views one level
     ahead (each step's right-hand side and solution) and r left and r right
-    as Python floats; with ``left_row``, r left is r times the fed-back value,
-    formed in the step.  The ufuncs, ``dpttrs`` and ``math.isfinite`` are
-    bound to locals once per march, every call takes its arguments and
-    outputs by position (f2py and the ufuncs parse keywords on every call),
-    and the finiteness test reads ``rhs.item(0)``, a Python float.
+    as Python floats; with ``left_row`` there is no r left table: r left is
+    r times the fed-back value, formed in the step.  The ufuncs, ``dpttrs``
+    and ``math.isfinite`` are bound to locals once per march, every call
+    takes its arguments and outputs by position (f2py and the ufuncs parse
+    keywords on every call), and the finiteness test reads ``rhs.item(0)``,
+    a Python float.
     """
     dt, n_steps = grid.dt, grid.n_steps
     check_step_restriction(dt, lipschitz_k)
@@ -228,18 +230,20 @@ def _march(
     nodes = grid.nodes[1:-1]
     data = np.empty((n_steps + 1, grid.n_nodes))
     data[0] = x0
-    data[1:, 0] = left[1:]
     data[1:, -1] = right[1:]
-    r_left = (r * data[:, 0]).tolist()
-    r_right = (r * data[:, -1]).tolist()
-    left_table = None if left_row is None else left.tolist()
+    r_right = (r * data[1:, -1]).tolist()
+    if left_row is None:
+        data[1:, 0] = left[1:]
+        r_left, left_table = (r * data[1:, 0]).tolist(), None
+    else:  # each left value, and r times it, is formed in its step
+        r_left, left_table = repeat(None), left.tolist()
     inner = list(data[:, 1:-1])
     edge = np.full(n, -0.0)
     x_z, f_dt = np.empty((2, n))
     two_h = 2.0 * h
     add, subtract, multiply, divide = np.add, np.subtract, np.multiply, np.divide
     solve, isfinite = dpttrs, math.isfinite
-    steps = zip(range(n_steps), inner, inner[1:], r_left[1:], r_right[1:])
+    steps = zip(range(n_steps), inner, inner[1:], r_left, r_right)
     with np.errstate(over="ignore", invalid="ignore"):  # the finiteness test below owns this verdict
         for m, level, rhs, r_lo, r_hi in steps:
             if left_table is not None:
@@ -287,8 +291,11 @@ def pde_residual_sup(data: np.ndarray, times: np.ndarray, nodes: np.ndarray, a: 
     roundings of the whole-array formula and a max is exact in any order, so
     the result does not depend on the blocking.
     """
-    dt = times[1] - times[0]
-    h = nodes[1] - nodes[0]
+    return _residual_sup(data, times[1] - times[0], nodes[1] - nodes[0], a)
+
+
+def _residual_sup(data: np.ndarray, dt: float, h: float, a: float) -> float:
+    """``pde_residual_sup`` with the steps given: max |x_t - a x_zz| over the interior of ``data``."""
     n = data.shape[0] - 2
     rows = _block_rows(data[0].nbytes, n)
     x_t, x_zz = np.empty((2, rows, data.shape[1] - 2))

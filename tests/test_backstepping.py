@@ -42,6 +42,7 @@ from iss_parabolic.backstepping import (
     KERNEL_ITERATION_TOL,
     KERNEL_ITERATION_ULPS,
     VolterraKernel,
+    _image,
     _random_smooth_fields,
     _row_trapezoid_weights,
     _schur_bound,
@@ -52,6 +53,7 @@ from iss_parabolic.backstepping import (
 )
 from iss_parabolic.grid import BLOCK_BYTES
 from iss_parabolic.norms import lp_norms
+from iss_parabolic.solver import pde_residual_sup
 
 PI2 = math.pi**2
 
@@ -441,6 +443,37 @@ class TestClosedLoop:
         x_zz = (data[1:-1, :-2] - 2.0 * data[1:-1, 1:-1] + data[1:-1, 2:]) / h**2
         assert transform_commutation_residual(run) == float(np.abs(x_t[:, 1:-1] - a * x_zz).max())
 
+    # Blocks of 17 levels: the burn-in start is the second to last level of its block at t_final 0.3 (too few
+    # levels there for a residual), the last at 0.32, the first at 0.34 and the second at 0.36; 0.002 gives the
+    # fewest levels the residual takes, three.
+    @pytest.mark.parametrize("t_final", [0.002, 0.3, 0.32, 0.34, 0.36])
+    def test_commutation_residual_is_pde_residual_of_the_image_past_burn_in(self, t_final):
+        grid = Grid1D(n_interior=15, dt=1e-3, t_final=t_final)
+        kernel = solve_kernel(0.5, 5.0, grid)
+        y0 = compatible_initial_state(kernel, Field(np.sin(np.pi * grid.nodes), grid))
+        run = simulate_closed_loop(0.5, 5.0, y0, BoundarySignal.zero(), grid, kernel=kernel)
+        x = run.x_traj
+        start = min(int(BURN_FRACTION * (len(x) - 1)), len(x) - 3)
+        assert transform_commutation_residual(run) == pde_residual_sup(x.data[start:], x.times[start:], grid.nodes, 0.5)
+
+    def test_commutation_residual_refuses_fewer_than_three_levels(self):
+        grid = Grid1D(n_interior=15, dt=1e-3, t_final=1e-3)
+        kernel = solve_kernel(1.0, 10.0, grid)
+        run = simulate_closed_loop(1.0, 10.0, Field.zeros(grid), BoundarySignal.zero(), grid, kernel=kernel)
+        with pytest.raises(InvalidParameterError, match="three time levels"):
+            transform_commutation_residual(run)
+
+    def test_image_is_built_once_from_aligned_operator_blocks(self, kernel_grid, kernel10):
+        times = kernel_grid.times()
+        d = BoundarySignal.sampled(times, 0.3 * np.sin(4.0 * times))
+        y0 = compatible_initial_state(kernel10, Field(np.sin(np.pi * kernel_grid.nodes), kernel_grid), float(d(0.0)))
+        run = simulate_closed_loop(1.0, 10.0, y0, d, kernel_grid, kernel=kernel10)
+        assert run.x_traj is run.x_traj
+        data, n = run.y_traj.data, kernel_grid.n_nodes
+        assert len(data) % n != 0  # the last block is partial
+        blocks = [_image(kernel10.matrix, data[r0 : r0 + n]) for r0 in range(0, len(data), n)]
+        assert run.x_traj.data.tobytes() == np.concatenate(blocks).tobytes()
+
     @pytest.mark.parametrize("k_reaction", [5.0, 15.0, 25.0])
     def test_disturbance_free_loop_decays_at_target_rate(self, k_reaction):
         grid = Grid1D(n_interior=99, dt=2e-4, t_final=0.5)
@@ -455,9 +488,9 @@ class TestClosedLoop:
         assert fitted == pytest.approx(PI2, rel=0.05)
 
 
-# The inverse is one dtrtri on the transpose of I + U, the loop image one dtrmm on the history's transpose:
-# pinned bit for bit to fresh calls, and within the rounding bound n u |.| of the dense expressions they
-# replaced (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., sections 3.5 and 14.2).
+# The inverse is one dtrtri on the transpose of I + U, the loop image one dtrmm per block of n levels on the
+# block's transpose: pinned bit for bit to fresh calls, and within the rounding bound n u |.| of the dense
+# expressions they replaced (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., sections 3.5 and 14.2).
 @pytest.mark.parametrize("n_interior", [99, 200])
 def test_inverse_samples_and_closed_loop_image_match_lapack_calls_bitwise(n_interior):
     grid = Grid1D(n_interior=n_interior, dt=1e-4, t_final=0.05)
@@ -479,7 +512,8 @@ def test_inverse_samples_and_closed_loop_image_match_lapack_calls_bitwise(n_inte
     y0 = compatible_initial_state(kernel, Field(np.sin(np.pi * grid.nodes), grid), d0=-0.2)
     run = simulate_closed_loop(1.0, 12.0, y0, d, grid, kernel=kernel)
     data = run.y_traj.data
-    image = dtrmm(1.0, kernel.matrix.T, data.T, lower=1, trans_a=1).T + data
+    blocks = [data[r0 : r0 + n] for r0 in range(0, len(data), n)]
+    image = np.concatenate([dtrmm(1.0, kernel.matrix.T, block.T, lower=1, trans_a=1).T + block for block in blocks])
     assert run.x_traj.data.tobytes() == image.tobytes()
     dense = data + data @ kernel.matrix.T
     bound = n * eps * (np.abs(data) @ np.abs(kernel.matrix).T) + eps * np.abs(dense)
@@ -501,6 +535,19 @@ def test_closed_loop_peaks_at_its_two_histories(traced_kernel):
     y0 = compatible_initial_state(traced_kernel, Field(np.sin(np.pi * grid.nodes), grid))
     run, peak = _traced_peak(lambda: simulate_closed_loop(1.0, 10.0, y0, BoundarySignal.zero(), grid, traced_kernel))
     assert peak <= 2.1 * run.y_traj.data.nbytes
+
+
+def test_closed_loop_residual_peaks_below_one_history_and_three_operators(traced_kernel):
+    # The image is formed an n x n block at a time, never as a second history (the whole image breaks the bound).
+    grid = traced_kernel.grid
+    y0 = compatible_initial_state(traced_kernel, Field(np.sin(np.pi * grid.nodes), grid))
+
+    def loop_and_residual():
+        run = simulate_closed_loop(1.0, 10.0, y0, BoundarySignal.zero(), grid, traced_kernel)
+        return run, transform_commutation_residual(run)
+
+    (run, _), peak = _traced_peak(loop_and_residual)
+    assert peak <= run.y_traj.data.nbytes + 3 * traced_kernel.matrix.nbytes
 
 
 def test_kernel_synthesis_peaks_at_three_rectangles_and_its_samples():
