@@ -72,7 +72,7 @@ from .comparison import ExpLinearKL, LinearGain
 from .errors import IncompatibleDataError, InvalidParameterError, NumericalError, SynthesisError
 from .grid import BLOCK_BYTES, Field, Grid1D, Trajectory, _frozen, format_floats, write_csv
 from .norms import check_exponent, lp_norms
-from .solver import COMPATIBILITY_TOL, BoundarySignal, _march, _residual_sup, check_diffusion
+from .solver import COMPATIBILITY_TOL, BoundarySignal, _march, check_diffusion, pde_residual_sup
 
 KERNEL_ITERATION_TOL = 1e-10
 # The stop rule's floor in units of eps max |F| on the swept staircase: a large kernel's change stalls at its rounding.
@@ -467,18 +467,15 @@ def transform_commutation_residual(run: ClosedLoopRun) -> float:
     carries the previous block's last two levels ahead of each block, so
     every central difference in time sees its neighbours and no more than
     a block and two levels of the image is held.  Each block's residual is
-    a running max (``solver._residual_sup``) with dt and h taken from the
-    first levels and nodes past burn-in, so the result is, bit for bit,
-    ``pde_residual_sup`` over ``x_traj`` past burn-in.  A run of fewer than
-    three time levels raises ``InvalidParameterError``.
+    ``pde_residual_sup`` on the grid's own dt and h, so the result is, bit
+    for bit, ``pde_residual_sup`` over ``x_traj`` past burn-in.  A run of
+    fewer than three time levels raises ``InvalidParameterError``.
     """
     y = run.y_traj
     if len(y) < 3:
         raise InvalidParameterError(f"the commutation residual needs at least three time levels for a central "
                                     f"difference in time; the run has {len(y)}")
     start = min(int(BURN_FRACTION * (len(y) - 1)), len(y) - 3)
-    dt = y.times[start + 1] - y.times[start]
-    h = y.grid.nodes[1] - y.grid.nodes[0]
     # window[2 + i] is level r0 + i of the block; window[:2] holds the two levels before r0.
     window = np.empty((y.grid.n_nodes + 2, y.grid.n_nodes))
     peaks = []
@@ -486,7 +483,7 @@ def transform_commutation_residual(run: ClosedLoopRun) -> float:
         _image(run.kernel.matrix, y.data[r0:r1], window[2 : 2 + r1 - r0])
         levels = window[max(0, start - r0 + 2) : 2 + r1 - r0]  # none before burn-in
         if len(levels) >= 3:
-            peaks.append(_residual_sup(levels, dt, h, run.a))
+            peaks.append(pde_residual_sup(levels, y.grid.dt, y.grid.h, run.a))
         window[:2] = window[r1 - r0 : r1 - r0 + 2]
     return float(np.max(peaks))
 

@@ -198,8 +198,9 @@ def _run_backstepping(scn: Scenario, rng: np.random.Generator) -> _Outcome:
     base = make_initial(scn.initial, grid, rng, 0.0, 0.0)
     y0 = bs.compatible_initial_state(kernel, base, float(d_signal(0.0)))
     run = bs.simulate_closed_loop(scn.a, scn.k_reaction, y0, d_signal, grid, kernel=kernel)
+    # The image is formed when it is written, so the auxiliary runs below never hold it.
     files = {"trajectory.csv": (write_trajectory_csv, run.y_traj),
-             "x_trajectory.csv": (write_trajectory_csv, run.x_traj)}
+             "x_trajectory.csv": (lambda run, path: write_trajectory_csv(run.x_traj, path), run)}
 
     if d_signal.sup_norm == 0.0:
         times = run.y_traj.times

@@ -282,20 +282,16 @@ def simulate(problem: SemilinearProblem, grid: Grid1D) -> Trajectory:
     return Trajectory(grid=grid, times=times, data=data, problem=problem)
 
 
-def pde_residual_sup(data: np.ndarray, times: np.ndarray, nodes: np.ndarray, a: float) -> float:
-    """max |x_t - a x_zz| over interior nodes and interior times.
+def pde_residual_sup(data: np.ndarray, dt: float, h: float, a: float) -> float:
+    """max |x_t - a x_zz| over interior nodes and interior times of ``data``.
 
-    Central differences in both variables, with dt and h taken once from the
-    first two times and nodes.  The residual is formed a block of time levels
-    at a time in buffers of about ``grid.BLOCK_BYTES``; each entry gets the
-    roundings of the whole-array formula and a max is exact in any order, so
-    the result does not depend on the blocking.
+    Central differences in both variables on the given steps dt and h, so a
+    caller passes the grid's own ``grid.dt`` and ``grid.h``.  The residual is
+    formed a block of time levels at a time in buffers of about
+    ``grid.BLOCK_BYTES``; each entry gets the roundings of the whole-array
+    formula and a max is exact in any order, so the result is, bit for bit,
+    the whole-array formula's.
     """
-    return _residual_sup(data, times[1] - times[0], nodes[1] - nodes[0], a)
-
-
-def _residual_sup(data: np.ndarray, dt: float, h: float, a: float) -> float:
-    """``pde_residual_sup`` with the steps given: max |x_t - a x_zz| over the interior of ``data``."""
     n = data.shape[0] - 2
     rows = _block_rows(data[0].nbytes, n)
     x_t, x_zz = np.empty((2, rows, data.shape[1] - 2))

@@ -435,10 +435,8 @@ class TestClosedLoop:
         run = simulate_closed_loop(a, k_reaction, y0, BoundarySignal.zero(), kernel_grid, kernel=kernel)
         x = run.x_traj
         start = int(BURN_FRACTION * (len(x) - 1))
-        data, times, nodes = x.data[start:], x.times[start:], kernel_grid.nodes
+        data, dt, h = x.data[start:], kernel_grid.dt, kernel_grid.h
         assert len(data) - 2 > 3 * (BLOCK_BYTES // data[0].nbytes)  # several row blocks, the last partial
-        dt = times[1] - times[0]
-        h = nodes[1] - nodes[0]
         x_t = (data[2:] - data[:-2]) / (2.0 * dt)
         x_zz = (data[1:-1, :-2] - 2.0 * data[1:-1, 1:-1] + data[1:-1, 2:]) / h**2
         assert transform_commutation_residual(run) == float(np.abs(x_t[:, 1:-1] - a * x_zz).max())
@@ -454,7 +452,7 @@ class TestClosedLoop:
         run = simulate_closed_loop(0.5, 5.0, y0, BoundarySignal.zero(), grid, kernel=kernel)
         x = run.x_traj
         start = min(int(BURN_FRACTION * (len(x) - 1)), len(x) - 3)
-        assert transform_commutation_residual(run) == pde_residual_sup(x.data[start:], x.times[start:], grid.nodes, 0.5)
+        assert transform_commutation_residual(run) == pde_residual_sup(x.data[start:], grid.dt, grid.h, 0.5)
 
     def test_commutation_residual_refuses_fewer_than_three_levels(self):
         grid = Grid1D(n_interior=15, dt=1e-3, t_final=1e-3)

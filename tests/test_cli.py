@@ -3,6 +3,7 @@ import hashlib
 import math
 import re
 import sys
+import tracemalloc
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -655,6 +656,20 @@ class TestRunCommand:
         scn = _write(tmp_path / "const_d.scn", CONSTANT_DISTURBANCE_LOOP)
         assert main(["run", str(scn), "--out", str(tmp_path / "out"), "--no-plots"]) == 0
         assert capsys.readouterr().out.splitlines()[1].startswith("const_d,backstepping_loop,true,")
+
+    def test_closed_loop_image_is_not_held_through_the_auxiliary_runs(self, tmp_path):
+        # Plant history, two auxiliary runs and the writer's buffers peak at 3.5 histories; an image read before
+        # the auxiliary runs would be held through them, a fourth.
+        scn = parse_scenario(SUITES / "core" / "backstep_disturbed.scn")
+        run_scenario(scn, tmp_path, no_plots=True)  # warm: one-time allocations are not the run's
+        tracemalloc.start()
+        try:
+            result = run_scenario(scn, tmp_path, no_plots=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.passed
+        assert peak < 4 * len(scn.grid.times()) * scn.grid.n_nodes * 8
 
     def test_raising_kind_prints_minus_inf_and_writes_no_trajectory(self, tmp_path, capsys):
         scn = _write(tmp_path / "blow_up.scn", RAISING_RUN)

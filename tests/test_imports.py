@@ -1,6 +1,6 @@
 """Linter rules without a linter: every package module and test file uses each name it imports, only
-``_lapack`` imports scipy, and the stepping loop of ``solver._march`` passes no keyword and reads no attribute of
-``np`` or ``math``."""
+``_lapack`` imports scipy, the stepping loop of ``solver._march`` passes no keyword and reads no attribute of
+``np`` or ``math``, and no public function or class is there for the unit tests alone."""
 
 import ast
 from pathlib import Path
@@ -9,6 +9,7 @@ import pytest
 
 TESTS = Path(__file__).resolve().parent
 PACKAGE = TESTS.parent / "src" / "iss_parabolic"
+PERFBENCH = TESTS.parent / "perfbench"
 
 
 def _unused_imports(source: str) -> list[str]:
@@ -94,3 +95,38 @@ def test_finds_keywords_and_module_attributes_in_a_loop():
 # At n = 63 a heat step is mostly interpreter work around one LAPACK call; the loop binds its callables once.
 def test_march_loop_passes_no_keywords_and_reads_no_module_attributes():
     assert _per_step_lookups((PACKAGE / "solver.py").read_text(), "_march") == []
+
+
+def _test_only_names(package: list[str], users: list[str]) -> set[str]:
+    """Public module-level functions and classes defined in the sources ``package`` whose name no source in
+    ``users`` reads as a name or an attribute."""
+    defined = {node.name for source in package for node in ast.parse(source).body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")}
+    used = set()
+    for node in (node for source in users for node in ast.walk(ast.parse(source))):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+    return defined - used
+
+
+def test_finds_public_definitions_no_user_names():
+    package = ["def f():\n    return g\ndef g(): pass\nclass C: pass\ndef tested(): pass\ndef _p(): pass\n"]
+    users = package + ['"""Calls ``tested``."""\nimport m\nm.C()\nSPANS = {"f": "f"}\n']
+    assert _test_only_names(package, users) == {"f", "tested"}
+
+
+# Public names no package module, benchmark script or acceptance test reads, each kept for a reason.
+TEST_ONLY = {
+    "apply_transform": "perfbench/tracing.py SPANS wraps it by name (ROADMAP items 11 and 12)",
+    "norm_weighted_sup": "perfbench/tracing.py SPANS wraps it by name (ROADMAP items 11 and 12)",
+    "combine_bounds": "the paper's constant-input reduction, awaiting its executable check (ROADMAP item 6)",
+}
+
+
+def test_public_names_the_unit_tests_alone_read_are_the_listed_ones():
+    package = sorted(PACKAGE.glob("*.py"))
+    users = [p for p in package if p.name != "__init__.py"] + sorted(PERFBENCH.glob("*.py"))
+    users.append(TESTS / "test_acceptance.py")
+    assert _test_only_names([p.read_text() for p in package], [p.read_text() for p in users]) == set(TEST_ONLY)

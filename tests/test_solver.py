@@ -22,6 +22,8 @@ from iss_parabolic import (
     write_trajectory_csv,
 )
 from iss_parabolic import solver
+from iss_parabolic._lapack import dpttrf
+from iss_parabolic.norms import lp_norms, weighted_sin_norms
 from iss_parabolic.solver import pde_residual_sup
 from conftest import eigenfield, heat_problem
 
@@ -531,6 +533,33 @@ def test_linear_march_matches_its_closed_form(n, c, d0, d1, steps, dt):
     assert np.max(np.abs(data[:, 1:-1] - expected)) <= steps * (1.0 + 4.0 * r) * np.finfo(float).eps * peak
 
 
+@pytest.mark.parametrize("n", [15, 99, 199])
+def test_factorization_refuses_reactions_at_the_discrete_threshold(n):
+    # (a/h^2) T - c I is positive definite iff c < lam_h = (4a/h^2) sin^2(pi h/2), the smallest eigenvalue of
+    # (a/h^2) T; lam_h lies below the continuous threshold a pi^2, so the factorization refuses between them.
+    a, h = 1.0, 1.0 / (n + 1)
+    lam_h = 4.0 * a / h**2 * math.sin(math.pi * h / 2.0) ** 2
+    verdicts = [dpttrf(np.full(n, 2.0 * a / h**2 - c), np.full(n - 1, -a / h**2))[2]
+                for c in (lam_h * (1.0 - 1e-3), lam_h * (1.0 + 1e-3), (lam_h + a * PI2) / 2.0)]
+    assert verdicts == [0, n, n]
+
+
+@pytest.mark.parametrize("n", [15, 31, 99, 199])
+def test_steady_states_attain_the_proved_gains(n):
+    # x = 1 is the steady state for d0 = d1 = 1; its weighted-L1 norm h cot(pi h/2) is twice the per-boundary
+    # gain.  The ramp 1 - z is the steady state for d0 = 1, d1 = 0; its trapezoid L2 norm is sqrt(1/3 + h^2/6).
+    grid = Grid1D(n_interior=n, dt=2e-4, t_final=200 * 2e-4)
+    h, z = grid.h, grid.nodes
+    assert weighted_sin_norms(np.ones(n + 2), h) == pytest.approx(h / math.tan(math.pi * h / 2.0), rel=1e-15)
+    assert lp_norms(1.0 - z, h, 2.0) == pytest.approx(math.sqrt(1.0 / 3.0 + h**2 / 6.0), rel=1e-15)
+    for steady, d0, d1 in ((np.ones(n + 2), 1.0, 1.0), (1.0 - z, 1.0, 0.0)):
+        problem = SemilinearProblem(
+            a=1.0, initial=Field(steady, grid), boundary_left=BoundarySignal.constant(d0),
+            boundary_right=BoundarySignal.constant(d1),
+        )
+        assert np.max(np.abs(simulate(problem, grid).data - steady)) <= 1e-14
+
+
 class TestControlSystemAxioms:
     def _disturbed_problem(self, grid, seed):
         rng = np.random.default_rng(seed)
@@ -605,7 +634,7 @@ class TestComparisonPrinciple:
 class TestResidual:
     def test_zero_trajectory(self, grid_small):
         traj = simulate(heat_problem(grid_small, lambda z: np.zeros_like(z)), grid_small)
-        assert pde_residual_sup(traj.data, traj.times, grid_small.nodes, 1.0) == 0.0
+        assert pde_residual_sup(traj.data, grid_small.dt, grid_small.h, 1.0) == 0.0
 
     def test_exact_solution_residual_small(self):
         # residual of the injected analytic eigen-solution is quadrature-level
@@ -613,14 +642,14 @@ class TestResidual:
         times = grid.times()
         data = np.exp(-PI2 * times)[:, None] * np.sin(np.pi * grid.nodes)[None, :]
         # truncation error of central differences on the smooth solution
-        assert pde_residual_sup(data, times, grid.nodes, 1.0) < PI2**2 * (grid.h**2 + grid.dt)
+        assert pde_residual_sup(data, grid.dt, grid.h, 1.0) < PI2**2 * (grid.h**2 + grid.dt)
 
     def test_refinement_drops_residual(self):
         values = []
         for n, dt in ((49, 4e-4), (99, 1e-4)):
             grid = Grid1D(n_interior=n, dt=dt, t_final=0.05)
             traj = simulate(heat_problem(grid, lambda z: np.sin(np.pi * z)), grid)
-            values.append(pde_residual_sup(traj.data, traj.times, grid.nodes, 1.0))
+            values.append(pde_residual_sup(traj.data, grid.dt, grid.h, 1.0))
         assert values[0] / values[1] >= 1.8
 
 
