@@ -565,7 +565,7 @@ def certify_closed_loop(
     if disturbance.shape != y_traj.times.shape:
         raise InvalidParameterError("disturbance samples must align with the trajectory times")
     return evaluate_bound(
-        "closed_loop_lp", y_traj.times, lp_norms(y_traj.data, y_traj.grid.h, iss.p),
+        "closed_loop_lp", y_traj.times, y_traj.lp_norms(iss.p),
         ExpLinearKL(constants.k2 / constants.k1 * iss.m, iss.sigma), LinearGain(constants.k2 * iss.gamma),
         np.maximum.accumulate(np.abs(disturbance)), tol,
     )

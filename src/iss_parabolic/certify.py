@@ -38,7 +38,7 @@ import numpy as np
 from .comparison import ExpLinearKL, LinearGain
 from .errors import EstimationError, InapplicableEstimateError, InvalidParameterError
 from .grid import Grid1D, Trajectory, write_csv
-from .norms import lp_norms, sup_weight, weighted_sin_norms, weighted_sup_norms
+from .norms import sup_weight, weighted_sin_norms, weighted_sup_norms
 from .solver import BoundarySignal, SemilinearProblem, simulate
 
 DEFAULT_REL_TOL = 0.02
@@ -132,7 +132,7 @@ def check_l2(traj: Trajectory, tol: float = DEFAULT_REL_TOL) -> ISSReport:
         return np.sqrt(decay / (2.0 - decay)) * r
 
     return evaluate_bound(
-        "l2", traj.times, lp_norms(traj.data, traj.grid.h, 2.0), transient,
+        "l2", traj.times, traj.lp_norms(2.0), transient,
         LinearGain(1.0 / math.sqrt(3.0)), sum(_running_sups(traj)), tol,
     )
 
@@ -210,7 +210,7 @@ def lyapunov_decay_certificate(problem: SemilinearProblem, grid: Grid1D, p: floa
     _check_tolerance(tol)
     lyapunov_preconditions(problem.is_heat, problem.boundary_left, problem.boundary_right)
     traj = simulate(problem, grid)
-    norms = lp_norms(traj.data, grid.h, p)
+    norms = traj.lp_norms(p)
     v = norms**p
     dv = np.gradient(v, grid.dt)
 
@@ -275,7 +275,7 @@ def estimate_exp_iss_constants(scenarios: Sequence[Trajectory], p: float) -> Exp
     """
     if not scenarios:
         raise EstimationError("no scenarios provided")
-    histories = [lp_norms(traj.data, traj.grid.h, p) for traj in scenarios]
+    histories = [traj.lp_norms(p) for traj in scenarios]
     zero_input, zero_state = [], []
     for traj, norms in zip(scenarios, histories):
         d_sup = max(np.abs(traj.boundary_left).max(), np.abs(traj.boundary_right).max())
@@ -311,7 +311,7 @@ def estimate_exp_iss_constants(scenarios: Sequence[Trajectory], p: float) -> Exp
 def check_fitted_lp(traj: Trajectory, constants: ExpIssConstants, tol: float = 1e-9) -> ISSReport:
     """Evaluate the fitted exponential L^p estimate on one trajectory."""
     return evaluate_bound(
-        "lp_fitted", traj.times, lp_norms(traj.data, traj.grid.h, constants.p),
+        "lp_fitted", traj.times, traj.lp_norms(constants.p),
         ExpLinearKL(constants.m, constants.sigma), LinearGain(constants.gamma), sum(_running_sups(traj)), tol,
     )
 

@@ -142,23 +142,32 @@ class Trajectory:
     ``boundary_left`` / ``boundary_right``.  ``problem`` optionally records
     the problem that produced the trajectory so stability checks can recover
     the diffusion coefficient and reaction term.
+
+    A trajectory is immutable.  It owns its L^p norm histories:
+    ``lp_norms(p)`` computes the one for p on its first read and keeps it,
+    read-only, in a private cache.  Filling the cache is idempotent: every
+    later read, and a racing first read in another thread, returns the
+    history stored first.
     """
 
     grid: Grid1D
     times: np.ndarray
     data: np.ndarray
     problem: object = field(default=None, repr=False)
+    _lp_norms: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         times = _frozen(self.times)
         data = _frozen(self.data)
+        # NaN fails every comparison, and a finite last time bounds the rest
+        if not (times.ndim == 1 and times.size and times[0] == 0.0 and (np.diff(times) > 0.0).all()
+                and math.isfinite(times[-1])):
+            raise InvalidParameterError("times must be finite and increase strictly from 0")
         if data.ndim != 2 or data.shape != (times.shape[0], self.grid.n_nodes):
             raise InvalidFieldError(
                 f"trajectory data shape {data.shape} does not match "
                 f"{times.shape[0]} times x {self.grid.n_nodes} nodes"
             )
-        if times[0] != 0.0 or np.any(np.diff(times) <= 0.0):
-            raise InvalidParameterError("times must increase strictly from 0")
         # NaN propagates through max and min and an infinity reaches one of them; neither needs a temporary
         if not (math.isfinite(data.max()) and math.isfinite(data.min())):
             raise InvalidFieldError("trajectory contains non-finite entries")
@@ -177,6 +186,17 @@ class Trajectory:
     def boundary_right(self) -> np.ndarray:
         """Dirichlet values applied at z = 1, one per recorded time."""
         return self.data[:, -1]
+
+    def lp_norms(self, p: float) -> np.ndarray:
+        """The L^p norm of every recorded state (``norms.lp_norms``), read-only, computed once per p."""
+        history = self._lp_norms.get(p)
+        if history is None:
+            from .norms import lp_norms  # norms builds on this module
+
+            history = lp_norms(self.data, self.grid.h, p)
+            history.setflags(write=False)
+            history = self._lp_norms.setdefault(p, history)
+        return history
 
     def state(self, k: int) -> Field:
         return Field(self.data[k], self.grid)

@@ -25,7 +25,6 @@ from . import certify
 from .errors import IssParabolicError, ScenarioError
 from .grid import Field, write_csv
 from .monotone import DEFAULT_ORDERING_TOL, constant_reduction_experiment, write_sandwich_csv
-from .norms import lp_norms
 from .scenarios import (
     ZERO,
     Scenario,
@@ -95,7 +94,7 @@ def _estimate_outcome(report: certify.ISSReport, files: dict, ylabel: str) -> _O
 
 def _run_simulate(scn: Scenario, rng: np.random.Generator) -> _Outcome:
     traj = simulate(build_problem(scn, rng), scn.grid)
-    norms = lp_norms(traj.data, scn.grid.h, scn.p)
+    norms = traj.lp_norms(scn.p)
     if scn.decay_rate is not None:
         passed, margin, rhs = _rate_check(scn, traj.times, norms, scn.decay_rate, certify.DEFAULT_REL_TOL)
         curves = {"norm": norms, "target": rhs}
@@ -184,7 +183,7 @@ def _run_backstepping(scn: Scenario, rng: np.random.Generator) -> _Outcome:
     if scn.mode == "open":
         plant = replace(scn, reaction=("linear", (scn.k_reaction,)), initial=("sin_pi", ()), d0=ZERO, d1=ZERO)
         traj = simulate(build_problem(plant, rng), grid)
-        norms = lp_norms(traj.data, grid.h, scn.p)
+        norms = traj.lp_norms(scn.p)
         growth = float(norms.max() / norms[0])
         threshold = np.full_like(norms, norms[0] * GROWTH_MIN)
         files = {"trajectory.csv": (write_trajectory_csv, traj),
@@ -204,7 +203,7 @@ def _run_backstepping(scn: Scenario, rng: np.random.Generator) -> _Outcome:
 
     if d_signal.sup_norm == 0.0:
         times = run.y_traj.times
-        norms = lp_norms(run.y_traj.data, grid.h, scn.p)
+        norms = run.y_traj.lp_norms(scn.p)
         passed, margin, rhs = _rate_check(scn, times, norms, scn.a * math.pi**2, 0.05, 0.2 * grid.t_final)
         files["report.csv"] = (certify.write_margin_csv, (times, norms, rhs))
         return _Outcome(passed, margin, files, times, {"closed_loop": norms, "target_rate": rhs}, "norm")

@@ -210,15 +210,22 @@ def _march(
     d_i >= 1, and inf or NaN times any e, 0 included, is not finite, so a NaN
     or inf anywhere in the solve or the boundary values reaches that value.
 
-    The loop does only the step's arithmetic.  It zips four per-level tables
+    The loop does only the step's arithmetic; only a feedback step indexes
+    the history, and no step slices it.  It zips four per-level tables
     built once: the interior views of the history, the same views one level
     ahead (each step's right-hand side and solution) and r left and r right
     as Python floats; with ``left_row`` there is no r left table: r left is
-    r times the fed-back value, formed in the step.  The ufuncs, ``dpttrs``
-    and ``math.isfinite`` are bound to locals once per march, every call
-    takes its arguments and outputs by position (f2py and the ufuncs parse
-    keywords on every call), and the finiteness test reads ``rhs.item(0)``,
-    a Python float.
+    r times the fed-back value, formed in the step.  With a reaction it also
+    zips two row iterators over ``data[:-1, 2:]`` and ``data[:-1, :-2]``,
+    each level's right and left neighbours of the interior nodes, the
+    operands of the gradient; they make one row view a step and are never
+    listed.  dt and 2h are 0-d arrays, so no ufunc call turns a Python
+    float into an array: the same double, so the same bits for a reaction
+    that returns doubles (a float32 result is scaled by dt in double
+    precision).  The ufuncs, ``dpttrs`` and ``math.isfinite`` are bound to
+    locals once per march, every call takes its arguments and outputs by
+    position (f2py and the ufuncs parse keywords on every call), and the
+    finiteness test reads ``rhs.item(0)``, a Python float.
     """
     dt, n_steps = grid.dt, grid.n_steps
     check_step_restriction(dt, lipschitz_k)
@@ -238,14 +245,18 @@ def _march(
     else:  # each left value, and r times it, is formed in its step
         r_left, left_table = repeat(None), left.tolist()
     inner = list(data[:, 1:-1])
+    if reaction is None:
+        ahead = behind = repeat(None)
+    else:  # iterated, never listed: a list of views costs memory
+        ahead, behind = iter(data[:-1, 2:]), iter(data[:-1, :-2])
     edge = np.full(n, -0.0)
     x_z, f_dt = np.empty((2, n))
-    two_h = 2.0 * h
+    dt, two_h = np.array(dt), np.array(2.0 * h)  # 0-d: a ufunc converts a Python float on every call
     add, subtract, multiply, divide = np.add, np.subtract, np.multiply, np.divide
     solve, isfinite = dpttrs, math.isfinite
-    steps = zip(range(n_steps), inner, inner[1:], r_left, r_right)
+    steps = zip(range(n_steps), inner, inner[1:], r_left, r_right, ahead, behind)
     with np.errstate(over="ignore", invalid="ignore"):  # the finiteness test below owns this verdict
-        for m, level, rhs, r_lo, r_hi in steps:
+        for m, level, rhs, r_lo, r_hi, x_ahead, x_behind in steps:
             if left_table is not None:
                 value = left_table[m + 1] - float(left_row @ data[m])
                 data[m + 1, 0] = value
@@ -255,8 +266,7 @@ def _march(
             if reaction is None:
                 add(level, edge, rhs)
             else:
-                x = data[m]
-                subtract(x[2:], x[:-2], x_z)
+                subtract(x_ahead, x_behind, x_z)
                 divide(x_z, two_h, x_z)
                 multiply(reaction(nodes, level, x_z), dt, f_dt)
                 add(level, f_dt, rhs)

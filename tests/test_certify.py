@@ -30,7 +30,9 @@ from iss_parabolic import (
     solve_inverse_kernel,
     solve_kernel,
 )
+from iss_parabolic import norms
 from iss_parabolic.certify import fit_decay_rate, write_report_csv, write_summary_csv
+from iss_parabolic.norms import lp_norms
 from conftest import heat_problem
 
 PI2 = math.pi**2
@@ -329,6 +331,35 @@ class TestFittedConstants:
             estimate_exp_iss_constants(decay_only, p=2.0)
         with pytest.raises(EstimationError):
             estimate_exp_iss_constants([], p=2.0)
+
+
+def test_each_trajectory_computes_each_norm_history_once(monkeypatch):
+    # check_l2, the fit and the fitted check read one history per (trajectory, p), computed on the first read
+    runs = [_decay_run(), _forced_run(), _disturbed_run(_FIT_GRID)]
+    calls = []
+
+    def counted(data, h, p):
+        calls.append((id(data), p))
+        return lp_norms(data, h, p)
+
+    monkeypatch.setattr(norms, "lp_norms", counted)
+    for traj in runs:
+        check_l2(traj)
+    constants = estimate_exp_iss_constants(runs, 2.0)
+    for traj in runs:
+        check_fitted_lp(traj, constants)
+    assert sorted(calls) == sorted((id(traj.data), 2.0) for traj in runs)
+
+    traj = runs[2]
+    history = traj.lp_norms(2.0)
+    assert history.tobytes() == lp_norms(traj.data, _FIT_GRID.h, 2.0).tobytes()
+    assert check_l2(traj).lhs is history
+    with pytest.raises(ValueError):
+        history[0] = 0.0
+    quartic = traj.lp_norms(4.0)
+    assert quartic is not history and quartic.tobytes() == lp_norms(traj.data, _FIT_GRID.h, 4.0).tobytes()
+    assert traj.lp_norms(4.0) is quartic and traj.lp_norms(2.0) is history
+    assert len(calls) == len(runs) + 1
 
 
 def _wobble(grid):

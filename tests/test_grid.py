@@ -115,6 +115,18 @@ class TestTrajectory:
             self._make(grid, data, times=np.array([1e-3, 2e-3, 3e-3]))
 
     @pytest.mark.parametrize(
+        "times", [[], [0.0, math.nan, 0.2], [0.0, 0.1, math.inf], [0.0, 0.1, math.nan], [[0.0, 0.1, 0.2]]],
+        ids=["empty", "nan_inside", "inf_last", "nan_last", "two_dimensional"],
+    )
+    def test_times_must_be_finite(self, times):
+        # an empty array raised IndexError from times[0]; diff(times) <= 0 is false for NaN and for a step to inf
+        grid = Grid1D(n_interior=9, dt=1e-3, t_final=0.1)
+        times = np.array(times)
+        data = np.zeros((times.shape[-1], grid.n_nodes))
+        with pytest.raises(InvalidParameterError, match="^times must be finite and increase strictly from 0$"):
+            self._make(grid, data, times=times)
+
+    @pytest.mark.parametrize(
         "data,wording",
         [(np.zeros((3, 10)), "trajectory data shape (3, 10) does not match 3 times x 11 nodes"),
          (np.zeros(11), "trajectory data shape (11,) does not match 11 times x 11 nodes"),

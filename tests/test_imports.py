@@ -1,6 +1,6 @@
 """Linter rules without a linter: every package module and test file uses each name it imports, only
-``_lapack`` imports scipy, the stepping loop of ``solver._march`` passes no keyword and reads no attribute of
-``np`` or ``math``, and no public function or class is there for the unit tests alone."""
+``_lapack`` imports scipy, the stepping loop of ``solver._march`` passes no keyword, reads no attribute of
+``np`` or ``math`` and reads no slice, and no public function or class is there for the unit tests alone."""
 
 import ast
 from pathlib import Path
@@ -62,8 +62,9 @@ def test_only_the_lapack_loader_imports_scipy(path):
 
 
 def _per_step_lookups(source: str, function: str) -> list[str]:
-    """Keyword arguments (f2py and the ufuncs parse them on every call) and reads of ``np.`` or ``math.``
-    attributes inside the ``for`` statements of ``function``, as ``"<line>: <what>"``."""
+    """Keyword arguments (f2py and the ufuncs parse them on every call), reads of ``np.`` or ``math.``
+    attributes and slice reads (each builds a view) inside the ``for`` statements of ``function``, as
+    ``"<line>: <what>"``.  A slice store such as ``rhs[:] = out`` builds no view and is allowed."""
     tree = ast.parse(source)
     (func,) = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef) and node.name == function]
     loops = [node for node in ast.walk(func) if isinstance(node, ast.For)]
@@ -74,7 +75,13 @@ def _per_step_lookups(source: str, function: str) -> list[str]:
             found.add(f"{node.lineno}: keyword argument")
         elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in ("np", "math"):
             found.add(f"{node.lineno}: {node.value.id}.{node.attr}")
+        elif isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Load) and _has_slice(node.slice):
+            found.add(f"{node.lineno}: slice read")
     return sorted(found)
+
+
+def _has_slice(index: ast.expr) -> bool:
+    return isinstance(index, ast.Slice) or (isinstance(index, ast.Tuple) and any(map(_has_slice, index.elts)))
 
 
 def test_finds_keywords_and_module_attributes_in_a_loop():
@@ -92,7 +99,22 @@ def test_finds_keywords_and_module_attributes_in_a_loop():
     assert _per_step_lookups(source, "_march") == ["4: keyword argument", "4: np.add", "5: keyword argument", "5: math.isfinite"]
 
 
-# At n = 63 a heat step is mostly interpreter work around one LAPACK call; the loop binds its callables once.
+def test_finds_slice_reads_in_a_loop_but_not_slice_stores():
+    source = (
+        "def _march(data, x, rhs, out):\n"
+        "    ahead = data[:-1, 2:]\n"
+        "    for m in range(3):\n"
+        "        x = data[m]\n"
+        "        f(x[2:], x[:-2])\n"
+        "        g(data[m, 1:-1])\n"
+        "        rhs[:] = out\n"
+        "        data[m + 1, 0] = x[0]\n"
+    )
+    assert _per_step_lookups(source, "_march") == ["5: slice read", "6: slice read"]
+
+
+# At n = 63 a heat step is mostly interpreter work around one LAPACK call; the loop binds its callables once
+# and zips the row views it reads.
 def test_march_loop_passes_no_keywords_and_reads_no_module_attributes():
     assert _per_step_lookups((PACKAGE / "solver.py").read_text(), "_march") == []
 

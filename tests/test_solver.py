@@ -560,6 +560,33 @@ def test_steady_states_attain_the_proved_gains(n):
         assert np.max(np.abs(simulate(problem, grid).data - steady)) <= 1e-14
 
 
+@pytest.mark.parametrize("c", [0.0, 5.0, 9.0], ids=["heat", "linear5", "linear9"])
+@pytest.mark.parametrize("n", [15, 31, 99])
+def test_first_mode_attains_the_proved_step_factor(n, c):
+    # Sampled sin(pi z) is the first eigenvector of tridiag(-1, 2, -1), so with zero data each step multiplies
+    # it by rho = (1 + dt c) / (1 + dt lam_h): q at c = 0, rho(c) under linear(c).  Level m must equal
+    # rho^m x0 within m (1 + 4r) u max|x| (u = machine epsilon, the allowance of the closed-form test above),
+    # and no longer does with rho shrunk by 1 - 1e-9.
+    grid = Grid1D(n_interior=n, dt=2e-4, t_final=1500 * 2e-4)
+    a, h, dt = 1.0, grid.h, grid.dt
+    x0 = np.sin(np.pi * grid.nodes)
+    problem = SemilinearProblem(
+        a=a, initial=Field(x0, grid), boundary_left=BoundarySignal.zero(), boundary_right=BoundarySignal.zero(),
+        reaction=None if c == 0.0 else (lambda z, w, grad: c * w), lipschitz_k=c,
+    )
+    data = simulate(problem, grid).data[:, 1:-1]
+    lam_h = 4.0 * a / h**2 * math.sin(math.pi * h / 2.0) ** 2
+    rho = (1.0 + dt * c) / (1.0 + dt * lam_h)
+    m = np.arange(grid.n_steps + 1)[:, None]
+    allowance = m * (1.0 + 4.0 * a * dt / h**2) * np.finfo(float).eps * np.max(np.abs(data))
+
+    def attained(factor):
+        return bool(np.all(np.abs(data - factor**m * x0[1:-1]) <= allowance))
+
+    assert attained(rho)
+    assert not attained(rho * (1.0 - 1e-9))
+
+
 class TestControlSystemAxioms:
     def _disturbed_problem(self, grid, seed):
         rng = np.random.default_rng(seed)
