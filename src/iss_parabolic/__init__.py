@@ -66,7 +66,7 @@ from .solver import (
     BoundarySignal,
     SemilinearProblem,
     simulate,
-    write_trajectory_csv,
+    write_trajectory,
 )
 
 __version__ = "0.1.0"

@@ -70,7 +70,7 @@ from ._lapack import dtrmm, dtrtri
 from .certify import ExpIssConstants, ISSReport, evaluate_bound
 from .comparison import ExpLinearKL, LinearGain
 from .errors import IncompatibleDataError, InvalidParameterError, NumericalError, SynthesisError
-from .grid import BLOCK_BYTES, Field, Grid1D, Trajectory, _frozen, format_floats, write_csv
+from .grid import BLOCK_BYTES, Field, Grid1D, Trajectory, _frozen, write_csv
 from .norms import check_exponent, lp_norms
 from .solver import COMPATIBILITY_TOL, BoundarySignal, _march, check_diffusion, pde_residual_sup
 
@@ -573,7 +573,7 @@ def certify_closed_loop(
 
 def write_kernel_csv(kernel: VolterraKernel, path) -> None:
     """Export kernel samples over the triangle: z,s,k_value, row by row."""
-    nodes = format_floats(kernel.grid.nodes)
+    nodes = np.array(["%.17g" % z for z in kernel.grid.nodes.tolist()])  # each node's text, formatted once
     upper = np.triu(np.ones(kernel.samples.shape, dtype=bool))
 
     def bands():  # a block per 16 rows of the triangle: few blocks, each small

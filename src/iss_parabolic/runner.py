@@ -2,8 +2,9 @@
 
 A kind is ``(scenario, rng) -> _Outcome`` and writes nothing: the outcome
 declares every artifact as ``files = {file name: (writer, what it writes)}``
-(``trajectory.csv``, ``x_trajectory.csv`` for the closed loop, ``report.csv``,
-``summary.csv`` for estimate checks, ``kernel.csv``).  ``run_scenario``
+(``trajectory.npy``, ``x_trajectory.npy`` for the closed loop, both saved
+by ``solver.write_trajectory``; ``report.csv``, ``summary.csv`` for
+estimate checks, ``kernel.csv``).  ``run_scenario``
 writes each as ``writer(obj, <out_root>/<name>/<file name>)`` and, unless
 plots are disabled, one ``plot.svg`` whose y axis follows ``logy``.  A kind
 that raises writes no artifact.  A scenario passes iff every check it
@@ -34,7 +35,7 @@ from .scenarios import (
     make_signal,
     parse_scenario,
 )
-from .solver import BoundarySignal, SemilinearProblem, simulate, write_trajectory_csv
+from .solver import BoundarySignal, SemilinearProblem, simulate, write_trajectory
 from .svgplot import write_line_plot
 
 EXIT_PASS = 0
@@ -101,7 +102,7 @@ def _run_simulate(scn: Scenario, rng: np.random.Generator) -> _Outcome:
     else:
         passed, margin, rhs = True, math.inf, norms
         curves = {"norm": norms}
-    files = {"trajectory.csv": (write_trajectory_csv, traj),
+    files = {"trajectory.npy": (write_trajectory, traj),
              "report.csv": (certify.write_margin_csv, (traj.times, norms, rhs))}
     return _Outcome(passed, margin, files, traj.times, curves, f"L{scn.p:g} norm")
 
@@ -109,7 +110,7 @@ def _run_simulate(scn: Scenario, rng: np.random.Generator) -> _Outcome:
 def _run_sandwich(scn: Scenario, rng: np.random.Generator) -> _Outcome:
     problem = build_problem(scn, rng)
     report = constant_reduction_experiment(problem, scn.grid, scn.epsilon, _tol(scn, DEFAULT_ORDERING_TOL))
-    files = {"trajectory.csv": (write_trajectory_csv, report.traj), "report.csv": (write_sandwich_csv, report)}
+    files = {"trajectory.npy": (write_trajectory, report.traj), "report.csv": (write_sandwich_csv, report)}
     margin = float(min(report.min_gap_low.min(), report.min_gap_high.min()))
     curves = {"gap_low": report.min_gap_low, "gap_high": report.min_gap_high}
     return _Outcome(report.passed, margin, files, report.traj.times, curves, "envelope gap")
@@ -124,13 +125,13 @@ def _run_iss_check(scn: Scenario, rng: np.random.Generator) -> _Outcome:
         report = certify.check_l2(traj, rel_tol)
     else:
         report = certify.check_weighted_sup(traj, scn.sigma, scn.theta, rel_tol)
-    return _estimate_outcome(report, {"trajectory.csv": (write_trajectory_csv, traj)}, scn.estimate)
+    return _estimate_outcome(report, {"trajectory.npy": (write_trajectory, traj)}, scn.estimate)
 
 
 def _run_lyapunov(scn: Scenario, rng: np.random.Generator) -> _Outcome:
     problem = build_problem(scn, rng)
     report = certify.lyapunov_decay_certificate(problem, scn.grid, scn.p, _tol(scn, certify.DEFAULT_REL_TOL))
-    files = {"trajectory.csv": (write_trajectory_csv, report.traj), "report.csv": (certify.write_decay_csv, report)}
+    files = {"trajectory.npy": (write_trajectory, report.traj), "report.csv": (certify.write_decay_csv, report)}
     return _Outcome(
         report.passed, min(report.margin_v_rel, report.margin_norm_rel), files,
         report.times, {"lhs": report.norm_lhs, "rhs": report.norm_rhs}, f"L{scn.p:g} norm",
@@ -186,7 +187,7 @@ def _run_backstepping(scn: Scenario, rng: np.random.Generator) -> _Outcome:
         norms = traj.lp_norms(scn.p)
         growth = float(norms.max() / norms[0])
         threshold = np.full_like(norms, norms[0] * GROWTH_MIN)
-        files = {"trajectory.csv": (write_trajectory_csv, traj),
+        files = {"trajectory.npy": (write_trajectory, traj),
                  "report.csv": (certify.write_margin_csv, (traj.times, norms, threshold))}
         curves = {"norm": norms, "growth_cut": threshold}
         margin = growth / GROWTH_MIN - 1.0
@@ -198,8 +199,8 @@ def _run_backstepping(scn: Scenario, rng: np.random.Generator) -> _Outcome:
     y0 = bs.compatible_initial_state(kernel, base, float(d_signal(0.0)))
     run = bs.simulate_closed_loop(scn.a, scn.k_reaction, y0, d_signal, grid, kernel=kernel)
     # The image is formed when it is written, so the auxiliary runs below never hold it.
-    files = {"trajectory.csv": (write_trajectory_csv, run.y_traj),
-             "x_trajectory.csv": (lambda run, path: write_trajectory_csv(run.x_traj, path), run)}
+    files = {"trajectory.npy": (write_trajectory, run.y_traj),
+             "x_trajectory.npy": (lambda run, path: write_trajectory(run.x_traj, path), run)}
 
     if d_signal.sup_norm == 0.0:
         times = run.y_traj.times

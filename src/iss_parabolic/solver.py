@@ -42,7 +42,7 @@ from .errors import (
     MonotonicityLossError,
     NumericalError,
 )
-from .grid import Field, Grid1D, Trajectory, _block_rows, format_floats, write_csv
+from .grid import Field, Grid1D, Trajectory, _block_rows
 
 # Vectorized reaction term f(z, w, w_z) evaluated at interior nodes.
 Reaction = Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
@@ -322,7 +322,14 @@ def pde_residual_sup(data: np.ndarray, dt: float, h: float, a: float) -> float:
     return float(np.max(peaks))
 
 
-def write_trajectory_csv(traj: Trajectory, path) -> None:
-    """Export as CSV with header t,z,value, row-major by time."""
-    times = format_floats(traj.times)[:, None]
-    write_csv(path, "t,z,value", [(times, format_floats(traj.grid.nodes), traj.data)])
+def write_trajectory(traj: Trajectory, path) -> None:
+    """Save the state history at exactly ``path`` (no suffix is added) as
+    one ``.npy`` array: ``traj.data``, float64 in C order, a row per time of
+    ``traj.times`` and a column per node of ``traj.grid.nodes``.
+    ``np.load(path)`` returns it bit for bit.
+    """
+    with open(path, "wb") as fh:
+        np.save(fh, np.ascontiguousarray(traj.data))
+
+
+write_trajectory_csv = write_trajectory  # the name perfbench/tracing.py wraps

@@ -105,9 +105,9 @@ SMALL_PROBLEMS = {
 # Traced writer span -> the (scenario kind, artifact) files it must write.
 TRACED_ARTIFACTS = {
     "solver.write_csv": [
-        ("simulate", "trajectory.csv"), ("sandwich", "trajectory.csv"), ("iss_check", "trajectory.csv"),
-        ("lyapunov", "trajectory.csv"),
-        ("backstepping_loop", "trajectory.csv"), ("backstepping_loop", "x_trajectory.csv"),
+        ("simulate", "trajectory.npy"), ("sandwich", "trajectory.npy"), ("iss_check", "trajectory.npy"),
+        ("lyapunov", "trajectory.npy"),
+        ("backstepping_loop", "trajectory.npy"), ("backstepping_loop", "x_trajectory.npy"),
     ],
     "monotone.write_csv": [("sandwich", "report.csv")],
     "certify.write_csv": [

@@ -113,22 +113,22 @@ d1 = constant(100.0)
 CORE_SEED7_DIGESTS = {
     "backstep_closed": {
         "report.csv": "3519b79b6be9c51c0503683323fcaebca1e0f31fd255615eba49ecac13e7d323",
-        "trajectory.csv": "0ba7fa46a8dbe1be160ec779fe2aa8788f4e6eb877f1e4ef2d944a679c78ce90",
-        "x_trajectory.csv": "d7bdda87b1639d45ffd35ece848a62364ae4ca715e318585173f182da1007014",
+        "trajectory.npy": "7cc75ebefcbe74f6e6c0b6c39105b47caecb187c1cc83074723fb435bb25ea56",
+        "x_trajectory.npy": "7d56445a85bccdf33983329edc016b013c9152605bfb1a50824eb57c82d9279b",
     },
     "backstep_disturbed": {
         "report.csv": "4c7b0a979b4d821ecbbc4adde04ae29ff7c7934a3dff20fcf68a26a97660d727",
         "summary.csv": "52edddc536e8ca60706ece62acca3bd73fb11717ce380997b9f0df61f8961240",
-        "trajectory.csv": "358a99db08ab3761a9f4277037d9b4581d066114d860e6e556d5af9320d79bde",
-        "x_trajectory.csv": "8704a19a148832675e686c86667bdb3a2385128385abf297e144333bada81b4f",
+        "trajectory.npy": "79f5263f678a507545291314f1a828fb0d77d91fa34d974d4459feaaf5eefff2",
+        "x_trajectory.npy": "5ee4ca2abccd0ec1fae592f21f5c7a7aa819e03597cb7e7d7754bd39dc0225e9",
     },
     "backstep_open": {
         "report.csv": "c7e3a051fa585bde59c5464fd70fee14a6f64c77f878e91bb7a22a35d82e08a1",
-        "trajectory.csv": "b902f9031480c1757c7e11fd6f89fef1a78bf5a774f15b23501a0c2d46bffa76",
+        "trajectory.npy": "4112f5756eb5c7331dcc83c7dff2c8ff7d5de5858220e34e4d1891c5ef6cd913",
     },
     "eigen_decay": {
         "report.csv": "feb0aad00ce533dbb0fb6ce55ce8deba198c614f8b4733e012f8419fe54127fc",
-        "trajectory.csv": "b743ff4b1b8abe3c79227502eeeddafad67bebea8b92e8eb0fe056db270e900c",
+        "trajectory.npy": "da22a2c5ca660385787ea8ee2a3bf761dd61e42742dcc4b1d7932616b0b85ac0",
     },
     "kernel_a1k10": {
         "kernel.csv": "da641b4736a670f18cf6288c0eed22c78129ba84819714cb0a6cc71dd67acc12",
@@ -137,43 +137,63 @@ CORE_SEED7_DIGESTS = {
     "l2_random_a": {
         "report.csv": "8dbe4edded0ea501d7ab0734cc6e7515107d9c5b7490a0c4e031472aa2a91b1f",
         "summary.csv": "b61769f79d447673584cad13f3d74576aaee9cae8c4104cf184acb008eb4177c",
-        "trajectory.csv": "0d22bf25f36159a706cfbd06ed9b7ddbaa08d436c39a059dd23a1c7e3c9d805e",
+        "trajectory.npy": "eb59743e7740194fc5db75fb17cbd5a1b30ad526e6db567ec9b5dbf7c8f62c80",
     },
     "l2_random_b": {
         "report.csv": "3a7c9aefe0e7042dba0d40d19950201a0284848337c1e13d12d65c57efb56382",
         "summary.csv": "b61769f79d447673584cad13f3d74576aaee9cae8c4104cf184acb008eb4177c",
-        "trajectory.csv": "378ca111f5c69295d016d523e78dad218fc4e21ecb23dbf3f15761c2c65e5460",
+        "trajectory.npy": "be0551160a65948e622bc17b66cf97895364998e42c2e0f137983de25757bdcb",
     },
     "lyapunov_p3": {
         "report.csv": "7c3d6c14c6eb8bc6b8d0a09255cbc901f02bec87ed75aa5319a1bf000c4dc862",
-        "trajectory.csv": "7b1bce74344948e7399ed639caeb804fd18f709cc47739fadb951d61f24a17f5",
+        "trajectory.npy": "3d204c7a8b5a665c5cbbf27df0d7b0600b36d339a07ad00f148b50cfc5349a07",
     },
     "lyapunov_p4": {
         "report.csv": "4b2ed230f490aa02760a7dc4b279213c64ee4c2ca71a17f071b59e150963fdca",
-        "trajectory.csv": "7b1bce74344948e7399ed639caeb804fd18f709cc47739fadb951d61f24a17f5",
+        "trajectory.npy": "3d204c7a8b5a665c5cbbf27df0d7b0600b36d339a07ad00f148b50cfc5349a07",
     },
     "lyapunov_p8": {
         "report.csv": "8b669b5f53e72f2a7204ba56779ea930a25cba1c29564c76d293cbb986c7edc2",
-        "trajectory.csv": "7b1bce74344948e7399ed639caeb804fd18f709cc47739fadb951d61f24a17f5",
+        "trajectory.npy": "3d204c7a8b5a665c5cbbf27df0d7b0600b36d339a07ad00f148b50cfc5349a07",
     },
     "sandwich_cubic": {
         "report.csv": "4557edd480fd6a2fc15373b5a1b34ae1491c1af8c733ad1febab7dc1efe02650",
-        "trajectory.csv": "0893d4737cad4e32920645d63e69f42a154f75c11dea97bc0cb6b508b0502c48",
+        "trajectory.npy": "726ce5849d6c292c3989acebe8f82aef2d9c637d668f8fb88fee400324bfe58a",
     },
     "sandwich_heat": {
         "report.csv": "45c251dd8cca701124c6f8b34618365d0a903234d0e5bd3a4cb2cc8795f5fc57",
-        "trajectory.csv": "e27d0951995dcac4edd45a3ea697718b906f04deb7703995f82f14847acb4b40",
+        "trajectory.npy": "82bf6b2ba69f5f87b09144def502344b21c5cccf24931add77f31cb8f4c3660d",
     },
     "weighted_l1_steady": {
         "report.csv": "17b2053c8d11032dbe9242c401a8d23fe8fb25276e0dde76bb49376259d9432b",
         "summary.csv": "3f43b05ac39536cc97e520640882d433f48e9669257c34755a3e1f9b035c3404",
-        "trajectory.csv": "76dbccdd4e427d98ef959c25725f081aaf0fb4d860184eaba44ce72b2c24a4b3",
+        "trajectory.npy": "f7f0d4d3589f6e956d870b804db8b93a243db134499999c9a5d4745fdcb8b125",
     },
     "weighted_sup_decay": {
         "report.csv": "fe6373c5a03c8ccb26a47750295101ec6bebe8c056d73773768bab7d81b64625",
         "summary.csv": "57f8c422b0333968c803c0e011c2555212bce2bda22096ce5db193cb86b2d222",
-        "trajectory.csv": "09c4be92d58ecbe07846cd7590c39e64bc207d5f3fd271d261f7702e8e468ae1",
+        "trajectory.npy": "f772faf9046fc9b0854f9c2914f574b928bdccb4d8006b2e439b803af62240b4",
     },
+}
+
+# The sha256 of each trajectory of that run in the former t,z,value CSV form: a row per time of grid.times()
+# and node of grid.nodes, every number "%.17g".  The .npy files must hold the very doubles those CSVs held.
+TRAJECTORY_CSV_DIGESTS = {
+    "backstep_closed/trajectory.npy": "0ba7fa46a8dbe1be160ec779fe2aa8788f4e6eb877f1e4ef2d944a679c78ce90",
+    "backstep_closed/x_trajectory.npy": "d7bdda87b1639d45ffd35ece848a62364ae4ca715e318585173f182da1007014",
+    "backstep_disturbed/trajectory.npy": "358a99db08ab3761a9f4277037d9b4581d066114d860e6e556d5af9320d79bde",
+    "backstep_disturbed/x_trajectory.npy": "8704a19a148832675e686c86667bdb3a2385128385abf297e144333bada81b4f",
+    "backstep_open/trajectory.npy": "b902f9031480c1757c7e11fd6f89fef1a78bf5a774f15b23501a0c2d46bffa76",
+    "eigen_decay/trajectory.npy": "b743ff4b1b8abe3c79227502eeeddafad67bebea8b92e8eb0fe056db270e900c",
+    "l2_random_a/trajectory.npy": "0d22bf25f36159a706cfbd06ed9b7ddbaa08d436c39a059dd23a1c7e3c9d805e",
+    "l2_random_b/trajectory.npy": "378ca111f5c69295d016d523e78dad218fc4e21ecb23dbf3f15761c2c65e5460",
+    "lyapunov_p3/trajectory.npy": "7b1bce74344948e7399ed639caeb804fd18f709cc47739fadb951d61f24a17f5",
+    "lyapunov_p4/trajectory.npy": "7b1bce74344948e7399ed639caeb804fd18f709cc47739fadb951d61f24a17f5",
+    "lyapunov_p8/trajectory.npy": "7b1bce74344948e7399ed639caeb804fd18f709cc47739fadb951d61f24a17f5",
+    "sandwich_cubic/trajectory.npy": "0893d4737cad4e32920645d63e69f42a154f75c11dea97bc0cb6b508b0502c48",
+    "sandwich_heat/trajectory.npy": "e27d0951995dcac4edd45a3ea697718b906f04deb7703995f82f14847acb4b40",
+    "weighted_l1_steady/trajectory.npy": "76dbccdd4e427d98ef959c25725f081aaf0fb4d860184eaba44ce72b2c24a4b3",
+    "weighted_sup_decay/trajectory.npy": "09c4be92d58ecbe07846cd7590c39e64bc207d5f3fd271d261f7702e8e468ae1",
 }
 
 _DRAWS = np.random.default_rng(0).uniform(-1.0, 1.0, 3)
@@ -528,7 +548,7 @@ class TestRunCommand:
         assert rows[0] == "name,kind,pass,min_margin,wall_ms"
         assert rows[1].startswith("ok,simulate,true,")
         out = tmp_path / "out" / "ok"
-        assert (out / "trajectory.csv").exists()
+        assert (out / "trajectory.npy").exists()
         assert (out / "report.csv").exists()
         assert (out / "plot.svg").exists()
 
@@ -629,7 +649,7 @@ class TestRunCommand:
         scn = _write(tmp_path / "det.scn", FAST_SCENARIO.format(name="det"))
         for out in ("out1", "out2"):
             assert main(["run", str(scn), "--out", str(tmp_path / out), "--no-plots"]) == 0
-        for artifact in ("trajectory.csv", "report.csv"):
+        for artifact in ("trajectory.npy", "report.csv"):
             a = (tmp_path / "out1" / "det" / artifact).read_bytes()
             b = (tmp_path / "out2" / "det" / artifact).read_bytes()
             assert a == b
@@ -641,8 +661,8 @@ class TestRunCommand:
         scn = _write(tmp_path / "rnd.scn", text)
         assert main(["run", str(scn), "--out", str(tmp_path / "o1"), "--no-plots"]) == 0
         assert main(["run", str(scn), "--out", str(tmp_path / "o2"), "--no-plots", "--seed", "77"]) == 0
-        a = (tmp_path / "o1" / "rnd" / "trajectory.csv").read_bytes()
-        b = (tmp_path / "o2" / "rnd" / "trajectory.csv").read_bytes()
+        a = (tmp_path / "o1" / "rnd" / "trajectory.npy").read_bytes()
+        b = (tmp_path / "o2" / "rnd" / "trajectory.npy").read_bytes()
         assert a != b
 
 
@@ -658,8 +678,8 @@ class TestRunCommand:
         assert capsys.readouterr().out.splitlines()[1].startswith("const_d,backstepping_loop,true,")
 
     def test_closed_loop_image_is_not_held_through_the_auxiliary_runs(self, tmp_path):
-        # Plant history, two auxiliary runs and the writer's buffers peak at 3.5 histories; an image read before
-        # the auxiliary runs would be held through them, a fourth.
+        # The plant history, two auxiliary runs and their working arrays peak at 3.5 histories, the writes at 2.3
+        # (the plant history and its image); an image read before the auxiliary runs would be held through them.
         scn = parse_scenario(SUITES / "core" / "backstep_disturbed.scn")
         run_scenario(scn, tmp_path, no_plots=True)  # warm: one-time allocations are not the run's
         tracemalloc.start()
@@ -680,7 +700,8 @@ class TestRunCommand:
         captured = capsys.readouterr()
         assert ",false,-inf," in captured.out.splitlines()[1]
         assert captured.err == "FAIL blow_up [simulate]: step 6 of 50 produced non-finite values\n"
-        assert not (tmp_path / "out" / "blow_up" / "trajectory.csv").exists()
+        assert not (tmp_path / "out" / "blow_up" / "trajectory.npy").exists()
+        assert list((tmp_path / "out" / "blow_up").iterdir()) == []  # no artifact under any name
 
     def test_singular_transform_fails_the_scenario(self, tmp_path, capsys):
         # a = 1, k = -64, h = 1/16: diag(I + U)[0] = 1 + (h/2) k(0, 0) = 1 - (1/32)(64/2) is exactly 0.
@@ -737,20 +758,20 @@ class TestRunCommand:
         assert set(xy[:, 1]) == {202.0}
 
 
-# Each scenario's artifacts, as the README lists them: trajectory.csv, x_trajectory.csv for the closed loop,
+# Each scenario's artifacts, as the README lists them: trajectory.npy, x_trajectory.npy for the closed loop,
 # report.csv, summary.csv for estimate checks, kernel.csv for synthesis.
 KIND_FILES = {
-    "simulate": {"trajectory.csv", "report.csv"},
-    "simulate (decay_rate given)": {"trajectory.csv", "report.csv"},
-    "sandwich": {"trajectory.csv", "report.csv"},
-    "iss_check (estimate = l2)": {"trajectory.csv", "report.csv", "summary.csv"},
-    "iss_check (estimate = weighted_l1)": {"trajectory.csv", "report.csv", "summary.csv"},
-    "iss_check (estimate = weighted_sup)": {"trajectory.csv", "report.csv", "summary.csv"},
-    "lyapunov": {"trajectory.csv", "report.csv"},
+    "simulate": {"trajectory.npy", "report.csv"},
+    "simulate (decay_rate given)": {"trajectory.npy", "report.csv"},
+    "sandwich": {"trajectory.npy", "report.csv"},
+    "iss_check (estimate = l2)": {"trajectory.npy", "report.csv", "summary.csv"},
+    "iss_check (estimate = weighted_l1)": {"trajectory.npy", "report.csv", "summary.csv"},
+    "iss_check (estimate = weighted_sup)": {"trajectory.npy", "report.csv", "summary.csv"},
+    "lyapunov": {"trajectory.npy", "report.csv"},
     "kernel_synthesis": {"kernel.csv", "report.csv"},
-    "backstepping_loop (mode = open)": {"trajectory.csv", "report.csv"},
-    "backstepping_loop (mode = closed)": {"trajectory.csv", "x_trajectory.csv", "report.csv"},
-    "backstepping_loop (mode = closed, disturbed)": {"trajectory.csv", "x_trajectory.csv", "report.csv",
+    "backstepping_loop (mode = open)": {"trajectory.npy", "report.csv"},
+    "backstepping_loop (mode = closed)": {"trajectory.npy", "x_trajectory.npy", "report.csv"},
+    "backstepping_loop (mode = closed, disturbed)": {"trajectory.npy", "x_trajectory.npy", "report.csv",
                                                      "summary.csv"},
 }
 
@@ -769,7 +790,46 @@ def test_kind_declares_its_artifacts_and_writes_nothing(tmp_path, monkeypatch, e
     assert [path.name for path in tmp_path.iterdir()] == ["x.scn"]
     for name, (write, obj) in outcome.files.items():
         write(obj, tmp_path / name)
-        assert (tmp_path / name).read_text().count("\n") >= 2  # a header and at least one row
+        if name.endswith(".csv"):
+            assert (tmp_path / name).read_text().count("\n") >= 2  # a header and at least one row
+            continue
+        traj = obj.x_traj if name == "x_trajectory.npy" else obj
+        saved = np.load(tmp_path / name, allow_pickle=False)
+        assert saved.dtype == np.dtype("<f8") and saved.flags.c_contiguous
+        assert saved.shape == (len(traj.times), traj.grid.n_nodes)
+        assert saved.tobytes() == traj.data.tobytes()
+        assert traj.times.tobytes() == traj.grid.times().tobytes()  # the rows the README names
+
+
+def test_readme_artifact_paragraph_names_exactly_the_declared_files():
+    # KIND_FILES is each kind's declaration (the test above); run_scenario adds plot.svg.
+    assert {entry.replace(", disturbed", "") for entry in KIND_FILES} == set(KIND_KEYS)
+    readme = " ".join((SUITES.parent / "README.md").read_text().split())
+    paragraph = readme[readme.index("Each scenario writes, into") : readme.index("unless `--no-plots` is given")]
+    named = re.findall(r"`(\w+\.(?:csv|npy|svg))`", paragraph)
+    assert sorted(set(named)) == sorted(set().union(*KIND_FILES.values(), {"plot.svg"}))
+
+
+@pytest.fixture(scope="module")
+def core_seed7(tmp_path_factory) -> Path:
+    """The artifacts of suites/core at --seed 7 --no-plots, written by a fresh interpreter at one BLAS thread."""
+    out = tmp_path_factory.mktemp("core_seed7")
+    fresh_python("-m", "iss_parabolic.cli", "suite", str(SUITES / "core"), "--out", str(out),
+                 "--seed", "7", "--no-plots", env=PINNED_BLAS)
+    return out
+
+
+def _former_csv_digest(data: np.ndarray, grid: Grid1D) -> str:
+    """The sha256 of a history as a t,z,value CSV: a row per time of grid.times() and node of grid.nodes,
+    every number "%.17g"."""
+    times = grid.times()
+    assert data.shape == (times.size, grid.n_nodes)
+    digest = hashlib.sha256(b"t,z,value\n")
+    cells = [",%.17g,%%.17g\n" % z for z in grid.nodes.tolist()]  # a node's z, then a slot for its value
+    for t, row in zip(times.tolist(), data.tolist()):
+        t = "%.17g" % t
+        digest.update(((t + t.join(cells)) % tuple(row)).encode())
+    return digest.hexdigest()
 
 
 class TestSuiteCommand:
@@ -822,28 +882,37 @@ class TestSuiteCommand:
             assert not result.passed and f"bad value for {key}: " in result.message
         assert not (tmp_path / "out").exists()
 
-    def test_core_artifacts_match_recorded_digests(self, tmp_path):
-        # Digests of every CSV of suites/core at --seed 7 --no-plots (numpy 2.4,
-        # scipy 1.17 and its bundled DYNAMIC_ARCH OpenBLAS, x86-64), written by a
-        # fresh interpreter at one BLAS thread (PINNED_BLAS).  The pin holds
-        # whatever threading the test run itself has: OpenBLAS's threaded dtrmm
-        # rounds differently from its one-thread path, and kernel_a1k10's
-        # round trip reads the difference.  Another CPU type or BLAS may round
-        # differently.  A change that moves any of them must say so and
-        # re-record them.  Last re-recorded when the pin moved to one BLAS
-        # thread: kernel_a1k10/report.csv's roundtrip_sup_err went from
-        # 4.496403249731884e-15 (two threads) to 4.4408920985006262e-15.
-        fresh_python("-m", "iss_parabolic.cli", "suite", str(SUITES / "core"), "--out", str(tmp_path),
-                     "--seed", "7", "--no-plots", env=PINNED_BLAS)
+    def test_core_artifacts_match_recorded_digests(self, core_seed7):
+        # Digests of every artifact of suites/core at --seed 7 --no-plots
+        # (numpy 2.4, scipy 1.17 and its bundled DYNAMIC_ARCH OpenBLAS,
+        # x86-64), written by a fresh interpreter at one BLAS thread
+        # (PINNED_BLAS).  The pin holds whatever threading the test run itself
+        # has: OpenBLAS's threaded dtrmm rounds differently from its one-thread
+        # path, and kernel_a1k10's round trip reads the difference.  Another
+        # CPU type or BLAS may round differently.  A change that moves any of
+        # them must say so and re-record them.  Last re-recorded when the
+        # trajectories moved from t,z,value CSV to .npy, each holding the same
+        # doubles (TRAJECTORY_CSV_DIGESTS); no CSV moved.
         # One comparison of the whole map, and a failure names every file at once.
         written = {
-            path.relative_to(tmp_path).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
-            for path in tmp_path.rglob("*.csv")
+            path.relative_to(core_seed7).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in core_seed7.rglob("*") if path.is_file()
         }
         recorded = {f"{name}/{artifact}": digest for name, digests in CORE_SEED7_DIGESTS.items()
                     for artifact, digest in digests.items()}
         moved = sorted(k for k in written.keys() | recorded.keys() if written.get(k) != recorded.get(k))
         assert written == recorded, f"moved, missing or extra: {', '.join(moved)}"
+
+    def test_core_trajectories_hold_the_doubles_of_their_former_csv(self, core_seed7):
+        # Files with the same bytes on the same grid are printed once.
+        printed = {}
+        for key in TRAJECTORY_CSV_DIGESTS:
+            path = core_seed7 / key
+            grid = parse_scenario(SUITES / "core" / f"{path.parent.name}.scn").grid
+            same = (hashlib.sha256(path.read_bytes()).hexdigest(), grid)
+            if same not in printed:
+                printed[same] = _former_csv_digest(np.load(path, allow_pickle=False), grid)
+            assert printed[same] == TRAJECTORY_CSV_DIGESTS[key], key
 
     def test_duplicate_name_fails_later_file_without_running(self, tmp_path, capsys):
         _write(tmp_path / "a_sim.scn", FAST_SCENARIO.format(name="same"))
@@ -891,7 +960,7 @@ class TestSuiteCommand:
         kernel_rows = (tmp_path / "suite_out" / "kern" / "report.csv").read_text().splitlines()
         assert kernel_rows[1].split(",")[::2] == ["oracle_sup_diff", "0.5"]
         assert main(["run", str(suite / "rnd.scn"), "--out", str(tmp_path / "run_out"), *flags]) == 0
-        suite_traj, run_traj = (tmp_path / out / "rnd" / "trajectory.csv" for out in ("suite_out", "run_out"))
+        suite_traj, run_traj = (tmp_path / out / "rnd" / "trajectory.npy" for out in ("suite_out", "run_out"))
         assert suite_traj.read_bytes() == run_traj.read_bytes()
 
     def test_unparsed_file_row_quotes_its_name(self, tmp_path, capsys):

@@ -1,6 +1,5 @@
 import math
 import re
-import sys
 import tracemalloc
 from types import SimpleNamespace
 
@@ -18,17 +17,16 @@ from iss_parabolic import (
 )
 from iss_parabolic.backstepping import VolterraKernel, write_kernel_csv
 from iss_parabolic.certify import write_decay_csv, write_report_csv, write_summary_csv
-from iss_parabolic.grid import BLOCK_BYTES, format_floats
+from iss_parabolic.grid import BLOCK_BYTES, write_csv
 from iss_parabolic.monotone import write_sandwich_csv
 from iss_parabolic.runner import _write_check_csv
-from iss_parabolic.solver import write_trajectory_csv
+from iss_parabolic.solver import write_trajectory
 
-# Values at the edges of the formatter's integer window (decimal exponents
-# -11 to 15) and of its exponent estimate and rounding: powers of ten with
-# their neighbours one ulp away, 1e-7 (log10 exactly -7, %.17g
-# 9.9999999999999995e-08), 1e-14 (9.99999999999999998819e-15, which rounds up
-# to 1e-14) and two exact ties (0.0010004043579101562|5 rounds down to even,
-# 0.00010061264038085937|5 up).
+# Values where %.17g's decimal exponent, layout or rounding is easy to get
+# wrong: powers of ten from 1e-11 to 1e17 with their neighbours one ulp away,
+# 1e-7 (log10 exactly -7, %.17g 9.9999999999999995e-08), 1e-14
+# (9.99999999999999998819e-15, which rounds up to 1e-14) and two exact ties
+# (0.0010004043579101562|5 rounds down to even, 0.00010061264038085937|5 up).
 WINDOW_EDGES = [
     np.nextafter(v, toward) for v in (1e-11, 1e-5, 1e-4, 1e16, 1e17) for toward in (0.0, v, np.inf)
 ] + [1e-7, 1e-14, 1049 * 2.0**-20, 211 * 2.0**-21]
@@ -195,17 +193,6 @@ class TestTrajectory:
 
 # The per-row loops every CSV artifact was written with before the shared
 # writer; the writers must reproduce their bytes exactly.
-def _rows_trajectory(traj, path):
-    nodes = traj.grid.nodes
-    with open(path, "w", newline="\n") as fh:
-        fh.write("t,z,value\n")
-        for k in range(len(traj)):
-            t = traj.times[k]
-            row = traj.data[k]
-            for z, v in zip(nodes, row):
-                fh.write(f"{t:.17g},{z:.17g},{v:.17g}\n")
-
-
 def _rows_sandwich(report, path):
     with open(path, "w", newline="\n") as fh:
         fh.write("t,min_gap_low,min_gap_high\n")
@@ -248,9 +235,7 @@ def _writer_cases():
     edges = np.array(WINDOW_EDGES)
     rng = np.random.default_rng(4)
     times = np.array([-0.0, 5e-324, 0.1, 1.0 / 3.0, 1e300])
-    data = rng.standard_normal((times.size, grid.n_nodes)) * 10.0
-    data[1] = special
-    data[2:].flat[: edges.size] = edges * np.resize([1.0, -1.0], edges.size)
+    rng.standard_normal((times.size, grid.n_nodes))  # draws no case reads; the kernel samples follow them
     inf, nan = np.inf, np.nan
     # Non-finite cells: margins rhs - lhs of -inf, inf and nan (inf - inf among them).
     lhs = np.concatenate([special[:5], [inf, -inf, nan, 1.0, inf], edges])
@@ -274,7 +259,6 @@ def _writer_cases():
                                             ("edge", True, 1e-14), ("edge", False, -1e17))
     }
     return {
-        "trajectory": (write_trajectory_csv, _rows_trajectory, Trajectory(grid, times, data)),
         "sandwich": (write_sandwich_csv, _rows_sandwich, sandwich),
         "report": (write_report_csv, lambda r, p: _rows_margin(p, r.times, r.lhs, r.rhs), report),
         "decay": (write_decay_csv, lambda r, p: _rows_margin(p, r.times, r.norm_lhs, r.norm_rhs), decay),
@@ -294,50 +278,49 @@ def test_writer_matches_row_loop(case, tmp_path):
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
-def test_trajectory_writer_streams_one_level_at_a_time(tmp_path):
-    # A writer that converts the whole history at once holds every value as a
-    # Python float; one level at a time needs a small fraction of that.
+def test_trajectory_writer_allocates_under_a_tenth_of_the_history(tmp_path):
+    # np.save hands the contiguous history to the file as it is; a writer that
+    # copies or formats it holds at least the history's size again.
     grid = Grid1D(n_interior=199, dt=1e-4, t_final=0.3)
     data = np.random.default_rng(2).standard_normal((grid.n_steps + 1, grid.n_nodes))
     traj = Trajectory(grid, grid.times(), data)
     assert data.shape == (3001, 201)
-    whole = data.size * (sys.getsizeof(0.0) + 8)  # data.tolist(): a float object and a pointer per value
     tracemalloc.start()
     try:
-        write_trajectory_csv(traj, tmp_path / "trajectory.csv")
+        write_trajectory(traj, tmp_path / "trajectory.npy")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < whole / 10, (peak, whole)
+    assert peak < data.nbytes / 10, (peak, data.nbytes)
 
 
-class TestFormatFloats:
-    """``format_floats`` and every writer's cells are ``"%.17g" % v``, byte for byte."""
+class TestWriteCsvFloats:
+    """Every float cell ``write_csv`` writes is ``"%.17g" % v``, byte for byte."""
 
     @staticmethod
-    def _check(values):
+    def _check(path, values):
         values = np.asarray(values, dtype=float)
-        assert format_floats(values).tolist() == [b"%.17g" % v for v in values.tolist()]
+        write_csv(path, "value", [(values,)])
+        assert path.read_bytes() == ("value\n" + "".join("%.17g\n" % v for v in values.tolist())).encode()
 
-    def test_edges(self):
-        self._check(FORMAT_EDGES + [-v for v in FORMAT_EDGES])
-        assert format_floats([1e-7, 1e-14, 1049 * 2.0**-20, 211 * 2.0**-21]).tolist() == [
-            b"9.9999999999999995e-08", b"1e-14", b"0.0010004043579101562", b"0.00010061264038085938"
+    def test_edges(self, tmp_path):
+        self._check(tmp_path / "edges.csv", FORMAT_EDGES + [-v for v in FORMAT_EDGES])
+        self._check(tmp_path / "empty.csv", [])
+        write_csv(tmp_path / "ties.csv", "v", [([1e-7, 1e-14, 1049 * 2.0**-20, 211 * 2.0**-21],)])
+        assert (tmp_path / "ties.csv").read_text().split() == [
+            "v", "9.9999999999999995e-08", "1e-14", "0.0010004043579101562", "0.00010061264038085938"
         ]
 
-    def test_random_bit_patterns(self):
+    def test_random_bit_patterns(self, tmp_path):
         bits = np.random.default_rng(21).integers(0, 2**64, 200_000, dtype=np.uint64, endpoint=False)
-        self._check(bits.view(np.float64))
-        # a quarter of them again with binary exponents from 2^-40 to 2^56, about the integer window
+        self._check(tmp_path / "bits.csv", bits.view(np.float64))
+        # a quarter of them again with binary exponents from 2^-40 to 2^56
         bits = bits[::4]
         exponents = np.random.default_rng(22).integers(1023 - 40, 1023 + 56, bits.size, dtype=np.uint64)
-        self._check(((bits & np.uint64(2**52 - 1 + 2**63)) | (exponents << np.uint64(52))).view(np.float64))
+        scaled = (bits & np.uint64(2**52 - 1 + 2**63)) | (exponents << np.uint64(52))
+        self._check(tmp_path / "scaled.csv", scaled.view(np.float64))
 
     @settings(max_examples=50, derandomize=True, deadline=None)
     @given(st.lists(st.floats(), min_size=1, max_size=20))
-    def test_any_doubles(self, values):
-        self._check(values)
-
-    def test_shape_and_empty(self):
-        assert format_floats(np.array([[0.5, -2.0], [np.inf, np.nan]])).tolist() == [[b"0.5", b"-2"], [b"inf", b"nan"]]
-        assert format_floats([]).shape == (0,)
+    def test_any_doubles(self, tmp_path_factory, values):
+        self._check(tmp_path_factory.getbasetemp() / "any_doubles.csv", values)

@@ -13,13 +13,14 @@ from iss_parabolic import (
     MonotonicityLossError,
     NumericalError,
     SemilinearProblem,
+    Trajectory,
     check_ordering,
     norm_lp,
     compatible_initial_state,
     simulate,
     simulate_closed_loop,
     solve_kernel,
-    write_trajectory_csv,
+    write_trajectory,
 )
 from iss_parabolic import solver
 from iss_parabolic._lapack import dpttrf
@@ -680,14 +681,25 @@ class TestResidual:
         assert values[0] / values[1] >= 1.8
 
 
-class TestCsvExport:
-    def test_header_rows_and_determinism(self, tmp_path, grid_small):
-        problem = heat_problem(grid_small, lambda z: np.sin(np.pi * z))
-        traj = simulate(problem, grid_small)
-        p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        write_trajectory_csv(traj, p1)
-        write_trajectory_csv(traj, p2)
-        lines = p1.read_text().splitlines()
-        assert lines[0] == "t,z,value"
-        assert len(lines) == 1 + len(traj) * grid_small.n_nodes
+class TestTrajectoryExport:
+    def test_exact_npy_at_the_given_path(self, tmp_path, grid_small):
+        traj = simulate(heat_problem(grid_small, lambda z: np.sin(np.pi * z)), grid_small)
+        p1, p2 = tmp_path / "a", tmp_path / "b.npy"
+        write_trajectory(traj, p1)
+        write_trajectory(traj, p2)
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["a", "b.npy"]  # no suffix is added
+        saved = np.load(p1, allow_pickle=False)
+        assert saved.dtype == np.dtype("<f8") and saved.flags.c_contiguous
+        assert saved.shape == (len(traj), grid_small.n_nodes)
+        assert saved.tobytes() == traj.data.tobytes()
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_fortran_ordered_history_is_saved_in_c_order(self, tmp_path, grid_small):
+        times = grid_small.times()
+        data = np.asfortranarray(np.random.default_rng(5).standard_normal((times.size, grid_small.n_nodes)))
+        data.setflags(write=False)  # a read-only history is kept as given, in its own order
+        traj = Trajectory(grid_small, times, data)
+        assert traj.data.flags.f_contiguous and not traj.data.flags.c_contiguous
+        write_trajectory(traj, tmp_path / "f.npy")
+        saved = np.load(tmp_path / "f.npy", allow_pickle=False)
+        assert saved.flags.c_contiguous and saved.tobytes() == np.ascontiguousarray(data).tobytes()
