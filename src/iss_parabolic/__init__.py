@@ -64,6 +64,7 @@ from .monotone import (
 from .norms import norm_lp, norm_weighted_sin, norm_weighted_sup
 from .solver import (
     BoundarySignal,
+    Reaction,
     SemilinearProblem,
     simulate,
     write_trajectory,

@@ -72,7 +72,7 @@ from .comparison import ExpLinearKL, LinearGain
 from .errors import IncompatibleDataError, InvalidParameterError, NumericalError, SynthesisError
 from .grid import BLOCK_BYTES, Field, Grid1D, Trajectory, _frozen, write_csv
 from .norms import check_exponent, lp_norms
-from .solver import COMPATIBILITY_TOL, BoundarySignal, _march, check_diffusion, pde_residual_sup
+from .solver import COMPATIBILITY_TOL, BoundarySignal, _march, check_diffusion, linear_reaction, pde_residual_sup
 
 KERNEL_ITERATION_TOL = 1e-10
 # The stop rule's floor in units of eps max |F| on the swept staircase: a large kernel's change stalls at its rounding.
@@ -445,8 +445,7 @@ def simulate_closed_loop(
     times = grid.times()
     d_values = d(times)
     data = _march(
-        grid, a, lambda z, w, grad: k_reaction * w, abs(k_reaction), y0.values,
-        d_values, np.zeros_like(d_values), left_row=kernel.matrix[0],
+        grid, a, linear_reaction(k_reaction), y0.values, d_values, np.zeros_like(d_values), left_row=kernel.matrix[0],
     )
     y_traj = Trajectory(grid=grid, times=times, data=data)
     return ClosedLoopRun(a=a, y_traj=y_traj, disturbance=d_values, kernel=kernel)

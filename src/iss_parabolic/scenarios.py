@@ -69,14 +69,18 @@ Refused when read, by each rule's one owner: a not finite and > 0
 (``solver.check_diffusion``); p < 1 or NaN (``norms.check_exponent``); d0 or d1
 not covering [0, t_final] (``BoundarySignal``); initial data and d0, d1
 disagreeing at t = 0 (``SemilinearProblem``); dt * k >= 1
-(``solver.check_step_restriction``; k is |c| for linear(c), 1 for cubic,
-|k_reaction| for backstepping_loop); loop initial data nonzero at z = 1
+(``solver.check_step_restriction``; k is the ``solver.Reaction``'s
+``lipschitz_k``: |c| for linear(c), 1 for cubic, |k_reaction| for
+backstepping_loop); loop initial data nonzero at z = 1
 (``backstepping.check_far_end``); nonzero lyapunov boundary data
 (``certify.lyapunov_preconditions``).
 
 - reaction: zero | linear(c) | cubic
 - initial: zero | constant(c) | sin_pi | mode(j) | ramp | random_smooth(modes, amp)
 - signal (d0, d1): zero | constant(c) | step(c, t_on) | sinusoid(amp, omega) | file(path)
+
+linear(c) is c w and cubic is w - w^3; neither reads the gradient w_z, so
+the solver forms none for them.
 """
 
 from __future__ import annotations
@@ -95,9 +99,17 @@ from . import backstepping, certify
 from .errors import InvalidParameterError, IssParabolicError, ScenarioError
 from .grid import Field, Grid1D
 from .norms import check_exponent
-from .solver import BoundarySignal, SemilinearProblem, check_diffusion, check_step_restriction
+from .solver import (
+    BoundarySignal,
+    Reaction,
+    SemilinearProblem,
+    check_diffusion,
+    check_step_restriction,
+    linear_reaction,
+)
 
 ZERO = ("zero", ())
+_CUBIC_EXPONENT = np.array(3.0)  # 0-d: a ufunc converts a Python number on every call
 
 
 @dataclass(frozen=True)
@@ -314,12 +326,12 @@ def _asks(scn: Scenario):
     yield "problem.initial"
     if scn.kind == "backstepping_loop":
         backstepping.check_far_end(make_initial(scn.initial, grid, rng, 0.0, 0.0))
-        slope = abs(scn.k_reaction)
+        reaction = linear_reaction(scn.k_reaction)
     else:
         problem = build_problem(scn, rng)
-        slope = problem.lipschitz_k
+        reaction = problem.reaction
     yield "grid.dt"
-    check_step_restriction(grid.dt, slope)
+    check_step_restriction(grid.dt, 0.0 if reaction is None else reaction.lipschitz_k)
     if scn.kind == "lyapunov":
         yield "check.p"
         certify.lyapunov_rates(scn.a, scn.p)
@@ -334,13 +346,13 @@ def check_name(name: str) -> None:
         raise ScenarioError(f"scenario name {name!r} must be filesystem-safe")
 
 
-def make_reaction(selector: tuple):
-    """Build a parsed reaction selector: (vectorized callable or None, slope bound)."""
+def make_reaction(selector: tuple) -> Optional[Reaction]:
+    """Build a parsed reaction selector: None for zero, else a ``Reaction`` that reads no gradient."""
     name, args = selector
     return {
-        "zero": lambda: (None, 0.0),
-        "linear": lambda c: ((lambda z, w, grad: c * w), abs(c)),
-        "cubic": lambda: ((lambda z, w, grad: w - w**3), 1.0),
+        "zero": lambda: None,
+        "linear": linear_reaction,
+        "cubic": lambda: Reaction(lambda z, w, grad: w - w**_CUBIC_EXPONENT, 1.0, uses_gradient=False),
     }[name](*args)
 
 
@@ -397,7 +409,7 @@ def make_initial(selector: tuple, grid: Grid1D, rng: np.random.Generator, left0:
 
 def build_problem(scenario: Scenario, rng: np.random.Generator) -> SemilinearProblem:
     """Assemble the semilinear problem a scenario describes."""
-    reaction, slope = make_reaction(scenario.reaction)
+    reaction = make_reaction(scenario.reaction)
     d0 = make_signal(scenario.d0, scenario.grid, scenario.base_dir)
     d1 = make_signal(scenario.d1, scenario.grid, scenario.base_dir)
     initial = make_initial(scenario.initial, scenario.grid, rng, float(d0(0.0)), float(d1(0.0)))
@@ -407,5 +419,4 @@ def build_problem(scenario: Scenario, rng: np.random.Generator) -> SemilinearPro
         boundary_left=d0,
         boundary_right=d1,
         reaction=reaction,
-        lipschitz_k=slope,
     )

@@ -9,11 +9,17 @@ stepped with backward-Euler diffusion (tridiagonal elimination) and an
 explicit reaction term.  The implicit matrix I + (a dt / h^2) T is an
 M-matrix, so each step is order preserving provided the explicit reaction
 map w -> w + dt f(z, w, .) is monotone in w.  Order preservation is what
-turns the comparison principle into an executable oracle downstream.  The
-stepper enforces dt * lipschitz_k < 1 for the declared slope bound
-lipschitz_k and nothing more: it does not check the slope at the states a
-run reaches, nor a reaction that reads x_z, so an accepted input can leave
-the monotone regime with no error raised (ROADMAP item 1).
+turns the comparison principle into an executable oracle downstream.
+
+A ``Reaction`` owns what a reaction declares: its callable, the slope bound
+``lipschitz_k`` and whether it reads x_z.  The stepper enforces
+dt * lipschitz_k < 1 for that bound and nothing more: it does not check the
+slope at the states a run reaches, nor a reaction that reads x_z, so an
+accepted input can leave the monotone regime with no error raised
+(ROADMAP item 1).  Only a reaction that declares ``uses_gradient`` (every
+bare callable does) is handed the central difference x_z; the catalog's
+reactions and the closed-loop plant declare that they do not read it and
+are handed ``None``.
 
 ``simulate`` and the closed loop in ``backstepping`` both run the one
 stepping loop ``_march`` on a grid and an operator: one factorization per
@@ -29,9 +35,9 @@ times any multiplier, even 0, is not finite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import InitVar, dataclass, field
 from itertools import repeat
-from typing import Callable, Optional
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -44,8 +50,9 @@ from .errors import (
 )
 from .grid import Field, Grid1D, Trajectory, _block_rows
 
-# Vectorized reaction term f(z, w, w_z) evaluated at interior nodes.
-Reaction = Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
+# Vectorized reaction term f(z, w, w_z) evaluated at interior nodes; w_z is None for a reaction that does
+# not use its gradient.
+ReactionFunction = Callable[[np.ndarray, np.ndarray, Optional[np.ndarray]], np.ndarray]
 
 COMPATIBILITY_TOL = 1e-9
 # Rounding slack, as a fraction of the table's span, that a sampled signal
@@ -122,26 +129,70 @@ class BoundarySignal:
         return BoundarySignal.sampled(self.sample_times - tau, self.sample_values)
 
 
+def check_slope_bound(lipschitz_k: float) -> None:
+    """Raise ``InvalidParameterError`` unless the slope bound is nonnegative (NaN is refused)."""
+    if not lipschitz_k >= 0.0:  # NaN fails too
+        raise InvalidParameterError("lipschitz_k must be nonnegative")
+
+
+@dataclass(frozen=True)
+class Reaction:
+    """A reaction term and the facts it declares, the one place they live.
+
+    ``function(z, w, w_z)`` is evaluated at the interior nodes z on the
+    interior state w; it must keep neither array.  ``lipschitz_k`` bounds
+    its slope in the state from above over the working range; the solver
+    steps only if ``check_step_restriction`` accepts it.  ``uses_gradient``
+    says whether the function reads w_z: if so it gets the central
+    difference, else ``None``.  Calling a ``Reaction`` calls its function.
+    """
+
+    function: ReactionFunction
+    lipschitz_k: float
+    uses_gradient: bool = True
+
+    def __post_init__(self) -> None:
+        check_slope_bound(self.lipschitz_k)
+
+    def __call__(self, z: np.ndarray, w: np.ndarray, w_z: Optional[np.ndarray]) -> np.ndarray:
+        return self.function(z, w, w_z)
+
+
+def linear_reaction(c: float) -> Reaction:
+    """The reaction c w with slope bound |c|; it reads no gradient.  c is held as a 0-d float64 array, so no
+    call converts a Python float (the same double, so the same bits for float64 states)."""
+    c_array = np.array(float(c))
+    return Reaction(lambda z, w, grad: c_array * w, abs(c), uses_gradient=False)
+
+
 @dataclass(frozen=True)
 class SemilinearProblem:
     """Diffusion coefficient, reaction term, and initial/boundary data.
 
-    ``reaction is None`` means the pure heat equation.  ``lipschitz_k``
-    bounds the reaction's slope in the state over the working range; the
-    solver steps only if ``check_step_restriction`` accepts it.
+    ``reaction is None`` means the pure heat equation.  A bare callable
+    ``reaction`` with the init-only slope bound ``lipschitz_k`` is stored as
+    ``Reaction(reaction, lipschitz_k)``, which may read its gradient; after
+    construction the bound is ``reaction.lipschitz_k`` and the problem has
+    no ``lipschitz_k`` attribute, so ``dataclasses.replace`` does not apply
+    (``with_data`` does).  A nonzero ``lipschitz_k`` without a reaction, or
+    beside a ``Reaction`` (which holds its own), is refused.
     """
 
     a: float
     initial: Field
     boundary_left: BoundarySignal
     boundary_right: BoundarySignal
-    reaction: Optional[Reaction] = None
-    lipschitz_k: float = 0.0
+    reaction: Union[Reaction, ReactionFunction, None] = None
+    lipschitz_k: InitVar[float] = 0.0
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, lipschitz_k: float) -> None:
         check_diffusion(self.a)
-        if not self.lipschitz_k >= 0.0:  # NaN fails too
-            raise InvalidParameterError("lipschitz_k must be nonnegative")
+        if self.reaction is not None and not isinstance(self.reaction, Reaction):
+            object.__setattr__(self, "reaction", Reaction(self.reaction, lipschitz_k))
+        elif lipschitz_k != 0.0:  # NaN too
+            check_slope_bound(lipschitz_k)  # a negative or NaN bound is refused as such
+            owner = "no reaction" if self.reaction is None else "a Reaction, which holds its own bound"
+            raise InvalidParameterError(f"lipschitz_k={lipschitz_k} given with {owner}")
         for side, sig in (("left", self.boundary_left), ("right", self.boundary_right)):
             node = self.initial.values[0 if side == "left" else -1]
             if abs(node - sig(0.0)) > COMPATIBILITY_TOL:
@@ -154,7 +205,12 @@ class SemilinearProblem:
 
     def with_data(self, initial: Field, left: BoundarySignal, right: BoundarySignal) -> "SemilinearProblem":
         """Same operator, different admissible pair."""
-        return replace(self, initial=initial, boundary_left=left, boundary_right=right)
+        return SemilinearProblem(self.a, initial, left, right, self.reaction)
+
+
+# The dataclass leaves the init-only default 0.0 on the class, where reading problem.lipschitz_k would find
+# it whatever the bound; without it the read raises AttributeError (the bound is reaction.lipschitz_k).
+del SemilinearProblem.lipschitz_k
 
 
 def check_diffusion(a: float) -> None:
@@ -175,7 +231,6 @@ def _march(
     grid: Grid1D,
     a: float,
     reaction: Optional[Reaction],
-    lipschitz_k: float,
     x0: np.ndarray,
     left: np.ndarray,
     right: np.ndarray,
@@ -184,51 +239,59 @@ def _march(
     """Take grid.n_steps IMEX steps of x_t = a x_zz + reaction from x0 and
     return every level, row m = level m.
 
-    Refuses to step unless ``check_step_restriction`` accepts dt and
-    lipschitz_k.  Each step applies the explicit reaction, then solves the
-    implicit diffusion with I + r tridiag(-1, 2, -1), r = a dt / h^2,
-    factored once as LDL^T (LAPACK dpttrf) and reused for every step (dpttrs).
+    Refuses to step unless ``check_step_restriction`` accepts dt and the
+    reaction's ``lipschitz_k`` (0 for heat).  Each step applies the explicit
+    reaction, then solves the implicit diffusion with
+    I + r tridiag(-1, 2, -1), r = a dt / h^2, factored once as LDL^T (LAPACK
+    dpttrf) and reused for every step (dpttrs).
 
     ``left`` and ``right`` are the Dirichlet tables over ``grid.times()``:
     level m + 1 takes ``left[m + 1]`` and ``right[m + 1]``, written into the
     history's end columns before the first step.  The one feedback row is
     at z = 0: with ``left_row`` the left value of level m + 1 is
-    ``left[m + 1] - float(left_row @ x)``, x the whole level m, computed as
-    step m begins and written into the history then, never before.
+    ``left[m + 1] - float(left_row.dot(x))``, x the whole level m, computed
+    as step m begins and written into the history then, never before
+    (on these contiguous float64 rows ``dot`` and ``@`` make the same BLAS
+    ``ddot`` call; ``dot`` is bound once and skips ``matmul``'s dispatch).
 
-    The reaction gets the interior nodes, the interior of level m (a view of
-    the history) and its gradient, the central difference with the known
-    Dirichlet neighbor next to the boundary, in a buffer reused every step;
-    it must keep neither.  Its result is scaled into a buffer of its own,
-    never in place.  Level m + 1 is built and solved in place in its
-    history row: x + dt f, then one add of an edge vector that holds
-    r left and r right at its ends and -0.0 elsewhere.  x + (-0.0) is x for
-    every double (signed zeros, infinities and NaN included), so this is
-    bit for bit the scheme that adds r left and r right to the two end
-    entries alone.  Testing only the first interior value of the solution
-    is exact: each sweep of dpttrs forms b_i - e b_(i-+1), e = -r / d_i,
-    d_i >= 1, and inf or NaN times any e, 0 included, is not finite, so a NaN
-    or inf anywhere in the solve or the boundary values reaches that value.
+    The reaction's function gets the interior nodes, the interior of level m
+    (a view of the history) and, if it declares ``uses_gradient``, its
+    gradient, the central difference with the known Dirichlet neighbor next
+    to the boundary, in a buffer reused every step; it must keep neither.  A
+    reaction that does not declare it gets ``None`` and no gradient is
+    formed.  Its result is scaled into a buffer of its own, never in place.
+    Level m + 1 is built and solved in place in its history row.  A heat
+    step is one add of x and an edge vector that holds r left and r right at
+    its ends and -0.0 elsewhere; x + (-0.0) is x for every double (signed
+    zeros, infinities and NaN included), so this is bit for bit the scheme
+    that adds r left and r right to the two end entries alone.  A reaction
+    step is x + dt f, then exactly that: r left and r right added to its two
+    end entries as Python floats, the same IEEE additions.  Testing only the
+    first interior value of the solution is exact: each sweep of dpttrs
+    forms b_i - e b_(i-+1), e = -r / d_i, d_i >= 1, and inf or NaN times any
+    e, 0 included, is not finite, so a NaN or inf anywhere in the solve or
+    the boundary values reaches that value.
 
     The loop does only the step's arithmetic; only a feedback step indexes
     the history, and no step slices it.  It zips four per-level tables
     built once: the interior views of the history, the same views one level
     ahead (each step's right-hand side and solution) and r left and r right
     as Python floats; with ``left_row`` there is no r left table: r left is
-    r times the fed-back value, formed in the step.  With a reaction it also
-    zips two row iterators over ``data[:-1, 2:]`` and ``data[:-1, :-2]``,
-    each level's right and left neighbours of the interior nodes, the
-    operands of the gradient; they make one row view a step and are never
-    listed.  dt and 2h are 0-d arrays, so no ufunc call turns a Python
-    float into an array: the same double, so the same bits for a reaction
-    that returns doubles (a float32 result is scaled by dt in double
-    precision).  The ufuncs, ``dpttrs`` and ``math.isfinite`` are bound to
-    locals once per march, every call takes its arguments and outputs by
-    position (f2py and the ufuncs parse keywords on every call), and the
-    finiteness test reads ``rhs.item(0)``, a Python float.
+    r times the fed-back value, formed in the step.  For a reaction that
+    uses its gradient it also zips two row iterators over ``data[:-1, 2:]``
+    and ``data[:-1, :-2]``, each level's right and left neighbours of the
+    interior nodes, the operands of the gradient; they make one row view a
+    step and are never listed.  dt and 2h are 0-d arrays, so no ufunc call
+    turns a Python float into an array: the same double, so the same bits
+    for a reaction that returns doubles (a float32 result is scaled by dt
+    in double precision).  The ufuncs, the reaction's function, ``dpttrs``
+    and ``math.isfinite`` are bound to locals once per march, every call
+    takes its arguments and outputs by position (f2py and the ufuncs parse
+    keywords on every call), and the finiteness test reads ``rhs.item(0)``,
+    a Python float.
     """
     dt, n_steps = grid.dt, grid.n_steps
-    check_step_restriction(dt, lipschitz_k)
+    check_step_restriction(dt, 0.0 if reaction is None else reaction.lipschitz_k)
     h = grid.h
     n = grid.n_interior
     r = a * dt / h**2
@@ -245,32 +308,38 @@ def _march(
     else:  # each left value, and r times it, is formed in its step
         r_left, left_table = repeat(None), left.tolist()
     inner = list(data[:, 1:-1])
-    if reaction is None:
+    f = None if reaction is None else reaction.function
+    if f is None or not reaction.uses_gradient:
         ahead = behind = repeat(None)
+        x_z = None
     else:  # iterated, never listed: a list of views costs memory
         ahead, behind = iter(data[:-1, 2:]), iter(data[:-1, :-2])
+        x_z = np.empty(n)
     edge = np.full(n, -0.0)
-    x_z, f_dt = np.empty((2, n))
+    f_dt = np.empty(n)
     dt, two_h = np.array(dt), np.array(2.0 * h)  # 0-d: a ufunc converts a Python float on every call
     add, subtract, multiply, divide = np.add, np.subtract, np.multiply, np.divide
     solve, isfinite = dpttrs, math.isfinite
+    feedback = None if left_row is None else left_row.dot
     steps = zip(range(n_steps), inner, inner[1:], r_left, r_right, ahead, behind)
     with np.errstate(over="ignore", invalid="ignore"):  # the finiteness test below owns this verdict
         for m, level, rhs, r_lo, r_hi, x_ahead, x_behind in steps:
             if left_table is not None:
-                value = left_table[m + 1] - float(left_row @ data[m])
+                value = left_table[m + 1] - float(feedback(data[m]))
                 data[m + 1, 0] = value
                 r_lo = r * value
-            edge[0] = r_lo
-            edge[-1] = r_hi
-            if reaction is None:
+            if f is None:
+                edge[0] = r_lo
+                edge[-1] = r_hi
                 add(level, edge, rhs)
             else:
-                subtract(x_ahead, x_behind, x_z)
-                divide(x_z, two_h, x_z)
-                multiply(reaction(nodes, level, x_z), dt, f_dt)
+                if x_ahead is not None:
+                    subtract(x_ahead, x_behind, x_z)
+                    divide(x_z, two_h, x_z)
+                multiply(f(nodes, level, x_z), dt, f_dt)
                 add(level, f_dt, rhs)
-                add(rhs, edge, rhs)
+                rhs[0] = rhs.item(0) + r_lo
+                rhs[-1] = rhs.item(-1) + r_hi
             out, info = solve(d, e, rhs, 1)  # 1: overwrite_b
             if out is not rhs:
                 rhs[:] = out
@@ -286,7 +355,7 @@ def simulate(problem: SemilinearProblem, grid: Grid1D) -> Trajectory:
         raise InvalidParameterError("problem initial data lives on a different grid")
     times = grid.times()
     data = _march(
-        grid, problem.a, problem.reaction, problem.lipschitz_k, problem.initial.values,
+        grid, problem.a, problem.reaction, problem.initial.values,
         problem.boundary_left(times), problem.boundary_right(times),
     )
     return Trajectory(grid=grid, times=times, data=data, problem=problem)

@@ -12,8 +12,18 @@ import numpy as np
 import pytest
 
 from conftest import PINNED_BLAS, fresh_python
-from iss_parabolic import Grid1D, ScenarioError, SynthesisError, backstepping, runner, scenarios, solver
+from iss_parabolic import (
+    Grid1D,
+    MonotonicityLossError,
+    ScenarioError,
+    SynthesisError,
+    backstepping,
+    runner,
+    scenarios,
+    solver,
+)
 from iss_parabolic.cli import main
+from iss_parabolic.monotone import DEFAULT_ORDERING_TOL, constant_reduction_experiment
 from iss_parabolic.runner import run_scenario, run_suite
 from iss_parabolic.scenarios import (
     KIND_KEYS,
@@ -354,9 +364,11 @@ class TestScenarioParsing:
         selector = parse_selector(text, catalog)
         if catalog == "reaction":
             w = np.linspace(-1.5, 1.5, grid.n_nodes)
-            reaction, slope = make_reaction(selector)
-            built = 0.0 * w if reaction is None else reaction(grid.nodes, w, w)
-            assert slope == {"zero": 0.0, "linear": 2.5, "cubic": 1.0}[selector[0]]
+            reaction = make_reaction(selector)
+            built = 0.0 * w if reaction is None else reaction(grid.nodes, w, None)
+            assert (reaction is None) == (selector[0] == "zero")
+            assert reaction is None or (reaction.lipschitz_k, reaction.uses_gradient) == (
+                {"linear": 2.5, "cubic": 1.0}[selector[0]], False)
             assert built == pytest.approx(expected(w), abs=1e-15)
         elif catalog == "initial":
             built = make_initial(selector, grid, np.random.default_rng(0), 0.2, -0.4)
@@ -774,6 +786,44 @@ KIND_FILES = {
     "backstepping_loop (mode = closed, disturbed)": {"trajectory.npy", "x_trajectory.npy", "report.csv",
                                                      "summary.csv"},
 }
+
+
+CUBIC_FLIP = """
+[scenario]
+name = cubic_flip
+kind = sandwich
+seed = 10
+
+[grid]
+n_interior = 49
+dt = 0.05
+t_final = 0.5
+
+[problem]
+a = 1.0
+reaction = cubic
+initial = random_smooth(4, 8.0)
+d0 = zero
+d1 = zero
+
+[check]
+epsilon = 0.1
+"""
+
+
+@pytest.mark.xfail(reason="ROADMAP item 1: the cubic leaves its monotone band unrefused; the run exits 1 with "
+                          "'check failed with margin -0.00600976'")
+def test_run_leaving_the_monotone_band_is_refused_not_a_sandwich_margin(tmp_path, capsys):
+    # |w| reaches past sqrt(7) at dt = 0.05, where w + dt (w - w^3) decreases in w: the stepper must refuse
+    # (MonotonicityLossError), and the CLI must report that refusal rather than a comparison counterexample.
+    path = _write(tmp_path / "cubic_flip.scn", CUBIC_FLIP)
+    scn = parse_scenario(path)
+    with pytest.raises(MonotonicityLossError) as refused:
+        constant_reduction_experiment(
+            scenarios.build_problem(scn, np.random.default_rng(scn.seed)), scn.grid, scn.epsilon, DEFAULT_ORDERING_TOL,
+        )
+    assert main(["run", str(path), "--out", str(tmp_path / "out"), "--no-plots"]) == 1
+    assert capsys.readouterr().err == f"FAIL cubic_flip [sandwich]: {refused.value}\n"
 
 
 @pytest.mark.parametrize("entry", KIND_FILES, ids=_entry_id)

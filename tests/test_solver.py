@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from iss_parabolic import (
     InvalidParameterError,
     MonotonicityLossError,
     NumericalError,
+    Reaction,
     SemilinearProblem,
     Trajectory,
     check_ordering,
@@ -25,6 +27,7 @@ from iss_parabolic import (
 from iss_parabolic import solver
 from iss_parabolic._lapack import dpttrf
 from iss_parabolic.norms import lp_norms, weighted_sin_norms
+from iss_parabolic.scenarios import make_reaction
 from iss_parabolic.solver import pde_residual_sup
 from conftest import eigenfield, heat_problem
 
@@ -113,6 +116,39 @@ class TestProblemValidation:
                 boundary_right=BoundarySignal.zero(),
                 lipschitz_k=lipschitz_k,
             )
+
+    def test_reaction_refuses_a_negative_slope_bound(self):
+        with pytest.raises(InvalidParameterError, match="lipschitz_k must be nonnegative"):
+            Reaction(lambda z, w, g: -w, -1.0)
+
+    @pytest.mark.parametrize("reaction", [None, Reaction(lambda z, w, g: -w, 1.0, uses_gradient=False)],
+                             ids=["no_reaction", "reaction_owner"])
+    def test_slope_bound_without_a_bare_callable_rejected(self, grid_small, reaction):
+        # a bound with no reaction to bound would refuse heat steps at dt * 5 >= 1
+        with pytest.raises(InvalidParameterError, match=r"^lipschitz_k=5\.0 given with "):
+            SemilinearProblem(
+                a=1.0,
+                initial=Field.zeros(grid_small),
+                boundary_left=BoundarySignal.zero(),
+                boundary_right=BoundarySignal.zero(),
+                reaction=reaction,
+                lipschitz_k=5.0,
+            )
+
+    def test_bare_callable_is_owned_as_a_reaction_that_reads_its_gradient(self, grid_small):
+        f = lambda z, w, g: -w
+        problem = SemilinearProblem(
+            a=1.0,
+            initial=Field.zeros(grid_small),
+            boundary_left=BoundarySignal.zero(),
+            boundary_right=BoundarySignal.zero(),
+            reaction=f,
+            lipschitz_k=2.0,
+        )
+        assert problem.reaction == Reaction(f, 2.0, uses_gradient=True)
+        assert not hasattr(problem, "lipschitz_k")  # one store: a read cannot find a stale default
+        moved = problem.with_data(eigenfield(grid_small), BoundarySignal.zero(), BoundarySignal.zero())
+        assert moved.reaction is problem.reaction
 
     def test_step_restriction_refused(self):
         grid = Grid1D(n_interior=49, dt=0.25, t_final=0.25)  # one step
@@ -315,14 +351,15 @@ def _scalar_reaction_case():
     return _open_loop_case(problem, grid)
 
 
-def _open_loop_case(problem, grid):
+def _open_loop_case(problem, grid, reaction=None):
+    # reaction, if given, is the reference scheme's in place of the problem's own
     times = grid.times()
 
     def boundary(m, x):
         t1 = times[m + 1]
         return float(problem.boundary_left(t1)), float(problem.boundary_right(t1))
 
-    reference = _reference_march(grid, problem.a, problem.reaction, problem.initial.values, boundary)
+    reference = _reference_march(grid, problem.a, reaction or problem.reaction, problem.initial.values, boundary)
     return simulate(problem, grid).data, reference
 
 
@@ -421,12 +458,61 @@ def _closed_loop_n79_case():
     return run.y_traj.data, reference
 
 
+def _catalog_linear_case():
+    # the catalog's reactions read no gradient, so the march forms none; constant data enter both ends.  The
+    # reference steps the same formula with Python numbers.
+    grid = Grid1D(n_interior=31, dt=1e-3, t_final=0.1)
+    z = grid.nodes
+    x0 = 0.4 * (1.0 - z) - 0.7 * z + 0.5 * np.sin(2.0 * np.pi * z)
+    problem = SemilinearProblem(
+        a=1.0, initial=Field(x0, grid), boundary_left=BoundarySignal.constant(0.4),
+        boundary_right=BoundarySignal.constant(-0.7), reaction=make_reaction(("linear", (-6.5,))),
+    )
+    return _open_loop_case(problem, grid, lambda z, w, g: -6.5 * w)
+
+
+def _catalog_cubic_case():
+    # large enough dt f that w * w * w in place of w**3 would move some bits (two entries), still monotone
+    grid = Grid1D(n_interior=47, dt=1e-2, t_final=0.3)
+    times = grid.times()
+    d0 = BoundarySignal.sampled(times, 0.4 * np.sin(9.0 * times))
+    d1 = BoundarySignal.constant(0.3)
+    z = grid.nodes
+    x0 = d0(0.0) * (1 - z) + d1(0.0) * z + 2.0 * np.sin(np.pi * z)
+    problem = SemilinearProblem(
+        a=0.5, initial=Field(x0, grid), boundary_left=d0, boundary_right=d1, reaction=make_reaction(("cubic", ())),
+    )
+    return _open_loop_case(problem, grid, lambda z, w, g: w - w**3)
+
+
+def _closed_loop_owner_case():
+    # the plant's own Reaction at a negative k and a != 1
+    grid = Grid1D(n_interior=31, dt=5e-4, t_final=0.1)
+    a, k = 0.5, -6.0
+    plant = solver.linear_reaction(k)
+    assert (plant.lipschitz_k, plant.uses_gradient) == (6.0, False)
+    kernel = solve_kernel(a, k, grid)
+    times = grid.times()
+    d = BoundarySignal.sampled(times, 0.2 - 0.3 * np.cos(11.0 * times))
+    y0 = compatible_initial_state(kernel, Field(np.sin(np.pi * grid.nodes), grid), float(d(0.0)))
+    run = simulate_closed_loop(a, k, y0, d, grid, kernel=kernel)
+    row0 = kernel.matrix[0]
+
+    def boundary(m, y):
+        return float(d(times[m + 1])) - float(row0 @ y), 0.0
+
+    reference = _reference_march(grid, a, lambda z, w, g: k * w, y0.values, boundary)
+    return run.y_traj.data, reference
+
+
 @pytest.mark.parametrize(
     "case",
     [_heat_sampled_case, _cubic_case, _gradient_case, _closed_loop_case, _heat_sampled_n199_case,
-     _heat_sampled_n999_case, _signed_zero_case, _own_argument_case, _scalar_reaction_case, _closed_loop_n79_case],
+     _heat_sampled_n999_case, _signed_zero_case, _own_argument_case, _scalar_reaction_case, _closed_loop_n79_case,
+     _catalog_linear_case, _catalog_cubic_case, _closed_loop_owner_case],
     ids=["heat_sampled", "cubic", "gradient", "closed_loop_n15", "heat_both_sampled_n199",
-         "heat_both_sampled_n999", "signed_zeros", "reaction_returns_w", "scalar_reaction", "closed_loop_n79"],
+         "heat_both_sampled_n999", "signed_zeros", "reaction_returns_w", "scalar_reaction", "closed_loop_n79",
+         "catalog_linear", "catalog_cubic", "closed_loop_owner"],
 )
 def test_prefactored_march_matches_reference_scheme_bitwise(case):
     actual, reference = case()
@@ -450,6 +536,63 @@ def test_march_keeps_a_solution_lapack_returns_in_a_new_array(case, monkeypatch)
     actual, reference = case()
     assert calls
     assert np.array_equal(actual, reference)
+
+
+def test_only_a_reaction_that_uses_its_gradient_is_handed_one():
+    # a bare callable gets the central difference of each level; one that declares it reads none gets None
+    grid = Grid1D(n_interior=15, dt=1e-3, t_final=0.02)
+    x0 = Field(np.sin(np.pi * grid.nodes) * (1.0 + grid.nodes), grid)
+    handed = {True: [], False: []}
+
+    def recorder(uses_gradient):
+        def f(z, w, w_z):
+            handed[uses_gradient].append(None if w_z is None else w_z.copy())
+            return -w
+        return f
+
+    histories = {}
+    for uses_gradient, reaction in ((True, recorder(True)), (False, Reaction(recorder(False), 1.0, False))):
+        problem = SemilinearProblem(
+            a=1.0, initial=x0, boundary_left=BoundarySignal.zero(), boundary_right=BoundarySignal.zero(),
+            reaction=reaction, lipschitz_k=1.0 if uses_gradient else 0.0,
+        )
+        histories[uses_gradient] = simulate(problem, grid).data
+    data = histories[True]
+    assert len(handed[True]) == len(handed[False]) == grid.n_steps
+    assert handed[False] == [None] * grid.n_steps
+    for m, w_z in enumerate(handed[True]):
+        assert np.array_equal(w_z, (data[m, 2:] - data[m, :-2]) / (2.0 * grid.h))
+    assert np.array_equal(histories[False], data)
+    assert not any(reaction.uses_gradient for reaction in
+                   (make_reaction(("linear", (2.0,))), make_reaction(("cubic", ())), solver.linear_reaction(3.0)))
+
+
+# ROADMAP item 1: three accepted inputs that leave the monotone regime with no error raised.  Each asserts the
+# refusal item 1 promises; they fail until the stepper checks the slope it meets and the gradient it reads.
+@pytest.mark.xfail(reason="ROADMAP item 1: a reaction that reads x_z is not upwinded; the runs cross by 2.56e150")
+def test_gradient_reaction_that_breaks_the_order_is_refused():
+    grid = Grid1D(n_interior=49, dt=2e-3, t_final=1.0)
+    with pytest.raises(MonotonicityLossError):
+        for amplitude in (1.0, 1.1):
+            problem = SemilinearProblem(
+                a=0.01, initial=Field(amplitude * np.sin(np.pi * grid.nodes), grid),
+                boundary_left=BoundarySignal.zero(), boundary_right=BoundarySignal.zero(),
+                reaction=lambda z, w, w_z: 20.0 * w_z, lipschitz_k=0.0,
+            )
+            simulate(problem, grid)
+
+
+@pytest.mark.xfail(reason="ROADMAP item 1: the cubic's lower slope 1 - 3w^2 is unchecked; one step crosses by 1.27e-3")
+def test_cubic_outside_its_monotone_band_is_refused():
+    grid = Grid1D(n_interior=49, dt=0.05, t_final=0.05)
+    with pytest.raises(MonotonicityLossError):
+        for amplitude in (2.9, 3.0):
+            problem = SemilinearProblem(
+                a=1.0, initial=Field(amplitude * np.sin(np.pi * grid.nodes), grid),
+                boundary_left=BoundarySignal.zero(), boundary_right=BoundarySignal.zero(),
+                reaction=make_reaction(("cubic", ())),
+            )
+            simulate(problem, grid)
 
 
 @pytest.mark.parametrize("r", [0.0, 5e-324, 1e-12, 0.05, 1.0, 1e6, 1e300])
@@ -534,6 +677,65 @@ def test_linear_march_matches_its_closed_form(n, c, d0, d1, steps, dt):
     assert np.max(np.abs(data[:, 1:-1] - expected)) <= steps * (1.0 + 4.0 * r) * np.finfo(float).eps * peak
 
 
+def _decimal_replay(grid, a, f, x0, d0, d1):
+    """Every interior level of the scheme for constant Dirichlet data d0, d1, in 50-digit ``decimal``: the
+    doubles a, dt, h, x0, d0 and d1 converted exactly, the explicit reaction ``f`` on one ``Decimal`` at a
+    time (None for heat), r d0 and r d1 added to the end entries, then a Thomas sweep for I + r T."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        n, dt, h = grid.n_interior, Decimal(grid.dt), Decimal(grid.h)
+        r = Decimal(a) * dt / (h * h)
+        pivots = [1 + 2 * r]  # the pivots of elimination without pivoting, the same every step
+        for _ in range(n - 1):
+            pivots.append(1 + 2 * r - r * r / pivots[-1])
+        x = [Decimal(v) for v in x0[1:-1]]
+        levels = [x]
+        for _ in range(grid.n_steps):
+            b = x if f is None else [w + dt * f(w) for w in x]
+            b = [b[0] + r * Decimal(d0), *b[1:-1], b[-1] + r * Decimal(d1)]
+            for i in range(1, n):
+                b[i] += r / pivots[i - 1] * b[i - 1]
+            x = [b[-1] / pivots[-1]]
+            for i in range(n - 2, -1, -1):
+                x.append((b[i] + r * x[-1]) / pivots[i])
+            x.reverse()
+            levels.append(x)
+        return levels
+
+
+def test_march_stays_within_the_rounding_allowance_of_an_exact_replay():
+    # ROADMAP items 4(a) and 18: the gap between each float level m and its exact replay is at most
+    # m (1 + 4r) 2^-52 max|x|, the allowance of the closed-form and first-mode tests, and it is not vacuous: a
+    # quarter of it fails on some case.  The replay shares no code with numpy or LAPACK.
+    cases = [  # reaction, its Decimal form, n, dt, steps, d0, d1
+        (None, None, 15, 1e-2, 200, 0.0, 0.0),
+        (None, None, 31, 2e-4, 400, 0.3, -0.5),
+        (("linear", (5.0,)), lambda w: Decimal(5.0) * w, 23, 1e-3, 300, 0.4, -0.2),
+        (("linear", (-3.0,)), lambda w: Decimal(-3.0) * w, 15, 1e-2, 100, 0.0, 1.0),
+        (("cubic", ()), lambda w: w - w * w * w, 15, 1e-2, 200, 0.5, 0.5),
+        (("cubic", ()), lambda w: w - w * w * w, 31, 2e-4, 400, 0.0, 0.0),
+        (("cubic", ()), lambda w: w - w * w * w, 47, 2e-3, 200, 0.0, 0.7),
+    ]
+    shares = []
+    for selector, f, n, dt, steps, d0, d1 in cases:
+        grid = Grid1D(n_interior=n, dt=dt, t_final=steps * dt)
+        z = grid.nodes
+        x0 = d0 * (1.0 - z) + d1 * z + 0.8 * np.sin(np.pi * z) - 0.3 * np.sin(3.0 * np.pi * z)
+        problem = SemilinearProblem(
+            a=1.0, initial=Field(x0, grid), boundary_left=BoundarySignal.constant(d0),
+            boundary_right=BoundarySignal.constant(d1), reaction=None if selector is None else make_reaction(selector),
+        )
+        data = simulate(problem, grid).data[:, 1:-1]
+        replay = _decimal_replay(grid, 1.0, f, x0, d0, d1)
+        gaps = np.array([float(max(abs(Decimal(v) - w) for v, w in zip(row, exact)))
+                         for row, exact in zip(data.tolist(), replay)])
+        m = np.arange(grid.n_steps + 1)
+        allowance = m * (1.0 + 4.0 * grid.dt / grid.h**2) * 2.0**-52 * np.max(np.abs(data))
+        assert gaps[0] == 0.0 and np.all(gaps <= allowance), (selector, n)
+        shares.append(np.max(gaps[1:] / allowance[1:]))
+    assert max(shares) > 0.25, shares
+
+
 @pytest.mark.parametrize("n", [15, 99, 199])
 def test_factorization_refuses_reactions_at_the_discrete_threshold(n):
     # (a/h^2) T - c I is positive definite iff c < lam_h = (4a/h^2) sin^2(pi h/2), the smallest eigenvalue of
@@ -553,12 +755,24 @@ def test_steady_states_attain_the_proved_gains(n):
     h, z = grid.h, grid.nodes
     assert weighted_sin_norms(np.ones(n + 2), h) == pytest.approx(h / math.tan(math.pi * h / 2.0), rel=1e-15)
     assert lp_norms(1.0 - z, h, 2.0) == pytest.approx(math.sqrt(1.0 / 3.0 + h**2 / 6.0), rel=1e-15)
-    for steady, d0, d1 in ((np.ones(n + 2), 1.0, 1.0), (1.0 - z, 1.0, 0.0)):
+    # The runs attain the bounds norm <= gain (|d0| + |d1|) to rounding, and break them once a gain is shrunk
+    # by 1 - 1e-9, as the first-mode test does for rho.
+    l1_gain, l2_gain = h / math.tan(math.pi * h / 2.0) / 2.0, math.sqrt(1.0 / 3.0 + h**2 / 6.0)
+    for steady, d0, d1, norms, gain in ((np.ones(n + 2), 1.0, 1.0, weighted_sin_norms, l1_gain),
+                                        (1.0 - z, 1.0, 0.0, lambda x, h: lp_norms(x, h, 2.0), l2_gain)):
         problem = SemilinearProblem(
             a=1.0, initial=Field(steady, grid), boundary_left=BoundarySignal.constant(d0),
             boundary_right=BoundarySignal.constant(d1),
         )
-        assert np.max(np.abs(simulate(problem, grid).data - steady)) <= 1e-14
+        data = simulate(problem, grid).data
+        assert np.max(np.abs(data - steady)) <= 1e-14
+        attained = np.max(norms(data, h))
+
+        def bounded(gain):
+            return bool(attained <= gain * (abs(d0) + abs(d1)) * (1.0 + 1e-12))
+
+        assert bounded(gain)
+        assert not bounded(gain * (1.0 - 1e-9))
 
 
 @pytest.mark.parametrize("c", [0.0, 5.0, 9.0], ids=["heat", "linear5", "linear9"])
