@@ -17,17 +17,21 @@ forces the kernel to solve
 
 whose closed form is k(z, s) = lam (1 - s) S(lam [(1-z)^2 - (1-s)^2]) with
 S(q) = sum_m q^m / (4^m m! (m+1)!) / 2, an entire function (a modified
-Bessel ratio for q > 0).  This module computes the kernel two independent
-ways -- successive approximation of the equivalent integral equation in the
-characteristic variables xi = 2 - z - s, eta = s - z,
+Bessel ratio for q > 0).  Synthesis iterates the equivalent integral
+equation in the characteristic variables xi = 2 - z - s, eta = s - z,
 
     F(xi, eta) = (lam/4)(xi - eta)
                  + (lam/4) int_eta^xi int_0^eta F(xi', eta') d eta' d xi',
 
-and the truncated series above -- so each validates the other.  A third,
-dynamic check, ``transform_commutation_residual`` (the transformed loop must
-satisfy the heat residual at the scheme's order), is run by the acceptance
-tests and the ``closed_loop_fine`` benchmark; no scenario kind runs it.
+to the quadrature's own fixed point, starting from the truncated series
+above in those variables, (lam/2)(xi - eta) S(lam xi eta).  The start sets
+only the iteration count: any start reaches the same fixed point, so a
+quadrature defect moves the result off the series whatever the start, and
+the series (``kernel_series_reference``) measures the fixed point's
+distance from the continuous kernel.  A second, dynamic check,
+``transform_commutation_residual`` (the transformed loop must satisfy the
+heat residual at the scheme's order), is run by the acceptance tests and
+the ``closed_loop_fine`` benchmark; no scenario kind runs it.
 The double integral is cumulative Simpson quadrature, equal bit for bit to
 scipy's ``cumulative_simpson`` in each direction.  Synthesis sweeps only a
 staircase of the 2n x n characteristic rectangle of an n-node grid, about
@@ -126,16 +130,35 @@ def _row_trapezoid_weights(n_nodes: int, h: float) -> np.ndarray:
     return w
 
 
-def _series_shape(q: np.ndarray) -> np.ndarray:
-    """S(q) = sum_m q^m / (4^m m! (m+1)!) / 2, entire in q."""
-    q = np.asarray(q, dtype=float)
-    term = np.full(q.shape, 0.5)
-    out = term.copy()
+def _series_coefficients(q_max: float) -> list[float]:
+    """The coefficients c_m = 1 / (2 4^m m! (m+1)!) of S for m = 0..M, for inputs with max |q| = q_max.
+
+    M is the first m whose term c_m q_max^m is below 1e-18, 119 at most.
+    The term follows the recurrence t_m = t_(m-1) q_max / (4 m (m+1)) in
+    Python floats, which overflow to inf rather than raise, so no q with
+    |q| <= q_max has a larger term.  A non-finite q_max takes all 120.
+    """
+    coefficients, term = [0.5], 0.5
     for m in range(1, 120):
-        term = term * q / (4.0 * m * (m + 1))
-        out += term
-        if np.max(np.abs(term)) < 1e-18:
+        coefficients.append(coefficients[-1] / (4.0 * m * (m + 1)))
+        term = term * q_max / (4.0 * m * (m + 1))
+        if term < 1e-18:
             break
+    return coefficients
+
+
+def _series_shape(q: np.ndarray, coefficients: list[float], out: np.ndarray | None = None) -> np.ndarray:
+    """S(q) = sum_m c_m q^m, entire in q, by Horner's rule over ``coefficients`` (``_series_coefficients``).
+
+    Into ``out`` if given, else a new array.  Each entry depends only on its
+    q and the coefficients, so a block of a larger array has the whole
+    array's bits when the coefficients come from the whole array's max |q|.
+    """
+    out = np.empty(np.shape(q)) if out is None else out
+    out[...] = coefficients[-1]
+    for c in reversed(coefficients[:-1]):
+        out *= q
+        out += c
     return out
 
 
@@ -149,22 +172,22 @@ def kernel_ratio(a: float, k_reaction: float) -> float:
 
 
 def kernel_series_reference(a: float, k_reaction: float, grid: Grid1D) -> np.ndarray:
-    """Closed-form kernel samples; the independent cross-check for the solver.
+    """Closed-form kernel samples: the continuous kernel the solver's fixed point is measured against.
 
     Evaluates lam (1 - s) S(lam [(1-z)^2 - (1-s)^2]) on the grid triangle
-    s >= z only, zero below it.  ``_series_shape`` stops on the largest term
-    over the nodes it is given, which grows with |q|; the triangle reaches
-    |q| = |lam| at (z, s) = (0, 1) as the full square does at (1, 0), so the
-    series runs as many terms and every sample has the bits a full-square
-    evaluation gives.  Passing ``-k_reaction`` yields the continuous inverse
-    kernel.
+    s >= z only, zero below it.  The term count is fixed by the largest |q|
+    (``_series_coefficients``); the triangle reaches |q| = |lam| at
+    (z, s) = (0, 1) as the full square does at (1, 0), so the series runs as
+    many terms and every sample has the bits a full-square evaluation gives.
+    Passing ``-k_reaction`` yields the continuous inverse kernel.
     """
     lam = kernel_ratio(a, k_reaction)
     rest = 1.0 - grid.nodes
     sq = rest**2
     z_idx, s_idx = np.triu_indices(grid.n_nodes)
+    q = lam * (sq[z_idx] - sq[s_idx])
     samples = np.zeros((grid.n_nodes, grid.n_nodes))
-    samples[z_idx, s_idx] = (lam * rest)[s_idx] * _series_shape(lam * (sq[z_idx] - sq[s_idx]))
+    samples[z_idx, s_idx] = (lam * rest)[s_idx] * _series_shape(q, _series_coefficients(float(np.max(np.abs(q)))))
     return samples
 
 
@@ -202,7 +225,7 @@ def _staircase_widths(n_interior: int) -> np.ndarray:
 
 
 def solve_kernel(a: float, k_reaction: float, grid: Grid1D) -> VolterraKernel:
-    """Synthesize the direct kernel by successive approximation.
+    """Synthesize the direct kernel by successive approximation from the series.
 
     Iterates the characteristic-variable integral equation in the rectangle
     xi in [0, 2], eta in [0, 1] (the equation extends smoothly beyond the
@@ -214,11 +237,19 @@ def solve_kernel(a: float, k_reaction: float, grid: Grid1D) -> VolterraKernel:
     S with no end panel; S holds the samples (z, s) -> (2 - z - s, s - z) and
     every D(c, c).  So each iterate on S has the bits of the whole-rectangle
     iterate, and the far corner xi + eta > 2, which converges last, does not
-    set the count.  Iteration stops when the sup-difference of successive
-    iterates on S drops below ``KERNEL_ITERATION_TOL`` or below
-    ``KERNEL_ITERATION_ULPS`` eps max |F| (F the new iterate on S).  Raises
-    ``SynthesisError`` at the first non-finite change, naming its iteration,
-    or after ``KERNEL_ITERATION_CAP`` iterations.
+    set the count.  The iteration starts from the series in characteristic
+    variables, F0 = (lam/2)(xi - eta) S(lam xi eta) (so F0(xi, 0) is the base
+    term (lam/4) xi), which lies within ~1e-11 of the quadrature's fixed
+    point at n = 999: one sweep there, a few at n <= 199, against 10-13 from
+    the base term.  F0 is formed a row block at a time into F by Horner's
+    rule with the whole rectangle's term count, so each block has the bits
+    of the whole-rectangle evaluation.  Iteration stops when the
+    sup-difference of successive iterates on S drops below
+    ``KERNEL_ITERATION_TOL`` or below ``KERNEL_ITERATION_ULPS`` eps max |F|
+    (F the new iterate on S), so the result is the fixed point to the stop
+    rule, as from any start.  Raises ``SynthesisError`` at the first
+    non-finite change, naming its iteration (the first when the series start
+    overflows), or after ``KERNEL_ITERATION_CAP`` iterations.
 
     Each iteration is one sweep over blocks of xi rows, each buffer about
     ``BLOCK_BYTES`` and never more rows than the rectangle, so the work stays
@@ -241,7 +272,7 @@ def solve_kernel(a: float, k_reaction: float, grid: Grid1D) -> VolterraKernel:
     xi = np.arange(n_xi) * h
     eta = np.arange(n_eta) * h
     base = (lam / 4.0) * (xi[:, None] - eta[None, :])
-    F = base.copy()
+    F = np.empty_like(base)
     new = np.empty_like(F)
     # n_xi is odd, so an even number of rows per block starts every block at
     # an odd xi row and its panels pair up as they do over the whole column.
@@ -251,12 +282,19 @@ def solve_kernel(a: float, k_reaction: float, grid: Grid1D) -> VolterraKernel:
     # width w of row r0; `outside` indexes the block's columns c < w that its rows do not keep, 0.0 in every iterate.
     widths = _staircase_widths(grid.n_interior)
     blocks = []
-    for r0 in range(1, n_xi, rows):
-        r1, s0, w = min(r0 + rows, n_xi), (r0 if r0 > 1 else 0), widths[r0]
-        outside = np.nonzero(np.arange(w) >= widths[s0:r1, None])
-        F[s0:r1, :w][outside] = 0.0
-        blocks.append((r0, r1, s0, w, outside))
+    # |q| = |lam xi eta| peaks at the far corner, so these are the whole rectangle's coefficients.
+    coefficients = _series_coefficients(abs(lam * float(xi[-1])) * float(eta[-1]))
     with np.errstate(over="ignore", invalid="ignore"):  # the finiteness test below owns this verdict
+        for r0 in range(1, n_xi, rows):
+            r1, s0, w = min(r0 + rows, n_xi), (r0 if r0 > 1 else 0), widths[r0]
+            outside = np.nonzero(np.arange(w) >= widths[s0:r1, None])
+            # The start (lam/2)(xi - eta) S(lam xi eta) = 2 base S, the series in characteristic variables.
+            q = np.multiply(lam * xi[s0:r1, None], eta[:w], out=inner[: r1 - s0, :w])
+            start = _series_shape(q, coefficients, out=F[s0:r1, :w])
+            start *= base[s0:r1, :w]
+            start *= 2.0
+            start[outside] = 0.0
+            blocks.append((r0, r1, s0, w, outside))
         for iteration in range(1, KERNEL_ITERATION_CAP + 1):
             # D into `new`; inner[0] and new[r0 - 1] carry the previous block's last eta integral and last row of D.
             new[0] = 0.0

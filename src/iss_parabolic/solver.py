@@ -369,8 +369,12 @@ def pde_residual_sup(data: np.ndarray, dt: float, h: float, a: float) -> float:
     formed a block of time levels at a time in buffers of about
     ``grid.BLOCK_BYTES``; each entry gets the roundings of the whole-array
     formula and a max is exact in any order, so the result is, bit for bit,
-    the whole-array formula's.
+    the whole-array formula's.  A history of fewer than three time levels or
+    three nodes has no central difference and raises ``InvalidParameterError``.
     """
+    if data.shape[0] < 3 or data.shape[1] < 3:
+        raise InvalidParameterError(f"the heat residual needs at least three time levels and three nodes for its "
+                                    f"central differences; the history is {data.shape[0]} x {data.shape[1]}")
     n = data.shape[0] - 2
     rows = _block_rows(data[0].nbytes, n)
     x_t, x_zz = np.empty((2, rows, data.shape[1] - 2))

@@ -46,6 +46,7 @@ from iss_parabolic.backstepping import (
     _random_smooth_fields,
     _row_trapezoid_weights,
     _schur_bound,
+    _series_coefficients,
     _series_shape,
     _simpson_panels,
     _staircase_widths,
@@ -163,8 +164,12 @@ def test_cumulative_simpson_matches_scipy_bitwise(n, axis):
     assert np.array_equal(np.signbit(actual), np.signbit(expected))
 
 
-def _reference_solve_kernel(a, k_reaction, grid):
-    """Picard iteration on the characteristic rectangle with scipy's quadrature."""
+def _reference_solve_kernel(a, k_reaction, grid, cold=False):
+    """Picard iteration on the characteristic rectangle with scipy's quadrature.
+
+    It starts from the series (lam/2)(xi - eta) S(lam xi eta), its term count fixed by the rectangle's max |q|,
+    or with ``cold`` from the base term (lam/4)(xi - eta).
+    """
     lam = k_reaction / a
     h = grid.h
     n_eta = grid.n_nodes
@@ -173,6 +178,9 @@ def _reference_solve_kernel(a, k_reaction, grid):
     eta = np.arange(n_eta) * h
     base = (lam / 4.0) * (xi[:, None] - eta[None, :])
     F = base.copy()
+    if not cold:
+        q = (lam * xi[:, None]) * eta[None, :]
+        F = (lam / 2.0) * (xi[:, None] - eta[None, :]) * _series_shape(q, _series_coefficients(np.max(np.abs(q))))
     diag = np.arange(n_eta)
     kept = diag[None, :] < _staircase_widths(grid.n_interior)[:, None]  # the stop rule reads the staircase only
     for _ in range(KERNEL_ITERATION_CAP):
@@ -206,9 +214,44 @@ def test_solve_kernel_matches_reference_iteration_bitwise(n_interior, k_reaction
     assert np.array_equal(np.signbit(actual), np.signbit(reference))
 
 
-def test_first_change_reads_only_the_staircase():
-    # At k = 1e-6 the first change on the staircase is 2.9e-14, below KERNEL_ITERATION_TOL, while the base term
-    # reaches 4.5e-7 in the columns the sweep runs over but does not keep: the stop rule must not see them.
+@pytest.mark.parametrize(
+    "n_interior", [39, 40, 199, 200], ids=["odd_nodes", "even_nodes", "odd_nodes_n199", "even_nodes_n200"]
+)
+@pytest.mark.parametrize("k_reaction", [10.0, 25.0, -8.0])
+def test_series_start_changes_the_iteration_count_not_the_kernel(n_interior, k_reaction):
+    # Both starts end within the stop rule of the quadrature's fixed point: at most 8.1e-12 apart over these cases.
+    grid = Grid1D(n_interior=n_interior, dt=2e-4, t_final=0.1)
+    warm = solve_kernel(1.0, k_reaction, grid).samples
+    cold = _reference_solve_kernel(1.0, k_reaction, grid, cold=True)
+    assert np.max(np.abs(warm - cold)) <= KERNEL_ITERATION_TOL
+
+
+@pytest.mark.parametrize("n_interior", [99, 199])
+def test_series_start_cannot_mask_a_quadrature_defect(n_interior, monkeypatch):
+    # Simpson panels on a step 1e-5 too long move the fixed point 2.047e-4 from the series, far past the oracle's
+    # 1e-6 gate.  The iteration converges to that fixed point from either start, so the series start cannot hide
+    # the defect; one coefficient makes S = 1/2 and the start the base term.
+    from iss_parabolic import backstepping
+
+    grid = Grid1D(n_interior=n_interior, dt=2e-4, t_final=0.1)
+    oracle = kernel_series_reference(1.0, 14.0, grid)
+    panels = backstepping._simpson_panels
+    monkeypatch.setattr(backstepping, "_simpson_panels",
+                        lambda y, h, axis, out: panels(y, h * (1.0 + 1e-5), axis, out))
+    warm = np.max(np.abs(solve_kernel(1.0, 14.0, grid).samples - oracle))
+    monkeypatch.setattr(backstepping, "_series_coefficients", lambda q_max: [0.5])
+    cold = np.max(np.abs(solve_kernel(1.0, 14.0, grid).samples - oracle))
+    assert warm == pytest.approx(2.047e-4, rel=1e-3)
+    assert abs(warm - cold) <= KERNEL_ITERATION_TOL
+
+
+def test_first_change_reads_only_the_staircase(monkeypatch):
+    # At k = 1e-6 the first change on the staircase is 5.3e-23, below KERNEL_ITERATION_TOL, while the series start
+    # reaches 4.5e-7 in the columns the sweep runs over but does not keep: the stop rule must not see them, so the
+    # first sweep stops.  (The second change is 0.0, so only the cap shows a second sweep.)
+    from iss_parabolic import backstepping
+
+    monkeypatch.setattr(backstepping, "KERNEL_ITERATION_CAP", 1)
     grid = Grid1D(n_interior=15, dt=1e-3, t_final=0.01)
     actual = solve_kernel(1.0, 1e-6, grid).samples
     assert np.array_equal(actual, _reference_solve_kernel(1.0, 1e-6, grid))
@@ -243,7 +286,8 @@ def test_series_reference_matches_full_square_bitwise(n_interior, k_reaction):
     grid = Grid1D(n_interior=n_interior, dt=2e-4, t_final=0.1)
     zz, ss = np.meshgrid(grid.nodes, grid.nodes, indexing="ij")
     lam = k_reaction / 1.0
-    expected = np.triu(lam * (1.0 - ss) * _series_shape(lam * ((1.0 - zz) ** 2 - (1.0 - ss) ** 2)))
+    q = lam * ((1.0 - zz) ** 2 - (1.0 - ss) ** 2)
+    expected = np.triu(lam * (1.0 - ss) * _series_shape(q, _series_coefficients(np.max(np.abs(q)))))
     actual = kernel_series_reference(1.0, k_reaction, grid)
     assert np.array_equal(actual, expected)
     assert np.array_equal(np.signbit(actual), np.signbit(expected))
@@ -281,19 +325,19 @@ class TestInverseKernel:
             solve_kernel(1.0, 10.0, kernel_grid)
 
     def test_large_kernel_stops_on_its_rounding_floor(self, monkeypatch):
-        # At k = 200 max |F| on the staircase is 7.7e5: the change stalls at its rounding, 1.14e-10 to 1.16e-10 over
-        # iterations 28-32, above the absolute KERNEL_ITERATION_TOL, which it first meets at 33; the floor
-        # KERNEL_ITERATION_ULPS eps max |F| ~ 2.7e-9 stops it at 27, under a cap that the absolute rule alone exceeds.
+        # At k = 200 max |F| on the staircase is 7.7e5 and the floor KERNEL_ITERATION_ULPS eps max |F| ~ 2.7e-9
+        # stops the iteration at 24 (change 2.0e-9), under a cap that the absolute rule alone exceeds: the change
+        # first meets KERNEL_ITERATION_TOL at 26 (8.0e-11) and stalls at its rounding, 1.16e-10 to 1.9e-10, over
+        # 27-36.  From the base term the floor stops it at 27 and the absolute rule at 33.
         from iss_parabolic import backstepping
 
         grid = Grid1D(n_interior=15, dt=1e-3, t_final=0.01)
-        monkeypatch.setattr(backstepping, "KERNEL_ITERATION_CAP", 30)
+        monkeypatch.setattr(backstepping, "KERNEL_ITERATION_CAP", 25)
         kernel = solve_kernel(1.0, 200.0, grid)
         assert np.array_equal(kernel.samples, _reference_solve_kernel(1.0, 200.0, grid))
 
-    # At k = 1e200 the first pass already multiplies lam/4 ~ 2.5e199 into
-    # itself, past the largest double; smaller ratios overflow later.
-    @pytest.mark.parametrize("k_reaction, iteration", [(1e200, 1), (1e20, 17)])
+    # S(q) grows like exp(sqrt(q)), so at both ratios the series start is already past the largest double.
+    @pytest.mark.parametrize("k_reaction, iteration", [(1e200, 1), (1e20, 1)])
     def test_overflow_raises_at_its_iteration_without_warning(self, k_reaction, iteration):
         from iss_parabolic import SynthesisError
 
@@ -718,6 +762,11 @@ REFUSALS = [
      "expected a (direct, inverse) kernel pair"),
     ("disturbance_times", _misaligned_certificate, InvalidParameterError,
      "disturbance samples must align with the trajectory times"),
+    # Before the refusal both reached numpy's "zero-size array to reduction operation maximum" ValueError.
+    ("residual_two_levels", lambda k, inv: pde_residual_sup(np.zeros((2, 5)), 0.1, 0.25, 1.0), InvalidParameterError,
+     "at least three time levels and three nodes for its central differences; the history is 2 x 5"),
+    ("residual_two_nodes", lambda k, inv: pde_residual_sup(np.zeros((3, 2)), 0.1, 0.25, 1.0), InvalidParameterError,
+     "at least three time levels and three nodes for its central differences; the history is 3 x 2"),
 ]
 
 

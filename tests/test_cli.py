@@ -122,15 +122,15 @@ d1 = constant(100.0)
 
 CORE_SEED7_DIGESTS = {
     "backstep_closed": {
-        "report.csv": "3519b79b6be9c51c0503683323fcaebca1e0f31fd255615eba49ecac13e7d323",
-        "trajectory.npy": "7cc75ebefcbe74f6e6c0b6c39105b47caecb187c1cc83074723fb435bb25ea56",
-        "x_trajectory.npy": "7d56445a85bccdf33983329edc016b013c9152605bfb1a50824eb57c82d9279b",
+        "report.csv": "e332978dbd28d3b40e32f7e69937f21f3651e8ec000ec9eac622302027feb6a4",
+        "trajectory.npy": "75016db46c9abb2a014ec09b74869245e195ef7a230c898d7f6551abf9fef63a",
+        "x_trajectory.npy": "c35e24d98007f9ac8926529a76d463419eb3630cb4b9d3494a995c629c185a21",
     },
     "backstep_disturbed": {
-        "report.csv": "4c7b0a979b4d821ecbbc4adde04ae29ff7c7934a3dff20fcf68a26a97660d727",
-        "summary.csv": "52edddc536e8ca60706ece62acca3bd73fb11717ce380997b9f0df61f8961240",
-        "trajectory.npy": "79f5263f678a507545291314f1a828fb0d77d91fa34d974d4459feaaf5eefff2",
-        "x_trajectory.npy": "5ee4ca2abccd0ec1fae592f21f5c7a7aa819e03597cb7e7d7754bd39dc0225e9",
+        "report.csv": "6347830fb18b9e055ce30a5f6c36efdbd87312798e0e0b6a69700812899a0e61",
+        "summary.csv": "8f8dad96657f1f66a10246aa783225b43e408a5e0b1be56253864e50e34eda55",
+        "trajectory.npy": "614d9797580a2404a6a2dd7b4a138cfd52e8561589a518fcdd6b180c28369ff4",
+        "x_trajectory.npy": "fe4207cabe6d0b0f470425f9076677f99e30acfa880d7e98f6274c5ecea386fd",
     },
     "backstep_open": {
         "report.csv": "c7e3a051fa585bde59c5464fd70fee14a6f64c77f878e91bb7a22a35d82e08a1",
@@ -141,8 +141,8 @@ CORE_SEED7_DIGESTS = {
         "trajectory.npy": "da22a2c5ca660385787ea8ee2a3bf761dd61e42742dcc4b1d7932616b0b85ac0",
     },
     "kernel_a1k10": {
-        "kernel.csv": "da641b4736a670f18cf6288c0eed22c78129ba84819714cb0a6cc71dd67acc12",
-        "report.csv": "d67678a7807ec6978c79fed8888278960fd1933df88d7c4bcbaec83b14bce238",
+        "kernel.csv": "dbdb4da99b78c90389da12d3c9d3260efadbbe2ef46321e523a65301fa1d2c02",
+        "report.csv": "0e461a360431cc14a87354adf20a12978066a5fbbc512a6b6f6b2fa67cabaa24",
     },
     "l2_random_a": {
         "report.csv": "8dbe4edded0ea501d7ab0734cc6e7515107d9c5b7490a0c4e031472aa2a91b1f",
@@ -189,10 +189,10 @@ CORE_SEED7_DIGESTS = {
 # The sha256 of each trajectory of that run in the former t,z,value CSV form: a row per time of grid.times()
 # and node of grid.nodes, every number "%.17g".  The .npy files must hold the very doubles those CSVs held.
 TRAJECTORY_CSV_DIGESTS = {
-    "backstep_closed/trajectory.npy": "0ba7fa46a8dbe1be160ec779fe2aa8788f4e6eb877f1e4ef2d944a679c78ce90",
-    "backstep_closed/x_trajectory.npy": "d7bdda87b1639d45ffd35ece848a62364ae4ca715e318585173f182da1007014",
-    "backstep_disturbed/trajectory.npy": "358a99db08ab3761a9f4277037d9b4581d066114d860e6e556d5af9320d79bde",
-    "backstep_disturbed/x_trajectory.npy": "8704a19a148832675e686c86667bdb3a2385128385abf297e144333bada81b4f",
+    "backstep_closed/trajectory.npy": "1a11c47b87333676a2abb9697d0db921c34017da2e6fb39c84c92b3c42e11a49",
+    "backstep_closed/x_trajectory.npy": "38b5a3df5e7128992c0f2c24f8b2be59b8387448650def1e49bd0da75260903d",
+    "backstep_disturbed/trajectory.npy": "bde3b083c2bfcb5325289adf301adedd04ae31b66bc28ebd4ef05e88200b5983",
+    "backstep_disturbed/x_trajectory.npy": "78b9607a603f234df692675cf1bb3c3f66fbbef57c14398967762dd91dc38570",
     "backstep_open/trajectory.npy": "b902f9031480c1757c7e11fd6f89fef1a78bf5a774f15b23501a0c2d46bffa76",
     "eigen_decay/trajectory.npy": "b743ff4b1b8abe3c79227502eeeddafad67bebea8b92e8eb0fe056db270e900c",
     "l2_random_a/trajectory.npy": "0d22bf25f36159a706cfbd06ed9b7ddbaa08d436c39a059dd23a1c7e3c9d805e",
@@ -940,9 +940,11 @@ class TestSuiteCommand:
         # has: OpenBLAS's threaded dtrmm rounds differently from its one-thread
         # path, and kernel_a1k10's round trip reads the difference.  Another
         # CPU type or BLAS may round differently.  A change that moves any of
-        # them must say so and re-record them.  Last re-recorded when the
-        # trajectories moved from t,z,value CSV to .npy, each holding the same
-        # doubles (TRAJECTORY_CSV_DIGESTS); no CSV moved.
+        # them must say so and re-record them.  Last re-recorded when kernel
+        # synthesis began its iteration at the closed-form series: the kernels
+        # moved by at most ~1e-11, and with them kernel_a1k10's kernel.csv and
+        # report.csv and every artifact of backstep_closed and
+        # backstep_disturbed (backstep_open runs no feedback kernel).
         # One comparison of the whole map, and a failure names every file at once.
         written = {
             path.relative_to(core_seed7).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()

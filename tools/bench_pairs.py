@@ -21,7 +21,9 @@ of the pairs, and its median is better than the parent's by more than the
 parent's interquartile range.  ``--trace-seed`` adds one ``--trace 1`` run
 per side (parent first) and prints each per-layer metric side by side.
 ``--json`` saves the runs and the summary.  Nothing under the checkout is
-written.
+written.  The exit status is 1 when any run reads ``correct: false`` or
+counts a failed operation, or when the ``--claim`` rule does not hold, and
+0 otherwise.
 """
 
 from __future__ import annotations
@@ -60,6 +62,12 @@ def export_working_tree(dest: Path) -> None:
         if source.is_file():  # a tracked file deleted in the working tree is not copied
             (dest / name).parent.mkdir(parents=True, exist_ok=True)
             shutil.copy2(source, dest / name)
+
+
+def short_commit(ref: str) -> str:
+    """The abbreviated commit id ``ref`` names in the checkout."""
+    return subprocess.run(["git", "rev-parse", "--short", ref], cwd=ROOT, capture_output=True, check=True,
+                          text=True).stdout.strip()
 
 
 def run_benchmark(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -133,8 +141,7 @@ def main(argv=None) -> int:
     end_to_end = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     if args.claim is not None and args.claim not in {spec["name"] for spec in end_to_end}:
         parser.error(f"--claim {args.claim} is not an end-to-end metric of BENCHMARK.json")
-    commit = subprocess.run(["git", "rev-parse", "--short", args.parent_ref], cwd=ROOT, capture_output=True,
-                            check=True, text=True).stdout.strip()
+    commit = short_commit(args.parent_ref)
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
         sides = {"parent": Path(tmp) / "parent", "change": Path(tmp) / "change"}
         for side in sides.values():
@@ -162,6 +169,7 @@ def main(argv=None) -> int:
                 traced[side] = {k: v["value"] for k, v in result["metrics"].items()}
     summary = summarize(pairs, end_to_end)
     correct = all(run["result"]["correct"] and run["result"]["failed"] == 0 for run in runs)
+    holds = args.claim is None or claim_holds(summary[args.claim], args.pairs)
     _print_summary(args.workload, args.pairs, summary, args.claim, correct)
     for name in traced.get("parent", {}):
         print(f"  traced {name}: parent {traced['parent'][name]:.6g}  change {traced['change'][name]:.6g}")
@@ -173,9 +181,9 @@ def main(argv=None) -> int:
             "summary": summary, "all_correct": correct, "traced": traced, "runs": runs,
         }
         if args.claim is not None:
-            saved["claim"] = {"metric": args.claim, "holds": claim_holds(summary[args.claim], args.pairs)}
+            saved["claim"] = {"metric": args.claim, "holds": holds}
         args.json.write_text(json.dumps(saved, indent=1) + "\n")
-    return 0
+    return 0 if correct and holds else 1
 
 
 if __name__ == "__main__":
