@@ -33,15 +33,12 @@ distance from the continuous kernel.  A second, dynamic check,
 heat residual at the scheme's order), is run by the acceptance tests and
 the ``closed_loop_fine`` benchmark; no scenario kind runs it.
 The double integral is cumulative Simpson quadrature, equal bit for bit to
-scipy's ``cumulative_simpson`` in each direction.  Synthesis sweeps only a
-staircase of the 2n x n characteristic rectangle of an n-node grid, about
-three quarters of it, around the sample triangle and closed under every
-Simpson stencil, so each iterate there has the bits of the whole-rectangle
-iterate.  These arrays outgrow a core's cache, so synthesis and the
-commutation residual walk them in blocks of rows of about
-``grid.BLOCK_BYTES`` per buffer; blocking changes only the order in which
-memory is visited, never the roundings or the sequence of a running sum, so
-every result keeps the bits of the whole-array computation.
+scipy's ``cumulative_simpson`` in each direction, over the whole 2n x n
+characteristic rectangle of an n-node grid.  These arrays outgrow a core's
+cache, so synthesis and the commutation residual walk them in blocks of
+rows of about ``grid.BLOCK_BYTES`` per buffer; blocking changes only the
+order in which memory is visited, never the roundings or the sequence of a
+running sum, so every result keeps the bits of the whole-array computation.
 
 Each kernel carries its upper-triangular quadrature operator M
 (``VolterraKernel.matrix``, row-wise trapezoid weights times the samples),
@@ -79,7 +76,7 @@ from .norms import check_exponent, lp_norms
 from .solver import COMPATIBILITY_TOL, BoundarySignal, _march, check_diffusion, linear_reaction, pde_residual_sup
 
 KERNEL_ITERATION_TOL = 1e-10
-# The stop rule's floor in units of eps max |F| on the swept staircase: a large kernel's change stalls at its rounding.
+# The stop rule's floor in units of eps max |F| on the rectangle: a large kernel's change stalls at its rounding.
 KERNEL_ITERATION_ULPS = 16.0
 KERNEL_ITERATION_CAP = 200
 # Share of the horizon skipped before the commutation residual is measured.
@@ -218,51 +215,39 @@ def _simpson_panels(y: np.ndarray, h: float, axis: int, out: np.ndarray) -> None
         out[..., -1] = (((y[..., -1] * 5.0) * 0.25 + 2.0 * y[..., -2]) - y[..., -3] * 0.25) * (h / 3.0)
 
 
-def _staircase_widths(n_interior: int) -> np.ndarray:
-    """w_r for each xi row r of the characteristic rectangle: the columns c < w_r that ``solve_kernel`` sweeps."""
-    corner = 2 * (n_interior + 1)
-    return np.minimum(n_interior + 2, (corner + 2 - np.arange(corner + 1)) // 2 * 2 + 1)
-
-
 def solve_kernel(a: float, k_reaction: float, grid: Grid1D) -> VolterraKernel:
     """Synthesize the direct kernel by successive approximation from the series.
 
     Iterates the characteristic-variable integral equation in the rectangle
     xi in [0, 2], eta in [0, 1] (the equation extends smoothly beyond the
     physical triangle, which keeps the quadrature stencils away from kinks),
-    with cumulative Simpson quadrature for the double integral, on the
-    staircase S where xi row r keeps the columns c < w_r
-    (``_staircase_widths``).  Each row of S that is not full and each column
-    has an odd count, so every Simpson triple of a kept row or column lies in
-    S with no end panel; S holds the samples (z, s) -> (2 - z - s, s - z) and
-    every D(c, c).  So each iterate on S has the bits of the whole-rectangle
-    iterate, and the far corner xi + eta > 2, which converges last, does not
-    set the count.  The iteration starts from the series in characteristic
-    variables, F0 = (lam/2)(xi - eta) S(lam xi eta) (so F0(xi, 0) is the base
-    term (lam/4) xi), which lies within ~1e-11 of the quadrature's fixed
-    point at n = 999: one sweep there, a few at n <= 199, against 10-13 from
-    the base term.  F0 is formed a row block at a time into F by Horner's
-    rule with the whole rectangle's term count, so each block has the bits
-    of the whole-rectangle evaluation.  Iteration stops when the
-    sup-difference of successive iterates on S drops below
-    ``KERNEL_ITERATION_TOL`` or below ``KERNEL_ITERATION_ULPS`` eps max |F|
-    (F the new iterate on S), so the result is the fixed point to the stop
-    rule, as from any start.  Raises ``SynthesisError`` at the first
-    non-finite change, naming its iteration (the first when the series start
-    overflows), or after ``KERNEL_ITERATION_CAP`` iterations.
+    with cumulative Simpson quadrature for the double integral.  The samples
+    are read at (z, s) -> (2 - z - s, s - z).  The iteration starts from the
+    series in characteristic variables, F0 = (lam/2)(xi - eta) S(lam xi eta)
+    (so F0(xi, 0) is the base term (lam/4) xi), which lies within ~1e-11 of
+    the quadrature's fixed point at n = 999: one sweep there for k <= 18 and
+    two at k = 20, a few at n <= 199, against 12-16 from the base term.  F0
+    is formed a row block at a time into F by Horner's rule with the whole
+    rectangle's term count, so each block has the bits of the
+    whole-rectangle evaluation.  Iteration stops when the sup-difference of
+    successive iterates drops below ``KERNEL_ITERATION_TOL`` or below
+    ``KERNEL_ITERATION_ULPS`` eps max |F| (F the new iterate), so the result
+    is the fixed point to the stop rule, as from any start.  Raises
+    ``SynthesisError`` at the first non-finite change, naming its iteration
+    (the first when the series start overflows), or after
+    ``KERNEL_ITERATION_CAP`` iterations.
 
-    Each iteration is one sweep over blocks of xi rows, each buffer about
-    ``BLOCK_BYTES`` and never more rows than the rectangle, so the work stays
-    in cache; a block runs over the width of its first (widest) row.  A
-    block's rows are integrated in eta (``_simpson_panels``, then a
-    cumulative sum along each row), then in xi into D = int_0^xi int_0^eta F
-    by a running sum down the block, one contiguous row add per row, from
-    the previous block's last row of D.  That is scipy's
-    ``cumulative_simpson`` applied twice, bit for bit: every sub-integral
-    has its roundings and every running sum adds in the same sequence.  A
-    second loop over the same blocks forms the next iterate base + lam/4 (D
-    - diag D), 0.0 in the columns a row does not keep, its sup change and
-    its sup.  Rectangles are allocated once.
+    Each iteration is one sweep over blocks of full xi rows, each buffer
+    about ``BLOCK_BYTES`` and never more rows than the rectangle, so the
+    work stays in cache.  A block's rows are integrated in eta
+    (``_simpson_panels``, then a cumulative sum along each row), then in xi
+    into D = int_0^xi int_0^eta F by a running sum down the block, one
+    contiguous row add per row, from the previous block's last row of D.
+    That is scipy's ``cumulative_simpson`` applied twice, bit for bit: every
+    sub-integral has its roundings and every running sum adds in the same
+    sequence.  A second loop over the same blocks forms the next iterate
+    base + lam/4 (D - diag D), its sup change and its sup.  Rectangles are
+    allocated once.
     """
     lam = kernel_ratio(a, k_reaction)
     h = grid.h
@@ -278,47 +263,40 @@ def solve_kernel(a: float, k_reaction: float, grid: Grid1D) -> VolterraKernel:
     # an odd xi row and its panels pair up as they do over the whole column.
     rows = min(max(2, BLOCK_BYTES // F[0].nbytes // 2 * 2), n_xi - 1)
     inner = np.empty((rows + 1, n_eta))
-    # Block (r0, r1, s0, w): D rows [r0, r1) from F rows [s0, r1), s0 = 0 in the first block and r0 after, over the
-    # width w of row r0; `outside` indexes the block's columns c < w that its rows do not keep, 0.0 in every iterate.
-    widths = _staircase_widths(grid.n_interior)
-    blocks = []
+    # Block (r0, r1, s0): D rows [r0, r1) from F rows [s0, r1), s0 = 0 in the first block and r0 after.
+    blocks = [(r0, min(r0 + rows, n_xi), r0 if r0 > 1 else 0) for r0 in range(1, n_xi, rows)]
     # |q| = |lam xi eta| peaks at the far corner, so these are the whole rectangle's coefficients.
     coefficients = _series_coefficients(abs(lam * float(xi[-1])) * float(eta[-1]))
     with np.errstate(over="ignore", invalid="ignore"):  # the finiteness test below owns this verdict
-        for r0 in range(1, n_xi, rows):
-            r1, s0, w = min(r0 + rows, n_xi), (r0 if r0 > 1 else 0), widths[r0]
-            outside = np.nonzero(np.arange(w) >= widths[s0:r1, None])
+        for _, r1, s0 in blocks:
             # The start (lam/2)(xi - eta) S(lam xi eta) = 2 base S, the series in characteristic variables.
-            q = np.multiply(lam * xi[s0:r1, None], eta[:w], out=inner[: r1 - s0, :w])
-            start = _series_shape(q, coefficients, out=F[s0:r1, :w])
-            start *= base[s0:r1, :w]
+            q = np.multiply(lam * xi[s0:r1, None], eta, out=inner[: r1 - s0])
+            start = _series_shape(q, coefficients, out=F[s0:r1])
+            start *= base[s0:r1]
             start *= 2.0
-            start[outside] = 0.0
-            blocks.append((r0, r1, s0, w, outside))
         for iteration in range(1, KERNEL_ITERATION_CAP + 1):
             # D into `new`; inner[0] and new[r0 - 1] carry the previous block's last eta integral and last row of D.
             new[0] = 0.0
-            for r0, r1, s0, w, _ in blocks:
-                block = inner[: r1 - r0 + 1, :w]
+            for r0, r1, s0 in blocks:
+                block = inner[: r1 - r0 + 1]
                 fresh = block[s0 - r0 + 1 :]
-                _simpson_panels(F[s0:r1, :w], h, 1, fresh)
+                _simpson_panels(F[s0:r1], h, 1, fresh)
                 fresh[:, 0] = 0.0
                 np.cumsum(fresh, axis=1, out=fresh)
-                d = new[r0 - 1 : r1, :w]
+                d = new[r0 - 1 : r1]
                 _simpson_panels(block, h, 0, d)
                 for prev, row in zip(d, d[1:]):  # one contiguous add per row; cumsum(axis=0) is a strided scalar loop
                     np.add(prev, row, out=row)
-                inner[0, :w] = block[-1]
+                inner[0] = block[-1]
             # int_eta^xi int_0^eta F = D(xi, eta) - D(eta, eta)
             diag_d = new.diagonal().copy()
             peaks, sizes = [], []
-            for r0, r1, s0, w, outside in blocks:
-                d = new[s0:r1, :w]
-                d -= diag_d[:w]
+            for _, r1, s0 in blocks:
+                d = new[s0:r1]
+                d -= diag_d
                 d *= lam / 4.0
-                d += base[s0:r1, :w]
-                d[outside] = 0.0
-                diff = np.subtract(d, F[s0:r1, :w], out=inner[: len(d), :w])
+                d += base[s0:r1]
+                diff = np.subtract(d, F[s0:r1], out=inner[: len(d)])
                 peaks.append(np.abs(diff, out=diff).max())
                 sizes.append(np.abs(d, out=diff).max())
             change = float(np.max(peaks))

@@ -44,6 +44,9 @@ class Grid1D:
         Time step, strictly positive.
     t_final : float
         Simulation horizon; a whole number of steps, at least one.
+
+    A history of every time level, (n_steps + 1) x n_nodes doubles, must fit
+    numpy's largest array.
     """
 
     n_interior: int
@@ -60,9 +63,16 @@ class Grid1D:
                 f"t_final must be >= dt, got t_final={self.t_final}, dt={self.dt}"
             )
         steps = self.t_final / self.dt
+        if not math.isfinite(steps):
+            raise InvalidParameterError(f"t_final/dt must be finite, got t_final={self.t_final}, dt={self.dt}")
         if abs(steps - round(steps)) > 1e-9 * steps:
             raise InvalidParameterError(
                 f"t_final must be a whole number of steps, got t_final/dt={steps!r}"
+            )
+        if 8 * (self.n_steps + 1) * (int(self.n_interior) + 2) > np.iinfo(np.intp).max:
+            raise InvalidParameterError(
+                f"a history of (n_steps + 1) x n_nodes doubles exceeds numpy's largest array, got "
+                f"t_final/dt={steps!r}, n_interior={self.n_interior}"
             )
 
     @property

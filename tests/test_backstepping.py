@@ -49,7 +49,6 @@ from iss_parabolic.backstepping import (
     _series_coefficients,
     _series_shape,
     _simpson_panels,
-    _staircase_widths,
     write_kernel_csv,
 )
 from iss_parabolic.grid import BLOCK_BYTES
@@ -182,14 +181,13 @@ def _reference_solve_kernel(a, k_reaction, grid, cold=False):
         q = (lam * xi[:, None]) * eta[None, :]
         F = (lam / 2.0) * (xi[:, None] - eta[None, :]) * _series_shape(q, _series_coefficients(np.max(np.abs(q))))
     diag = np.arange(n_eta)
-    kept = diag[None, :] < _staircase_widths(grid.n_interior)[:, None]  # the stop rule reads the staircase only
     for _ in range(KERNEL_ITERATION_CAP):
         inner = cumulative_simpson(F, dx=h, axis=1, initial=0.0)
         outer = cumulative_simpson(inner, dx=h, axis=0, initial=0.0)
         new = base + (lam / 4.0) * (outer - outer[diag, diag][None, :])
-        change = float(np.max(np.abs(new - F)[kept]))
+        change = float(np.max(np.abs(new - F)))
         F = new
-        if change < max(KERNEL_ITERATION_TOL, KERNEL_ITERATION_ULPS * np.finfo(float).eps * np.max(np.abs(F[kept]))):
+        if change < max(KERNEL_ITERATION_TOL, KERNEL_ITERATION_ULPS * np.finfo(float).eps * np.max(np.abs(F))):
             break
     else:
         raise AssertionError("reference kernel iteration did not converge")
@@ -245,38 +243,23 @@ def test_series_start_cannot_mask_a_quadrature_defect(n_interior, monkeypatch):
     assert abs(warm - cold) <= KERNEL_ITERATION_TOL
 
 
-def test_first_change_reads_only_the_staircase(monkeypatch):
-    # At k = 1e-6 the first change on the staircase is 5.3e-23, below KERNEL_ITERATION_TOL, while the series start
-    # reaches 4.5e-7 in the columns the sweep runs over but does not keep: the stop rule must not see them, so the
-    # first sweep stops.  (The second change is 0.0, so only the cap shows a second sweep.)
+def test_every_start_block_takes_the_whole_rectangles_coefficients(monkeypatch):
+    # The terms a block's own max |q| would drop are below 1e-18 and reach no sample's last bit at these sizes, so
+    # only the coefficients themselves show whether each block was given the whole rectangle's: 18 terms here, where
+    # the first of the five blocks alone would take 13.
     from iss_parabolic import backstepping
 
-    monkeypatch.setattr(backstepping, "KERNEL_ITERATION_CAP", 1)
-    grid = Grid1D(n_interior=15, dt=1e-3, t_final=0.01)
-    actual = solve_kernel(1.0, 1e-6, grid).samples
-    assert np.array_equal(actual, _reference_solve_kernel(1.0, 1e-6, grid))
-
-
-@pytest.mark.parametrize("n_interior", [3, 4, 15, 40, 99, 200])
-def test_staircase_closes_every_simpson_stencil_and_holds_the_samples(n_interior):
-    widths = _staircase_widths(n_interior)
-    n_eta = n_interior + 2
-    n_xi = 2 * n_eta - 1
-    assert widths.shape == (n_xi,) and widths[0] == n_eta
-    kept = np.arange(n_eta)[None, :] < widths[:, None]
-    # k(z_i, s_j) = F(2 - z_i - s_j, s_j - z_i) and the diagonal D(c, c)
-    i, j = np.triu_indices(n_eta)
-    assert kept[n_xi - 1 - i - j, j - i].all()
-    assert kept.diagonal().all()
-    # An odd count puts every cumulative-Simpson triple inside the row or column, with no end panel.
-    assert np.all((widths == n_eta) | (widths % 2 == 1))
-    heights = kept.sum(axis=0)
-    assert np.all(heights % 2 == 1)
-    assert np.all(np.diff(widths) <= 0)  # so column c keeps exactly the rows r < heights[c]
-    assert np.array_equal(kept, np.arange(n_xi)[:, None] < heights[None, :])
-    assert np.array_equal(heights, np.minimum(n_xi, n_xi + 2 - 2 * ((np.arange(n_eta) + 1) // 2)))
-    if n_interior == 99:
-        assert kept.mean() <= 0.78
+    seen = []
+    shape = backstepping._series_shape
+    monkeypatch.setattr(backstepping, "_series_shape",
+                        lambda q, coefficients, out=None: seen.append(coefficients) or shape(q, coefficients, out))
+    grid = Grid1D(n_interior=199, dt=2e-4, t_final=0.1)
+    solve_kernel(1.0, 10.0, grid)
+    xi_max, eta_max = 2 * (grid.n_interior + 1) * grid.h, (grid.n_nodes - 1) * grid.h
+    expected = _series_coefficients(10.0 * xi_max * eta_max)
+    assert len(expected) == 18
+    assert len(seen) == 5
+    assert all(coefficients == expected for coefficients in seen)
 
 
 @pytest.mark.parametrize("n_interior", [39, 40], ids=["odd_nodes", "even_nodes"])
@@ -325,22 +308,28 @@ class TestInverseKernel:
             solve_kernel(1.0, 10.0, kernel_grid)
 
     def test_large_kernel_stops_on_its_rounding_floor(self, monkeypatch):
-        # At k = 200 max |F| on the staircase is 7.7e5 and the floor KERNEL_ITERATION_ULPS eps max |F| ~ 2.7e-9
-        # stops the iteration at 24 (change 2.0e-9), under a cap that the absolute rule alone exceeds: the change
-        # first meets KERNEL_ITERATION_TOL at 26 (8.0e-11) and stalls at its rounding, 1.16e-10 to 1.9e-10, over
-        # 27-36.  From the base term the floor stops it at 27 and the absolute rule at 33.
+        # At k = 200 max |F| on the rectangle is 2.1e8, in the far corner, and the floor KERNEL_ITERATION_ULPS eps
+        # max |F| ~ 7.5e-7 stops the iteration at 29 (change 6.0e-7), at a cap that the absolute rule alone never
+        # meets: the change stalls at its rounding, 3.7e-9, from 31 through 60.  From the base term the floor stops
+        # it at 32 and the change stalls at 1.2e-10 to 9.3e-10.
         from iss_parabolic import backstepping
 
         grid = Grid1D(n_interior=15, dt=1e-3, t_final=0.01)
-        monkeypatch.setattr(backstepping, "KERNEL_ITERATION_CAP", 25)
+        monkeypatch.setattr(backstepping, "KERNEL_ITERATION_CAP", 29)
         kernel = solve_kernel(1.0, 200.0, grid)
         assert np.array_equal(kernel.samples, _reference_solve_kernel(1.0, 200.0, grid))
 
-    # S(q) grows like exp(sqrt(q)), so at both ratios the series start is already past the largest double.
-    @pytest.mark.parametrize("k_reaction, iteration", [(1e200, 1), (1e20, 1)])
-    def test_overflow_raises_at_its_iteration_without_warning(self, k_reaction, iteration):
-        from iss_parabolic import SynthesisError
+    # S(q) grows like exp(sqrt(q)), so at both ratios the series start is already past the largest double.  From
+    # the base term (one coefficient makes S = 1/2) the iterates grow until an overflow appears mid-iteration.
+    @pytest.mark.parametrize(
+        "k_reaction, base_start, iteration",
+        [(1e200, False, 1), (1e20, False, 1), (1e40, True, 7), (1e20, True, 17)],
+    )
+    def test_overflow_raises_at_its_iteration_without_warning(self, k_reaction, base_start, iteration, monkeypatch):
+        from iss_parabolic import SynthesisError, backstepping
 
+        if base_start:
+            monkeypatch.setattr(backstepping, "_series_coefficients", lambda q_max: [0.5])
         grid = Grid1D(n_interior=15, dt=1e-3, t_final=0.01)
         with warnings.catch_warnings():
             warnings.simplefilter("error")

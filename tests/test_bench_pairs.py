@@ -45,38 +45,40 @@ def test_a_median_worse_by_more_than_the_bound_is_reported():
     assert _summary([0.9 * p for p in PARENT])["worse_by"] == pytest.approx(-0.1)
 
 
-def _stub_runs(monkeypatch, change_gain, incorrect=()):
-    """Stub the exports and the runs: pass_s is PARENT[i] on the parent side and PARENT[i] - change_gain on the
-    change side of pair i; the (seed, side) runs in ``incorrect`` read ``correct: false``."""
+def _stub_runs(monkeypatch, change, incorrect=()):
+    """Stub the exports and the runs: pass_s is PARENT[i] on the parent side and change(PARENT[i]) on the change side
+    of pair i, the other metrics PARENT[i] on both; the (seed, side) runs in ``incorrect`` read ``correct: false``."""
     monkeypatch.setattr(bench_pairs, "short_commit", lambda ref: "0000000")
     monkeypatch.setattr(bench_pairs, "export_parent", lambda ref, dest: None)
     monkeypatch.setattr(bench_pairs, "export_working_tree", lambda dest: None)
 
     def run_benchmark(checkout, workload, seed, seconds, trace):
         side, parent = checkout.name, PARENT[seed % len(PARENT)]
-        value = parent - change_gain if side == "change" else parent
-        return {"correct": (seed, side) not in incorrect, "failed": 0,
-                "metrics": {name: {"value": value} for name in ("setup_s", "pass_s", "peak_rss_mb")}}
+        metrics = {name: {"value": parent} for name in ("setup_s", "pass_s", "peak_rss_mb")}
+        if side == "change":
+            metrics["pass_s"]["value"] = change(parent)
+        return {"correct": (seed, side) not in incorrect, "failed": 0, "metrics": metrics}
 
     monkeypatch.setattr(bench_pairs, "run_benchmark", run_benchmark)
 
 
 @pytest.mark.parametrize(
-    "claim, change_gain, incorrect, code",
-    [(["--claim", "pass_s"], 0.06, (), 0),
-     ([], 0.0, (), 0),
-     ([], 0.06, ((3, "parent"),), 1),
-     (["--claim", "pass_s"], 0.06, ((7, "change"),), 1),
-     (["--claim", "pass_s"], 0.03, (), 1)],
-    ids=["claim_holds", "no_claim", "incorrect_parent_run", "incorrect_change_run", "claim_does_not_hold"],
+    "claim, change, incorrect, holds, code",
+    [(["--claim", "pass_s"], lambda p: p - 0.06, (), True, 0),
+     ([], lambda p: p, (), None, 0),
+     ([], lambda p: p - 0.06, ((3, "parent"),), None, 1),
+     (["--claim", "pass_s"], lambda p: p - 0.06, ((7, "change"),), True, 1),
+     (["--claim", "pass_s"], lambda p: p - 0.03, (), False, 1),
+     ([], lambda p: 1.3 * p, (), None, 1)],
+    ids=["claim_holds", "no_claim", "incorrect_parent_run", "incorrect_change_run", "claim_does_not_hold",
+         "worse_than_its_bound"],
 )
 def test_exit_status_is_1_on_an_incorrect_run_or_a_claim_that_does_not_hold(
-        monkeypatch, tmp_path, capsys, claim, change_gain, incorrect, code):
-    _stub_runs(monkeypatch, change_gain, incorrect)
+        monkeypatch, tmp_path, capsys, claim, change, incorrect, holds, code):
+    _stub_runs(monkeypatch, change, incorrect)
     saved = tmp_path / "bench.json"
     argv = ["HEAD", "suite_core", "--first-seed", "0", "--json", str(saved), *claim]
     assert bench_pairs.main(argv) == code
     record = json.loads(saved.read_text())
     assert record["all_correct"] == (not incorrect)
-    if claim:
-        assert record["claim"]["holds"] is (change_gain > 0.045)
+    assert record.get("claim", {}).get("holds") is holds

@@ -122,15 +122,15 @@ d1 = constant(100.0)
 
 CORE_SEED7_DIGESTS = {
     "backstep_closed": {
-        "report.csv": "e332978dbd28d3b40e32f7e69937f21f3651e8ec000ec9eac622302027feb6a4",
-        "trajectory.npy": "75016db46c9abb2a014ec09b74869245e195ef7a230c898d7f6551abf9fef63a",
-        "x_trajectory.npy": "c35e24d98007f9ac8926529a76d463419eb3630cb4b9d3494a995c629c185a21",
+        "report.csv": "f24ec02eb68f4432d05a1700a8f1c1b7288039a756f4fecfb258e371e5d331ba",
+        "trajectory.npy": "b0cdca2f7b6e2c0566851009c488f6ce20278820197962d71bdf40cb9d5a80db",
+        "x_trajectory.npy": "60a1df6c47a0eb5f6f95e47417c4ace2e4d0dc9fa02065f8f72dcbb7055f7ffc",
     },
     "backstep_disturbed": {
-        "report.csv": "6347830fb18b9e055ce30a5f6c36efdbd87312798e0e0b6a69700812899a0e61",
-        "summary.csv": "8f8dad96657f1f66a10246aa783225b43e408a5e0b1be56253864e50e34eda55",
-        "trajectory.npy": "614d9797580a2404a6a2dd7b4a138cfd52e8561589a518fcdd6b180c28369ff4",
-        "x_trajectory.npy": "fe4207cabe6d0b0f470425f9076677f99e30acfa880d7e98f6274c5ecea386fd",
+        "report.csv": "016cf906de0a9359f328633cde9962ae71f44aa1ca861e166ac93402285fef65",
+        "summary.csv": "0fc5525db7dacd9dc5a707d1d9c57703f4fa71817f2d65438fa8fbfe028913f2",
+        "trajectory.npy": "dbac5378af0071204f505cfa30b1f1751f0ebab7be1724bdbfc6cc29748d864f",
+        "x_trajectory.npy": "7f979f27937afc2be902ed981496fca7c3f5b883155d46f20ee7251f0d113fc3",
     },
     "backstep_open": {
         "report.csv": "c7e3a051fa585bde59c5464fd70fee14a6f64c77f878e91bb7a22a35d82e08a1",
@@ -141,8 +141,8 @@ CORE_SEED7_DIGESTS = {
         "trajectory.npy": "da22a2c5ca660385787ea8ee2a3bf761dd61e42742dcc4b1d7932616b0b85ac0",
     },
     "kernel_a1k10": {
-        "kernel.csv": "dbdb4da99b78c90389da12d3c9d3260efadbbe2ef46321e523a65301fa1d2c02",
-        "report.csv": "0e461a360431cc14a87354adf20a12978066a5fbbc512a6b6f6b2fa67cabaa24",
+        "kernel.csv": "18a17e4de30f053db4b63c0b81e8c70c493e83a449453589613bd24724da6c7e",
+        "report.csv": "e9fd5701f6de5bb0c80c05fb4e2c6908b5573c9a5e79f073c7423daba46555ed",
     },
     "l2_random_a": {
         "report.csv": "8dbe4edded0ea501d7ab0734cc6e7515107d9c5b7490a0c4e031472aa2a91b1f",
@@ -189,10 +189,10 @@ CORE_SEED7_DIGESTS = {
 # The sha256 of each trajectory of that run in the former t,z,value CSV form: a row per time of grid.times()
 # and node of grid.nodes, every number "%.17g".  The .npy files must hold the very doubles those CSVs held.
 TRAJECTORY_CSV_DIGESTS = {
-    "backstep_closed/trajectory.npy": "1a11c47b87333676a2abb9697d0db921c34017da2e6fb39c84c92b3c42e11a49",
-    "backstep_closed/x_trajectory.npy": "38b5a3df5e7128992c0f2c24f8b2be59b8387448650def1e49bd0da75260903d",
-    "backstep_disturbed/trajectory.npy": "bde3b083c2bfcb5325289adf301adedd04ae31b66bc28ebd4ef05e88200b5983",
-    "backstep_disturbed/x_trajectory.npy": "78b9607a603f234df692675cf1bb3c3f66fbbef57c14398967762dd91dc38570",
+    "backstep_closed/trajectory.npy": "5394f9391fba95972a8b19284df3acb8d2098a11c5fb43df8b56cfe377009aff",
+    "backstep_closed/x_trajectory.npy": "7486516efd52dead5d4218c223ceaf491d0733b5f96d99abd43bd304f3c3be19",
+    "backstep_disturbed/trajectory.npy": "83eb361d03298ede55f5558c18046649b95e4dc6ac54f1d0ef1f1d5d0ac73bdf",
+    "backstep_disturbed/x_trajectory.npy": "f3798a05054a9985f4b2911375e6639cea6a307b2ca729b4767b073d52cfd3ab",
     "backstep_open/trajectory.npy": "b902f9031480c1757c7e11fd6f89fef1a78bf5a774f15b23501a0c2d46bffa76",
     "eigen_decay/trajectory.npy": "b743ff4b1b8abe3c79227502eeeddafad67bebea8b92e8eb0fe056db270e900c",
     "l2_random_a/trajectory.npy": "0d22bf25f36159a706cfbd06ed9b7ddbaa08d436c39a059dd23a1c7e3c9d805e",
@@ -301,6 +301,8 @@ FILE_CASES = [
     ("name..", "x.scn", FAST_SCENARIO.format(name=".."), "scenario name '..' must be filesystem-safe"),
     ("name.", "x.scn", FAST_SCENARIO.format(name="."), "scenario name '.' must be filesystem-safe"),
     ("stem.", "..scn", FAST_SCENARIO.format(name="x").replace("name = x\n", ""), "name '.' must be filesystem-safe"),
+    ("grid", "x.scn", FAST_SCENARIO.format(name="x").replace("dt = 2e-4\nt_final = 0.2", "dt = 1e-300\nt_final = 1"),
+     "bad [grid]: a history of (n_steps + 1) x n_nodes doubles exceeds numpy's largest array"),
 ]
 
 
@@ -941,8 +943,8 @@ class TestSuiteCommand:
         # path, and kernel_a1k10's round trip reads the difference.  Another
         # CPU type or BLAS may round differently.  A change that moves any of
         # them must say so and re-record them.  Last re-recorded when kernel
-        # synthesis began its iteration at the closed-form series: the kernels
-        # moved by at most ~1e-11, and with them kernel_a1k10's kernel.csv and
+        # synthesis began sweeping the whole characteristic rectangle: the
+        # kernels moved by at most ~1e-11, and with them kernel_a1k10's kernel.csv and
         # report.csv and every artifact of backstep_closed and
         # backstep_disturbed (backstep_open runs no feedback kernel).
         # One comparison of the whole map, and a failure names every file at once.

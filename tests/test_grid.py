@@ -52,6 +52,10 @@ class TestGrid1D:
             dict(n_interior=9, dt=0.03, t_final=0.1),
             dict(n_interior=63.5, dt=1e-3, t_final=0.1),
             dict(n_interior=64.0, dt=1e-3, t_final=0.1),
+            # no array can hold the history (or the nodes); t_final/dt overflows
+            dict(n_interior=10, dt=1e-300, t_final=1.0),
+            dict(n_interior=10**30, dt=1e-3, t_final=0.1),
+            dict(n_interior=10, dt=1e-10, t_final=1e300),
         ],
     )
     def test_invariants_rejected(self, kwargs):

@@ -22,8 +22,9 @@ parent's interquartile range.  ``--trace-seed`` adds one ``--trace 1`` run
 per side (parent first) and prints each per-layer metric side by side.
 ``--json`` saves the runs and the summary.  Nothing under the checkout is
 written.  The exit status is 1 when any run reads ``correct: false`` or
-counts a failed operation, or when the ``--claim`` rule does not hold, and
-0 otherwise.
+counts a failed operation, when any end-to-end metric's median is worse
+than the parent's by more than its bound, or when the ``--claim`` rule does
+not hold, and 0 otherwise.
 """
 
 from __future__ import annotations
@@ -170,6 +171,7 @@ def main(argv=None) -> int:
     summary = summarize(pairs, end_to_end)
     correct = all(run["result"]["correct"] and run["result"]["failed"] == 0 for run in runs)
     holds = args.claim is None or claim_holds(summary[args.claim], args.pairs)
+    within = all(m["worse_by"] <= m["bound"] for m in summary.values())
     _print_summary(args.workload, args.pairs, summary, args.claim, correct)
     for name in traced.get("parent", {}):
         print(f"  traced {name}: parent {traced['parent'][name]:.6g}  change {traced['change'][name]:.6g}")
@@ -183,7 +185,7 @@ def main(argv=None) -> int:
         if args.claim is not None:
             saved["claim"] = {"metric": args.claim, "holds": holds}
         args.json.write_text(json.dumps(saved, indent=1) + "\n")
-    return 0 if correct and holds else 1
+    return 0 if correct and holds and within else 1
 
 
 if __name__ == "__main__":
