@@ -35,8 +35,9 @@ the ``closed_loop_fine`` benchmark; no scenario kind runs it.
 The double integral is cumulative Simpson quadrature, equal bit for bit to
 scipy's ``cumulative_simpson`` in each direction, over the whole 2n x n
 characteristic rectangle of an n-node grid.  These arrays outgrow a core's
-cache, so synthesis and the commutation residual walk them in blocks of
-rows of about ``grid.BLOCK_BYTES`` per buffer; blocking changes only the
+cache, so synthesis, the series oracle and the commutation residual walk
+them in blocks of rows of about ``grid.BLOCK_BYTES`` per buffer, with no
+whole-array temporary beside their results; blocking changes only the
 order in which memory is visited, never the roundings or the sequence of a
 running sum, so every result keeps the bits of the whole-array computation.
 
@@ -71,7 +72,7 @@ from ._lapack import dtrmm, dtrtri
 from .certify import ExpIssConstants, ISSReport, evaluate_bound
 from .comparison import ExpLinearKL, LinearGain
 from .errors import IncompatibleDataError, InvalidParameterError, NumericalError, SynthesisError
-from .grid import BLOCK_BYTES, Field, Grid1D, Trajectory, _frozen, write_csv
+from .grid import BLOCK_BYTES, Field, Grid1D, Trajectory, _block_rows, _frozen, write_csv
 from .norms import check_exponent, lp_norms
 from .solver import COMPATIBILITY_TOL, BoundarySignal, _march, check_diffusion, linear_reaction, pde_residual_sup
 
@@ -112,14 +113,23 @@ class VolterraKernel:
 
     @cached_property
     def matrix(self) -> np.ndarray:
-        """M[i, j]: trapezoid weight times k(z_i, s_j), upper triangular."""
-        m = _row_trapezoid_weights(self.grid.n_nodes, self.grid.h) * self.samples
+        """M[i, j]: trapezoid weight times k(z_i, s_j), upper triangular.
+
+        The samples times h, h/2 on the diagonal and the last column and 0.0
+        in the corner, with no weights matrix: ``_row_trapezoid_weights``
+        times the samples, bit for bit.
+        """
+        h, samples = self.grid.h, self.samples
+        m = samples * h
+        np.fill_diagonal(m, samples.diagonal() * (h / 2.0))
+        m[:, -1] = samples[:, -1] * (h / 2.0)
+        m[-1, -1] = samples[-1, -1] * 0.0
         m.setflags(write=False)
         return m
 
 
 def _row_trapezoid_weights(n_nodes: int, h: float) -> np.ndarray:
-    """W[i, j]: trapezoid weight of node j for the integral over [z_i, 1]."""
+    """W[i, j]: trapezoid weight of node j for the integral over [z_i, 1]; the inverse's samples are L / W."""
     w = np.triu(np.full((n_nodes, n_nodes), h))
     np.fill_diagonal(w, h / 2.0)
     w[:, -1] = h / 2.0
@@ -127,21 +137,27 @@ def _row_trapezoid_weights(n_nodes: int, h: float) -> np.ndarray:
     return w
 
 
-def _series_coefficients(q_max: float) -> list[float]:
-    """The coefficients c_m = 1 / (2 4^m m! (m+1)!) of S for m = 0..M, for inputs with max |q| = q_max.
+def _series_terms(q_max: float):
+    """(c_m, t_m) for m = 0..M: the coefficients c_m = 1 / (2 4^m m! (m+1)!) of S and the terms t_m = c_m q_max^m.
 
-    M is the first m whose term c_m q_max^m is below 1e-18, 119 at most.
-    The term follows the recurrence t_m = t_(m-1) q_max / (4 m (m+1)) in
-    Python floats, which overflow to inf rather than raise, so no q with
+    M is the first m whose term is below 1e-18, 119 at most.  The term
+    follows the recurrence t_m = t_(m-1) q_max / (4 m (m+1)) in Python
+    floats, which overflow to inf rather than raise, so no q with
     |q| <= q_max has a larger term.  A non-finite q_max takes all 120.
     """
-    coefficients, term = [0.5], 0.5
+    coefficient = term = 0.5
+    yield coefficient, term
     for m in range(1, 120):
-        coefficients.append(coefficients[-1] / (4.0 * m * (m + 1)))
+        coefficient /= 4.0 * m * (m + 1)
         term = term * q_max / (4.0 * m * (m + 1))
+        yield coefficient, term
         if term < 1e-18:
-            break
-    return coefficients
+            return
+
+
+def _series_coefficients(q_max: float) -> list[float]:
+    """The coefficients of S for inputs with max |q| = q_max (``_series_terms``)."""
+    return [coefficient for coefficient, _ in _series_terms(q_max)]
 
 
 def _series_shape(q: np.ndarray, coefficients: list[float], out: np.ndarray | None = None) -> np.ndarray:
@@ -172,19 +188,36 @@ def kernel_series_reference(a: float, k_reaction: float, grid: Grid1D) -> np.nda
     """Closed-form kernel samples: the continuous kernel the solver's fixed point is measured against.
 
     Evaluates lam (1 - s) S(lam [(1-z)^2 - (1-s)^2]) on the grid triangle
-    s >= z only, zero below it.  The term count is fixed by the largest |q|
-    (``_series_coefficients``); the triangle reaches |q| = |lam| at
-    (z, s) = (0, 1) as the full square does at (1, 0), so the series runs as
-    many terms and every sample has the bits a full-square evaluation gives.
-    Passing ``-k_reaction`` yields the continuous inverse kernel.
+    s >= z only, zero below it, by blocks of about ``BLOCK_BYTES``: rows
+    [i0, i1) over columns [i0, n), ``np.triu`` on the block.  The term count
+    is fixed by the largest |q|, exactly |lam| (``_series_terms``): the
+    square difference is 1 at (z, s) = (0, 1) and rounds into [0, 1]
+    elsewhere, as over a full square, so every sample has a full-square
+    evaluation's bits.  Passing ``-k_reaction`` yields the continuous inverse.
+
+    Raises ``NumericalError`` naming lam, before evaluating, when the term
+    rule is unmet within 120 terms (lam >= 6,000 or so) or when Horner's
+    rounding estimate 2 u T |lam| (u = 2^-53, T the largest term) exceeds
+    1e-9 of max |k|.  That is |lam| / 2 = |k(0, 0)| for lam < 0, where
+    |S| <= 1/2 and the terms alternate (lam <= -500 or so is refused);
+    for lam >= 0 the terms are positive and nothing cancels.
     """
     lam = kernel_ratio(a, k_reaction)
+    terms = list(_series_terms(abs(lam)))
+    if terms[-1][1] >= 1e-18:
+        raise NumericalError(f"the kernel series does not converge within {len(terms)} terms at lam = {lam:g}")
+    if lam < 0.0 and 2.0 * 2.0**-53 * max(term for _, term in terms) * -lam > 1e-9 * -lam / 2.0:
+        raise NumericalError(f"the kernel series loses more than 1e-9 of max |k| to cancellation at lam = {lam:g}")
+    coefficients = [coefficient for coefficient, _ in terms]
     rest = 1.0 - grid.nodes
     sq = rest**2
-    z_idx, s_idx = np.triu_indices(grid.n_nodes)
-    q = lam * (sq[z_idx] - sq[s_idx])
-    samples = np.zeros((grid.n_nodes, grid.n_nodes))
-    samples[z_idx, s_idx] = (lam * rest)[s_idx] * _series_shape(q, _series_coefficients(float(np.max(np.abs(q)))))
+    n = grid.n_nodes
+    samples = np.zeros((n, n))
+    rows = _block_rows(samples[0].nbytes, n)
+    for i0 in range(0, n, rows):
+        q = np.multiply(np.subtract(sq[i0 : i0 + rows, None], sq[i0:]), lam)
+        block = _series_shape(q, coefficients)
+        samples[i0 : i0 + rows, i0:] = np.triu(np.multiply(block, lam * rest[i0:], out=block))
     return samples
 
 
@@ -213,6 +246,11 @@ def _simpson_panels(y: np.ndarray, h: float, axis: int, out: np.ndarray) -> None
         out[..., j : 2 * p + j - 1 : 2] = panel
     if n % 2 == 0:
         out[..., -1] = (((y[..., -1] * 5.0) * 0.25 + 2.0 * y[..., -2]) - y[..., -3] * 0.25) * (h / 3.0)
+
+
+def _base(lam: float, xi: np.ndarray, eta: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The base term (lam/4)(xi - eta) on the rows ``xi``, into ``out``."""
+    return np.multiply(np.subtract(xi[:, None], eta, out=out), lam / 4.0, out=out)
 
 
 def solve_kernel(a: float, k_reaction: float, grid: Grid1D) -> VolterraKernel:
@@ -246,8 +284,10 @@ def solve_kernel(a: float, k_reaction: float, grid: Grid1D) -> VolterraKernel:
     That is scipy's ``cumulative_simpson`` applied twice, bit for bit: every
     sub-integral has its roundings and every running sum adds in the same
     sequence.  A second loop over the same blocks forms the next iterate
-    base + lam/4 (D - diag D), its sup change and its sup.  Rectangles are
-    allocated once.
+    base + lam/4 (D - diag D), its sup change and its sup.  Two rectangles,
+    F and the next iterate, are allocated once; the base term (lam/4)(xi - eta)
+    is formed per block, into the block buffer, in the start and in each
+    update, with the bits a whole-rectangle base has.
     """
     lam = kernel_ratio(a, k_reaction)
     h = grid.h
@@ -256,8 +296,7 @@ def solve_kernel(a: float, k_reaction: float, grid: Grid1D) -> VolterraKernel:
     n_xi = corner + 1
     xi = np.arange(n_xi) * h
     eta = np.arange(n_eta) * h
-    base = (lam / 4.0) * (xi[:, None] - eta[None, :])
-    F = np.empty_like(base)
+    F = np.empty((n_xi, n_eta))
     new = np.empty_like(F)
     # n_xi is odd, so an even number of rows per block starts every block at
     # an odd xi row and its panels pair up as they do over the whole column.
@@ -272,7 +311,7 @@ def solve_kernel(a: float, k_reaction: float, grid: Grid1D) -> VolterraKernel:
             # The start (lam/2)(xi - eta) S(lam xi eta) = 2 base S, the series in characteristic variables.
             q = np.multiply(lam * xi[s0:r1, None], eta, out=inner[: r1 - s0])
             start = _series_shape(q, coefficients, out=F[s0:r1])
-            start *= base[s0:r1]
+            start *= _base(lam, xi[s0:r1], eta, inner[: r1 - s0])
             start *= 2.0
         for iteration in range(1, KERNEL_ITERATION_CAP + 1):
             # D into `new`; inner[0] and new[r0 - 1] carry the previous block's last eta integral and last row of D.
@@ -295,7 +334,7 @@ def solve_kernel(a: float, k_reaction: float, grid: Grid1D) -> VolterraKernel:
                 d = new[s0:r1]
                 d -= diag_d
                 d *= lam / 4.0
-                d += base[s0:r1]
+                d += _base(lam, xi[s0:r1], eta, inner[: len(d)])
                 diff = np.subtract(d, F[s0:r1], out=inner[: len(d)])
                 peaks.append(np.abs(diff, out=diff).max())
                 sizes.append(np.abs(d, out=diff).max())
@@ -516,7 +555,8 @@ def _schur_bound(kernel: VolterraKernel, p: float) -> float:
     omega = np.full(kernel.grid.n_nodes, h)
     omega[0] = omega[-1] = h / 2.0
     row = float(M.sum(axis=1).max())
-    col = float(((omega[:, None] * M).sum(axis=0) / omega).max())
+    M *= omega[:, None]
+    col = float((M.sum(axis=0) / omega).max())
     return row ** (1.0 - 1.0 / p) * col ** (1.0 / p)
 
 

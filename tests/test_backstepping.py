@@ -10,6 +10,7 @@ from scipy.integrate import cumulative_simpson
 from scipy.linalg import solve_triangular
 from scipy.linalg.blas import dtrmm
 from scipy.linalg.lapack import dtrtri
+from scipy.special import iv, jv
 
 from iss_parabolic import (
     BoundarySignal,
@@ -262,8 +263,11 @@ def test_every_start_block_takes_the_whole_rectangles_coefficients(monkeypatch):
     assert all(coefficients == expected for coefficients in seen)
 
 
-@pytest.mark.parametrize("n_interior", [39, 40], ids=["odd_nodes", "even_nodes"])
-@pytest.mark.parametrize("k_reaction", [10.0, -8.0, 0.0])
+# 41 and 42 nodes fit one row block of the oracle; 201 and 202 nodes take three, the last one partial.
+@pytest.mark.parametrize(
+    "n_interior", [39, 40, 199, 200], ids=["odd_nodes", "even_nodes", "odd_nodes_n199", "even_nodes_n200"]
+)
+@pytest.mark.parametrize("k_reaction", [10.0, 200.0, -8.0, 0.0])
 def test_series_reference_matches_full_square_bitwise(n_interior, k_reaction):
     # The full square's stop rule sees max |q| = |lam| at (z, s) = (1, 0) as the triangle does at (0, 1).
     grid = Grid1D(n_interior=n_interior, dt=2e-4, t_final=0.1)
@@ -272,8 +276,38 @@ def test_series_reference_matches_full_square_bitwise(n_interior, k_reaction):
     q = lam * ((1.0 - zz) ** 2 - (1.0 - ss) ** 2)
     expected = np.triu(lam * (1.0 - ss) * _series_shape(q, _series_coefficients(np.max(np.abs(q)))))
     actual = kernel_series_reference(1.0, k_reaction, grid)
+    assert len(range(0, grid.n_nodes, BLOCK_BYTES // actual[0].nbytes)) == (1 if n_interior < 100 else 3)
     assert np.array_equal(actual, expected)
     assert np.array_equal(np.signbit(actual), np.signbit(expected))
+
+
+@pytest.mark.parametrize("n_interior", [15, 39])
+def test_series_reference_domain_ends_match_the_bessel_form(n_interior):
+    # S(q) = I1(sqrt q) / sqrt q for q > 0 and J1(sqrt -q) / sqrt -q for q < 0.  The last accepted ratios on either
+    # side are within 5e-11 of max |k| of it; one step past them the oracle refuses before evaluating.
+    grid = Grid1D(n_interior=n_interior, dt=2e-4, t_final=0.1)
+    zz, ss = np.meshgrid(grid.nodes, grid.nodes, indexing="ij")
+    for lam in (-450.0, 5000.0):
+        q = lam * ((1.0 - zz) ** 2 - (1.0 - ss) ** 2)
+        r = np.sqrt(np.abs(q))
+        with np.errstate(invalid="ignore", divide="ignore"):
+            shape = np.where(q == 0.0, 0.5, np.where(q > 0.0, iv(1, r), jv(1, r)) / r)
+        bessel = np.triu(lam * (1.0 - ss) * shape)
+        assert np.max(np.abs(kernel_series_reference(1.0, lam, grid) - bessel)) <= 1e-10 * np.max(np.abs(bessel))
+    for lam in (-500.0, 6000.0):
+        with pytest.raises(NumericalError, match=f"at lam = {lam:g}$"):
+            kernel_series_reference(1.0, lam, grid)
+
+
+@pytest.mark.parametrize("n_interior", [15, 200])
+@pytest.mark.parametrize("k_reaction", [10.0, -8.0, 0.0])
+def test_quadrature_operator_is_weights_times_samples_bitwise(n_interior, k_reaction):
+    grid = Grid1D(n_interior=n_interior, dt=2e-4, t_final=0.1)
+    direct = solve_kernel(1.0, k_reaction, grid)
+    for kernel in (direct, solve_inverse_kernel(direct)):
+        expected = _row_trapezoid_weights(grid.n_nodes, grid.h) * kernel.samples
+        assert np.array_equal(kernel.matrix, expected)
+        assert np.array_equal(np.signbit(kernel.matrix), np.signbit(expected))
 
 
 class TestInverseKernel:
@@ -581,13 +615,13 @@ def test_closed_loop_residual_peaks_below_one_history_and_three_operators(traced
     assert peak <= run.y_traj.data.nbytes + 3 * traced_kernel.matrix.nbytes
 
 
-def test_kernel_synthesis_peaks_at_three_rectangles_and_its_samples():
-    # F, the next iterate and the base term each fill the 401 x 201 characteristic rectangle; the samples
-    # are 201 x 201.  Per-block buffers may add a few blocks, a whole-rectangle temporary may not.
+def test_kernel_synthesis_peaks_at_two_rectangles_and_its_samples():
+    # F and the next iterate each fill the 401 x 201 characteristic rectangle; the samples are 201 x 201.  The
+    # base term is formed per block, so per-block buffers may add a few blocks, a whole-rectangle temporary may not.
     grid = Grid1D(n_interior=199, dt=1e-4, t_final=0.1)
     kernel, peak = _traced_peak(lambda: solve_kernel(1.0, 10.0, grid))
     rectangle = (2 * grid.n_nodes - 1) * grid.n_nodes * 8
-    assert peak <= 3 * rectangle + kernel.samples.nbytes + 4 * BLOCK_BYTES
+    assert peak <= 2 * rectangle + kernel.samples.nbytes + 4 * BLOCK_BYTES
 
 
 def test_inverse_synthesis_peaks_below_four_and_a_half_operators(traced_kernel):
@@ -721,6 +755,13 @@ REFUSALS = [
      "kernel samples must vanish below the diagonal"),
     ("series_a", lambda k, inv: kernel_series_reference(0.0, 5.0, _SMALL), InvalidParameterError,
      "diffusion coefficient must be positive and finite, got 0.0"),
+    # Before the refusal the series oracle returned these kernels (at n_interior = 39) off by 38% of max |k| (120
+    # terms with the term rule unmet), by 4.7e-7 and by 12% (Horner cancellation), without a warning.
+    ("series_terms_3e4", lambda k, inv: kernel_series_reference(1.0, 3e4, _SMALL), NumericalError,
+     "the kernel series does not converge within 120 terms at lam = 30000"),
+    *[(f"series_cancellation_{kr:g}", lambda k, inv, kr=kr: kernel_series_reference(1.0, kr, _SMALL), NumericalError,
+       f"the kernel series loses more than 1e-9 of max |k| to cancellation at lam = {kr:g}")
+      for kr in (-1000.0, -2000.0)],
     ("solve_a", lambda k, inv: solve_kernel(-1.0, 5.0, _SMALL), InvalidParameterError,
      "diffusion coefficient must be positive and finite, got -1.0"),
     # solver.check_diffusion and kernel_ratio refuse before any array work; before them a = inf gave a zero

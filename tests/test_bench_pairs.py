@@ -82,3 +82,42 @@ def test_exit_status_is_1_on_an_incorrect_run_or_a_claim_that_does_not_hold(
     record = json.loads(saved.read_text())
     assert record["all_correct"] == (not incorrect)
     assert record.get("claim", {}).get("holds") is holds
+
+
+def test_a_failing_run_ends_the_session_and_keeps_the_runs_before_it(monkeypatch, tmp_path, capsys):
+    # The third run is pair 1's first, the change side at seed 1.  Before, its RuntimeError ended the session in a
+    # traceback with no --json and the two runs of pair 0 lost.
+    _stub_runs(monkeypatch, lambda p: p - 0.06)
+    stubbed, calls = bench_pairs.run_benchmark, []
+
+    def run_benchmark(checkout, workload, seed, seconds, trace):
+        calls.append(seed)
+        if len(calls) == 3:
+            raise bench_pairs.RunFailed(2, ["Traceback (most recent call last):", "MemoryError"])
+        return stubbed(checkout, workload, seed, seconds, trace)
+
+    monkeypatch.setattr(bench_pairs, "run_benchmark", run_benchmark)
+    saved = tmp_path / "bench.json"
+    argv = ["HEAD", "suite_core", "--first-seed", "0", "--claim", "pass_s", "--json", str(saved)]
+    assert bench_pairs.main(argv) == 1
+    assert calls == [0, 0, 1]
+    record = json.loads(saved.read_text())
+    assert [(run["seed"], run["side"]) for run in record["runs"]] == [(0, "parent"), (0, "change")]
+    assert record["failed_run"] == {"workload": "suite_core", "seed": 1, "side": "change", "trace": 0,
+                                    "exit_code": 2, "stderr_tail": ["Traceback (most recent call last):",
+                                                                    "MemoryError"]}
+    assert "summary" not in record and "claim" not in record
+    err = capsys.readouterr().err
+    assert "the change run at seed 1 (trace 0) exited 2 after 2 runs" in err
+    assert err.rstrip().endswith("MemoryError")
+
+
+def test_run_benchmark_raises_run_failed_with_the_stderr_tail(tmp_path):
+    # A checkout whose perfbench/run.py writes 30 lines to stderr and exits 3.
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text(
+        "import sys\nfor i in range(30):\n    print(f'line {i}', file=sys.stderr)\nsys.exit(3)\n")
+    with pytest.raises(bench_pairs.RunFailed) as failed:
+        bench_pairs.run_benchmark(tmp_path, "suite_core", 0, 1.0, 0)
+    assert failed.value.code == 3
+    assert failed.value.stderr_tail == [f"line {i}" for i in range(30 - bench_pairs.STDERR_TAIL_LINES, 30)]

@@ -21,8 +21,11 @@ of the pairs, and its median is better than the parent's by more than the
 parent's interquartile range.  ``--trace-seed`` adds one ``--trace 1`` run
 per side (parent first) and prints each per-layer metric side by side.
 ``--json`` saves the runs and the summary.  Nothing under the checkout is
-written.  The exit status is 1 when any run reads ``correct: false`` or
-counts a failed operation, when any end-to-end metric's median is worse
+written.  A run that exits non-zero ends the session: its side, seed, exit
+code and the last lines of its stderr are printed and saved with every
+run made before it under ``--json``, with no summary, and the exit status
+is 1.  Otherwise the exit status is 1 when any run reads ``correct: false``
+or counts a failed operation, when any end-to-end metric's median is worse
 than the parent's by more than its bound, or when the ``--claim`` rule does
 not hold, and 0 otherwise.
 """
@@ -42,6 +45,15 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 CLAIM_WIN_SHARE = 0.9
+STDERR_TAIL_LINES = 20
+
+
+class RunFailed(RuntimeError):
+    """A ``perfbench/run.py`` run that exited non-zero: its exit code and the last lines of its stderr."""
+
+    def __init__(self, code: int, stderr_tail: list[str]):
+        super().__init__(f"exited {code}")
+        self.code, self.stderr_tail = code, stderr_tail
 
 
 def export_parent(ref: str, dest: Path) -> None:
@@ -72,12 +84,12 @@ def short_commit(ref: str) -> str:
 
 
 def run_benchmark(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
-    """The result line of one ``perfbench/run.py`` run in ``checkout``."""
+    """The result line of one ``perfbench/run.py`` run in ``checkout``; ``RunFailed`` on a non-zero exit."""
     command = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
                "--seconds", str(seconds), "--trace", str(trace)]
     done = subprocess.run(command, cwd=checkout, capture_output=True, text=True)
     if done.returncode != 0:
-        raise RuntimeError(f"{' '.join(command)} in {checkout} exited {done.returncode}:\n{done.stderr}")
+        raise RunFailed(done.returncode, done.stderr.splitlines()[-STDERR_TAIL_LINES:])
     return json.loads(done.stdout.strip().splitlines()[-1])
 
 
@@ -142,32 +154,45 @@ def main(argv=None) -> int:
     end_to_end = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     if args.claim is not None and args.claim not in {spec["name"] for spec in end_to_end}:
         parser.error(f"--claim {args.claim} is not an end-to-end metric of BENCHMARK.json")
-    commit = short_commit(args.parent_ref)
+    saved = {
+        "parent_ref": args.parent_ref, "parent_commit": short_commit(args.parent_ref), "workload": args.workload,
+        "seconds": args.seconds, "seeds": [args.first_seed + i for i in range(args.pairs)],
+        "order": "even pair indices (0-based) ran the parent first, odd ones the change first",
+    }
+    seeds = saved["seeds"]
+    schedule = [(side, seed, 0) for i, seed in enumerate(seeds)
+                for side in (("parent", "change") if i % 2 == 0 else ("change", "parent"))]
+    if args.trace_seed is not None:
+        schedule += [("parent", args.trace_seed, 1), ("change", args.trace_seed, 1)]
+    runs, failed = [], None
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
         sides = {"parent": Path(tmp) / "parent", "change": Path(tmp) / "change"}
         for side in sides.values():
             side.mkdir()
         export_parent(args.parent_ref, sides["parent"])
         export_working_tree(sides["change"])
-        runs, pairs = [], []
-        for i in range(args.pairs):
-            seed = args.first_seed + i
-            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-            results = {}
-            for side in order:
-                results[side] = run_benchmark(sides[side], args.workload, seed, args.seconds, 0)
-                runs.append({"workload": args.workload, "seed": seed, "side": side, "trace": 0,
-                             "result": results[side]})
+        for side, seed, trace in schedule:
+            run = {"workload": args.workload, "seed": seed, "side": side, "trace": trace}
+            try:
+                run["result"] = run_benchmark(sides[side], args.workload, seed, args.seconds, trace)
+            except RunFailed as exc:
+                failed = {**run, "exit_code": exc.code, "stderr_tail": exc.stderr_tail}
+                break
+            runs.append(run)
+            if not trace:
                 print(f"seed {seed} {side}: " + ", ".join(
-                    f"{k} {v['value']:.4g}" for k, v in results[side]["metrics"].items()), flush=True)
-            pairs.append((results["parent"], results["change"]))
-        traced = {}
-        if args.trace_seed is not None:
-            for side in ("parent", "change"):
-                result = run_benchmark(sides[side], args.workload, args.trace_seed, args.seconds, 1)
-                runs.append({"workload": args.workload, "seed": args.trace_seed, "side": side, "trace": 1,
-                             "result": result})
-                traced[side] = {k: v["value"] for k, v in result["metrics"].items()}
+                    f"{k} {v['value']:.4g}" for k, v in run["result"]["metrics"].items()), flush=True)
+    if failed is not None:
+        print(f"the {failed['side']} run at seed {failed['seed']} (trace {failed['trace']}) exited "
+              f"{failed['exit_code']} after {len(runs)} runs; the last lines of its stderr:", file=sys.stderr)
+        print("\n".join(failed["stderr_tail"]), file=sys.stderr)
+        if args.json is not None:
+            args.json.write_text(json.dumps({**saved, "failed_run": failed, "runs": runs}, indent=1) + "\n")
+        return 1
+    results = {(run["seed"], run["side"], run["trace"]): run["result"] for run in runs}
+    pairs = [(results[seed, "parent", 0], results[seed, "change", 0]) for seed in seeds]
+    traced = {side: {k: v["value"] for k, v in results[args.trace_seed, side, 1]["metrics"].items()}
+              for side in ("parent", "change") if args.trace_seed is not None}
     summary = summarize(pairs, end_to_end)
     correct = all(run["result"]["correct"] and run["result"]["failed"] == 0 for run in runs)
     holds = args.claim is None or claim_holds(summary[args.claim], args.pairs)
@@ -176,12 +201,7 @@ def main(argv=None) -> int:
     for name in traced.get("parent", {}):
         print(f"  traced {name}: parent {traced['parent'][name]:.6g}  change {traced['change'][name]:.6g}")
     if args.json is not None:
-        saved = {
-            "parent_ref": args.parent_ref, "parent_commit": commit, "workload": args.workload,
-            "seconds": args.seconds, "seeds": [args.first_seed + i for i in range(args.pairs)],
-            "order": "even pair indices (0-based) ran the parent first, odd ones the change first",
-            "summary": summary, "all_correct": correct, "traced": traced, "runs": runs,
-        }
+        saved.update(summary=summary, all_correct=correct, traced=traced, runs=runs)
         if args.claim is not None:
             saved["claim"] = {"metric": args.claim, "holds": holds}
         args.json.write_text(json.dumps(saved, indent=1) + "\n")
